@@ -8,12 +8,10 @@ matrix, ``oracle`` cross-checks by brute-force diagonalization, and
 ``cli``/``config``/``report`` wrap everything in a JSON-driven front end.
 """
 
-from .certificate import (CertificateResult, DefinitenessReport,
-                          PointSearchResult, RayleighMatrices, TrialBasis,
-                          certify, definiteness, find_definite_points,
-                          grad_norm_sq, kinetic_matrix,
+from .certificate import (CertificateResult, DefinitenessReport, TrialBasis,
+                          certify, definiteness, grad_norm_sq, kinetic_matrix,
                           potential_matrix_dropped, potential_matrix_exact,
-                          rayleigh_matrices, select_points, trial_basis)
+                          select_points, trial_basis)
 from .config import RunConfig, build_measure, build_model, parse_config
 from .errors import (CapacityError, ConfigError, DegenerateInputError,
                      NoConvergenceError, NumericalInputError,
@@ -23,7 +21,7 @@ from .hankel import FhatProfile
 from .measure import (ClosedFormCircle, CurveDelta, DecayProfile, Density,
                       SampledCurve, Segment, Sum, decay_scan, fourier,
                       fourier_batch, fourier_grid, fourier_matrix,
-                      form_bound_check, total_mass)
+                      total_mass)
 from .model import (BandBasis, BandPair, Circle, CouplingSpec, PointCloud,
                     SymbolMatrix, ThresholdData, band_basis, bands,
                     lower_band, lower_band_vectors, quad_constant, symbol,

@@ -8,7 +8,7 @@ certified point contributes one eigenvalue below the threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -17,9 +17,9 @@ from scipy.special import jv
 from .errors import (CapacityError, ConfigError, NumericalInputError,
                      ResolutionError)
 from .hankel import FhatProfile, fhat_profile
-from .measure import Sum, fourier_matrix
-from .model import (Circle, CouplingSpec, PointCloud, ThresholdData,
-                    lower_band, lower_band_vectors)
+from .measure import fourier_matrix
+from .model import (CouplingSpec, PointCloud, ThresholdData, lower_band,
+                    lower_band_vectors)
 from .quadrature import log_rule, merge_edges, panel_rule, uniform_rule
 
 TOL_DEF = 1e-8
@@ -126,74 +126,6 @@ def _farthest_point(candidates, N):
         chosen.append(nxt)
         dist = np.minimum(dist, np.hypot(*(cand - cand[nxt]).T))
     return cand[chosen]
-
-
-@dataclass(frozen=True)
-class PointSearchResult:
-    points: np.ndarray
-    lambda_max: float
-    negative_definite: bool
-    evaluations: int
-
-
-def find_definite_points(nu, minset, N, budget=200, seed=0) -> PointSearchResult:
-    """Search the minimum set for points with a negative definite Fourier matrix.
-
-    Random restarts plus local angle jitter around the incumbent; failure is
-    returned as a value carrying the best lambda_max seen.
-    """
-    N = int(N)
-    if N < 1:
-        raise ConfigError("point count N must be >= 1")
-    rng = np.random.default_rng(seed)
-    on_circle = isinstance(minset, Circle)
-
-    def draw_random():
-        if on_circle:
-            ang = np.sort(rng.uniform(0.0, 2.0 * np.pi, N))
-            cx, cy = minset.center
-            return np.column_stack([cx + minset.radius * np.cos(ang),
-                                    cy + minset.radius * np.sin(ang)])
-        idx = rng.choice(len(minset.points), size=N, replace=False)
-        return np.asarray(minset.points, float)[idx]
-
-    def jitter(pts, scale):
-        if not on_circle:
-            return draw_random()
-        cx, cy = minset.center
-        ang = np.arctan2(pts[:, 1] - cy, pts[:, 0] - cx)
-        ang = ang + rng.normal(0.0, scale, N)
-        return np.column_stack([cx + minset.radius * np.cos(ang),
-                                cy + minset.radius * np.sin(ang)])
-
-    def admissible(pts):
-        for j in range(N):
-            for k in range(j + 1, N):
-                if np.hypot(*(pts[j] - pts[k])) <= MIN_POINT_SEP:
-                    return False
-        return True
-
-    best_pts, best_lam = None, np.inf
-    evals = 0
-    candidate = select_points(minset, N, "equispaced" if on_circle else "farthest_point")
-    while evals < budget:
-        if admissible(candidate):
-            rep = definiteness(fourier_matrix(nu, candidate), TOL_DEF)
-            evals += 1
-            if rep.lambda_max < best_lam:
-                best_lam, best_pts = rep.lambda_max, candidate.copy()
-            if rep.negative_definite:
-                return PointSearchResult(points=best_pts, lambda_max=best_lam,
-                                         negative_definite=True, evaluations=evals)
-        if best_pts is not None and rng.uniform() < 0.7:
-            candidate = jitter(best_pts, 0.4 * 2.0 * np.pi / max(N, 2))
-        else:
-            candidate = draw_random()
-    if best_pts is None:
-        best_pts = candidate
-        best_lam = definiteness(fourier_matrix(nu, best_pts), TOL_DEF).lambda_max
-    return PointSearchResult(points=best_pts, lambda_max=float(best_lam),
-                             negative_definite=False, evaluations=evals)
 
 
 # ---------------------------------------------------------------------------
@@ -303,16 +235,6 @@ def _kinetic_halfplane(model, kappa, prof, center, other):
 # potential matrices
 
 
-def _measure_nodes(nu, max_abs_p):
-    """Flattened (x, y, signed weight) quadrature nodes of a measure."""
-    if isinstance(nu, Sum):
-        parts = [_measure_nodes(p, max_abs_p) for p in nu.parts]
-        return (np.concatenate([p[0] for p in parts]),
-                np.concatenate([p[1] for p in parts]),
-                np.concatenate([p[2] for p in parts]))
-    return nu.quad_nodes(max_abs_p)
-
-
 def _pair_scale(pts):
     n = len(pts)
     mx = 0.0
@@ -325,7 +247,7 @@ def _pair_scale(pts):
 def potential_matrix_dropped(nu, basis: TrialBasis):
     """W_jk with the band phase dropped: int e^{-i<p_j-p_k,x>} |f_a|^2 nu(dx)."""
     pts = basis.points
-    x, y, w = _measure_nodes(nu, _pair_scale(pts) + 1.0)
+    x, y, w = nu.quad_nodes(_pair_scale(pts) + 1.0)
     density = w * _bump_sq(basis.a, np.hypot(x, y))
     phases = np.exp(-1j * (pts[:, 0][:, None] * x[None, :]
                            + pts[:, 1][:, None] * y[None, :]))
@@ -341,7 +263,7 @@ def potential_matrix_exact(model: CouplingSpec, nu, basis: TrialBasis):
     """
     pts = basis.points
     max_p = _pair_scale(pts) + float(np.max(np.hypot(pts[:, 0], pts[:, 1]))) + 4.0
-    x, y, w = _measure_nodes(nu, max_p)
+    x, y, w = nu.quad_nodes(max_p)
     r = np.hypot(x, y)
     theta = np.arctan2(y, x)
     f = np.exp(-0.5 * r ** basis.a)
@@ -520,22 +442,6 @@ def _oscillatory_tail(g_pair, rho_pair, rr, m_arr):
 
 # ---------------------------------------------------------------------------
 # certification
-
-
-@dataclass(frozen=True)
-class RayleighMatrices:
-    T: np.ndarray
-    W_exact: np.ndarray
-    W_dropped: np.ndarray
-    Q: np.ndarray
-
-
-def rayleigh_matrices(model, thr, nu, basis: TrialBasis) -> RayleighMatrices:
-    T = kinetic_matrix(model, thr, basis)
-    w_exact = potential_matrix_exact(model, nu, basis)
-    w_dropped = potential_matrix_dropped(nu, basis)
-    return RayleighMatrices(T=T, W_exact=w_exact, W_dropped=w_dropped,
-                            Q=T + w_exact)
 
 
 @dataclass(frozen=True)

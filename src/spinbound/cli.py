@@ -10,7 +10,6 @@ completed but not certified, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
@@ -29,22 +28,6 @@ EXIT_OK = 0
 EXIT_NOT_CERTIFIED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-
-
-def _apply_thread_cap():
-    """SPINBOUND_THREADS caps BLAS/worker parallelism; 0 or unset = auto."""
-    raw = os.environ.get("SPINBOUND_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError(["SPINBOUND_THREADS must be an integer, got %r" % raw])
-    if cap <= 0:
-        return None
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        return None
-    return threadpool_limits(limits=cap)
 
 
 def _parse_grid(text):
@@ -78,26 +61,27 @@ def _base_report(config):
     return {"schema": rep.SCHEMA_TAG, "config": config.raw}
 
 
-def _run_certify_section(config):
+def _build(config):
+    """The model, its threshold data and the measure of a config."""
     model = build_model(config.model)
-    thr = threshold(model)
-    nu = build_measure(config.measure)
+    return model, threshold(model), build_measure(config.measure)
+
+
+def _run_certify_section(config, model, thr, nu):
     cert = config.certify
     points = cert.get("points")
-    result = certify(model, thr, nu, cert["N"],
-                     cert.get("a_schedule", list(DEFAULT_A_SCHEDULE)),
-                     point_strategy=cert.get("point_strategy", "equispaced"),
-                     potential_form=cert.get("potential_form", "exact"),
-                     points=np.asarray(points, float) if points else None)
-    return thr, result
+    return certify(model, thr, nu, cert["N"],
+                   cert.get("a_schedule", list(DEFAULT_A_SCHEDULE)),
+                   point_strategy=cert.get("point_strategy", "equispaced"),
+                   potential_form=cert.get("potential_form", "exact"),
+                   points=np.asarray(points, float) if points else None)
 
 
-def _run_oracle_section(config):
-    model = build_model(config.model)
-    thr = threshold(model)
-    nu = build_measure(config.measure)
+def _run_oracle_section(config, model, thr, nu):
     osec = config.oracle
-    return thr, convergence_sweep(model, thr, nu, osec["L"], osec["cutoffs"])
+    edge_tol = osec.get("edge_tol")
+    return convergence_sweep(model, thr, nu, osec["L"], osec["cutoffs"],
+                             edge_tol=None if edge_tol is None else float(edge_tol))
 
 
 def _write_report(document, config, out_path):
@@ -112,7 +96,8 @@ def _write_report(document, config, out_path):
 
 def _cmd_certify(config, args):
     t0 = time.perf_counter()
-    thr, result = _run_certify_section(config)
+    model, thr, nu = _build(config)
+    result = _run_certify_section(config, model, thr, nu)
     doc = _base_report(config)
     doc["threshold"] = rep.threshold_section(thr)
     doc["certificate"] = rep.certificate_section(result)
@@ -124,7 +109,8 @@ def _cmd_certify(config, args):
 
 def _cmd_oracle(config, args):
     t0 = time.perf_counter()
-    thr, sweep = _run_oracle_section(config)
+    model, thr, nu = _build(config)
+    sweep = _run_oracle_section(config, model, thr, nu)
     doc = _base_report(config)
     doc["threshold"] = rep.threshold_section(thr)
     doc["oracle"] = rep.sweep_section(sweep)
@@ -185,24 +171,24 @@ def _cmd_fourier(config, args):
 
 def _cmd_report(config, args):
     t0 = time.perf_counter()
+    model, thr, nu = _build(config)
     doc = _base_report(config)
     timing = {}
     certified = True
     if config.certify is not None:
         t = time.perf_counter()
-        thr, result = _run_certify_section(config)
+        result = _run_certify_section(config, model, thr, nu)
         doc["threshold"] = rep.threshold_section(thr)
         doc["certificate"] = rep.certificate_section(result)
         certified = result.certified
         timing["certify_seconds"] = time.perf_counter() - t
     if config.oracle is not None:
         t = time.perf_counter()
-        thr, sweep = _run_oracle_section(config)
+        sweep = _run_oracle_section(config, model, thr, nu)
         doc.setdefault("threshold", rep.threshold_section(thr))
         doc["oracle"] = rep.sweep_section(sweep)
         timing["oracle_seconds"] = time.perf_counter() - t
     if config.scan is not None:
-        nu = build_measure(config.measure)
         scan = config.scan
         doc["decay_profiles"] = [
             rep.profile_section(decay_scan(nu, ang, scan["r_max"],
@@ -266,9 +252,7 @@ def run(subcommand, config, args=None):
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    limiter = None
     try:
-        limiter = _apply_thread_cap()
         try:
             with open(args.config, "rb") as fh:
                 text = fh.read()
@@ -283,6 +267,3 @@ def main(argv=None) -> int:
     except SpinboundError as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return EXIT_NUMERICAL
-    finally:
-        if limiter is not None:
-            limiter.unregister()

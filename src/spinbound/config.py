@@ -25,7 +25,6 @@ class RunConfig:
     """Validated run configuration; raw holds the parsed JSON document."""
 
     raw: dict
-    seed: int = 0
     model: dict | None = None
     measure: dict | None = None
     certify: dict | None = None
@@ -291,8 +290,8 @@ def parse_config(text) -> RunConfig:
 
     sink = _Collector()
     _check_keys(doc, "config", (),
-                ("model", "measure", "certify", "oracle", "scan",
-                 "output", "seed"), sink)
+                ("model", "measure", "certify", "oracle", "scan", "output"),
+                sink)
     if "model" in doc:
         _validate_model(doc["model"], sink)
     if "measure" in doc:
@@ -305,14 +304,9 @@ def parse_config(text) -> RunConfig:
         _validate_scan(doc["scan"], sink)
     if "output" in doc:
         _validate_output(doc["output"], sink)
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        sink.add("config", "seed must be an integer")
-        seed = 0
     if sink.problems:
         raise ConfigError(sink.problems)
-    return RunConfig(raw=doc, seed=seed,
-                     model=doc.get("model"), measure=doc.get("measure"),
+    return RunConfig(raw=doc, model=doc.get("model"), measure=doc.get("measure"),
                      certify=doc.get("certify"), oracle=doc.get("oracle"),
                      scan=doc.get("scan"), output=doc.get("output", {}))
 

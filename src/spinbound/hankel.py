@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.special import gamma, hankel1, k0
+from scipy.special import gamma, gammaln, hankel1, k0
 
 from .errors import ConfigError, ResolutionError
 from .quadrature import merge_edges, panel_rule
@@ -28,17 +28,6 @@ _EXP_CUTOFF = 45.0  # e^-45 ~ 3e-20 of peak
 def fhat_at_zero(a):
     """fhat(0) = 2^(2/a) Gamma(2/a) / a (Gamma integral after u = r^a/2)."""
     return 2.0 ** (2.0 / a) * gamma(2.0 / a) / a
-
-
-def mean_radius(a):
-    """<r> of the weight r exp(-r^a/2): 2^(1/a) Gamma(3/a)/Gamma(2/a)."""
-    return 2.0 ** (1.0 / a) * np.exp(
-        np.log(2.0) * 0.0 + _lgamma(3.0 / a) - _lgamma(2.0 / a))
-
-
-def _lgamma(x):
-    from scipy.special import gammaln
-    return gammaln(x)
 
 
 def _rotated_hankel_point(a, rho, nodes_per_panel=10):
@@ -123,11 +112,10 @@ class FhatProfile:
             raise ConfigError("bump exponent a must lie in (0, 2]")
         self.a = float(a)
         self.value_at_zero = float(fhat_at_zero(self.a))
-        self.r_scale = float(np.exp(np.log(2.0) / a + _lgamma(3.0 / a) - _lgamma(2.0 / a)))
         # the transform flattens out below 1/sqrt(<r^2>), which for small a
         # sits far below 1/<r> (heavy-tailed weight); anchor the grid there
         r2_scale = float(np.exp(np.log(2.0) / a
-                                + 0.5 * (_lgamma(4.0 / a) - _lgamma(2.0 / a))))
+                                + 0.5 * (gammaln(4.0 / a) - gammaln(2.0 / a))))
         rho_lo = 1e-4 / r2_scale
         # the power-law tail regime starts around rho^(-a) << 1, which for
         # small a is astronomically far out; carry the table far enough that
@@ -150,7 +138,6 @@ class FhatProfile:
         self._vals = vals
         self._spline = CubicSpline(np.log(grid), np.log(vals))
         self._end_slope = float(self._spline(np.log(grid[-1]), 1))
-        self.tail_exponent = -(2.0 + self.a)
         self.tail_coefficient = float(vals[-1] * grid[-1] ** (2.0 + self.a))
         half = np.searchsorted(-vals, -0.5 * self.value_at_zero)
         self.rho_half = float(grid[min(half, len(grid) - 1)])

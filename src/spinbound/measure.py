@@ -16,7 +16,7 @@ from scipy.interpolate import CubicSpline
 
 from .errors import (DegenerateInputError, NumericalInputError,
                      QuadratureFailureError, ResolutionError)
-from .quadrature import panel_rule, uniform_rule
+from .quadrature import uniform_rule
 
 TWO_PI = 2.0 * np.pi
 NODE_CAP = 2_000_000
@@ -126,32 +126,6 @@ class SampledCurve(Curve):
         return (self._sx(t, 2), self._sy(t, 2))
 
 
-def curvature_min(curve: Curve, samples=2048):
-    """min over samples of |x'y'' - x''y'| / |gamma'|^3."""
-    t = np.linspace(0.0, 1.0, samples, endpoint=isinstance(curve, Segment))
-    dx, dy = curve.derivative(t)
-    ddx, ddy = curve.second_derivative(t)
-    speed = np.hypot(dx, dy)
-    if not np.all(np.isfinite([dx, dy, ddx, ddy])):
-        raise NumericalInputError("non-finite curve derivatives")
-    if np.any(speed <= 0.0):
-        raise NumericalInputError("curve parametrization is not regular")
-    return float(np.min(np.abs(dx * ddy - ddx * dy) / speed**3))
-
-
-def segment_nondecay_direction(segment: Curve):
-    """The ray angle in [0, pi) along which a segment's transform stays flat."""
-    if not isinstance(segment, Segment):
-        raise DegenerateInputError("non-decay direction is defined for segments only")
-    a = segment.end[0] - segment.start[0]
-    b = segment.end[1] - segment.start[1]
-    # a cos(alpha) + b sin(alpha) = 0
-    alpha = np.arctan2(-a, b)
-    if alpha < 0.0:
-        alpha += np.pi
-    return float(alpha % np.pi)
-
-
 # ---------------------------------------------------------------------------
 # measures
 
@@ -176,7 +150,8 @@ class CurveDelta:
         x, y = self.curve.point(np.linspace(0.0, 1.0, 512))
         self.nonpositive = bool(np.max(self._h(x, y)) <= 0.0)
 
-    def _nodes(self, max_abs_p):
+    def quad_nodes(self, max_abs_p):
+        """(x, y, weights) with weights carrying h and the arclength element."""
         panels = 4 * max(1, int(np.ceil(max_abs_p * self.curve.length() / TWO_PI)))
         if panels * 8 > NODE_CAP:
             raise ResolutionError("curve quadrature exceeds node cap",
@@ -185,10 +160,6 @@ class CurveDelta:
         x, y = self.curve.point(t)
         dx, dy = self.curve.derivative(t)
         return x, y, w * np.hypot(dx, dy) * self._h(x, y)
-
-    def quad_nodes(self, max_abs_p):
-        """(x, y, weights) with weights carrying h and the arclength element."""
-        return self._nodes(max_abs_p)
 
 
 @dataclass
@@ -210,8 +181,11 @@ class Density:
             raise QuadratureFailureError("density is non-finite on its support box")
         self.nonpositive = bool(np.max(vals) <= 0.0)
 
-    def _axis_rules(self, max_abs_p):
-        # two GL8 panels per oscillation wavelength along each axis
+    def _tensor_rule(self, max_abs_p):
+        """Axis nodes xs, ys and weights vw = V * (wx outer wy) on their grid.
+
+        Two GL8 panels per oscillation wavelength along each axis.
+        """
         x0, x1, y0, y1 = self.support_box
         px = 2 * max(8, int(np.ceil(max_abs_p * (x1 - x0) / TWO_PI)))
         py = 2 * max(8, int(np.ceil(max_abs_p * (y1 - y0) / TWO_PI)))
@@ -220,13 +194,13 @@ class Density:
                                   attempted_nodes=px * py * 64)
         xs, wx = uniform_rule(x0, x1, px, 8)
         ys, wy = uniform_rule(y0, y1, py, 8)
-        return xs, wx, ys, wy
+        vw = np.asarray(self.V(xs[:, None], ys[None, :]), dtype=float) * np.outer(wx, wy)
+        return xs, ys, vw
 
     def quad_nodes(self, max_abs_p):
-        xs, wx, ys, wy = self._axis_rules(max_abs_p)
+        xs, ys, vw = self._tensor_rule(max_abs_p)
         X, Y = np.meshgrid(xs, ys, indexing="ij")
-        W = np.outer(wx, wy) * np.asarray(self.V(X, Y), dtype=float)
-        return X.ravel(), Y.ravel(), W.ravel()
+        return X.ravel(), Y.ravel(), vw.ravel()
 
 
 @dataclass
@@ -236,6 +210,11 @@ class Sum:
     @property
     def nonpositive(self):
         return all(p.nonpositive for p in self.parts)
+
+    def quad_nodes(self, max_abs_p):
+        """The parts' (x, y, weights) nodes, concatenated."""
+        parts = [p.quad_nodes(max_abs_p) for p in self.parts]
+        return tuple(np.concatenate(axis) for axis in zip(*parts))
 
 
 RadonMeasureSpec = CurveDelta | Density | Sum
@@ -247,8 +226,6 @@ RadonMeasureSpec = CurveDelta | Density | Sum
 
 def total_mass(nu: RadonMeasureSpec):
     """integral of nu(dx); equals 2*pi*fourier(nu, 0)."""
-    if isinstance(nu, Sum):
-        return sum(total_mass(p) for p in nu.parts)
     x, y, w = nu.quad_nodes(0.0)
     return float(np.sum(w))
 
@@ -268,18 +245,13 @@ def fourier_batch(nu: RadonMeasureSpec, points):
         return out
     max_abs_p = float(np.max(np.hypot(points[:, 0], points[:, 1]))) if len(points) else 0.0
     if isinstance(nu, Density):
-        return _density_batch(nu, points, max_abs_p)
+        xs, ys, vw = nu._tensor_rule(max_abs_p)
+        ex = np.exp(-1j * np.outer(points[:, 0], xs))   # (n, nx)
+        ey = np.exp(-1j * np.outer(points[:, 1], ys))   # (n, ny)
+        return np.einsum("nx,xy,ny->n", ex, vw, ey, optimize=True) / TWO_PI
     x, y, w = nu.quad_nodes(max_abs_p)
     phase = np.exp(-1j * (points[:, 0:1] * x[None, :] + points[:, 1:2] * y[None, :]))
     return (phase @ w) / TWO_PI
-
-
-def _density_batch(nu: Density, points, max_abs_p):
-    xs, wx, ys, wy = nu._axis_rules(max_abs_p)
-    vw = np.asarray(nu.V(xs[:, None], ys[None, :]), dtype=float) * np.outer(wx, wy)
-    ex = np.exp(-1j * np.outer(points[:, 0], xs))       # (n, nx)
-    ey = np.exp(-1j * np.outer(points[:, 1], ys))       # (n, ny)
-    return np.einsum("nx,xy,ny->n", ex, vw, ey, optimize=True) / TWO_PI
 
 
 def fourier_grid(nu: RadonMeasureSpec, px_values, py_values):
@@ -299,8 +271,7 @@ def fourier_grid(nu: RadonMeasureSpec, px_values, py_values):
     max_abs_p = float(np.hypot(np.max(np.abs(px_values), initial=0.0),
                                np.max(np.abs(py_values), initial=0.0)))
     if isinstance(nu, Density):
-        xs, wx, ys, wy = nu._axis_rules(max_abs_p)
-        vw = np.asarray(nu.V(xs[:, None], ys[None, :]), dtype=float) * np.outer(wx, wy)
+        xs, ys, vw = nu._tensor_rule(max_abs_p)
         ex = np.exp(-1j * np.outer(px_values, xs))
         ey = np.exp(-1j * np.outer(py_values, ys))
         return (ex @ vw @ ey.T) / TWO_PI
@@ -371,75 +342,3 @@ def decay_scan(nu: RadonMeasureSpec, alpha, r_max, samples=64):
         classification = "non_decaying"
     return DecayProfile(direction_angle=float(alpha), radii=radii, magnitudes=mags,
                         fitted_slope=float(slope), classification=classification)
-
-
-# ---------------------------------------------------------------------------
-# form-bound falsification
-
-
-@dataclass(frozen=True)
-class FormBoundReport:
-    a_form: float
-    b_form: float
-    worst_ratio: float
-    violated: bool
-
-
-def _base_measure_nodes(nu: RadonMeasureSpec):
-    """Nodes (x, y, m-weights, h-values) for the decomposition nu = h*m."""
-    if isinstance(nu, Sum):
-        xs, ys, ws, hs = [], [], [], []
-        for part in nu.parts:
-            x, y, w, h = _base_measure_nodes(part)
-            xs.append(x); ys.append(y); ws.append(w); hs.append(h)
-        return (np.concatenate(xs), np.concatenate(ys),
-                np.concatenate(ws), np.concatenate(hs))
-    x, y, w = nu.quad_nodes(8.0)
-    if isinstance(nu, CurveDelta):
-        hx = np.asarray(nu._h(x, y), dtype=float)
-        base_w = np.where(hx != 0.0, w / np.where(hx != 0.0, hx, 1.0), 0.0)
-        return x, y, base_w, hx
-    # density nu = V dx: take m = |V| dx, h = sign(V)
-    sign = np.sign(w)
-    return x, y, np.abs(w), sign
-
-
-def default_test_family(nu: RadonMeasureSpec):
-    """Gaussian wave packets over a grid of centers, widths and wavevectors."""
-    x, y, w, _ = _base_measure_nodes(nu)
-    if len(x) == 0:
-        centers = [(0.0, 0.0)]
-    else:
-        idx = np.linspace(0, len(x) - 1, 5).round().astype(int)
-        centers = [(float(x[i]), float(y[i])) for i in idx] + [(0.0, 0.0)]
-    sigmas = (0.05, 0.1, 0.2, 0.5, 1.0)
-    ks = ((0.0, 0.0), (1.0, 0.0), (0.0, 3.0))
-    return [(c, s, k) for c in centers for s in sigmas for k in ks]
-
-
-def form_bound_check(nu: RadonMeasureSpec, a_form, b_form, family=None):
-    """Falsification probe of the relative form bound with constants (a, b).
-
-    Each test packet f = exp(i<k,x>) exp(-|x-x0|^2/(2 sigma^2)) has closed-form
-    gradient and L2 norms; the measure side is evaluated by quadrature.  A
-    worst ratio above 1 disproves the candidate constants; below 1 proves
-    nothing (the family is finite).
-    """
-    if not (0.0 < a_form < 1.0):
-        raise ValueError("a_form must lie in (0, 1)")
-    if b_form <= 0.0:
-        raise ValueError("b_form must be positive")
-    if family is None:
-        family = default_test_family(nu)
-    x, y, mw, h = _base_measure_nodes(nu)
-    worst = 0.0
-    for (cx, cy), sigma, (kx, ky) in family:
-        g2 = np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / (sigma * sigma))
-        lhs = float(np.sum((1.0 + h * h) * g2 * mw))
-        k2 = kx * kx + ky * ky
-        rhs = (a_form * (k2 * np.pi * sigma * sigma + np.pi)
-               + b_form * np.pi * sigma * sigma)
-        if rhs > 0.0:
-            worst = max(worst, lhs / rhs)
-    return FormBoundReport(a_form=a_form, b_form=b_form,
-                           worst_ratio=worst, violated=worst > 1.0)

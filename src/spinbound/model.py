@@ -9,12 +9,12 @@ minimum set (a circle for the Rashba and Dresselhaus couplings).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import NumericalInputError, NoConvergenceError, SearchDomainError
+from .errors import NumericalInputError, SearchDomainError
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -179,11 +179,10 @@ class PointCloud:
         return pts[np.unique(idx)]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ThresholdData:
     kappa: float
     minset: Circle | PointCloud
-    quad_constants: dict[tuple[float, float], float] = field(default_factory=dict)
 
     @property
     def minset_tolerance(self):
@@ -200,7 +199,6 @@ class SearchSettings:
     radial_factor: float = 2.0       # search disk radius = radial_factor * r_growth
     minset_points: int = 512
     minset_tol_rel: float = 1e-8
-    quad_probes: int = 4             # number of minset points to populate c(p0) for
 
 
 def _radial_newton(f, r0, r_lo, r_hi, steps):
@@ -244,9 +242,7 @@ def quad_constant(model: CouplingSpec, thr: ThresholdData, p0,
     # outside the disk: lambda_minus - kappa <= p^2 + |kappa| and the ratio
     # bound below is decreasing in |p|, so its boundary value covers the tail
     c_tail = (r_disk * r_disk + abs(thr.kappa)) / (r_disk - r0) ** 2
-    c = max(grid_max, c_tail)
-    thr.quad_constants[(float(p0[0]), float(p0[1]))] = c
-    return c
+    return max(grid_max, c_tail)
 
 
 def threshold(model: CouplingSpec, search: SearchSettings | None = None) -> ThresholdData:
@@ -260,11 +256,8 @@ def threshold(model: CouplingSpec, search: SearchSettings | None = None) -> Thre
     search = search or SearchSettings()
     if model.kind in ("rashba", "dresselhaus"):
         alpha = abs(model.alpha)
-        thr = ThresholdData(kappa=-alpha * alpha / 4.0,
-                            minset=Circle(center=(0.0, 0.0), radius=alpha / 2.0))
-        for p0 in thr.minset.sample(max(1, search.quad_probes)):
-            quad_constant(model, thr, p0)
-        return thr
+        return ThresholdData(kappa=-alpha * alpha / 4.0,
+                             minset=Circle(center=(0.0, 0.0), radius=alpha / 2.0))
 
     r_max = search.radial_factor * model.r_growth
     angles = np.linspace(0.0, 2.0 * np.pi, search.minset_points, endpoint=False)
@@ -294,42 +287,4 @@ def threshold(model: CouplingSpec, search: SearchSettings | None = None) -> Thre
     keep = best_v <= kappa + tol
     pts = np.column_stack([best_r[keep] * np.cos(angles[keep]),
                            best_r[keep] * np.sin(angles[keep])])
-    thr = ThresholdData(kappa=kappa, minset=PointCloud(points=pts, tolerance=tol))
-    for p0 in thr.minset.sample(max(1, min(search.quad_probes, len(pts)))):
-        quad_constant(model, thr, p0)
-    return thr
-
-
-def check_a1(model: CouplingSpec, radii, n_angles=256):
-    """max over the outermost radius ring of |A(p)|/p^2 (asymptotic growth probe)."""
-    radii = np.asarray(radii, dtype=float)
-    if np.any(radii <= 0.0) or np.any(np.diff(radii) <= 0.0):
-        raise ValueError("radii must be positive and increasing")
-    r = radii[-1]
-    ang = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
-    px, py = r * np.cos(ang), r * np.sin(ang)
-    return float(np.max(np.abs(model.coupling(px, py)) / (r * r)))
-
-
-def relative_bound_lambda(model: CouplingSpec, lam0=1.0, max_doublings=60,
-                          n_angles=128, n_radial=256):
-    """A shift lambda with sup_p |A(p)|/(p^2 + lambda) < 1.
-
-    The sup is sampled over the disk |p| <= r_growth; outside the disk the
-    growth witness a_growth < 1 bounds the ratio analytically.  Found by
-    doubling lambda from ``lam0``.
-    """
-    ang = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
-    rad = np.linspace(model.r_growth / n_radial, model.r_growth, n_radial)
-    px = rad[None, :] * np.cos(ang)[:, None]
-    py = rad[None, :] * np.sin(ang)[:, None]
-    absa = np.abs(model.coupling(px, py))
-    p2 = px * px + py * py
-    lam = float(lam0)
-    for _ in range(max_doublings):
-        sup = float(np.max(absa / (p2 + lam)))
-        if sup < 1.0:
-            return lam
-        lam *= 2.0
-    raise NoConvergenceError("relative bound: sup never dropped below 1 "
-                             "within %d doublings" % max_doublings)
+    return ThresholdData(kappa=kappa, minset=PointCloud(points=pts, tolerance=tol))

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import CapacityError, ConfigError, NumericalInputError, SupportError
-from .measure import CurveDelta, Density, RadonMeasureSpec, Sum, fourier_grid
+from .measure import Density, RadonMeasureSpec, Sum, fourier_grid
 from .model import CouplingSpec, ThresholdData
 
 _MODE_CAP = 4000
@@ -36,7 +36,6 @@ class BoxSpec:
     L: float
     K: float
     edge_tol: float | None = None
-    mode_cap: int = _MODE_CAP
 
     def __post_init__(self):
         problems = []
@@ -62,10 +61,10 @@ class BoxSpec:
         nx, ny = np.meshgrid(axis, axis, indexing="ij")
         keep = (nx * nx + ny * ny) * step * step <= self.K * self.K * (1 + 1e-12)
         n_pairs = np.column_stack([nx[keep], ny[keep]])
-        if len(n_pairs) > self.mode_cap:
+        if len(n_pairs) > _MODE_CAP:
             raise CapacityError(
                 "mode lattice has %d points, cap is %d (shrink L or K)"
-                % (len(n_pairs), self.mode_cap))
+                % (len(n_pairs), _MODE_CAP))
         return step * n_pairs, n_pairs
 
     def resolved_edge_tol(self, kappa):
@@ -190,8 +189,10 @@ def spectrum(model: CouplingSpec, thr: ThresholdData, nu, box: BoxSpec):
 
 
 def convergence_sweep(model: CouplingSpec, thr: ThresholdData, nu,
-                      L, cutoffs) -> SweepResult:
+                      L, cutoffs, edge_tol=None) -> SweepResult:
     """Counts across increasing cutoffs; stable means the top two agree.
+
+    ``edge_tol`` is passed to every cutoff's BoxSpec (None: its default).
 
     Only a stable sweep should be treated as ground truth for the
     certificate cross-check -- an unstable count is a discretization
@@ -202,7 +203,8 @@ def convergence_sweep(model: CouplingSpec, thr: ThresholdData, nu,
         raise ConfigError(["cutoff list is empty"])
     if any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
         raise ConfigError(["cutoffs must be strictly increasing: %r" % (cutoffs,)])
-    results = [spectrum(model, thr, nu, BoxSpec(L=L, K=c)) for c in cutoffs]
+    results = [spectrum(model, thr, nu, BoxSpec(L=L, K=c, edge_tol=edge_tol))
+               for c in cutoffs]
     counts = [r.count_below for r in results]
     diffs = [b - a for a, b in zip(counts, counts[1:])]
     stable = len(counts) >= 2 and counts[-1] == counts[-2]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import spinbound.cli as cli
 import spinbound.report as rep
 from spinbound.cli import main
 
@@ -50,9 +51,10 @@ def test_exit_config_errors(tmp_path):
     bad.write_text("{not json")
     assert main(["certify", "-c", str(bad)]) == 2
     assert main(["certify", "-c", str(tmp_path / "missing.json")]) == 2
-    unknown = _certify_doc()
-    unknown["bogus"] = 1
-    assert main(["certify", "-c", _write(tmp_path, "u.json", unknown)]) == 2
+    for key in ("bogus", "seed"):
+        unknown = _certify_doc()
+        unknown[key] = 1
+        assert main(["certify", "-c", _write(tmp_path, "u.json", unknown)]) == 2
     # syntactically valid config but missing the section the subcommand needs
     partial = {"model": {"type": "rashba", "alpha": 2.0}}
     assert main(["certify", "-c", _write(tmp_path, "p.json", partial)]) == 2
@@ -102,10 +104,14 @@ def test_scan_decay_csv(tmp_path):
     assert b"\r" not in out.read_bytes()
 
 
+def _oracle_doc():
+    return {"model": {"type": "rashba", "alpha": 2.0},
+            "measure": _certify_doc()["measure"],
+            "oracle": {"L": 6.0, "cutoffs": [2.5, 3.0]}}
+
+
 def test_oracle_subcommand_with_eigenvalues(tmp_path):
-    doc = {"model": {"type": "rashba", "alpha": 2.0},
-           "measure": _certify_doc()["measure"],
-           "oracle": {"L": 6.0, "cutoffs": [2.5, 3.0]}}
+    doc = _oracle_doc()
     cfg = _write(tmp_path, "c.json", doc)
     out = str(tmp_path / "o.json")
     eig = tmp_path / "eigs.csv"
@@ -115,6 +121,40 @@ def test_oracle_subcommand_with_eigenvalues(tmp_path):
     lines = eig.read_text().splitlines()
     assert lines[0] == "cutoff,index,eigenvalue"
     assert len(lines) > 2
+
+
+def test_oracle_edge_tol_reaches_every_cutoff(tmp_path):
+    doc = _oracle_doc()
+    doc["oracle"]["edge_tol"] = 0.5
+    cfg = _write(tmp_path, "c.json", doc)
+    out = str(tmp_path / "o.json")
+    assert main(["oracle", "-c", cfg, "-o", out]) == 0
+    results = json.loads(open(out).read())["oracle"]["results"]
+    assert [r["edge_tol"] for r in results] == [0.5, 0.5]
+
+
+def test_report_builds_once_per_run(tmp_path, monkeypatch):
+    calls = {"build_measure": 0, "threshold": 0}
+
+    def counted(name):
+        original = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counted(name))
+    doc = _certify_doc()
+    doc["oracle"] = _oracle_doc()["oracle"]
+    doc["scan"] = {"r_max": 50.0, "angles": 1, "samples": 32}
+    cfg = _write(tmp_path, "c.json", doc)
+    out = str(tmp_path / "r.json")
+    assert main(["report", "-c", cfg, "-o", out]) == 0
+    parsed = json.loads(open(out).read())
+    assert {"certificate", "oracle", "decay_profiles"} <= set(parsed)
+    assert calls == {"build_measure": 1, "threshold": 1}
 
 
 # ---------------------------------------------------------------------------

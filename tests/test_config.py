@@ -17,13 +17,11 @@ VALID = {
     "certify": {"N": 4, "a_schedule": [0.4, 0.2], "potential_form": "dropped"},
     "oracle": {"L": 8.0, "cutoffs": [4.0, 5.0]},
     "output": {"report_json": "out.json"},
-    "seed": 7,
 }
 
 
 def test_parse_valid_config():
     cfg = parse_config(json.dumps(VALID))
-    assert cfg.seed == 7
     assert cfg.model["alpha"] == 2.0
     assert cfg.certify["N"] == 4
     assert cfg.scan is None
@@ -82,12 +80,12 @@ def test_all_problems_collected():
         "model": {"type": "rashba"},                        # missing alpha
         "certify": {"N": 0, "a_schedule": [3.0]},           # two problems
         "oracle": {"L": -1.0, "cutoffs": [5.0, 4.0]},       # two problems
-        "seed": "x",                                        # one problem
+        "bogus": 1,                                         # one problem
     }
     with pytest.raises(ConfigError) as err:
         parse_config(json.dumps(bad))
     text = str(err.value)
-    for fragment in ("alpha", "N must be", "(0, 2]", "L", "increasing", "seed"):
+    for fragment in ("alpha", "N must be", "(0, 2]", "L", "increasing", "bogus"):
         assert fragment in text
 
 

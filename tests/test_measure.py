@@ -5,11 +5,9 @@ from hypothesis import strategies as st
 
 from conftest import bessel_j0_series
 from spinbound.errors import DegenerateInputError, ResolutionError
-from spinbound.measure import (ClosedFormCircle, CurveDelta, Density,
-                               SampledCurve, Segment, Sum, curvature_min,
-                               decay_scan, form_bound_check, fourier,
-                               fourier_batch, fourier_grid, fourier_matrix,
-                               segment_nondecay_direction, total_mass)
+from spinbound.measure import (ClosedFormCircle, CurveDelta, Density, Segment,
+                               Sum, decay_scan, fourier, fourier_batch,
+                               fourier_grid, fourier_matrix, total_mass)
 
 momenta = st.tuples(st.floats(-10, 10), st.floats(-10, 10))
 
@@ -43,6 +41,8 @@ def test_segment_transform_closed_form():
     for px, py in [(3.0, 0.0), (3.0, 5.0), (0.7, -2.0)]:
         want = -(1.0 / (2.0 * np.pi)) * np.exp(-0.5j * px) * np.sinc(px / (2 * np.pi))
         assert abs(fourier(nu, (px, py)) - want) < 1e-12
+    with pytest.raises(DegenerateInputError):
+        Segment((1.0, 1.0), (1.0, 1.0))
 
 
 def test_gaussian_density_transform(gaussian_well):
@@ -162,35 +162,11 @@ def test_segment_decaying_direction():
 
 
 def test_segment_nondecay_direction_examples():
-    assert segment_nondecay_direction(Segment((0, 0), (1, 0))) == pytest.approx(np.pi / 2)
-    assert segment_nondecay_direction(Segment((0, 0), (1, 1))) == pytest.approx(3 * np.pi / 4)
-    assert segment_nondecay_direction(Segment((0, 0), (0, 1))) == pytest.approx(0.0)
-    with pytest.raises(DegenerateInputError):
-        Segment((1.0, 1.0), (1.0, 1.0))
-
-
-# ---------------------------------------------------------------------------
-# curvature
-
-
-def test_curvature_examples():
-    assert curvature_min(ClosedFormCircle((0, 0), 2.0)) == pytest.approx(0.5, abs=1e-9)
-    assert curvature_min(Segment((0, 0), (1, 0))) == pytest.approx(0.0, abs=1e-12)
-    t = np.linspace(0.0, 2.0 * np.pi, 801)
-    ellipse = SampledCurve(np.column_stack([2.0 * np.cos(t), np.sin(t)]), closed=True)
-    assert curvature_min(ellipse) == pytest.approx(0.25, abs=1e-3)
-
-
-# ---------------------------------------------------------------------------
-# form bound falsification
-
-
-def test_form_bound_zero_measure():
-    zero = CurveDelta(ClosedFormCircle((0, 0), 1.0), weight=0.0)
-    rep = form_bound_check(zero, 0.5, 1.0)
-    assert rep.worst_ratio == 0.0 and not rep.violated
-
-
-def test_form_bound_circle(circle_measure):
-    assert not form_bound_check(circle_measure, 0.5, 50.0).violated
-    assert form_bound_check(circle_measure, 1e-6, 1e-6).violated
+    # along the ray perpendicular to a segment through the origin the phase
+    # vanishes, so |nuhat| stays at length / (2 pi) for every orientation
+    for end, alpha in (((1.0, 0.0), np.pi / 2), ((1.0, 1.0), 3 * np.pi / 4),
+                       ((0.0, 1.0), 0.0)):
+        seg = Segment((0.0, 0.0), end)
+        prof = decay_scan(CurveDelta(seg, weight=-1.0), alpha, 40.0, 64)
+        assert prof.classification == "non_decaying"
+        assert np.allclose(prof.magnitudes, seg.length() / (2.0 * np.pi), rtol=1e-10)

@@ -3,11 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinbound.errors import NoConvergenceError
 from spinbound.model import (Circle, CouplingSpec, PointCloud, band_basis,
-                             bands, check_a1, lower_band, lower_band_vectors,
-                             quad_constant, relative_bound_lambda, symbol,
-                             threshold)
+                             bands, lower_band, lower_band_vectors,
+                             quad_constant, symbol, threshold)
 
 momenta = st.tuples(st.floats(-20, 20), st.floats(-20, 20))
 
@@ -131,26 +129,6 @@ def test_quadratic_domination_constant(rashba2, thr2):
     d2 = (gx[:, None] - p0[0]) ** 2 + (gx[None, :] - p0[1]) ** 2
     mask = d2 > 1e-12
     assert np.all(lam[mask] <= c * d2[mask] * (1 + 1e-9))
-    assert (1.0, 0.0) in thr2.quad_constants
-
-
-def test_check_a1_examples(rashba2):
-    assert check_a1(rashba2, [10.0, 100.0]) == pytest.approx(0.02)
-    assert check_a1(rashba2, [1.0]) == pytest.approx(2.0)
-    flat = CouplingSpec.custom(lambda px, py: 0.5 * (px * px + py * py) + 0.0j,
-                               a_growth=0.6, r_growth=1.0)
-    assert check_a1(flat, [3.0, 7.0]) == pytest.approx(0.5)
-
-
-def test_relative_bound_lambda(rashba2):
-    lam0 = relative_bound_lambda(rashba2)
-    assert lam0 <= 4.0
-    r = np.linspace(1e-3, 50, 4001)
-    assert np.max(2.0 * r / (r * r + lam0)) < 1.0
-    zero = CouplingSpec.custom(lambda px, py: np.zeros(np.broadcast(px, py).shape,
-                                                       dtype=complex),
-                               a_growth=0.5, r_growth=1.0)
-    assert relative_bound_lambda(zero) <= 1.0
 
 
 def test_custom_coupling_validation():
