@@ -6,6 +6,12 @@ e^{i<k,x>}/(2L) on [-L, L]^2 with modes k on the lattice (pi/L) Z^2,
 differences, so curve measures need no spatial grid.  A dense Hermitian
 eigensolve then counts eigenvalues below the band minimum kappa, which is
 the independent check against the variational certificate.
+
+When the coupling is odd, A(-k) = -A(k), and nuhat is even (a centrally
+symmetric measure), U = P (x) sigma_z commutes with the assembled matrix,
+where P maps mode k to mode -k.  The eigensolve then runs on U's two
+M x M eigenspace blocks instead of the whole 2M x 2M matrix; any other
+matrix takes the full eigensolve.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from .model import CouplingSpec, ThresholdData
 
 _MODE_CAP = 4000
 _PAIR_REL_GAP = 1e-6
+_SQRT_HALF = np.sqrt(0.5)
 
 
 @dataclass(frozen=True)
@@ -161,14 +168,95 @@ def _greedy_pairs(eigs):
     return pairs
 
 
-def eigen_count_below(model: CouplingSpec, thr: ThresholdData, matrix,
-                      box: BoxSpec) -> SpectrumResult:
-    """Dense eigendecomposition and the count strictly below the edge band."""
-    matrix = np.asarray(matrix)
+def _partners(n_pairs):
+    """Index of the mode -k for each mode k of an inversion-symmetric lattice."""
+    width = 2 * int(np.max(np.abs(n_pairs))) + 1
+    key = n_pairs[:, 0] * width + n_pairs[:, 1]
+    sorter = np.argsort(key)
+    return sorter[np.searchsorted(key, -key, sorter=sorter)]
+
+
+def _sector(pairs, mirror, zero, sign):
+    """Orthonormal basis of U's eigenspace for eigenvalue ``sign``.
+
+    Basis vector r is c1[r] e_{i1[r]} + c2[r] e_{i2[r]} in the interleaved
+    row numbering of ``assemble``: (|k up> + sign |-k up>)/sqrt2 and
+    (|k down> - sign |-k down>)/sqrt2 for each mode k in ``pairs`` (one of
+    each pair {k, -k}, with -k at ``mirror``), then the zero mode's spin up
+    (sign +1) or spin down (sign -1), written as two halves of itself.
+    """
+    i0 = 2 * zero + (sign < 0)
+    i1 = np.append(np.column_stack([2 * pairs, 2 * pairs + 1]).ravel(), i0)
+    i2 = np.append(np.column_stack([2 * mirror, 2 * mirror + 1]).ravel(), i0)
+    c1 = np.append(np.full(2 * len(pairs), _SQRT_HALF), 0.5)
+    c2 = np.append(np.tile([sign * _SQRT_HALF, -sign * _SQRT_HALF], len(pairs)), 0.5)
+    return i1, i2, c1, c2
+
+
+def _block(h, rows, cols):
+    """rows^T h cols for two sector bases, by four index gathers of h."""
+    i1, i2, c1, c2 = rows
+    j1, j2, d1, d2 = cols
+    out = np.zeros((len(i1), len(j1)), dtype=h.dtype)
+    for i, c in ((i1, c1), (i2, c2)):
+        for j, d in ((j1, d1), (j2, d2)):
+            term = h[np.ix_(i, j)]
+            term *= c[:, None]
+            term *= d
+            out += term
+    return out
+
+
+def _parity_blocks(matrix, box):
+    """The two diagonal blocks of ``matrix`` in U's eigenspaces, or None.
+
+    U = P (x) sigma_z with P: k -> -k on the box's mode lattice.  The split
+    is taken only when the block coupling the two eigenspaces has Frobenius
+    norm at most one rounding unit of ``matrix``'s: by Weyl's inequality,
+    dropping it then moves no eigenvalue by more than that.  None when the
+    matrix is not of the lattice's size or U is not a symmetry of it.
+    """
     try:
-        eigs = scipy.linalg.eigvalsh(matrix)
+        _, n_pairs = box.modes()
+    except CapacityError:
+        return None
+    if matrix.shape != (2 * len(n_pairs), 2 * len(n_pairs)):
+        return None
+    partner = _partners(n_pairs)
+    index = np.arange(len(n_pairs))
+    pairs = index[index < partner]
+    zero = index[index == partner][0]
+    plus, minus = (_sector(pairs, partner[pairs], zero, sign) for sign in (1, -1))
+    coupling = np.linalg.norm(_block(matrix, plus, minus))
+    if not coupling <= np.finfo(float).eps * np.linalg.norm(matrix):
+        return None
+    return _block(matrix, plus, plus), _block(matrix, minus, minus)
+
+
+def _eigvalsh(matrix, overwrite_a=False):
+    try:
+        return scipy.linalg.eigvalsh(matrix, overwrite_a=overwrite_a)
     except scipy.linalg.LinAlgError as exc:
         raise NumericalInputError("dense eigensolver failed: %s" % exc) from exc
+
+
+def eigen_count_below(model: CouplingSpec, thr: ThresholdData, matrix,
+                      box: BoxSpec) -> SpectrumResult:
+    """Sorted spectrum of an assembled matrix and the count below the edge band.
+
+    A matrix that the parity U commutes with is solved as its two M x M
+    blocks, each bound state appearing once in each (time reversal maps one
+    block onto the other); any other matrix takes one full eigensolve.
+    """
+    matrix = np.asarray(matrix)
+    blocks = _parity_blocks(matrix, box)
+    if blocks is None:
+        eigs = _eigvalsh(matrix)
+    else:
+        # block.T is Fortran-ordered, so LAPACK works on it in place; it is
+        # conj(block), which has the same real eigenvalues
+        eigs = np.sort(np.concatenate([_eigvalsh(b.T, overwrite_a=True)
+                                      for b in blocks]))
     edge = box.resolved_edge_tol(thr.kappa)
     below = eigs < thr.kappa - edge
     marginal = int(np.sum((eigs >= thr.kappa - edge) & (eigs < thr.kappa + edge)))

@@ -120,7 +120,17 @@ def test_oracle_subcommand_with_eigenvalues(tmp_path):
     assert doc["oracle"]["stable"] in (True, False)
     lines = eig.read_text().splitlines()
     assert lines[0] == "cutoff,index,eigenvalue"
-    assert len(lines) > 2
+    rows = [line.split(",") for line in lines[1:]]
+    results = doc["oracle"]["results"]
+    assert len(rows) == sum(2 * r["mode_count"] for r in results)
+    for cutoff, result in zip(doc["oracle"]["cutoffs"], results):
+        mine = [row for row in rows if float(row[0]) == cutoff]
+        assert len(mine) == 2 * result["mode_count"]
+        assert [int(row[1]) for row in mine] == list(range(len(mine)))
+        values = [float(row[2]) for row in mine]
+        assert values == sorted(values)
+        # both files print floats that round-trip, so the match is exact
+        assert values[:result["count_below"]] == result["eigenvalues_below"]
 
 
 def test_oracle_edge_tol_reaches_every_cutoff(tmp_path):

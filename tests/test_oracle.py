@@ -1,11 +1,35 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
+from spinbound import oracle
 from spinbound.errors import CapacityError, ConfigError, SupportError
 from spinbound.measure import ClosedFormCircle, CurveDelta, Density, Sum, total_mass
 from spinbound.model import CouplingSpec, threshold
 from spinbound.oracle import (BoxSpec, assemble, convergence_sweep,
                               eigen_count_below, spectrum)
+
+
+def _well(center, depth=2.0, half_side=8.0):
+    cx, cy = center
+    return Density(lambda x, y: -depth * np.exp(-0.5 * ((x - cx) ** 2 + (y - cy) ** 2)),
+                   (cx - half_side, cx + half_side, cy - half_side, cy + half_side))
+
+
+def _circle(center, radius=1.0, weight=-1.0):
+    return CurveDelta(ClosedFormCircle(center, radius), weight=weight)
+
+
+def _solve_sizes(monkeypatch):
+    """Record the size of every matrix the oracle hands to eigvalsh."""
+    sizes = []
+    original = scipy.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        sizes.append(np.shape(a)[0])
+        return original(a, *args, **kwargs)
+    monkeypatch.setattr(oracle.scipy.linalg, "eigvalsh", spy)
+    return sizes
 
 
 # ---------------------------------------------------------------------------
@@ -154,3 +178,76 @@ def test_eigen_count_below_edge_band(rashba2, thr2):
     res = eigen_count_below(rashba2, thr2, m, box)
     assert res.count_below == 2
     assert res.marginal_count == 2
+
+
+# ---------------------------------------------------------------------------
+# parity split k -> -k
+
+
+_SPLIT_CASES = {
+    # odd coupling and centrally symmetric measure: U = P (x) sigma_z commutes
+    "rashba-circle": (CouplingSpec.rashba(2.0), _circle((0.0, 0.0)),
+                      BoxSpec(L=8.0, K=4.0), True),
+    "dresselhaus-well": (CouplingSpec.dresselhaus(3.0), _well((0.0, 0.0)),
+                         BoxSpec(L=10.0, K=3.0), True),
+    # any other input takes the full eigensolve
+    "off-centre-circle": (CouplingSpec.rashba(2.0), _circle((0.7, 0.3)),
+                          BoxSpec(L=8.0, K=4.0), False),
+    "sum-off-centre-part": (CouplingSpec.rashba(2.0),
+                            Sum([_circle((0.0, 0.0)),
+                                 _circle((0.7, 0.3), radius=0.5, weight=-0.5)]),
+                            BoxSpec(L=8.0, K=4.0), False),
+    "non-odd-coupling": (CouplingSpec.custom(lambda px, py: 2.0 * (py + 1j * px) + 0.3,
+                                             a_growth=0.5, r_growth=4.0),
+                         _circle((0.0, 0.0)), BoxSpec(L=8.0, K=4.0), False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SPLIT_CASES))
+def test_parity_split_matches_full_eigensolve(case, monkeypatch):
+    model, nu, box, split = _SPLIT_CASES[case]
+    thr = threshold(model)
+    h = assemble(model, nu, box)
+    m = h.shape[0] // 2
+    ref = scipy.linalg.eigvalsh(h)
+    sizes = _solve_sizes(monkeypatch)
+    res = eigen_count_below(model, thr, h, box)
+    assert sizes == ([m, m] if split else [2 * m])
+
+    assert np.max(np.abs(res.eigenvalues - ref)) < 1e-10
+    edge = box.resolved_edge_tol(thr.kappa)
+    below = ref < thr.kappa - edge
+    assert res.count_below == int(np.sum(below))
+    assert res.marginal_count == int(np.sum((ref >= thr.kappa - edge)
+                                            & (ref < thr.kappa + edge)))
+    assert ([(i, j) for i, j, _ in res.pairing]
+            == [(i, j) for i, j, _ in oracle._greedy_pairs(ref[below])])
+    # the split cases bind Kramers pairs; their halves come from different blocks
+    if split:
+        assert res.count_below >= 2
+        assert len(res.pairing) == res.count_below // 2
+
+
+def test_parity_split_needs_the_lattice_size(rashba2, thr2, circle_measure, monkeypatch):
+    # a matrix of another box's lattice is solved whole
+    h = assemble(rashba2, circle_measure, BoxSpec(L=6.0, K=2.0))
+    sizes = _solve_sizes(monkeypatch)
+    res = eigen_count_below(rashba2, thr2, h, BoxSpec(L=6.0, K=3.0))
+    assert sizes == [h.shape[0]]
+    assert np.max(np.abs(res.eigenvalues - scipy.linalg.eigvalsh(h))) < 1e-10
+
+
+def test_kramers_pairing_off_centre_well(monkeypatch):
+    # time reversal pairs the bound states without inversion symmetry too:
+    # the well sits at (1, 0.5) on a support square of side 5 around it
+    model = CouplingSpec.rashba(2.0)
+    thr = threshold(model)
+    box = BoxSpec(L=5.0, K=4.0)
+    sizes = _solve_sizes(monkeypatch)
+    res = spectrum(model, thr, _well((1.0, 0.5), half_side=2.5), box)
+    assert sizes == [2 * res.mode_count]
+    assert res.count_below >= 2
+    assert res.count_below % 2 == 0
+    assert len(res.pairing) == res.count_below // 2
+    for _, _, gap in res.pairing:
+        assert gap < 1e-9
