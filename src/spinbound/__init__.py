@@ -14,9 +14,9 @@ from .certificate import (CertificateResult, DefinitenessReport, TrialBasis,
                           select_points, trial_basis)
 from .config import RunConfig, build_measure, build_model, parse_config
 from .errors import (CapacityError, ConfigError, DegenerateInputError,
-                     NoConvergenceError, NumericalInputError,
-                     QuadratureFailureError, ResolutionError,
-                     SearchDomainError, SpinboundError, SupportError)
+                     NumericalInputError, QuadratureFailureError,
+                     ResolutionError, SearchDomainError, SpinboundError,
+                     SupportError)
 from .hankel import FhatProfile
 from .measure import (ClosedFormCircle, CurveDelta, DecayProfile, Density,
                       SampledCurve, Segment, Sum, decay_scan, fourier,

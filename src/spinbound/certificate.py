@@ -290,34 +290,41 @@ _OSC_BUDGET = 1.0e4       # oscillation periods resolved: P(r) * r ~ budget
 _MAX_DISTINCT_RADII = 48
 
 
+def _kink_ring(rj, lo, hi):
+    """Edges clustered on the ring rho = rj, kept strictly inside (lo, hi)."""
+    side = np.geomspace(1e-6, 0.5, 24)
+    ring = rj * np.concatenate([1.0 - side, [1.0], 1.0 + side])
+    return ring[(ring > lo) & (ring < hi)]
+
+
 class _ModeTable:
     """Spline of the angular coefficients c_m(rho) for one expansion center.
 
     c_m is smooth in log rho on either side of the ring rho = |p_j| where
     the band vector direction passes through the origin; the table splits
-    there so the kink is never interpolated across.
+    there so the kink is never interpolated across.  ``lo`` and ``hi`` are
+    the table's edges and ``rj`` the kink radius (None when off the table).
     """
 
     def __init__(self, model, pj, prof, m_arr):
         rj = float(np.hypot(*pj))
         lo = max(prof.rho_lo, 1e-12 * (1.0 + rj))
         hi = prof.rho_hi
-        sets = [np.geomspace(lo, hi, int(32 * np.log10(hi / lo)) + 2)]
-        if lo < rj < hi:
-            side = np.geomspace(1e-6, 0.5, 24)
-            ring = rj * np.concatenate([1.0 - side, [1.0], 1.0 + side])
-            sets.append(ring[(ring > lo) & (ring < hi)])
-        grid = merge_edges(*sets)
+        self.rj = rj if lo < rj < hi else None
+        grid = np.geomspace(lo, hi, int(32 * np.log10(hi / lo)) + 2)
+        if self.rj is not None:
+            grid = merge_edges(grid, _kink_ring(rj, lo, hi))
         cm = _angular_modes(model, pj, grid, m_arr)
         self.lo, self.hi = grid[0], grid[-1]
-        self.rj = rj if lo < rj < hi else None
-        self._pieces = []
+        self._shape = cm.shape[1:]
         if self.rj is None:
-            self._pieces.append((grid[0], grid[-1], self._fit(grid, cm)))
+            self._split = self.hi
+            self._inner = self._outer = self._fit(grid, cm)
         else:
             k = int(np.searchsorted(grid, rj))
-            self._pieces.append((grid[0], rj, self._fit(grid[:k + 1], cm[:k + 1])))
-            self._pieces.append((rj, grid[-1], self._fit(grid[k:], cm[k:])))
+            self._split = rj
+            self._inner = self._fit(grid[:k + 1], cm[:k + 1])
+            self._outer = self._fit(grid[k:], cm[k:])
 
     @staticmethod
     def _fit(grid, cm):
@@ -326,13 +333,11 @@ class _ModeTable:
 
     def __call__(self, rho):
         rho = np.clip(np.asarray(rho, dtype=float), self.lo, self.hi)
-        out = np.empty(rho.shape + self._pieces[0][2][0](0.0).shape, dtype=complex)
-        lower = True
-        for lo, hi, (sre, sim) in self._pieces:
-            sel = (rho <= hi) if lower else (rho > lo)
+        out = np.empty(rho.shape + self._shape, dtype=complex)
+        inner = rho <= self._split
+        for sel, (sre, sim) in ((inner, self._inner), (~inner, self._outer)):
             lg = np.log(rho[sel])
             out[sel] = sre(lg) + 1j * sim(lg)
-            lower = False
         return out
 
 
@@ -340,27 +345,26 @@ def _band_correction(model, pj, basis, r_nodes, theta_nodes):
     prof = basis.profile
     m_arr = np.arange(-_M_MAX, _M_MAX + 1)
     modes = _ModeTable(model, pj, prof, m_arr)
-    rounded = np.round(r_nodes, 12)
-    radii = np.unique(rounded)
+    radii, where = np.unique(np.round(r_nodes, 12), return_inverse=True)
     if len(radii) > _MAX_DISTINCT_RADII:
         pos = radii[radii > 0.0]
         grid = np.geomspace(max(pos.min(), 1e-4 * pos.max()), pos.max(),
                             _MAX_DISTINCT_RADII)
-        table = np.array([_radial_modes(modes, pj, prof, basis.a, rr, m_arr)
+        table = np.array([_radial_modes(modes, prof, rr, m_arr)
                           for rr in grid])                    # (G, M)
         spline_re = CubicSpline(np.log(grid), table.real, axis=0)
         spline_im = CubicSpline(np.log(grid), table.imag, axis=0)
-        lg = np.log(np.clip(rounded, grid[0], grid[-1]))
-        R = spline_re(lg) + 1j * spline_im(lg)                # (T, M)
-        zero = rounded == 0.0
-        if np.any(zero):
-            R[zero] = _radial_modes(modes, pj, prof, basis.a, 0.0, m_arr)
+        lg = np.log(np.clip(radii, grid[0], grid[-1]))
+        R = spline_re(lg) + 1j * spline_im(lg)                # (D, M)
+        if radii[0] == 0.0:
+            R[0] = _radial_modes(modes, prof, 0.0, m_arr)
     else:
-        lookup = {rr: _radial_modes(modes, pj, prof, basis.a, rr, m_arr)
-                  for rr in radii}
-        R = np.array([lookup[rr] for rr in rounded])          # (T, M)
+        R = np.array([_radial_modes(modes, prof, rr, m_arr) for rr in radii])
+    # named: numpy multiplies into a large temporary in place, operands
+    # swapped, which rounds complex products differently
+    per_node = R[where]                                       # (T, M)
     harmonics = np.exp(1j * np.outer(theta_nodes, m_arr)) * (1j) ** m_arr
-    return np.sum(harmonics * R, axis=1)
+    return np.sum(harmonics * per_node, axis=1)
 
 
 def _angular_modes(model, pj, rho, m_arr):
@@ -379,36 +383,31 @@ def _angular_modes(model, pj, rho, m_arr):
     return sel * np.exp(-1j * m_arr[None, :] * (np.pi / _N_ANGLES))
 
 
-def _radial_modes(modes, pj, prof, a, rr, m_arr):
-    """R_m(rr) for all m at a single radius, with oscillatory tail closure."""
-    rho_lo = max(prof.rho_lo, 1e-12 * (1.0 + np.hypot(*pj)))
-    rj = float(np.hypot(*pj))
+def _radial_modes(modes, prof, rr, m_arr):
+    """R_m(rr) for all m at one radius rr >= 0 (one rule for all rr and a).
+
+    Log panels up to rho_lin, panels of width <= pi / (2 rr) up to p_cut, then
+    the tail: by parts for rr > 0; at rr = 0 only m = 0 (J_m(0) = delta_m0)
+    keeps one, g(p) p / a for g ~ rho^-(1+a).
+    """
+    rho_lo = modes.lo
     if rr > 0.0:
-        p_cut = max(2.0e3, _OSC_BUDGET / rr)
+        p_cut = min(max(2.0e3, _OSC_BUDGET / rr), modes.hi)
+        rho_lin = min(max(4.0 / rr, rho_lo * 10.0), p_cut)
     else:
-        p_cut = np.inf
-    oscillatory = rr > 0.0 and 4.0 / rr < p_cut and p_cut < prof.rho_hi
-    if not oscillatory:
-        # no oscillation within reach: integrate the full tabulated range
-        p_cut = prof.rho_hi
-        edge_sets = [np.geomspace(rho_lo, p_cut, 4 * int(np.ceil(
-            np.log10(p_cut / rho_lo))) + 1)]
-    else:
-        rho_lin = max(4.0 / rr, rho_lo * 10.0)
-        panels = 2 * int(np.ceil((p_cut - rho_lin) * rr / np.pi))
-        if panels * 6 > 500_000:
-            raise ResolutionError(
-                "band-correction quadrature exceeds the node budget",
-                attempted_nodes=panels * 6)
-        edge_sets = [np.geomspace(rho_lo, rho_lin, 4 * int(np.ceil(
-            np.log10(rho_lin / rho_lo))) + 1),
-            np.linspace(rho_lin, p_cut, panels + 1)]
-    if rj > 0.0:
+        p_cut = rho_lin = modes.hi
+    panels = 2 * int(np.ceil((p_cut - rho_lin) * rr / np.pi))
+    if panels * 6 > 500_000:
+        raise ResolutionError(
+            "band-correction quadrature exceeds the node budget",
+            attempted_nodes=panels * 6)
+    edge_sets = [np.geomspace(rho_lo, rho_lin, 4 * int(np.ceil(
+        np.log10(rho_lin / rho_lo))) + 1),
+        np.linspace(rho_lin, p_cut, panels + 1)]
+    if modes.rj is not None:
         # the angular coefficients c_m have a radial kink on the ring
         # rho = |p_j| (band vector singular at the origin); cluster edges
-        side = np.geomspace(1e-6, 0.5, 24)
-        ring = rj * np.concatenate([1.0 - side, [1.0], 1.0 + side])
-        edge_sets.append(ring[(ring > rho_lo) & (ring < p_cut)])
+        edge_sets.append(_kink_ring(modes.rj, rho_lo, p_cut))
     edges = merge_edges(*edge_sets)
     rho, wq = panel_rule(edges, 6)
     # two weightless sample points pin g and g' at the cutoff
@@ -417,13 +416,9 @@ def _radial_modes(modes, pj, prof, a, rr, m_arr):
     cm = modes(rho_all)                                       # (Q+2, M)
     g = cm * (prof(rho_all) * rho_all)[:, None]
     vals = (wq[:, None] * g[:-2] * jv(m_arr[None, :], rho_all[:-2, None] * rr)).sum(axis=0)
-    if oscillatory:
-        vals = vals + _oscillatory_tail(g[-2:], extras, rr, m_arr)
-    else:
-        # power-law completion beyond the table, valid while J_m ~ const
-        slope = 2.0 + a
-        vals = vals + g[-1] * p_cut / slope * jv(m_arr, p_cut * rr)
-    return vals
+    if rr > 0.0:
+        return vals + _oscillatory_tail(g[-2:], extras, rr, m_arr)
+    return vals + np.where(m_arr == 0, g[-1] * p_cut / prof.a, 0.0)
 
 
 def _oscillatory_tail(g_pair, rho_pair, rr, m_arr):

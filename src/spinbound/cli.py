@@ -119,26 +119,36 @@ def _cmd_oracle(config, args):
     _write_report(doc, config, args.output)
     eig_path = args.eigenvalues or config.output.get("eigenvalues_csv")
     if eig_path:
-        rows = [(c, i, float(e))
-                for c, r in zip(sweep.cutoffs, sweep.results)
-                for i, e in enumerate(r.eigenvalues)]
-        rep.write_csv(eig_path, ("cutoff", "index", "eigenvalue"), rows)
+        _write_eigenvalues(eig_path, sweep)
     return EXIT_OK
 
 
-def _cmd_scan_decay(config, args):
-    nu = build_measure(config.measure)
-    scan = config.scan
-    profiles = [decay_scan(nu, ang, scan["r_max"], scan.get("samples", 64))
-                for ang in _scan_angles(scan)]
-    path = args.output or config.output.get("profile_csv")
+def _write_eigenvalues(path, sweep):
+    rows = [(c, i, float(e))
+            for c, r in zip(sweep.cutoffs, sweep.results)
+            for i, e in enumerate(r.eigenvalues)]
+    rep.write_csv(path, ("cutoff", "index", "eigenvalue"), rows)
+
+
+def _decay_profiles(nu, scan):
+    return [decay_scan(nu, ang, scan["r_max"], scan.get("samples", 64))
+            for ang in _scan_angles(scan)]
+
+
+def _write_profiles(path, profiles):
     rows = [(p.direction_angle, float(r), float(m), p.fitted_slope,
              p.classification)
             for p in profiles
             for r, m in zip(p.radii, p.magnitudes)]
     header = ("angle", "r", "abs_nuhat", "fitted_slope", "classification")
+    rep.write_csv(path, header, rows)
+
+
+def _cmd_scan_decay(config, args):
+    profiles = _decay_profiles(build_measure(config.measure), config.scan)
+    path = args.output or config.output.get("profile_csv")
     if path:
-        rep.write_csv(path, header, rows)
+        _write_profiles(path, profiles)
     else:
         doc = _base_report(config)
         doc["decay_profiles"] = [rep.profile_section(p) for p in profiles]
@@ -188,12 +198,13 @@ def _cmd_report(config, args):
         doc.setdefault("threshold", rep.threshold_section(thr))
         doc["oracle"] = rep.sweep_section(sweep)
         timing["oracle_seconds"] = time.perf_counter() - t
+        if config.output.get("eigenvalues_csv"):
+            _write_eigenvalues(config.output["eigenvalues_csv"], sweep)
     if config.scan is not None:
-        scan = config.scan
-        doc["decay_profiles"] = [
-            rep.profile_section(decay_scan(nu, ang, scan["r_max"],
-                                           scan.get("samples", 64)))
-            for ang in _scan_angles(scan)]
+        profiles = _decay_profiles(nu, config.scan)
+        doc["decay_profiles"] = [rep.profile_section(p) for p in profiles]
+        if config.output.get("profile_csv"):
+            _write_profiles(config.output["profile_csv"], profiles)
     if config.output.get("timing", False):
         timing["total_seconds"] = time.perf_counter() - t0
         doc["timing"] = timing

@@ -42,10 +42,6 @@ class SupportError(SpinboundError):
     """A measure's support is not contained in the required spatial domain."""
 
 
-class NoConvergenceError(SpinboundError):
-    """An iteration exhausted its budget without meeting its stopping test."""
-
-
 class DegenerateInputError(SpinboundError):
     """Geometrically degenerate input (zero-length segment and the like)."""
 

@@ -9,8 +9,10 @@ turns into an exponentially damped (K0 or complex Hankel-1) kernel and the
 integrand becomes smooth enough for log-spaced panels.
 
 Profiles are tabulated once per exponent on a log rho grid and interpolated
-log-log cubically; outside the table the exact power-law tail
-fhat ~ C * rho^-(2+a) is used.
+log-log cubically.  Below the table the first value is held; above it the
+spline's end slope carries the log-log line on (it approximates the
+power-law tail fhat ~ C * rho^-(2+a), e.g. -2.39999999999736 at a = 0.4),
+and the Gaussian (a = 2) is zero there.
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ def _rotated_hankel_point(a, rho, nodes_per_panel=10):
 
 
 class FhatProfile:
-    """Tabulated radial transform of exp(-|x|^a/2) with power-law tail."""
+    """Tabulated radial transform of exp(-|x|^a/2), extrapolated past the table."""
 
     def __init__(self, a, table_size=4096):
         if not (0.0 < a <= 2.0):
@@ -165,8 +167,6 @@ _PROFILE_CACHE: dict[float, FhatProfile] = {}
 def fhat_profile(a) -> FhatProfile:
     """Cached radial profile for a bump exponent a in (0, 2]."""
     a = float(a)
-    if not (0.0 < a <= 2.0):
-        raise ValueError("bump exponent a must lie in (0, 2]")
     if a not in _PROFILE_CACHE:
         _PROFILE_CACHE[a] = FhatProfile(a)
     return _PROFILE_CACHE[a]

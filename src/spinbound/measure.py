@@ -27,15 +27,12 @@ NODE_CAP = 2_000_000
 
 
 class Curve:
-    """Regular parametrization gamma: [0,1] -> R^2 with two derivatives."""
+    """Regular parametrization gamma: [0,1] -> R^2 and its derivative."""
 
     def point(self, t):
         raise NotImplementedError
 
     def derivative(self, t):
-        raise NotImplementedError
-
-    def second_derivative(self, t):
         raise NotImplementedError
 
     def length(self):
@@ -58,11 +55,6 @@ class ClosedFormCircle(Curve):
         ang = TWO_PI * np.asarray(t, dtype=float)
         k = TWO_PI * self.radius
         return (-k * np.sin(ang), k * np.cos(ang))
-
-    def second_derivative(self, t):
-        ang = TWO_PI * np.asarray(t, dtype=float)
-        k = TWO_PI * TWO_PI * self.radius
-        return (-k * np.cos(ang), -k * np.sin(ang))
 
     def length(self):
         return TWO_PI * self.radius
@@ -87,11 +79,6 @@ class Segment(Curve):
         one = np.ones_like(t)
         return ((self.end[0] - self.start[0]) * one,
                 (self.end[1] - self.start[1]) * one)
-
-    def second_derivative(self, t):
-        t = np.asarray(t, dtype=float)
-        z = np.zeros_like(t)
-        return (z, z.copy())
 
     def length(self):
         return float(np.hypot(self.end[0] - self.start[0], self.end[1] - self.start[1]))
@@ -120,10 +107,6 @@ class SampledCurve(Curve):
     def derivative(self, t):
         t = np.asarray(t, dtype=float)
         return (self._sx(t, 1), self._sy(t, 1))
-
-    def second_derivative(self, t):
-        t = np.asarray(t, dtype=float)
-        return (self._sx(t, 2), self._sy(t, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -191,14 +191,12 @@ class ThresholdData:
         return 1e-10 * max(1.0, abs(self.kappa))
 
 
-@dataclass(frozen=True)
-class SearchSettings:
-    n_angles: int = 256
-    n_radial: int = 1024
-    newton_steps: int = 20
-    radial_factor: float = 2.0       # search disk radius = radial_factor * r_growth
-    minset_points: int = 512
-    minset_tol_rel: float = 1e-8
+# polar search for the minimum of a custom coupling's lower band
+_N_RADIAL = 1024
+_NEWTON_STEPS = 20
+_RADIAL_FACTOR = 2.0       # search disk radius = _RADIAL_FACTOR * r_growth
+_MINSET_POINTS = 512
+_MINSET_TOL_REL = 1e-8
 
 
 def _radial_newton(f, r0, r_lo, r_hi, steps):
@@ -245,7 +243,7 @@ def quad_constant(model: CouplingSpec, thr: ThresholdData, p0,
     return max(grid_max, c_tail)
 
 
-def threshold(model: CouplingSpec, search: SearchSettings | None = None) -> ThresholdData:
+def threshold(model: CouplingSpec) -> ThresholdData:
     """kappa = inf lambda_minus and a descriptor of its minimum set.
 
     Built-in couplings use the closed forms kappa = -alpha^2/4 with the circle
@@ -253,15 +251,14 @@ def threshold(model: CouplingSpec, search: SearchSettings | None = None) -> Thre
     radial Newton refinement per angle; the minimum set is reported as a
     point cloud.
     """
-    search = search or SearchSettings()
     if model.kind in ("rashba", "dresselhaus"):
         alpha = abs(model.alpha)
         return ThresholdData(kappa=-alpha * alpha / 4.0,
                              minset=Circle(center=(0.0, 0.0), radius=alpha / 2.0))
 
-    r_max = search.radial_factor * model.r_growth
-    angles = np.linspace(0.0, 2.0 * np.pi, search.minset_points, endpoint=False)
-    radii = np.linspace(r_max / search.n_radial, r_max, search.n_radial)
+    r_max = _RADIAL_FACTOR * model.r_growth
+    angles = np.linspace(0.0, 2.0 * np.pi, _MINSET_POINTS, endpoint=False)
+    radii = np.linspace(r_max / _N_RADIAL, r_max, _N_RADIAL)
 
     best_r = np.empty_like(angles)
     best_v = np.empty_like(angles)
@@ -274,16 +271,16 @@ def threshold(model: CouplingSpec, search: SearchSettings | None = None) -> Thre
         if j == len(radii) - 1:
             raise SearchDomainError(
                 "lower band still decreasing at the search radius %.3g "
-                "(angle %.4f); enlarge radial_factor or r_growth" % (r_max, th))
+                "(angle %.4f); enlarge r_growth" % (r_max, th))
         f = lambda r: float(lower_band(model, r * c, r * s))
-        r_star = _radial_newton(f, radii[j], 0.0, r_max, search.newton_steps)
+        r_star = _radial_newton(f, radii[j], 0.0, r_max, _NEWTON_STEPS)
         v_star = f(r_star)
         if v_star > prof[j]:
             r_star, v_star = radii[j], float(prof[j])
         best_r[i], best_v[i] = r_star, v_star
 
     kappa = float(np.min(best_v))
-    tol = search.minset_tol_rel * max(1.0, abs(kappa))
+    tol = _MINSET_TOL_REL * max(1.0, abs(kappa))
     keep = best_v <= kappa + tol
     pts = np.column_stack([best_r[keep] * np.cos(angles[keep]),
                            best_r[keep] * np.sin(angles[keep])])

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from scipy.special import jv
 
-from spinbound.certificate import (certify, definiteness, kinetic_matrix,
-                                   potential_matrix_dropped,
+from spinbound.certificate import (_M_MAX, _ModeTable, _angular_modes,
+                                   _radial_modes, certify, definiteness,
+                                   kinetic_matrix, potential_matrix_dropped,
                                    potential_matrix_exact, select_points,
                                    trial_basis)
 from spinbound.errors import CapacityError, ConfigError, NumericalInputError
+from spinbound.hankel import fhat_profile
 from spinbound.measure import ClosedFormCircle, CurveDelta, fourier_matrix
 from spinbound.model import (Circle, CouplingSpec, PointCloud,
                              lower_band_vectors, quad_constant, threshold)
+from spinbound.quadrature import merge_edges, panel_rule
 
 TWO_PI_E = 2.0 * np.pi * np.exp(-1.0)
 
@@ -240,6 +244,61 @@ def test_exact_matrix_band_overlap_limit(rashba2, thr2, circle_measure):
         assert dev < prev
         prev = dev
     assert prev < 0.05 * TWO_PI_E
+
+
+# The band correction's radial transform R_m(r) = int c_m fhat J_m(rho r)
+# rho d rho, checked against radial quadratures of its own.
+
+
+def _band_modes(model, a):
+    pj = np.array([1.0, 0.0])
+    m_arr = np.arange(-_M_MAX, _M_MAX + 1)
+    prof = fhat_profile(a)
+    return pj, m_arr, prof, _ModeTable(model, pj, prof, m_arr)
+
+
+def _kink_cluster(rj, depth):
+    side = np.geomspace(10.0 ** -depth, 0.05, 2 * depth)
+    return rj * np.concatenate([1.0 - side, 1.0 + side])
+
+
+@pytest.mark.parametrize("rr", [6.0, 12.0])
+def test_radial_modes_resolve_bessel_at_gaussian_exponent(rashba2, rr):
+    # at a = 2 the profile table stops at rho = 37, well inside the range
+    # where J_m(rho r) oscillates; reference: panels of width <= pi/(4r) out
+    # to rho = 40 with the closed form fhat = exp(-rho^2/2).  Both sides take
+    # c_m from the mode table, so only the radial rule is compared (the
+    # table's own interpolation moves R_m here by up to 2.3e-4 of max|R_m|)
+    pj, m_arr, prof, modes = _band_modes(rashba2, 2.0)
+    got = _radial_modes(modes, prof, rr, m_arr)
+    panels = int(np.ceil(40.0 / (0.25 * np.pi / rr)))
+    edges = merge_edges(np.linspace(0.0, 40.0, panels + 1), _kink_cluster(1.0, 10))
+    rho, w = panel_rule(edges, 8)
+    cm = modes(rho)
+    ref = ((w * rho * np.exp(-0.5 * rho * rho))[:, None] * cm
+           * jv(m_arr[None, :], rho[:, None] * rr)).sum(axis=0)
+    assert np.max(np.abs(got - ref)) < 1e-5 * np.max(np.abs(ref))
+
+
+def test_radial_modes_tail_at_origin(rashba2):
+    # at r = 0 only m = 0 survives, and past the table c_0 -> -u_-(p_j)_1
+    # while g = c_0 fhat rho ~ rho^-(1+a) keeps a tail g(p) p / a; at
+    # a = 0.025 that tail is a sizeable share of R_0(0).  Reference: the
+    # integral to P = 1e6 plus the constant c_0 times the mass past P,
+    # which the identity int fhat rho d rho = f_a(0) = 1 gives
+    pj, m_arr, prof, modes = _band_modes(rashba2, 0.025)
+    got = _radial_modes(modes, prof, 0.0, m_arr)
+    assert np.all(got[m_arr != 0] == 0.0)
+    big_p = 1e6
+    decades = int(np.ceil(np.log10(big_p / prof.rho_lo)))
+    edges = merge_edges([0.0], np.geomspace(prof.rho_lo, big_p, 16 * decades + 1),
+                        _kink_cluster(1.0, 10))
+    rho, w = panel_rule(edges, 8)
+    mass = w * prof(rho) * rho
+    c0 = _angular_modes(rashba2, pj, rho, np.array([0]))[:, 0]
+    u1 = lower_band_vectors(rashba2, pj[0], pj[1])[0]
+    ref = np.sum(c0 * mass) - u1 * (1.0 - np.sum(mass))
+    assert abs(got[_M_MAX] - ref) < 1e-5 * abs(ref)
 
 
 def test_scaling_covariance(rashba2, thr2):

@@ -167,6 +167,26 @@ def test_report_builds_once_per_run(tmp_path, monkeypatch):
     assert calls == {"build_measure": 1, "threshold": 1}
 
 
+def test_report_writes_configured_csvs(tmp_path):
+    # report writes the same CSV tables as oracle and scan-decay would
+    doc = _oracle_doc()
+    doc["scan"] = {"r_max": 50.0, "angles": 2, "samples": 32}
+    names = {"eigenvalues_csv": "eigs.csv", "profile_csv": "scan.csv"}
+    doc["output"] = {key: str(tmp_path / ("report-" + name))
+                     for key, name in names.items()}
+    cfg = _write(tmp_path, "c.json", doc)
+    assert main(["report", "-c", cfg, "-o", str(tmp_path / "r.json")]) == 0
+    doc["output"] = {key: str(tmp_path / ("single-" + name))
+                     for key, name in names.items()}
+    cfg = _write(tmp_path, "c.json", doc)
+    assert main(["oracle", "-c", cfg, "-o", str(tmp_path / "o.json")]) == 0
+    assert main(["scan-decay", "-c", cfg]) == 0
+    for name in names.values():
+        report_csv = (tmp_path / ("report-" + name)).read_bytes()
+        assert report_csv == (tmp_path / ("single-" + name)).read_bytes()
+        assert len(report_csv.splitlines()) > 2
+
+
 # ---------------------------------------------------------------------------
 # determinism
 
