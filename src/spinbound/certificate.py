@@ -154,6 +154,72 @@ def definiteness(matrix, tol_rel=TOL_DEF) -> DefinitenessReport:
 
 
 # ---------------------------------------------------------------------------
+# rotation symmetry of the band
+#
+# For the Rashba and Dresselhaus couplings lambda_- is radial and a rotation
+# R_phi only turns the phase of the band vector: u_-(R_phi q)_1 = chi u_-(q)_1.
+# The certificate uses that where a sample about p_0 shows it: this checks
+# numbers, not the coupling's name, and a point that fails keeps its own work.
+
+# angles of the sample rays about p_0, measured from the direction of p_0;
+# none points back through the origin, where u_- has no direction
+_GATE_ANGLES = np.array([0.0, 0.7, 1.9, 4.4, 5.6])
+_GATE_TOL = 16.0 * np.finfo(float).eps
+
+
+def _gate_sample(p0, prof):
+    """Momenta q = p_0 + rho e^{i psi} on the profile's rho range, five rays."""
+    rho = np.geomspace(prof.rho_lo, prof.rho_hi, 256)[:, None]
+    psi = np.arctan2(p0[1], p0[0]) + _GATE_ANGLES
+    return ((p0[0] + rho * np.cos(psi)).ravel(), (p0[1] + rho * np.sin(psi)).ravel())
+
+
+def _band_scale(model, qx, qy):
+    """Size of the terms of lambda_-(q) = |q|^2 - |A(q)|, for rounding bounds."""
+    return qx * qx + qy * qy + np.abs(model.coupling(qx, qy))
+
+
+def _radial_band(model, sample):
+    """True when lambda_-(q) = lambda_-(|q|, 0) to rounding on the sample."""
+    qx, qy = sample
+    r = np.hypot(qx, qy)
+    dev = np.abs(lower_band(model, qx, qy) - lower_band(model, r, np.zeros_like(r)))
+    return bool(np.all(dev <= _GATE_TOL * _band_scale(model, qx, qy)))
+
+
+def _rotation_orbit(model, pts, sample):
+    """(rep, phi, chi): p_j's band correction is chi_j Delta_rep(R_{-phi_j} x).
+
+    Point j joins p_0's orbit (rep_j = 0) when |p_j| = |p_0| and, with
+    phi_j = arg p_j - arg p_0 and chi_j = u_-(p_j)_1 / u_-(p_0)_1, both
+    u_-(R q)_1 = chi_j u_-(q)_1 and lambda_-(R q) = lambda_-(q) hold to
+    rounding on the sample for R = R_{phi_j}.  Any other point is its own
+    representative, with phi_j = 0 and chi_j = 1.
+    """
+    qx, qy = sample
+    n = len(pts)
+    u = lower_band_vectors(model, qx, qy)[..., 0]
+    lam = lower_band(model, qx, qy)
+    scale = _band_scale(model, qx, qy)
+    u_pts = lower_band_vectors(model, pts[:, 0], pts[:, 1])[:, 0]
+    radius = np.hypot(pts[:, 0], pts[:, 1])
+    angle = np.arctan2(pts[:, 1], pts[:, 0])
+    rep, phi, chi = np.arange(n), np.zeros(n), np.ones(n, dtype=complex)
+    for j in range(1, n):
+        if abs(radius[j] - radius[0]) > _GATE_TOL * radius[0]:
+            continue
+        turn = angle[j] - angle[0]
+        factor = u_pts[j] / u_pts[0]
+        c, s = np.cos(turn), np.sin(turn)
+        rx, ry = c * qx - s * qy, s * qx + c * qy
+        if (np.all(np.abs(lower_band_vectors(model, rx, ry)[..., 0] - factor * u)
+                   <= _GATE_TOL)
+                and np.all(np.abs(lower_band(model, rx, ry) - lam) <= _GATE_TOL * scale)):
+            rep[j], phi[j], chi[j] = 0, turn, factor
+    return rep, phi, chi
+
+
+# ---------------------------------------------------------------------------
 # kinetic matrix
 
 
@@ -162,24 +228,38 @@ def kinetic_matrix(model: CouplingSpec, thr: ThresholdData, basis: TrialBasis):
 
     Each entry is split along the perpendicular bisector of (p_j, p_k) and
     integrated in polar coordinates about the nearer bump center, so the
-    near-singular concentration of fhat is always radially resolved.
+    near-singular concentration of fhat is always radially resolved.  When
+    lambda_- is radial, the half-plane about c facing o depends only on
+    |c|, |o| and |c - o| (any rotation or reflection carries it, and its
+    rule, onto another with the same three), so one integral is computed
+    per distinct triple: the two halves of a pair on one circle coincide.
     """
     pts = basis.points
     n = len(pts)
-    T = np.zeros((n, n))
-    for j in range(n):
-        T[j, j] = _kinetic_halfplane(model, thr.kappa, basis.profile, pts[j], None)
-        for k in range(j + 1, n):
-            val = (_kinetic_halfplane(model, thr.kappa, basis.profile, pts[j], pts[k])
-                   + _kinetic_halfplane(model, thr.kappa, basis.profile, pts[k], pts[j]))
-            T[j, k] = T[k, j] = val
+    centre = np.repeat(pts, n, axis=0)          # slot j * n + k: about p_j,
+    other = np.tile(pts, (n, 1))                # facing p_k
+    diagonal = np.eye(n, dtype=bool).ravel()
+    if _radial_band(model, _gate_sample(pts[0], basis.profile)):
+        key = np.round(np.column_stack([np.hypot(*centre.T), np.hypot(*other.T),
+                                        np.hypot(*(other - centre).T)]), 12)
+    else:
+        key = np.arange(n * n)[:, None]
+    _, first, inverse = np.unique(key, axis=0, return_index=True,
+                                  return_inverse=True)
+    half = np.array([_kinetic_halfplane(model, thr.kappa, basis.profile, centre[s],
+                                        None if diagonal[s] else other[s])
+                     for s in first])
+    H = half[inverse.ravel()].reshape(n, n)
+    T = H + H.T
+    np.fill_diagonal(T, np.diag(H))
     return T
 
 
 def _kinetic_halfplane(model, kappa, prof, center, other):
     """Polar integral about `center`, restricted to its bisector half-plane."""
     if other is None:
-        d, axis = 0.0, 0.0
+        # the angular rule starts at arg(center), so it turns with the point
+        d, axis = 0.0, float(np.arctan2(center[1], center[0]))
     else:
         d = float(np.hypot(*(other - center)))
         axis = float(np.arctan2(other[1] - center[1], other[0] - center[0]))
@@ -259,7 +339,10 @@ def potential_matrix_exact(model: CouplingSpec, nu, basis: TrialBasis):
 
     Psi_j(x) = e^{i<p_j,x>} (u_-(p_j) f_a(|x|) + Delta_j(x) e_1): the second
     spinor component of u_- is constant by the phase convention, so the band
-    correction Delta_j lives in the first component only.
+    correction Delta_j lives in the first component only.  Its radial modes
+    are computed once per rotation orbit (see ``_rotation_orbit``):
+    Delta_j(r, theta) = chi_j sum_m i^m e^{im(theta - phi_j)} R_m(r), with
+    R_m those of the orbit's representative.
     """
     pts = basis.points
     max_p = _pair_scale(pts) + float(np.max(np.hypot(pts[:, 0], pts[:, 1]))) + 4.0
@@ -268,15 +351,22 @@ def potential_matrix_exact(model: CouplingSpec, nu, basis: TrialBasis):
     theta = np.arctan2(y, x)
     f = np.exp(-0.5 * r ** basis.a)
     n = len(pts)
+    rep, phi, chi = _rotation_orbit(model, pts, _gate_sample(pts[0], basis.profile))
+    m_arr = np.arange(-_M_MAX, _M_MAX + 1)
     psi1 = np.empty((n, len(x)), dtype=complex)
     psi2 = np.empty((n, len(x)), dtype=complex)
-    for j in range(n):
-        pj = pts[j]
-        vj = complex(lower_band_vectors(model, pj[0], pj[1])[0])
-        delta = _band_correction(model, pj, basis, r, theta)
-        phase = np.exp(1j * (pj[0] * x + pj[1] * y))
-        psi1[j] = phase * (vj * f + delta)
-        psi2[j] = phase * (f / _SQRT2)
+    for i in np.unique(rep):
+        # named: numpy multiplies into a large temporary in place, operands
+        # swapped, which rounds complex products differently
+        per_node = _node_modes(model, pts[i], basis.profile, r, m_arr)   # (T, M)
+        for j in np.flatnonzero(rep == i):
+            pj = pts[j]
+            vj = complex(lower_band_vectors(model, pj[0], pj[1])[0])
+            harmonics = np.exp(1j * np.outer(theta - phi[j], m_arr)) * (1j) ** m_arr
+            delta = chi[j] * np.sum(harmonics * per_node, axis=1)
+            phase = np.exp(1j * (pj[0] * x + pj[1] * y))
+            psi1[j] = phase * (vj * f + delta)
+            psi2[j] = phase * (f / _SQRT2)
     return (psi1.conj() * w) @ psi1.T + (psi2.conj() * w) @ psi2.T
 
 
@@ -341,9 +431,8 @@ class _ModeTable:
         return out
 
 
-def _band_correction(model, pj, basis, r_nodes, theta_nodes):
-    prof = basis.profile
-    m_arr = np.arange(-_M_MAX, _M_MAX + 1)
+def _node_modes(model, pj, prof, r_nodes, m_arr):
+    """R_m(r) of the expansion center pj at every node radius, shape (T, M)."""
     modes = _ModeTable(model, pj, prof, m_arr)
     radii, where = np.unique(np.round(r_nodes, 12), return_inverse=True)
     if len(radii) > _MAX_DISTINCT_RADII:
@@ -360,11 +449,7 @@ def _band_correction(model, pj, basis, r_nodes, theta_nodes):
             R[0] = _radial_modes(modes, prof, 0.0, m_arr)
     else:
         R = np.array([_radial_modes(modes, prof, rr, m_arr) for rr in radii])
-    # named: numpy multiplies into a large temporary in place, operands
-    # swapped, which rounds complex products differently
-    per_node = R[where]                                       # (T, M)
-    harmonics = np.exp(1j * np.outer(theta_nodes, m_arr)) * (1j) ** m_arr
-    return np.sum(harmonics * per_node, axis=1)
+    return R[where]
 
 
 def _angular_modes(model, pj, rho, m_arr):
@@ -415,10 +500,19 @@ def _radial_modes(modes, prof, rr, m_arr):
     rho_all = np.concatenate([rho, extras])
     cm = modes(rho_all)                                       # (Q+2, M)
     g = cm * (prof(rho_all) * rho_all)[:, None]
-    vals = (wq[:, None] * g[:-2] * jv(m_arr[None, :], rho_all[:-2, None] * rr)).sum(axis=0)
+    bessel = _bessel(m_arr, rho_all[:-2] * rr)    # before the products: lower peak
+    vals = (wq[:, None] * g[:-2] * bessel).sum(axis=0)
     if rr > 0.0:
         return vals + _oscillatory_tail(g[-2:], extras, rr, m_arr)
     return vals + np.where(m_arr == 0, g[-1] * p_cut / prof.a, 0.0)
+
+
+def _bessel(m_arr, x):
+    """J_m(x), shape (len(x), len(m_arr)), from the orders |m| by J_-m = (-1)^m J_m."""
+    orders = np.abs(m_arr)
+    j = jv(np.arange(orders.max() + 1)[None, :], x[:, None])[:, orders]
+    j[:, (m_arr < 0) & (orders % 2 == 1)] *= -1.0
+    return j
 
 
 def _oscillatory_tail(g_pair, rho_pair, rr, m_arr):

@@ -8,7 +8,6 @@ import json
 import time
 
 import numpy as np
-import pytest
 
 import spinbound.report as rep
 from spinbound.certificate import (certify, grad_norm_sq,
@@ -102,7 +101,6 @@ def test_criterion_5_kinetic_diagonal_bound():
     _ok(5, "0 <= T_jj <= (pi/2) c(p_j) a for both built-in models")
 
 
-@pytest.mark.slow
 def test_criterion_6_end_to_end_certified_vs_oracle():
     t0 = time.perf_counter()
     model = CouplingSpec.rashba(2.0)

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 from scipy.special import jv
 
-from spinbound.certificate import (_M_MAX, _ModeTable, _angular_modes,
-                                   _radial_modes, certify, definiteness,
-                                   kinetic_matrix, potential_matrix_dropped,
+from spinbound import certificate
+from spinbound.certificate import (_M_MAX, TrialBasis, _kinetic_halfplane,
+                                   _ModeTable, _angular_modes, _node_modes,
+                                   _pair_scale, _radial_modes, certify,
+                                   definiteness, kinetic_matrix,
+                                   potential_matrix_dropped,
                                    potential_matrix_exact, select_points,
                                    trial_basis)
 from spinbound.errors import CapacityError, ConfigError, NumericalInputError
@@ -112,6 +115,17 @@ def test_kinetic_diagonal_bound(model_name):
         if prev is not None:        # monotone decay along the schedule
             assert np.all(diag <= prev + 1e-9)
         prev = diag
+
+
+def test_kinetic_diagonal_turns_with_the_point(rashba2, thr2):
+    # the diagonal integral's angular rule starts at arg(p_j); lambda_- is
+    # radial, so T_jj is the same for every orientation of p_j
+    prof = fhat_profile(0.4)
+    ang = 2.0 * np.pi * np.arange(12) / 12.0 + 0.05
+    diag = np.array([_kinetic_halfplane(rashba2, thr2.kappa, prof,
+                                        np.array([np.cos(t), np.sin(t)]), None)
+                     for t in ang])
+    assert np.ptp(diag) <= 1e-12 * np.max(np.abs(diag))
 
 
 def test_kinetic_symmetry(rashba2, thr2):
@@ -299,6 +313,130 @@ def test_radial_modes_tail_at_origin(rashba2):
     u1 = lower_band_vectors(rashba2, pj[0], pj[1])[0]
     ref = np.sum(c0 * mass) - u1 * (1.0 - np.sum(mass))
     assert abs(got[_M_MAX] - ref) < 1e-5 * abs(ref)
+
+
+# Rotation orbits: one band correction per orbit, one kinetic integral per
+# pair geometry, checked against the work done point by point and pair by pair.
+
+
+def _rotated(pts, turn):
+    c, s = np.cos(turn), np.sin(turn)
+    return pts @ np.array([[c, s], [-s, c]])
+
+
+def _per_point_kinetic(model, thr, basis):
+    """T with both halves of every pair integrated on their own."""
+    pts, prof = basis.points, basis.profile
+    n = len(pts)
+    T = np.zeros((n, n))
+    for j in range(n):
+        T[j, j] = _kinetic_halfplane(model, thr.kappa, prof, pts[j], None)
+        for k in range(j + 1, n):
+            T[j, k] = T[k, j] = (_kinetic_halfplane(model, thr.kappa, prof, pts[j], pts[k])
+                                 + _kinetic_halfplane(model, thr.kappa, prof, pts[k], pts[j]))
+    return T
+
+
+def _per_point_potential(model, nu, basis):
+    """W with every point's band correction from its own mode table."""
+    pts, prof = basis.points, basis.profile
+    max_p = _pair_scale(pts) + float(np.max(np.hypot(pts[:, 0], pts[:, 1]))) + 4.0
+    x, y, w = nu.quad_nodes(max_p)
+    r, theta = np.hypot(x, y), np.arctan2(y, x)
+    f = np.exp(-0.5 * r ** basis.a)
+    m_arr = np.arange(-_M_MAX, _M_MAX + 1)
+    harmonics = np.exp(1j * np.outer(theta, m_arr)) * (1j) ** m_arr
+    psi = np.empty((len(pts), 2, len(x)), dtype=complex)
+    for j, (px, py) in enumerate(pts):
+        delta = np.sum(harmonics * _node_modes(model, pts[j], prof, r, m_arr), axis=1)
+        v = lower_band_vectors(model, px, py)
+        phase = np.exp(1j * (px * x + py * y))
+        psi[j, 0] = phase * (v[0] * f + delta)
+        psi[j, 1] = phase * (v[1] * f)
+    return np.einsum("jsn,n,ksn->jk", psi.conj(), w, psi)
+
+
+@pytest.mark.parametrize("case", [
+    # (coupling, alpha, N, turn of the points, measure centre, radius, a of W)
+    ("rashba", 2.0, 4, 0.97, (0.0, 0.0), 1.0, 0.4),
+    # every node radius differs, so W takes the 48-radius spline branch;
+    # a = 2 keeps its 48 radial rules short (T does not see the measure)
+    ("dresselhaus", 3.0, 4, 0.0, (0.4, -0.2), 1.5, 2.0),
+], ids=["rashba-turned", "dresselhaus-off-centre"])
+def test_orbit_reduction_matches_per_point(case):
+    # pi/2 steps map the 256-angle mode grid and the kinetic rules onto
+    # themselves, so the reduction agrees to rounding
+    kind, alpha, n, turn, centre, radius, a_w = case
+    model = getattr(CouplingSpec, kind)(alpha)
+    thr = threshold(model)
+    pts = _rotated(select_points(thr.minset, n), turn)
+    basis = trial_basis(model, thr, pts, 0.4)
+    t_ref = _per_point_kinetic(model, thr, basis)
+    t = kinetic_matrix(model, thr, basis)
+    assert np.max(np.abs(t - t_ref)) <= 1e-12 * np.max(np.abs(t_ref))
+    nu = CurveDelta(ClosedFormCircle(centre, radius), weight=-1.0)
+    basis = trial_basis(model, thr, pts, a_w)
+    w_ref = _per_point_potential(model, nu, basis)
+    w = potential_matrix_exact(model, nu, basis)
+    assert np.max(np.abs(w - w_ref)) <= 1e-12 * np.max(np.abs(w_ref))
+
+
+def test_orbit_reduction_six_point_ring():
+    # at 60 degree steps the per-point angular FFT aliases on the kink ring,
+    # so the per-point W differs from the rotated one well above rounding;
+    # the certificate's eigenvalue does not
+    model = CouplingSpec.dresselhaus(3.0)
+    thr = threshold(model)
+    nu = CurveDelta(ClosedFormCircle((0.0, 0.0), 1.5), weight=-1.0)
+    basis = trial_basis(model, thr, select_points(thr.minset, 6), 0.4)
+    q_ref = _per_point_kinetic(model, thr, basis) + _per_point_potential(model, nu, basis)
+    q = kinetic_matrix(model, thr, basis) + potential_matrix_exact(model, nu, basis)
+    lam_ref = definiteness(q_ref).lambda_max
+    assert abs(definiteness(q).lambda_max - lam_ref) <= 1e-6 * abs(lam_ref)
+
+
+def _count_work(monkeypatch):
+    """Record mode-table builds and kinetic half-plane integrals."""
+    counts = {"tables": 0, "halfplanes": 0}
+
+    class CountedTable(_ModeTable):
+        def __init__(self, *args):
+            counts["tables"] += 1
+            super().__init__(*args)
+
+    def counted_halfplane(*args):
+        counts["halfplanes"] += 1
+        return _kinetic_halfplane(*args)
+
+    monkeypatch.setattr(certificate, "_ModeTable", CountedTable)
+    monkeypatch.setattr(certificate, "_kinetic_halfplane", counted_halfplane)
+    return counts
+
+
+_WORK_CASES = {
+    # one orbit: one table; one diagonal integral plus one per pair distance
+    "rashba-4": (CouplingSpec.rashba(2.0), 4, 1, 3),
+    "dresselhaus-6": (CouplingSpec.dresselhaus(3.0), 6, 1, 4),
+    # neither symmetry holds: every point and every ordered pair on its own
+    "non-odd-3": (CouplingSpec.custom(lambda px, py: 2.0 * (py + 1j * px) + 0.3,
+                                      a_growth=0.5, r_growth=4.0), 3, 3, 3 + 3 * 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WORK_CASES))
+def test_orbit_reduction_work_counts(case, monkeypatch):
+    model, n, tables, halfplanes = _WORK_CASES[case]
+    thr = threshold(model)
+    # the non-odd coupling's minimum set is one point, so the trial points
+    # go on the unit circle without the minimum-set check of trial_basis
+    radius = thr.minset.radius if isinstance(thr.minset, Circle) else 1.0
+    pts = _rotated(select_points(Circle((0.0, 0.0), radius), n), 0.3)
+    basis = TrialBasis(points=pts, a=1.0, profile=fhat_profile(1.0))
+    nu = CurveDelta(ClosedFormCircle((0.0, 0.0), 1.0), weight=-1.0)
+    counts = _count_work(monkeypatch)
+    kinetic_matrix(model, thr, basis)
+    potential_matrix_exact(model, nu, basis)
+    assert counts == {"tables": tables, "halfplanes": halfplanes}
 
 
 def test_scaling_covariance(rashba2, thr2):
