@@ -264,7 +264,9 @@ def _kinetic_halfplane(model, kappa, prof, center, other):
         d = float(np.hypot(*(other - center)))
         axis = float(np.arctan2(other[1] - center[1], other[0] - center[0]))
     t_ref, w_ref = uniform_rule(0.0, 1.0, 16, 8)
-    rho_guard = 10.0 * (1.0 + np.hypot(*center) + d)
+    # at a = 2 the table ends at rho = 37 with fhat 0 past it, so its end
+    # counts as reaching the guard; for a < 2 it ends far beyond any guard
+    rho_guard = min(10.0 * (1.0 + np.hypot(*center) + d), prof.rho_hi)
     k_lo = int(np.floor(np.log10(prof.rho_lo)))
     k_hi = int(np.ceil(np.log10(prof.rho_hi)))
     cum = 0.0

@@ -499,6 +499,17 @@ def test_certify_dropped_form_full(rashba2, thr2, circle_measure):
     assert step.negative_definite and step.lambda_max_Q == res.lambda_max_Q
 
 
+def test_certify_from_gaussian_exponent(rashba2, thr2, circle_measure):
+    # at a = 2 the profile table ends at rho = 37, short of the kinetic
+    # rule's guard radius for pairs far apart on the circle; fhat is 0 past
+    # the table, so its end counts as reaching the guard
+    res = certify(rashba2, thr2, circle_measure, 4, [2.0, 0.4],
+                  potential_form="dropped")
+    assert len(res.diagnostics) == 2
+    assert res.certified and res.certified_count == 4
+    assert res.a_star == 0.4
+
+
 def test_certify_partial_count(rashba2, thr2):
     # a potential too weak to certify the full block still reports the
     # largest definite leading principal block

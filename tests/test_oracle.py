@@ -4,7 +4,8 @@ import scipy.linalg
 
 from spinbound import oracle
 from spinbound.errors import CapacityError, ConfigError, SupportError
-from spinbound.measure import ClosedFormCircle, CurveDelta, Density, Sum, total_mass
+from spinbound.measure import (ClosedFormCircle, CurveDelta, Density, Segment, Sum,
+                               total_mass)
 from spinbound.model import CouplingSpec, threshold
 from spinbound.oracle import (BoxSpec, assemble, convergence_sweep,
                               eigen_count_below, spectrum)
@@ -53,9 +54,9 @@ def test_mode_lattice_symmetry_and_membership():
     step = np.pi / box.L
     assert np.allclose(k, step * n_pairs)
     assert np.all(np.hypot(k[:, 0], k[:, 1]) <= box.K * (1 + 1e-9))
-    # invariant under k -> -k: the negated rows are a permutation of the set
+    # invariant under quarter turns: the turned rows are a permutation of the set
     rows = {tuple(r) for r in n_pairs}
-    assert {(-a, -b) for a, b in rows} == rows
+    assert {(-b, a) for a, b in rows} == rows
     assert (0, 0) in rows
 
 
@@ -181,38 +182,47 @@ def test_eigen_count_below_edge_band(rashba2, thr2):
 
 
 # ---------------------------------------------------------------------------
-# parity split k -> -k
+# rotation sectors
 
 
+# (model, measure, box, sizes of the blocks spectrum() solves).  The box
+# lattices have M = 1 + 4 * 81 = 325 and M = 1 + 4 * 73 = 293 modes; with
+# four sectors the origin's spin-up state joins sector 0 and its spin-down
+# state the sector of phi (R turns counterclockwise, so Rashba has
+# phi = -i and Dresselhaus phi = i)
 _SPLIT_CASES = {
-    # odd coupling and centrally symmetric measure: U = P (x) sigma_z commutes
+    # C4-symmetric measures: U = P_R (x) diag(1, phi) commutes
     "rashba-circle": (CouplingSpec.rashba(2.0), _circle((0.0, 0.0)),
-                      BoxSpec(L=8.0, K=4.0), True),
+                      BoxSpec(L=8.0, K=4.0), [163, 162, 162, 163]),
     "dresselhaus-well": (CouplingSpec.dresselhaus(3.0), _well((0.0, 0.0)),
-                         BoxSpec(L=10.0, K=3.0), True),
-    # any other input takes the full eigensolve
+                         BoxSpec(L=10.0, K=3.0), [147, 147, 146, 146]),
+    # a centred segment keeps only the half turn, with phi = -1
+    "rashba-segment": (CouplingSpec.rashba(2.0),
+                       CurveDelta(Segment((-1.0, 0.0), (1.0, 0.0)), weight=-1.0),
+                       BoxSpec(L=8.0, K=4.0), [325, 325]),
+    # any other input is one block
     "off-centre-circle": (CouplingSpec.rashba(2.0), _circle((0.7, 0.3)),
-                          BoxSpec(L=8.0, K=4.0), False),
+                          BoxSpec(L=8.0, K=4.0), [650]),
     "sum-off-centre-part": (CouplingSpec.rashba(2.0),
                             Sum([_circle((0.0, 0.0)),
                                  _circle((0.7, 0.3), radius=0.5, weight=-0.5)]),
-                            BoxSpec(L=8.0, K=4.0), False),
+                            BoxSpec(L=8.0, K=4.0), [650]),
     "non-odd-coupling": (CouplingSpec.custom(lambda px, py: 2.0 * (py + 1j * px) + 0.3,
                                              a_growth=0.5, r_growth=4.0),
-                         _circle((0.0, 0.0)), BoxSpec(L=8.0, K=4.0), False),
+                         _circle((0.0, 0.0)), BoxSpec(L=8.0, K=4.0), [650]),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_SPLIT_CASES))
 def test_parity_split_matches_full_eigensolve(case, monkeypatch):
-    model, nu, box, split = _SPLIT_CASES[case]
+    # the rotation sectors generalise the k -> -k parity split (the half turn)
+    model, nu, box, sizes = _SPLIT_CASES[case]
     thr = threshold(model)
-    h = assemble(model, nu, box)
-    m = h.shape[0] // 2
-    ref = scipy.linalg.eigvalsh(h)
-    sizes = _solve_sizes(monkeypatch)
-    res = eigen_count_below(model, thr, h, box)
-    assert sizes == ([m, m] if split else [2 * m])
+    ref = scipy.linalg.eigvalsh(assemble(model, nu, box))
+    solved = _solve_sizes(monkeypatch)
+    res = spectrum(model, thr, nu, box)
+    assert solved == sizes
+    assert res.mode_count == sum(sizes) // 2
 
     assert np.max(np.abs(res.eigenvalues - ref)) < 1e-10
     edge = box.resolved_edge_tol(thr.kappa)
@@ -223,18 +233,59 @@ def test_parity_split_matches_full_eigensolve(case, monkeypatch):
     assert ([(i, j) for i, j, _ in res.pairing]
             == [(i, j) for i, j, _ in oracle._greedy_pairs(ref[below])])
     # the split cases bind Kramers pairs; their halves come from different blocks
-    if split:
+    if len(sizes) > 1:
         assert res.count_below >= 2
         assert len(res.pairing) == res.count_below // 2
 
 
-def test_parity_split_needs_the_lattice_size(rashba2, thr2, circle_measure, monkeypatch):
-    # a matrix of another box's lattice is solved whole
-    h = assemble(rashba2, circle_measure, BoxSpec(L=6.0, K=2.0))
-    sizes = _solve_sizes(monkeypatch)
-    res = eigen_count_below(rashba2, thr2, h, BoxSpec(L=6.0, K=3.0))
-    assert sizes == [h.shape[0]]
-    assert np.max(np.abs(res.eigenvalues - scipy.linalg.eigvalsh(h))) < 1e-10
+@pytest.mark.parametrize("case", sorted(c for c in _SPLIT_CASES
+                                        if len(_SPLIT_CASES[c][3]) > 1))
+def test_kramers_partners_across_sectors(case):
+    # time reversal turns sector omega into sector phi / omega, another
+    # block, so each block's spectrum (its bound states below kappa too)
+    # must equal its partner's: a cross-check of how the blocks are built
+    model, nu, box, _ = _SPLIT_CASES[case]
+    kappa = threshold(model).kappa
+    p, blocks = oracle._sector_blocks(model, nu, box)
+    n = len(blocks)
+    eigs = [scipy.linalg.eigvalsh(b) for b in blocks]
+    assert sum(int(np.sum(e < kappa)) for e in eigs) >= 2
+    for j in range(n):
+        partner = (p - j) % n
+        assert partner != j
+        assert len(eigs[j]) == len(eigs[partner])
+        assert np.max(np.abs(eigs[j] - eigs[partner])) < 1e-10
+
+
+@pytest.mark.parametrize("weight, sizes", [(1e-15, [163, 162, 162, 163]),
+                                           (1e-13, [650])])
+def test_sector_gate_at_one_rounding_unit(weight, sizes, monkeypatch):
+    # an off-centre circle of weight 1e-13 breaks C4 (and C2) by about four
+    # rounding units of ||H||_F, one of weight 1e-15 by a twentieth of one
+    model = CouplingSpec.rashba(2.0)
+    nu = Sum([_circle((0.0, 0.0)),
+              _circle((0.7, 0.3), radius=0.5, weight=-weight)])
+    box = BoxSpec(L=8.0, K=4.0)
+    solved = _solve_sizes(monkeypatch)
+    res = spectrum(model, threshold(model), nu, box)
+    assert solved == sizes
+    ref = scipy.linalg.eigvalsh(assemble(model, nu, box))
+    assert np.max(np.abs(res.eigenvalues - ref)) < 1e-10
+
+
+def test_eigen_count_below_solves_the_matrix_as_given(rashba2, thr2, circle_measure,
+                                                      monkeypatch):
+    # a symmetric operator's matrix, and one of another box's lattice, are
+    # each solved whole
+    matrices = [assemble(rashba2, circle_measure, BoxSpec(L=6.0, K=cut))
+                for cut in (3.0, 2.0)]
+    refs = [scipy.linalg.eigvalsh(h) for h in matrices]
+    solved = _solve_sizes(monkeypatch)
+    for h, ref in zip(matrices, refs):
+        res = eigen_count_below(rashba2, thr2, h, BoxSpec(L=6.0, K=3.0))
+        assert np.max(np.abs(res.eigenvalues - ref)) < 1e-10
+        assert res.mode_count == h.shape[0] // 2
+    assert solved == [h.shape[0] for h in matrices]
 
 
 def test_kramers_pairing_off_centre_well(monkeypatch):
