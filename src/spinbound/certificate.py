@@ -569,12 +569,14 @@ def certify(model: CouplingSpec, thr: ThresholdData, nu, N, a_schedule,
         problems.append("a_schedule must be strictly decreasing")
     if potential_form not in ("exact", "dropped"):
         problems.append("potential_form must be 'exact' or 'dropped'")
+    if points is not None:
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if len(pts) != N:
+            problems.append("points must hold N = %d points, got %d" % (N, len(pts)))
     if problems:
         raise ConfigError(problems)
     if points is None:
         pts = select_points(thr.minset, N, point_strategy)
-    else:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
     precheck = definiteness(fourier_matrix(nu, pts), TOL_DEF)
 
     steps = []

@@ -278,3 +278,7 @@ def main(argv=None) -> int:
     except SpinboundError as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return EXIT_NUMERICAL
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -212,11 +212,14 @@ def _validate_certify(section, sink):
         sink.add("certify", "potential_form must be exact|dropped")
     pts = section.get("points")
     if pts is not None:
-        if (not isinstance(pts, list) or not pts
-                or any(_point(p, "certify.points[%d]" % i, sink) is None
-                       for i, p in enumerate(pts))):
-            if not isinstance(pts, list):
-                sink.add("certify", "points must be a list of [x, y] pairs")
+        if not isinstance(pts, list):
+            sink.add("certify", "points must be a list of [x, y] pairs")
+        else:
+            for i, p in enumerate(pts):
+                _point(p, "certify.points[%d]" % i, sink)
+            if isinstance(n, int) and not isinstance(n, bool) and len(pts) != n:
+                sink.add("certify", "points must hold N = %d points, got %d"
+                         % (n, len(pts)))
 
 
 def _validate_oracle(section, sink):

@@ -2,20 +2,37 @@
 
 Under the unitary 2D convention the transform of a radial function is the
 order-zero Hankel transform fhat(rho) = int_0^inf r J0(rho r) exp(-r^a/2) dr.
-For small exponents a the envelope decays over astronomically wide ranges of
-r and direct oscillatory quadrature is hopeless, so the contour is rotated
-into the upper half-plane: with theta = min(pi/2, pi/(3a)) the Hankel kernel
-turns into an exponentially damped (K0 or complex Hankel-1) kernel and the
-integrand becomes smooth enough for log-spaced panels.
+It is the density of a 2D isotropic a-stable law, and is tabulated once per
+exponent on a log rho grid from two sources:
 
-Profiles are tabulated once per exponent on a log rho grid and interpolated
-log-log cubically.  Below the table the first value is held; above it the
-spline's end slope carries the log-log line on (it approximates the
-power-law tail fhat ~ C * rho^-(2+a), e.g. -2.39999999999736 at a = 0.4),
-and the Gaussian (a = 2) is zero there.
+* For a < 1, integrating exp(-r^a/2) = sum (-r^a/2)^n / n! term by term
+  gives the everywhere-convergent power-law series (the 2D analogue of
+  Bergstrom's expansion, Ark. Mat. 2 (1952) 375)
+
+      fhat(rho) = sum_{n>=1} (-1)^(n+1) (2/pi) sin(pi a n/2)
+                  Gamma(1 + a n/2)^2 2^(a n - n) / n! * rho^-(2 + a n).
+
+  A node keeps the series value only where the sum can be trusted: no term
+  near overflow, a positive sum, a rounding bound below 1e-12 of the sum,
+  and a converged tail.  At small rho the terms grow huge and cancel (600
+  terms at a = 0.4, rho = 1.4e-6 sum to -1.7e301), so the low-rho end fails
+  the gate; for a >= 1 the series diverges and no node is trusted.
+* Every other node uses the rotated-contour quadrature.  Direct oscillatory
+  quadrature is hopeless because for small a the envelope decays over
+  astronomically wide ranges of r, so the contour is rotated into the upper
+  half-plane: with theta = min(pi/2, pi/(3a)) the Hankel kernel turns into
+  an exponentially damped (K0 or complex Hankel-1) kernel and the integrand
+  becomes smooth enough for log-spaced panels.
+
+The table is interpolated log-log cubically.  Below the table the first
+value is held; above it the spline's end slope carries the log-log line on
+(it approximates the power-law tail fhat ~ C * rho^-(2+a), e.g.
+-2.39999999999736 at a = 0.4), and the Gaussian (a = 2) is zero there.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -25,6 +42,13 @@ from .errors import ConfigError, ResolutionError
 from .quadrature import merge_edges, panel_rule
 
 _EXP_CUTOFF = 45.0  # e^-45 ~ 3e-20 of peak
+
+# power-law series: term count and the trust gate's thresholds
+_SERIES_TERMS = 600
+_SERIES_LOG_MAX = 600.0     # ln of the largest term summed; keeps the sums finite
+_SERIES_ROUNDING = 1e-12    # rounding bound allowed, relative to the sum
+_SERIES_TAIL_TERMS = 20
+_SERIES_TAIL = 1e-18        # largest tail term allowed, relative to the sum
 
 
 def fhat_at_zero(a):
@@ -106,6 +130,49 @@ def _rotated_hankel_point(a, rho, nodes_per_panel=10):
     return float(val)
 
 
+def _series_values(a, rho):
+    """Power-law series of fhat at rho > 0, and where it can be trusted.
+
+    Returns (values, trusted); values are meaningless where trusted is
+    False.  Terms are built in log space and summed one n at a time over
+    the whole grid.  A node is trusted when no term's log passes
+    _SERIES_LOG_MAX, the sum S is positive, the rounding bound
+    eps * sum |t_n| (1 + |ln t_n|) is at most _SERIES_ROUNDING * S, and each
+    of the last _SERIES_TAIL_TERMS terms is at most _SERIES_TAIL * S.
+    """
+    rho = np.asarray(rho, dtype=float)
+    total = np.zeros(rho.shape)
+    if not a < 1.0:
+        # divergent (asymptotic only) for a > 1, and convergent only for
+        # rho > 1/2 at a = 1
+        return total, np.zeros(rho.shape, dtype=bool)
+    ln_rho = np.log(rho)
+    ln_max = np.full(rho.shape, -np.inf)
+    bound = np.zeros(rho.shape)
+    tail = np.zeros(rho.shape)
+    for n in range(1, _SERIES_TERMS + 1):
+        # sin(pi a n / 2) with the argument reduced mod 2 pi, so that the
+        # terms that vanish (a n / 2 an integer) are exactly zero
+        half_turns = (0.5 * a * n) % 2.0
+        if half_turns in (0.0, 1.0):
+            continue
+        sine = math.sin(math.pi * half_turns)
+        ln_coeff = (math.log(2.0 / math.pi * abs(sine))
+                    + 2.0 * math.lgamma(1.0 + 0.5 * a * n)
+                    + (a * n - n) * math.log(2.0) - math.lgamma(n + 1.0))
+        ln_term = ln_coeff - (2.0 + a * n) * ln_rho
+        np.maximum(ln_max, ln_term, out=ln_max)
+        term = np.exp(np.minimum(ln_term, _SERIES_LOG_MAX))
+        total += math.copysign(1.0, sine) * (1.0 if n % 2 else -1.0) * term
+        bound += term * (1.0 + np.abs(ln_term))
+        if n > _SERIES_TERMS - _SERIES_TAIL_TERMS:
+            np.maximum(tail, term, out=tail)
+    trusted = ((ln_max <= _SERIES_LOG_MAX) & (total > 0.0)
+               & (np.finfo(float).eps * bound <= _SERIES_ROUNDING * total)
+               & (tail <= _SERIES_TAIL * total))
+    return total, trusted
+
+
 class FhatProfile:
     """Tabulated radial transform of exp(-|x|^a/2), extrapolated past the table."""
 
@@ -131,7 +198,9 @@ class FhatProfile:
         if self.a == 2.0:
             vals = np.exp(-0.5 * grid * grid)
         else:
-            vals = np.array([_rotated_hankel_point(self.a, r) for r in grid])
+            vals, trusted = _series_values(self.a, grid)
+            for i in np.flatnonzero(~trusted):
+                vals[i] = _rotated_hankel_point(self.a, grid[i])
         if np.any(vals <= 0.0) or not np.all(np.isfinite(vals)):
             bad = int(np.argmin(vals))
             raise ArithmeticError(

@@ -471,6 +471,9 @@ def test_certify_config_errors(rashba2, thr2, circle_measure):
         certify(rashba2, thr2, circle_measure, 2, [0.1, 0.2])
     with pytest.raises(ConfigError):
         certify(rashba2, thr2, circle_measure, 2, [3.0])
+    with pytest.raises(ConfigError, match="N = 2 points, got 4"):
+        certify(rashba2, thr2, circle_measure, 2, [0.4],
+                points=[[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
 
 
 def test_certify_zero_measure(rashba2, thr2):

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import spinbound
 import spinbound.cli as cli
 import spinbound.report as rep
 from spinbound.cli import main
@@ -58,6 +62,18 @@ def test_exit_config_errors(tmp_path):
     # syntactically valid config but missing the section the subcommand needs
     partial = {"model": {"type": "rashba", "alpha": 2.0}}
     assert main(["certify", "-c", _write(tmp_path, "p.json", partial)]) == 2
+
+
+def test_module_entry_point_exit_code(tmp_path):
+    # python -m spinbound.cli runs main() and hands its code to the shell
+    src = os.path.dirname(os.path.dirname(spinbound.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "spinbound.cli", "certify", "-c",
+         str(tmp_path / "missing.json")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert "cannot read config file" in proc.stderr
 
 
 def test_exit_numerical_error(tmp_path):

@@ -62,6 +62,20 @@ def test_schedule_must_decrease():
         parse_config(json.dumps(bad))
 
 
+@pytest.mark.parametrize("points", [
+    [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],   # 4 points, N = 2
+    [],                                                    # no point at all
+])
+def test_points_must_match_n(points):
+    bad = dict(VALID)
+    bad["certify"] = {"N": 2, "a_schedule": [0.4], "points": points}
+    with pytest.raises(ConfigError, match="N = 2 points, got %d" % len(points)):
+        parse_config(json.dumps(bad))
+    good = dict(VALID)
+    good["certify"] = {"N": 2, "a_schedule": [0.4], "points": [[1.0, 0.0], [-1.0, 0.0]]}
+    assert len(parse_config(json.dumps(good)).certify["points"]) == 2
+
+
 def test_unknown_keys_rejected():
     bad = dict(VALID)
     bad["extra_section"] = {}

@@ -8,7 +8,8 @@ from scipy.special import k0e
 
 from spinbound.certificate import grad_norm_sq, grad_norm_sq_quadrature
 from spinbound.errors import ConfigError
-from spinbound.hankel import FhatProfile, fhat_at_zero, fhat_profile
+from spinbound.hankel import (FhatProfile, _rotated_hankel_point,
+                              _series_values, fhat_at_zero, fhat_profile)
 from spinbound.quadrature import log_rule
 
 
@@ -77,7 +78,7 @@ def test_exponential_closed_form():
     assert np.max(np.abs(prof(rho) / want - 1.0)) < 3e-7
 
 
-@pytest.mark.parametrize("a", [0.4, 0.1, 0.05])
+@pytest.mark.parametrize("a", [0.4, 0.2, 0.1, 0.05, 0.025])
 def test_profile_against_contour_oracle(a):
     prof = fhat_profile(a)
     # sample across the flat head, the shoulder, and the far tail
@@ -85,6 +86,66 @@ def test_profile_against_contour_oracle(a):
                 1e4 * prof.rho_half):
         want = _oracle_fhat(a, rho)
         assert prof(rho) == pytest.approx(want, rel=1e-8)
+
+
+def _mp_series(mp, a, rhos, terms):
+    """The power-law series of fhat at each rho, summed in mpmath."""
+    a = mp.mpf(a)
+    coeffs = [(-1) ** (n + 1) * 2 / mp.pi * mp.sinpi(a * n / 2)
+              * mp.gamma(1 + a * n / 2) ** 2 * mp.mpf(2) ** (a * n - n)
+              / mp.factorial(n) for n in range(1, terms + 1)]
+    out = []
+    for rho in rhos:
+        inv = 1 / mp.mpf(rho)
+        step = inv ** a
+        power = inv ** 2
+        total = mp.mpf(0)
+        for c in coeffs:
+            power *= step
+            total += c * power
+        out.append(float(total))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("a", [0.4, 0.1, 0.025])
+def test_series_against_mpmath(a):
+    mp = pytest.importorskip("mpmath")
+    prof = fhat_profile(a)
+    grid = np.geomspace(prof.rho_lo, prof.rho_hi, 4096)
+    vals, trusted = _series_values(a, grid)
+    accepted = np.flatnonzero(trusted)
+    assert accepted.size > 0.6 * grid.size
+    # the low-rho edge of the accepted range carries the most cancellation
+    sample = np.union1d(accepted[:8], accepted[::97])
+    with mp.workdps(60):
+        # 800 terms: the 200 past the float sum check its truncation too
+        want = _mp_series(mp, a, grid[sample], 800)
+    assert np.max(np.abs(vals[sample] / want - 1.0)) < 1e-12
+    # the table holds the series value wherever the gate trusts it
+    assert np.array_equal(prof._vals[trusted], vals[trusted])
+
+
+def test_series_gate_rejects_cancelling_node():
+    # at a = 0.4 and rho ~ 1.4e-6 the terms grow past 1e300 and cancel: the
+    # float sum is far off, and the node must come from the contour rule
+    a = 0.4
+    prof = fhat_profile(a)
+    grid = np.geomspace(prof.rho_lo, prof.rho_hi, 4096)
+    i = int(np.argmin(np.abs(np.log(grid / 1.4e-6))))
+    vals, trusted = _series_values(a, grid[i:i + 1])
+    assert not trusted[0]
+    want = _rotated_hankel_point(a, grid[i])
+    assert abs(vals[0] - want) > want
+    assert prof(grid[i]) == pytest.approx(want, rel=1e-14)
+
+
+def test_series_not_trusted_where_divergent():
+    # for a > 1 the series is only asymptotic; the contour rule does all.
+    # Past rho ~ 6 its first 600 terms fall fast enough to pass the
+    # rounding and tail checks, so convergence must be checked apart
+    grid = np.geomspace(1e-3, 1e80, 4096)
+    _, trusted = _series_values(1.5, grid)
+    assert not np.any(trusted)
 
 
 @pytest.mark.parametrize("a", [0.4, 0.2, 0.1, 0.05])
