@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.special import jv
+from scipy.special import j0, j1, jv
 
 from .errors import (CapacityError, ConfigError, NumericalInputError,
                      ResolutionError)
@@ -380,6 +380,7 @@ _N_ANGLES = 256
 _M_MAX = 40
 _OSC_BUDGET = 1.0e4       # oscillation periods resolved: P(r) * r ~ budget
 _MAX_DISTINCT_RADII = 48
+_CHUNK = 4096            # quadrature nodes per block of the radial sum
 
 
 def _kink_ring(rj, lo, hi):
@@ -420,16 +421,14 @@ class _ModeTable:
 
     @staticmethod
     def _fit(grid, cm):
-        lg = np.log(grid)
-        return (CubicSpline(lg, cm.real, axis=0), CubicSpline(lg, cm.imag, axis=0))
+        return CubicSpline(np.log(grid), cm, axis=0)
 
     def __call__(self, rho):
         rho = np.clip(np.asarray(rho, dtype=float), self.lo, self.hi)
         out = np.empty(rho.shape + self._shape, dtype=complex)
         inner = rho <= self._split
-        for sel, (sre, sim) in ((inner, self._inner), (~inner, self._outer)):
-            lg = np.log(rho[sel])
-            out[sel] = sre(lg) + 1j * sim(lg)
+        for sel, spline in ((inner, self._inner), (~inner, self._outer)):
+            out[sel] = spline(np.log(rho[sel]))
         return out
 
 
@@ -443,10 +442,8 @@ def _node_modes(model, pj, prof, r_nodes, m_arr):
                             _MAX_DISTINCT_RADII)
         table = np.array([_radial_modes(modes, prof, rr, m_arr)
                           for rr in grid])                    # (G, M)
-        spline_re = CubicSpline(np.log(grid), table.real, axis=0)
-        spline_im = CubicSpline(np.log(grid), table.imag, axis=0)
-        lg = np.log(np.clip(radii, grid[0], grid[-1]))
-        R = spline_re(lg) + 1j * spline_im(lg)                # (D, M)
+        spline = CubicSpline(np.log(grid), table, axis=0)
+        R = spline(np.log(np.clip(radii, grid[0], grid[-1])))  # (D, M)
         if radii[0] == 0.0:
             R[0] = _radial_modes(modes, prof, 0.0, m_arr)
     else:
@@ -458,14 +455,14 @@ def _angular_modes(model, pj, rho, m_arr):
     """Fourier coefficients in the polar angle of u_-(p_j + q) - u_-(p_j)."""
     phi = (np.arange(_N_ANGLES) + 0.5) * (2.0 * np.pi / _N_ANGLES)
     v0 = complex(lower_band_vectors(model, pj[0], pj[1])[0])
-    out = np.empty((len(rho), _N_ANGLES), dtype=complex)
+    sel = np.empty((len(rho), len(m_arr)), dtype=complex)
     for start in range(0, len(rho), 2048):
         chunk = rho[start:start + 2048]
         qx = pj[0] + chunk[:, None] * np.cos(phi)[None, :]
         qy = pj[1] + chunk[:, None] * np.sin(phi)[None, :]
-        out[start:start + 2048] = lower_band_vectors(model, qx, qy)[..., 0] - v0
-    coeff = np.fft.fft(out, axis=1) / _N_ANGLES
-    sel = coeff[:, m_arr % _N_ANGLES]
+        u = lower_band_vectors(model, qx, qy)[..., 0] - v0
+        coeff = np.fft.fft(u, axis=1) / _N_ANGLES
+        sel[start:start + 2048] = coeff[:, m_arr % _N_ANGLES]
     # quadrature phase offset of the half-shifted angle grid
     return sel * np.exp(-1j * m_arr[None, :] * (np.pi / _N_ANGLES))
 
@@ -475,7 +472,8 @@ def _radial_modes(modes, prof, rr, m_arr):
 
     Log panels up to rho_lin, panels of width <= pi / (2 rr) up to p_cut, then
     the tail: by parts for rr > 0; at rr = 0 only m = 0 (J_m(0) = delta_m0)
-    keeps one, g(p) p / a for g ~ rho^-(1+a).
+    keeps one, g(p) p / a for g ~ rho^-(1+a).  The nodes are summed in blocks
+    of _CHUNK, so no (nodes x modes) array is formed.
     """
     rho_lo = modes.lo
     if rr > 0.0:
@@ -497,22 +495,40 @@ def _radial_modes(modes, prof, rr, m_arr):
         edge_sets.append(_kink_ring(modes.rj, rho_lo, p_cut))
     edges = merge_edges(*edge_sets)
     rho, wq = panel_rule(edges, 6)
+    vals = np.zeros(len(m_arr), dtype=complex)
+    for start in range(0, len(rho), _CHUNK):
+        q = rho[start:start + _CHUNK]
+        g = modes(q) * (wq[start:start + _CHUNK] * prof(q) * q)[:, None]
+        vals += np.einsum("qm,qm->m", g, _bessel(m_arr, q * rr))
     # two weightless sample points pin g and g' at the cutoff
     extras = np.array([p_cut * (1.0 - 1e-4), p_cut])
-    rho_all = np.concatenate([rho, extras])
-    cm = modes(rho_all)                                       # (Q+2, M)
-    g = cm * (prof(rho_all) * rho_all)[:, None]
-    bessel = _bessel(m_arr, rho_all[:-2] * rr)    # before the products: lower peak
-    vals = (wq[:, None] * g[:-2] * bessel).sum(axis=0)
+    g_cut = modes(extras) * (prof(extras) * extras)[:, None]
     if rr > 0.0:
-        return vals + _oscillatory_tail(g[-2:], extras, rr, m_arr)
-    return vals + np.where(m_arr == 0, g[-1] * p_cut / prof.a, 0.0)
+        return vals + _oscillatory_tail(g_cut, extras, rr, m_arr)
+    return vals + np.where(m_arr == 0, g_cut[-1] * p_cut / prof.a, 0.0)
 
 
 def _bessel(m_arr, x):
-    """J_m(x), shape (len(x), len(m_arr)), from the orders |m| by J_-m = (-1)^m J_m."""
+    """J_m(x), shape (len(x), len(m_arr)), from the orders |m| by J_-m = (-1)^m J_m.
+
+    J_0 and J_1 come from j0 and j1; where x >= max|m| the orders climb by
+    J_{k+1} = (2k/x) J_k - J_{k-1}, which is stable below the turning point
+    k = x.  The nodes with x < max|m| take jv.
+    """
     orders = np.abs(m_arr)
-    j = jv(np.arange(orders.max() + 1)[None, :], x[:, None])[:, orders]
+    top = int(orders.max())
+    j = np.empty((len(x), top + 1))
+    near = x < top
+    j[near] = jv(np.arange(top + 1)[None, :], x[near][:, None])
+    far = x[~near]
+    climb = np.empty((top + 1, len(far)))
+    climb[0] = j0(far)
+    if top > 0:
+        climb[1] = j1(far)
+    for k in range(1, top):
+        climb[k + 1] = (2.0 * k / far) * climb[k] - climb[k - 1]
+    j[~near] = climb.T
+    j = j[:, orders]
     j[:, (m_arr < 0) & (orders % 2 == 1)] *= -1.0
     return j
 

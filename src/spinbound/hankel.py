@@ -3,7 +3,9 @@
 Under the unitary 2D convention the transform of a radial function is the
 order-zero Hankel transform fhat(rho) = int_0^inf r J0(rho r) exp(-r^a/2) dr.
 It is the density of a 2D isotropic a-stable law, and is tabulated once per
-exponent on a log rho grid from two sources:
+exponent on a log rho grid.  Two exponents have closed forms, the Gaussian
+exp(-rho^2/2) at a = 2 and 0.5 / (1/4 + rho^2)^(3/2) at a = 1; every other
+exponent is tabulated from two sources:
 
 * For a < 1, integrating exp(-r^a/2) = sum (-r^a/2)^n / n! term by term
   gives the everywhere-convergent power-law series (the 2D analogue of
@@ -197,6 +199,8 @@ class FhatProfile:
         grid = np.geomspace(rho_lo, rho_hi, table_size)
         if self.a == 2.0:
             vals = np.exp(-0.5 * grid * grid)
+        elif self.a == 1.0:
+            vals = 0.5 / (0.25 + grid * grid) ** 1.5
         else:
             vals, trusted = _series_values(self.a, grid)
             for i in np.flatnonzero(~trusted):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import jv
@@ -313,6 +315,56 @@ def test_radial_modes_tail_at_origin(rashba2):
     u1 = lower_band_vectors(rashba2, pj[0], pj[1])[0]
     ref = np.sum(c0 * mass) - u1 * (1.0 - np.sum(mass))
     assert abs(got[_M_MAX] - ref) < 1e-5 * abs(ref)
+
+
+@pytest.mark.parametrize("m_arr", [np.arange(-_M_MAX, _M_MAX + 1),
+                                   np.arange(-_M_MAX - 1, 0, 2)],
+                         ids=["all-orders", "odd-negative"])
+def test_bessel_matches_jv(m_arr):
+    # the orders climb by forward recurrence only where x >= max|m|; it
+    # loses digits well inside the turning point, which the 20 < x < 40
+    # nodes of the log sweep would show at 1e-13
+    top = float(np.max(np.abs(m_arr)))
+    x = np.concatenate([[0.0, np.nextafter(top, 0.0), top, np.nextafter(top, np.inf)],
+                        np.geomspace(1e-3, 1e6, 400)])
+    got = certificate._bessel(m_arr, x)
+    assert np.max(np.abs(got - jv(m_arr[None, :], x[:, None]))) < 1e-13
+
+
+def test_radial_modes_match_jv_on_their_nodes(rashba2, monkeypatch):
+    # the README case: a = 0.4, r = 1, p_j = (1, 0).  The reference sums all
+    # nodes of the same panel rule at once with jv, plus the same tail
+    pj, m_arr, prof, modes = _band_modes(rashba2, 0.4)
+    rules = []
+
+    def recorded_rule(edges, n):
+        rules.append((edges, *panel_rule(edges, n)))
+        return rules[-1][1:]
+
+    monkeypatch.setattr(certificate, "panel_rule", recorded_rule)
+    got = _radial_modes(modes, prof, 1.0, m_arr)
+    (edges, rho, w), = rules
+    assert len(rho) > 4 * certificate._CHUNK     # several blocks
+    g = modes(rho) * (w * prof(rho) * rho)[:, None]
+    ref = np.array([np.sum(g[:, i] * jv(m, rho)) for i, m in enumerate(m_arr)])
+    p_cut = edges[-1]
+    extras = np.array([p_cut * (1.0 - 1e-4), p_cut])
+    g_cut = modes(extras) * (prof(extras) * extras)[:, None]
+    ref += certificate._oscillatory_tail(g_cut, extras, 1.0, m_arr)
+    assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
+def test_exact_potential_memory_peak(rashba2, thr2, circle_measure):
+    # the radial sum walks its nodes in blocks and the angular FFT its
+    # rows in blocks, so the README case stays near 60 MiB of arrays
+    basis = trial_basis(rashba2, thr2, select_points(thr2.minset, 4), 0.4)
+    tracemalloc.start()
+    try:
+        potential_matrix_exact(rashba2, circle_measure, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 96 * 2 ** 20
 
 
 # Rotation orbits: one band correction per orbit, one kinetic integral per

@@ -78,6 +78,18 @@ def test_exponential_closed_form():
     assert np.max(np.abs(prof(rho) / want - 1.0)) < 3e-7
 
 
+def test_contour_rule_at_exponential():
+    # the a = 1 table is the closed form; the contour rule it replaced must
+    # still reproduce it, since every 1 < a < 2 table comes from that rule
+    prof = fhat_profile(1.0)
+    grid = np.geomspace(prof.rho_lo, prof.rho_hi, 4096)
+    want = 0.5 / (0.25 + grid * grid) ** 1.5
+    assert np.array_equal(prof._vals, want)
+    sample = np.arange(0, grid.size, 61)
+    got = np.array([_rotated_hankel_point(1.0, rho) for rho in grid[sample]])
+    assert np.max(np.abs(got / want[sample] - 1.0)) < 1e-10
+
+
 @pytest.mark.parametrize("a", [0.4, 0.2, 0.1, 0.05, 0.025])
 def test_profile_against_contour_oracle(a):
     prof = fhat_profile(a)
