@@ -397,14 +397,17 @@ class _ModeTable:
     the band vector direction passes through the origin; the table splits
     there so the kink is never interpolated across.  ``lo`` and ``hi`` are
     the table's edges and ``rj`` the kink radius (None when off the table).
+    The table ends one decade (32 points) past ``reach``, the largest rho
+    read, so the spline's end condition stays clear of it.
     """
 
-    def __init__(self, model, pj, prof, m_arr):
+    def __init__(self, model, pj, prof, m_arr, reach):
         rj = float(np.hypot(*pj))
         lo = max(prof.rho_lo, 1e-12 * (1.0 + rj))
-        hi = prof.rho_hi
+        grid = np.geomspace(lo, prof.rho_hi, int(32 * np.log10(prof.rho_hi / lo)) + 2)
+        grid = grid[:np.searchsorted(grid, reach) + 33]
+        hi = grid[-1]
         self.rj = rj if lo < rj < hi else None
-        grid = np.geomspace(lo, hi, int(32 * np.log10(hi / lo)) + 2)
         if self.rj is not None:
             grid = merge_edges(grid, _kink_ring(rj, lo, hi))
         cm = _angular_modes(model, pj, grid, m_arr)
@@ -434,12 +437,17 @@ class _ModeTable:
 
 def _node_modes(model, pj, prof, r_nodes, m_arr):
     """R_m(r) of the expansion center pj at every node radius, shape (T, M)."""
-    modes = _ModeTable(model, pj, prof, m_arr)
     radii, where = np.unique(np.round(r_nodes, 12), return_inverse=True)
-    if len(radii) > _MAX_DISTINCT_RADII:
-        pos = radii[radii > 0.0]
-        grid = np.geomspace(max(pos.min(), 1e-4 * pos.max()), pos.max(),
+    many = len(radii) > _MAX_DISTINCT_RADII
+    grid = radii[radii > 0.0]
+    if many:
+        grid = np.geomspace(max(grid.min(), 1e-4 * grid.max()), grid.max(),
                             _MAX_DISTINCT_RADII)
+    # _radial_modes reads c_m up to p_cut = max(2e3, _OSC_BUDGET / r), and
+    # at r = 0 up to the profile's end
+    reach = prof.rho_hi if radii[0] == 0.0 else max(2.0e3, _OSC_BUDGET / grid[0])
+    modes = _ModeTable(model, pj, prof, m_arr, reach)
+    if many:
         table = np.array([_radial_modes(modes, prof, rr, m_arr)
                           for rr in grid])                    # (G, M)
         spline = CubicSpline(np.log(grid), table, axis=0)

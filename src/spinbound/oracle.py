@@ -20,6 +20,19 @@ when ||H - H_s||_F, summed from the table's asymmetry weighted by how often
 each mode difference occurs, is at most one rounding unit of ||H||_F: by
 Weyl's inequality no eigenvalue then moves by more than that.  n = 1 is
 the whole operator as one block, which is what ``assemble`` returns.
+
+Time reversal T = i sigma_y K takes psi(k) to i sigma_y conj psi(-k).  It
+commutes with the operator when table(-q) = conj table(q), as for every
+real measure, and A is odd.  T U T^-1 = conj(phi) U, so T carries sector j
+(U = omega) onto sector (p - j) mod n (U = phi / omega), where
+phi = i^(4p/n).  For n > 1 a nonzero odd A forces p odd, so no sector is
+its own partner and the n sectors form n/2 Kramers pairs with equal
+spectra (a vanishing A fits phi = 1 and is not paired).  For odd p the
+gate then averages over T as well, which makes the averaged table real (it
+is already even under the half turn) and the coupling exactly odd, and
+counts both defects in the same one-rounding-unit budget.  When that
+passes, ``spectrum`` builds and solves one block per pair and counts its
+eigenvalues twice; otherwise, and for n = 1, it solves every block.
 """
 
 from __future__ import annotations
@@ -154,7 +167,7 @@ def _operator_data(model: CouplingSpec, nu, box: BoxSpec):
 
 
 def _symmetry(model: CouplingSpec, n_pairs, a, table, step):
-    """(n, p, table, a) for the largest group Z_n the operator keeps.
+    """(n, p, paired, table, a) for the largest group Z_n the operator keeps.
 
     For n = 4 and 2, phi = i^(4p/n) is the n-th root of unity that best
     fits A(R k) = phi A(k), and the table and the coupling are averaged over
@@ -164,6 +177,10 @@ def _symmetry(model: CouplingSpec, n_pairs, a, table, step):
     both norms are summed over mode differences q, each weighted by the
     number of mode pairs at that difference.  Otherwise n = 1 and the
     plain data.
+
+    ``paired`` is True when the average over time reversal as well, a real
+    table and an odd coupling, fits the same budget; the table and the
+    coupling returned are then those.
     """
     n_max = (len(table) - 1) // 4
     mask = np.zeros((2 * n_max + 1,) * 2)
@@ -178,6 +195,7 @@ def _symmetry(model: CouplingSpec, n_pairs, a, table, step):
     # ||H||_F^2: two spin copies of P + V (its diagonal is p^2 + t(0)), plus A
     norm2 = 2.0 * (np.sum(pairs * np.abs(table) ** 2) - len(a) * abs(t0) ** 2
                    + np.sum(np.abs(p2 + t0) ** 2) + np.sum(np.abs(a) ** 2))
+    budget2 = np.finfo(float).eps ** 2 * norm2
     for n in (4, 2):
         quarters = 4 // n
         roots = _QUARTER[::quarters]
@@ -189,30 +207,45 @@ def _symmetry(model: CouplingSpec, n_pairs, a, table, step):
         table_s = np.mean([np.rot90(table, -d * quarters) for d in range(n)], axis=0)
         defect2 = 2.0 * (np.sum(pairs * np.abs(table - table_s) ** 2)
                          + np.sum(np.abs(a - a_s) ** 2))
-        if defect2 <= np.finfo(float).eps ** 2 * norm2:
-            return n, p, table_s, a_s
-    return 1, 0, table, a
+        if defect2 > budget2:
+            continue
+        # T takes table(q) to conj table(-q) and A(k) to -A(-k); table_s is
+        # even under the half turn, so its T average is its real part, and
+        # the modes are listed so that -k is the reversed order.  The two
+        # averages commute, so their defects add in squares.  A coupling
+        # that vanishes fits every phi, and an even p leaves sectors that
+        # are their own partners, so only an odd p pairs
+        a_t = 0.5 * (a_s - a_s[::-1])
+        defect2 += 2.0 * (np.sum(pairs * table_s.imag ** 2)
+                          + np.sum(np.abs(a_s - a_t) ** 2))
+        if defect2 <= budget2 and p % 2:
+            return n, p, True, table_s.real, a_t
+        return n, p, False, table_s, a_s
+    return 1, 0, False, table, a
 
 
-def _blocks(n_pairs, step, n, p, table, a):
-    """U's n eigenspace blocks of the operator, sector j having U = i^(4j/n).
+def _blocks(n_pairs, step, n, p, table, a, sectors):
+    """U's eigenspace blocks of the operator for the listed sectors j.
 
-    With omega = i^(4j/n), sector j's basis is sum_d omega^d |R^d r, up>
-    and sum_d (omega/phi)^d |R^d r, down>, over d < n and divided by
-    sqrt(n), for the orbit representatives r, spin up first.  Its potential
-    block is V_omega = sum_f omega^f G_f with G_f[r, s] = table(r - R^f s).
-    The origin is its own orbit: its row and column carry 1/sqrt(n), its
-    spin-up state lives in sector 0 and its spin-down state in the sector
-    with omega = phi.  For n = 1 this is the whole operator.
+    With omega = i^(4j/n), the eigenvalue of U, sector j's basis is
+    sum_d omega^d |R^d r, up> and sum_d (omega/phi)^d |R^d r, down>, over
+    d < n and divided by sqrt(n), for the orbit representatives r, spin up
+    first.  Its potential block is V_omega = sum_f omega^f G_f with
+    G_f[r, s] = table(r - R^f s).  The origin is its own orbit: its row and
+    column carry 1/sqrt(n), its spin-up state lives in sector 0 and its
+    spin-down state in the sector with omega = phi.  For n = 1 this is the
+    whole operator, in the order of the modes.
     """
     quarters = 4 // n
     orbit = np.stack([_turn(n_pairs, d * quarters) for d in range(n)])
     width = 2 * int(np.max(np.abs(n_pairs))) + 1
     keys = orbit[..., 0] * width + orbit[..., 1]
     rep = keys[0] == np.min(keys, axis=0)
+    # the modes ascend in key; for n > 1 every other orbit holds a mode of
+    # negative key, so the origin (key 0) is the last representative, and
+    # a sector without one of its spin states keeps the leading rows
     r = n_pairs[rep]
     m = len(r)
-    zero = int(np.flatnonzero(~np.any(r, axis=1))[0])
     off = (len(table) - 1) // 2
     pots = np.zeros((n, m, m), dtype=complex)
     for f in range(n):
@@ -220,34 +253,41 @@ def _blocks(n_pairs, step, n, p, table, a):
         g = table[r[:, None, 0] - s[None, :, 0] + off, r[:, None, 1] - s[None, :, 1] + off]
         for j in range(n):
             pots[j] += _QUARTER[j * f * quarters % 4] * g
-    pots[:, zero, :] /= np.sqrt(n)
-    pots[:, :, zero] /= np.sqrt(n)
+    pots[:, -1, :] /= np.sqrt(n)
+    pots[:, :, -1] /= np.sqrt(n)
     k = step * r
     p2 = k[:, 0] * k[:, 0] + k[:, 1] * k[:, 1]
     ar = a[rep]
-    diag = np.arange(m)
     blocks = []
-    for j in range(n):
-        h = np.zeros((2 * m, 2 * m), dtype=complex)
-        h[:m, :m] = pots[j]
-        h[m:, m:] = pots[(j - p) % n]
-        h[diag, diag] += p2
-        h[m + diag, m + diag] += p2
-        h[diag, m + diag] = ar
-        h[m + diag, diag] = np.conj(ar)
-        drop = [zero] * (j != 0) + [m + zero] * ((j - p) % n != 0)
-        if drop:
-            h = np.delete(np.delete(h, drop, axis=0), drop, axis=1)
+    for j in sectors:
+        down = (j - p) % n
+        mu, md = m - (j != 0), m - (down != 0)
+        up_diag, down_diag = np.arange(mu), mu + np.arange(md)
+        h = np.zeros((mu + md, mu + md), dtype=complex)
+        h[:mu, :mu] = pots[j][:mu, :mu]
+        h[mu:, mu:] = pots[down][:md, :md]
+        h[up_diag, up_diag] += p2[:mu]
+        h[down_diag, down_diag] += p2[:md]
+        both = min(mu, md)
+        h[up_diag[:both], down_diag[:both]] = ar[:both]
+        h[down_diag[:both], up_diag[:both]] = np.conj(ar[:both])
         blocks.append(h)
     return blocks
 
 
 def _sector_blocks(model: CouplingSpec, nu, box: BoxSpec):
-    """(p, blocks): phi = i^(4p/n) and the n sector blocks, n = len(blocks)."""
+    """(copies, blocks): the sector blocks to solve, each solved spectrum
+    standing for ``copies`` sectors.
+
+    Time reversal carries sector j onto sector (p - j) mod n, whose block
+    has the same spectrum; when the gate pairs them, only the lower sector
+    of each pair is built.
+    """
     n_pairs, a, table = _operator_data(model, nu, box)
     step = np.pi / box.L
-    n, p, table, a = _symmetry(model, n_pairs, a, table, step)
-    return p, _blocks(n_pairs, step, n, p, table, a)
+    n, p, paired, table, a = _symmetry(model, n_pairs, a, table, step)
+    sectors = [j for j in range(n) if not paired or j < (p - j) % n]
+    return 1 + paired, _blocks(n_pairs, step, n, p, table, a, sectors)
 
 
 def assemble(model: CouplingSpec, nu: RadonMeasureSpec | None, box: BoxSpec):
@@ -260,7 +300,7 @@ def assemble(model: CouplingSpec, nu: RadonMeasureSpec | None, box: BoxSpec):
     (2*pi/(4 L^2)) * nuhat(k_j - k_l).
     """
     n_pairs, a, table = _operator_data(model, nu, box)
-    return _blocks(n_pairs, np.pi / box.L, 1, 0, table, a)[0]
+    return _blocks(n_pairs, np.pi / box.L, 1, 0, table, a, [0])[0]
 
 
 def _greedy_pairs(eigs):
@@ -313,14 +353,17 @@ def eigen_count_below(model: CouplingSpec, thr: ThresholdData, matrix,
 def spectrum(model: CouplingSpec, thr: ThresholdData, nu, box: BoxSpec):
     """The operator's spectrum and count, solved sector by sector.
 
-    Time reversal maps each sector onto a sector of its own Kramers
-    partners, so every bound state comes with its partner in the merged
-    spectrum, whether the two share a block or not.
+    Time reversal T maps each sector onto a sector of its own Kramers
+    partners.  When the gate pairs the sectors, each block solved stands
+    for itself and its partner, so every eigenvalue it has is counted
+    twice and the two halves of a Kramers pair are equal; otherwise every
+    sector is solved and the halves come from different blocks.
     """
-    _, blocks = _sector_blocks(model, nu, box)
+    copies, blocks = _sector_blocks(model, nu, box)
     # block.T is Fortran-ordered, so LAPACK works on it in place; it is
     # conj(block), which has the same real eigenvalues
-    eigs = np.sort(np.concatenate([_eigvalsh(b.T, overwrite_a=True) for b in blocks]))
+    eigs = np.sort(np.concatenate([np.repeat(_eigvalsh(b.T, overwrite_a=True), copies)
+                                   for b in blocks]))
     return _counted(eigs, thr, box)
 
 

@@ -218,26 +218,27 @@ def test_exact_matrix_brute_force(rashba2, thr2, circle_measure):
 
     x, y, wgt = circle_measure.quad_nodes(2.0)
     prof = basis.profile
-    rho, wr = [], []
     import spinbound.quadrature as q
     r_nodes, r_w = q.log_rule(1e-6, 400.0, 160, 8)
     ang, aw = q.uniform_rule(0.0, 2.0 * np.pi, 128, 8)
-    PX = pts[:, 0][:, None, None] + r_nodes[None, :, None] * np.cos(ang)[None, None, :]
-    PY = pts[:, 1][:, None, None] + r_nodes[None, :, None] * np.sin(ang)[None, None, :]
-    F = prof(np.hypot(PX - pts[:, 0][:, None, None], PY - pts[:, 1][:, None, None]))
-    U = lower_band_vectors(rashba2, PX, PY)          # (2, nr, na, 2)
-    W = (r_nodes * r_w)[None, :, None] * aw[None, None, :]
-    psi = np.zeros((2, len(x), 2), dtype=complex)
-    for j in range(2):
-        px, py = PX[j].ravel(), PY[j].ravel()
-        amp = (W[0] * F[j]).ravel()
-        coef = U[j].reshape(-1, 2) * amp[:, None]
-        # accumulate in blocks so the phase matrix stays small
-        for lo in range(0, len(px), 65536):
-            hi = lo + 65536
-            phase = np.exp(1j * (px[lo:hi, None] * x[None, :]
-                                 + py[lo:hi, None] * y[None, :]))
-            psi[j] += (phase.T @ coef[lo:hi]) / (2.0 * np.pi)
+    # p = p_j + (dx, dy) with the same offsets for both points, so
+    # e^{i<p,x>} = e^{i<p_j,x>} e^{i(dx x + dy y)} and each phase block of
+    # the offsets serves both
+    DX = (r_nodes[:, None] * np.cos(ang)[None, :]).ravel()
+    DY = (r_nodes[:, None] * np.sin(ang)[None, :]).ravel()
+    F = prof(np.hypot(DX, DY))
+    U = lower_band_vectors(rashba2, pts[:, 0][:, None] + DX[None, :],
+                           pts[:, 1][:, None] + DY[None, :])      # (2, nodes, 2)
+    amp = ((r_nodes * r_w)[:, None] * aw[None, :]).ravel() * F
+    coef = np.concatenate(U * amp[None, :, None], axis=1)          # (nodes, 4)
+    acc = np.zeros((len(x), 4), dtype=complex)
+    # accumulate in blocks so the phase matrix stays small
+    for lo in range(0, len(DX), 65536):
+        hi = lo + 65536
+        phase = np.exp(1j * (DX[lo:hi, None] * x[None, :] + DY[lo:hi, None] * y[None, :]))
+        acc += phase.T @ coef[lo:hi]
+    base = np.exp(1j * (pts[:, 0][:, None] * x[None, :] + pts[:, 1][:, None] * y[None, :]))
+    psi = base[:, :, None] * acc.reshape(len(x), 2, 2).transpose(1, 0, 2) / (2.0 * np.pi)
     brute = np.einsum("jns,n,kns->jk", psi.conj(), wgt, psi)
     assert np.max(np.abs(we - brute)) < 2e-3
     assert np.max(np.abs(we - we.conj().T)) < 1e-10
@@ -270,7 +271,7 @@ def _band_modes(model, a):
     pj = np.array([1.0, 0.0])
     m_arr = np.arange(-_M_MAX, _M_MAX + 1)
     prof = fhat_profile(a)
-    return pj, m_arr, prof, _ModeTable(model, pj, prof, m_arr)
+    return pj, m_arr, prof, _ModeTable(model, pj, prof, m_arr, prof.rho_hi)
 
 
 def _kink_cluster(rj, depth):

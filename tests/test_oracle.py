@@ -189,17 +189,20 @@ def test_eigen_count_below_edge_band(rashba2, thr2):
 # lattices have M = 1 + 4 * 81 = 325 and M = 1 + 4 * 73 = 293 modes; with
 # four sectors the origin's spin-up state joins sector 0 and its spin-down
 # state the sector of phi (R turns counterclockwise, so Rashba has
-# phi = -i and Dresselhaus phi = i)
+# phi = -i and Dresselhaus phi = i).  Time reversal pairs sector j with
+# sector p - j, and only the lower sector of each pair is solved: 0 and 1
+# of Rashba's 163/162/162/163, 0 and 2 of Dresselhaus's 147/147/146/146
 _SPLIT_CASES = {
     # C4-symmetric measures: U = P_R (x) diag(1, phi) commutes
     "rashba-circle": (CouplingSpec.rashba(2.0), _circle((0.0, 0.0)),
-                      BoxSpec(L=8.0, K=4.0), [163, 162, 162, 163]),
+                      BoxSpec(L=8.0, K=4.0), [163, 162]),
     "dresselhaus-well": (CouplingSpec.dresselhaus(3.0), _well((0.0, 0.0)),
-                         BoxSpec(L=10.0, K=3.0), [147, 147, 146, 146]),
-    # a centred segment keeps only the half turn, with phi = -1
+                         BoxSpec(L=10.0, K=3.0), [147, 146]),
+    # a centred segment keeps only the half turn, with phi = -1: two
+    # sectors of 325, one Kramers pair
     "rashba-segment": (CouplingSpec.rashba(2.0),
                        CurveDelta(Segment((-1.0, 0.0), (1.0, 0.0)), weight=-1.0),
-                       BoxSpec(L=8.0, K=4.0), [325, 325]),
+                       BoxSpec(L=8.0, K=4.0), [325]),
     # any other input is one block
     "off-centre-circle": (CouplingSpec.rashba(2.0), _circle((0.7, 0.3)),
                           BoxSpec(L=8.0, K=4.0), [650]),
@@ -210,7 +213,14 @@ _SPLIT_CASES = {
     "non-odd-coupling": (CouplingSpec.custom(lambda px, py: 2.0 * (py + 1j * px) + 0.3,
                                              a_growth=0.5, r_growth=4.0),
                          _circle((0.0, 0.0)), BoxSpec(L=8.0, K=4.0), [650]),
+    # a vanishing coupling fits phi = 1, whose sectors 0 and 2 are their own
+    # time-reversal partners: all four are solved, the origin's two spin
+    # states both in sector 0
+    "zero-coupling": (CouplingSpec.rashba(0.0), _circle((0.0, 0.0)),
+                      BoxSpec(L=8.0, K=4.0), [164, 162, 162, 162]),
 }
+# the cases solved one block per Kramers pair
+_PAIRED = ("dresselhaus-well", "rashba-circle", "rashba-segment")
 
 
 @pytest.mark.parametrize("case", sorted(_SPLIT_CASES))
@@ -222,7 +232,7 @@ def test_parity_split_matches_full_eigensolve(case, monkeypatch):
     solved = _solve_sizes(monkeypatch)
     res = spectrum(model, thr, nu, box)
     assert solved == sizes
-    assert res.mode_count == sum(sizes) // 2
+    assert res.mode_count == len(ref) // 2
 
     assert np.max(np.abs(res.eigenvalues - ref)) < 1e-10
     edge = box.resolved_edge_tol(thr.kappa)
@@ -232,22 +242,27 @@ def test_parity_split_matches_full_eigensolve(case, monkeypatch):
                                             & (ref < thr.kappa + edge)))
     assert ([(i, j) for i, j, _ in res.pairing]
             == [(i, j) for i, j, _ in oracle._greedy_pairs(ref[below])])
-    # the split cases bind Kramers pairs; their halves come from different blocks
-    if len(sizes) > 1:
+    # the paired cases bind Kramers pairs; both halves come from one block
+    if case in _PAIRED:
         assert res.count_below >= 2
         assert len(res.pairing) == res.count_below // 2
+        assert all(gap == 0.0 for _, _, gap in res.pairing)
 
 
-@pytest.mark.parametrize("case", sorted(c for c in _SPLIT_CASES
-                                        if len(_SPLIT_CASES[c][3]) > 1))
+@pytest.mark.parametrize("case", _PAIRED)
 def test_kramers_partners_across_sectors(case):
     # time reversal turns sector omega into sector phi / omega, another
     # block, so each block's spectrum (its bound states below kappa too)
-    # must equal its partner's: a cross-check of how the blocks are built
+    # must equal its partner's: a cross-check of how the blocks are built,
+    # and of solving one block per pair
     model, nu, box, _ = _SPLIT_CASES[case]
     kappa = threshold(model).kappa
-    p, blocks = oracle._sector_blocks(model, nu, box)
-    n = len(blocks)
+    n_pairs, a, table = oracle._operator_data(model, nu, box)
+    step = np.pi / box.L
+    n, p, paired, table, a = oracle._symmetry(model, n_pairs, a, table, step)
+    # the pairing rests on a real table (and an odd coupling)
+    assert paired and np.isrealobj(table)
+    blocks = oracle._blocks(n_pairs, step, n, p, table, a, range(n))
     eigs = [scipy.linalg.eigvalsh(b) for b in blocks]
     assert sum(int(np.sum(e < kappa)) for e in eigs) >= 2
     for j in range(n):
@@ -257,7 +272,7 @@ def test_kramers_partners_across_sectors(case):
         assert np.max(np.abs(eigs[j] - eigs[partner])) < 1e-10
 
 
-@pytest.mark.parametrize("weight, sizes", [(1e-15, [163, 162, 162, 163]),
+@pytest.mark.parametrize("weight, sizes", [(1e-15, [163, 162]),
                                            (1e-13, [650])])
 def test_sector_gate_at_one_rounding_unit(weight, sizes, monkeypatch):
     # an off-centre circle of weight 1e-13 breaks C4 (and C2) by about four
@@ -270,6 +285,26 @@ def test_sector_gate_at_one_rounding_unit(weight, sizes, monkeypatch):
     res = spectrum(model, threshold(model), nu, box)
     assert solved == sizes
     ref = scipy.linalg.eigvalsh(assemble(model, nu, box))
+    assert np.max(np.abs(res.eigenvalues - ref)) < 1e-10
+
+
+@pytest.mark.parametrize("imag, sizes", [(7e-16, [163, 162]),
+                                         (6e-14, [163, 162, 162, 163])])
+def test_time_reversal_gate_at_one_rounding_unit(imag, sizes, monkeypatch):
+    # an imaginary part imag * nuhat keeps the centred circle's table
+    # invariant under the quarter turn but breaks time reversal: by about
+    # four rounding units of ||H||_F at 6e-14, a twentieth of one at 7e-16.
+    # Past the budget all four sectors are solved, as without the pairing
+    model = CouplingSpec.rashba(2.0)
+    nu = _circle((0.0, 0.0))
+    box = BoxSpec(L=8.0, K=4.0)
+    grid = oracle.fourier_grid
+    monkeypatch.setattr(oracle, "fourier_grid",
+                        lambda *args: grid(*args) * (1.0 + 1j * imag))
+    ref = scipy.linalg.eigvalsh(assemble(model, nu, box))
+    solved = _solve_sizes(monkeypatch)
+    res = spectrum(model, threshold(model), nu, box)
+    assert solved == sizes
     assert np.max(np.abs(res.eigenvalues - ref)) < 1e-10
 
 
