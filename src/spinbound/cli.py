@@ -1,17 +1,17 @@
 """Command-line front end.
 
-Subcommands map one-to-one onto the library pipelines: ``certify`` runs the
-variational certificate, ``oracle`` runs the plane-wave eigenvalue sweep,
-``scan-decay`` and ``fourier`` emit transform tables, and ``report`` merges
-everything the config asks for.  Exit codes: 0 success/certified, 1
-completed but not certified, 2 configuration error, 3 numerical failure.
+``certify``, ``oracle`` and ``report`` share one runner that writes one
+JSON report: ``certify`` runs the variational certificate, ``oracle`` the
+plane-wave eigenvalue sweep, and ``report`` every one of certify, oracle and
+scan that the config holds.  ``scan-decay`` and ``fourier`` write transform
+tables as CSV.  Exit codes: 0 success/certified, 1 completed but a certify
+section did not certify, 2 configuration error, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import time
 
 import numpy as np
 
@@ -94,33 +94,32 @@ def _write_report(document, config, out_path):
         sys.stdout.write(text)
 
 
-def _cmd_certify(config, args):
-    t0 = time.perf_counter()
+def _cmd_pipeline(config, args, sections):
+    """Run the named certify/oracle/scan sections into one JSON report."""
     model, thr, nu = _build(config)
-    result = _run_certify_section(config, model, thr, nu)
     doc = _base_report(config)
-    doc["threshold"] = rep.threshold_section(thr)
-    doc["certificate"] = rep.certificate_section(result)
-    if config.output.get("timing", False):
-        doc["timing"] = {"certify_seconds": time.perf_counter() - t0}
+    code = EXIT_OK
+    if "certify" in sections or "oracle" in sections:
+        doc["threshold"] = rep.threshold_section(thr)
+    if "certify" in sections:
+        result = _run_certify_section(config, model, thr, nu)
+        doc["certificate"] = rep.certificate_section(result)
+        if not result.certified:
+            code = EXIT_NOT_CERTIFIED
+    if "oracle" in sections:
+        sweep = _run_oracle_section(config, model, thr, nu)
+        doc["oracle"] = rep.sweep_section(sweep)
+        eig_path = (getattr(args, "eigenvalues", None)
+                    or config.output.get("eigenvalues_csv"))
+        if eig_path:
+            _write_eigenvalues(eig_path, sweep)
+    if "scan" in sections:
+        profiles = _decay_profiles(nu, config.scan)
+        doc["decay_profiles"] = [rep.profile_section(p) for p in profiles]
+        if config.output.get("profile_csv"):
+            _write_profiles(config.output["profile_csv"], profiles)
     _write_report(doc, config, args.output)
-    return EXIT_OK if result.certified else EXIT_NOT_CERTIFIED
-
-
-def _cmd_oracle(config, args):
-    t0 = time.perf_counter()
-    model, thr, nu = _build(config)
-    sweep = _run_oracle_section(config, model, thr, nu)
-    doc = _base_report(config)
-    doc["threshold"] = rep.threshold_section(thr)
-    doc["oracle"] = rep.sweep_section(sweep)
-    if config.output.get("timing", False):
-        doc["timing"] = {"oracle_seconds": time.perf_counter() - t0}
-    _write_report(doc, config, args.output)
-    eig_path = args.eigenvalues or config.output.get("eigenvalues_csv")
-    if eig_path:
-        _write_eigenvalues(eig_path, sweep)
-    return EXIT_OK
+    return code
 
 
 def _write_eigenvalues(path, sweep):
@@ -168,48 +167,9 @@ def _cmd_fourier(config, args):
              float(abs(v)))
             for r, (px, py), v in zip(radii, pts, vals)]
     header = ("p_abs", "px", "py", "nuhat_re", "nuhat_im", "nuhat_abs")
-    path = args.output or config.output.get("fourier_csv")
-    if path:
-        rep.write_csv(path, header, rows)
-    else:
-        for line in [",".join(header)] + [",".join(repr(c) if isinstance(c, float)
-                                                   else str(c) for c in row)
-                                          for row in rows]:
-            sys.stdout.write(line + "\n")
+    rep.write_csv(args.output or config.output.get("fourier_csv") or sys.stdout,
+                  header, rows)
     return EXIT_OK
-
-
-def _cmd_report(config, args):
-    t0 = time.perf_counter()
-    model, thr, nu = _build(config)
-    doc = _base_report(config)
-    timing = {}
-    certified = True
-    if config.certify is not None:
-        t = time.perf_counter()
-        result = _run_certify_section(config, model, thr, nu)
-        doc["threshold"] = rep.threshold_section(thr)
-        doc["certificate"] = rep.certificate_section(result)
-        certified = result.certified
-        timing["certify_seconds"] = time.perf_counter() - t
-    if config.oracle is not None:
-        t = time.perf_counter()
-        sweep = _run_oracle_section(config, model, thr, nu)
-        doc.setdefault("threshold", rep.threshold_section(thr))
-        doc["oracle"] = rep.sweep_section(sweep)
-        timing["oracle_seconds"] = time.perf_counter() - t
-        if config.output.get("eigenvalues_csv"):
-            _write_eigenvalues(config.output["eigenvalues_csv"], sweep)
-    if config.scan is not None:
-        profiles = _decay_profiles(nu, config.scan)
-        doc["decay_profiles"] = [rep.profile_section(p) for p in profiles]
-        if config.output.get("profile_csv"):
-            _write_profiles(config.output["profile_csv"], profiles)
-    if config.output.get("timing", False):
-        timing["total_seconds"] = time.perf_counter() - t0
-        doc["timing"] = timing
-    _write_report(doc, config, args.output)
-    return EXIT_OK if certified else EXIT_NOT_CERTIFIED
 
 
 _SECTIONS_NEEDED = {
@@ -221,11 +181,13 @@ _SECTIONS_NEEDED = {
 }
 
 _HANDLERS = {
-    "certify": _cmd_certify,
-    "oracle": _cmd_oracle,
+    "certify": lambda config, args: _cmd_pipeline(config, args, ("certify",)),
+    "oracle": lambda config, args: _cmd_pipeline(config, args, ("oracle",)),
     "scan-decay": _cmd_scan_decay,
     "fourier": _cmd_fourier,
-    "report": _cmd_report,
+    "report": lambda config, args: _cmd_pipeline(
+        config, args, [s for s in ("certify", "oracle", "scan")
+                       if getattr(config, s) is not None]),
 }
 
 

@@ -267,14 +267,11 @@ def _validate_output(section, sink):
     if not isinstance(section, dict):
         sink.add("output", "must be an object")
         return
-    allowed = ("report_json", "eigenvalues_csv", "profile_csv",
-               "fourier_csv", "timing")
+    allowed = ("report_json", "eigenvalues_csv", "profile_csv", "fourier_csv")
     _check_keys(section, "output", (), allowed, sink)
-    for key in allowed[:-1]:
+    for key in allowed:
         if key in section and not isinstance(section[key], str):
             sink.add("output", "%r must be a path string" % key)
-    if "timing" in section and not isinstance(section["timing"], bool):
-        sink.add("output", "'timing' must be a boolean")
 
 
 def parse_config(text) -> RunConfig:

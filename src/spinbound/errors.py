@@ -27,7 +27,7 @@ class SearchDomainError(SpinboundError):
 
 
 class ResolutionError(SpinboundError):
-    """An oscillatory quadrature would exceed its node budget."""
+    """A quadrature would exceed its node budget, or a table overflows."""
 
     def __init__(self, message, attempted_nodes=None):
         super().__init__(message)

@@ -175,6 +175,36 @@ def _series_values(a, rho):
     return total, trusted
 
 
+def _table(a, table_size):
+    """Log-spaced rho grid and the profile's values on it."""
+    # the transform flattens out below 1/sqrt(<r^2>), which for small a
+    # sits far below 1/<r> (heavy-tailed weight); anchor the grid there
+    r2_scale = float(np.exp(np.log(2.0) / a
+                            + 0.5 * (gammaln(4.0 / a) - gammaln(2.0 / a))))
+    rho_lo = 1e-4 / r2_scale
+    # the power-law tail regime starts around rho^(-a) << 1, which for
+    # small a is astronomically far out; carry the table far enough that
+    # the slowly-converging tail is resolved rather than extrapolated,
+    # but stop before the ~rho^-(2+a) values go subnormal
+    rho_hi = min(1e110, (0.5 * a * 1e280) ** (1.0 / (2.0 + a)))
+    if a == 2.0:
+        rho_hi = 37.0  # Gaussian tail below 1e-300 past here
+    grid = np.geomspace(rho_lo, rho_hi, table_size)
+    if a == 2.0:
+        vals = np.exp(-0.5 * grid * grid)
+    elif a == 1.0:
+        vals = 0.5 / (0.25 + grid * grid) ** 1.5
+    else:
+        vals, trusted = _series_values(a, grid)
+        for i in np.flatnonzero(~trusted):
+            vals[i] = _rotated_hankel_point(a, grid[i])
+    if np.any(vals <= 0.0) or not np.all(np.isfinite(vals)):
+        bad = int(np.argmin(vals))
+        raise ResolutionError(
+            "Hankel profile lost positivity at rho=%.3e (a=%.3f)" % (grid[bad], a))
+    return grid, vals
+
+
 class FhatProfile:
     """Tabulated radial transform of exp(-|x|^a/2), extrapolated past the table."""
 
@@ -182,40 +212,20 @@ class FhatProfile:
         if not (0.0 < a <= 2.0):
             raise ConfigError("bump exponent a must lie in (0, 2]")
         self.a = float(a)
-        self.value_at_zero = float(fhat_at_zero(self.a))
-        # the transform flattens out below 1/sqrt(<r^2>), which for small a
-        # sits far below 1/<r> (heavy-tailed weight); anchor the grid there
-        r2_scale = float(np.exp(np.log(2.0) / a
-                                + 0.5 * (gammaln(4.0 / a) - gammaln(2.0 / a))))
-        rho_lo = 1e-4 / r2_scale
-        # the power-law tail regime starts around rho^(-a) << 1, which for
-        # small a is astronomically far out; carry the table far enough that
-        # the slowly-converging tail is resolved rather than extrapolated,
-        # but stop before the ~rho^-(2+a) values go subnormal
-        rho_hi = min(1e110, (0.5 * a * 1e280) ** (1.0 / (2.0 + a)))
-        if self.a == 2.0:
-            rho_hi = 37.0  # Gaussian tail below 1e-300 past here
-        self.rho_lo, self.rho_hi = rho_lo, rho_hi
-        grid = np.geomspace(rho_lo, rho_hi, table_size)
-        if self.a == 2.0:
-            vals = np.exp(-0.5 * grid * grid)
-        elif self.a == 1.0:
-            vals = 0.5 / (0.25 + grid * grid) ** 1.5
-        else:
-            vals, trusted = _series_values(self.a, grid)
-            for i in np.flatnonzero(~trusted):
-                vals[i] = _rotated_hankel_point(self.a, grid[i])
-        if np.any(vals <= 0.0) or not np.all(np.isfinite(vals)):
-            bad = int(np.argmin(vals))
-            raise ArithmeticError(
-                "Hankel profile lost positivity at rho=%.3e (a=%.3f)" % (grid[bad], a))
+        try:
+            # below a ~ 0.017 the scales and the contour rule overflow in
+            # double precision; raised here, so no warning is emitted
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                grid, vals = _table(self.a, table_size)
+        except ArithmeticError as exc:
+            raise ResolutionError(
+                "bump profile at a=%g cannot be tabulated: %s" % (a, exc)) from exc
+        self.rho_lo, self.rho_hi = float(grid[0]), float(grid[-1])
         self._grid = grid
         self._vals = vals
         self._spline = CubicSpline(np.log(grid), np.log(vals))
         self._end_slope = float(self._spline(np.log(grid[-1]), 1))
         self.tail_coefficient = float(vals[-1] * grid[-1] ** (2.0 + self.a))
-        half = np.searchsorted(-vals, -0.5 * self.value_at_zero)
-        self.rho_half = float(grid[min(half, len(grid) - 1)])
 
     def __call__(self, rho):
         rho = np.asarray(rho, dtype=float)

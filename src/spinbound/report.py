@@ -1,81 +1,45 @@
 """Machine-readable reports: deterministic JSON and CSV emission.
 
-Floats are written with 17 significant digits (enough to round-trip IEEE
-doubles), keys are sorted, and no timestamps are embedded unless timing is
-explicitly requested, so identical inputs produce byte-identical files.
+Both formats write floats in Python's shortest round-trip form, JSON keys
+are sorted, and no timestamps are embedded, so identical inputs produce
+byte-identical files.  Wall-clock timing is the benchmark harness's job
+(``bench/run.py``).
 """
 
 from __future__ import annotations
 
-import io
+import json
 
 import numpy as np
 
 SCHEMA_TAG = "spinbound-report/1"
 
 
-def _format_float(value):
-    if value != value:
-        return "NaN"
-    if value in (float("inf"), float("-inf")):
-        return "Infinity" if value > 0 else "-Infinity"
-    return "%.17g" % value
-
-
-def _dump(value, out, indent):
-    pad = "  " * indent
-    if isinstance(value, dict):
-        if not value:
-            out.write("{}")
-            return
-        out.write("{\n")
-        items = sorted(value.items())
-        for i, (k, v) in enumerate(items):
-            out.write(pad + "  " + '"%s": ' % str(k))
-            _dump(v, out, indent + 1)
-            out.write(",\n" if i + 1 < len(items) else "\n")
-        out.write(pad + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.write("[]")
-            return
-        out.write("[\n")
-        for i, v in enumerate(value):
-            out.write(pad + "  ")
-            _dump(v, out, indent + 1)
-            out.write(",\n" if i + 1 < len(value) else "\n")
-        out.write(pad + "]")
-    elif isinstance(value, bool) or isinstance(value, np.bool_):
-        out.write("true" if value else "false")
-    elif value is None:
-        out.write("null")
-    elif isinstance(value, (int, np.integer)):
-        out.write(str(int(value)))
-    elif isinstance(value, (float, np.floating)):
-        out.write(_format_float(float(value)))
-    elif isinstance(value, (complex, np.complexfloating)):
-        _dump({"re": float(value.real), "im": float(value.imag)}, out, indent)
-    elif isinstance(value, np.ndarray):
-        _dump(value.tolist(), out, indent)
-    elif isinstance(value, str):
-        out.write('"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"')
-    else:
-        raise TypeError("cannot serialize %r" % type(value))
+def _plain(value):
+    """JSON form of the numpy and complex values the json module lacks."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    if isinstance(value, complex):
+        return {"re": value.real, "im": value.imag}
+    raise TypeError("cannot serialize %r" % type(value))
 
 
 def dump_json(document) -> str:
-    out = io.StringIO()
-    _dump(document, out, 0)
-    out.write("\n")
-    return out.getvalue()
+    return json.dumps(document, indent=2, sort_keys=True, default=_plain) + "\n"
 
 
-def write_csv(path, header, rows):
-    """Comma-separated table, LF endings, shortest round-trip float text."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(c)) if isinstance(c, (float, np.floating))
+def write_csv(target, header, rows):
+    """Comma-separated table, LF endings, shortest round-trip float text.
+
+    ``target`` is a path or an open text stream.
+    """
+    if not hasattr(target, "write"):
+        with open(target, "w", newline="") as fh:
+            write_csv(fh, header, rows)
+        return
+    target.write(",".join(header) + "\n")
+    for row in rows:
+        target.write(",".join(repr(float(c)) if isinstance(c, (float, np.floating))
                               else str(c) for c in row) + "\n")
 
 

@@ -1,7 +1,10 @@
+import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,6 +65,23 @@ def test_exit_config_errors(tmp_path):
     # syntactically valid config but missing the section the subcommand needs
     partial = {"model": {"type": "rashba", "alpha": 2.0}}
     assert main(["certify", "-c", _write(tmp_path, "p.json", partial)]) == 2
+
+
+def test_timing_key_is_unknown(tmp_path, capsys):
+    # wall-clock timing belongs to bench/run.py; the report has no timing key
+    doc = _certify_doc()
+    doc["output"] = {"timing": True}
+    assert main(["certify", "-c", _write(tmp_path, "c.json", doc)]) == 2
+    assert "unknown key 'timing'" in capsys.readouterr().err
+
+
+def test_certify_exit_untabulable_exponent(tmp_path, capsys):
+    # a valid a whose bump profile overflows is a numerical failure (3),
+    # not a completed run that did not certify (1)
+    doc = _certify_doc()
+    doc["certify"]["a_schedule"] = [0.0125]
+    assert main(["certify", "-c", _write(tmp_path, "c.json", doc)]) == 3
+    assert "numerical failure" in capsys.readouterr().err
 
 
 def test_module_entry_point_exit_code(tmp_path):
@@ -159,6 +179,62 @@ def test_oracle_edge_tol_reaches_every_cutoff(tmp_path):
     assert [r["edge_tol"] for r in results] == [0.5, 0.5]
 
 
+def test_oracle_json_and_csv_print_eigenvalues_alike(tmp_path):
+    # JSON and CSV share one float format, so each eigenvalue below kappa
+    # is the same text in both files
+    cfg = _write(tmp_path, "c.json", _oracle_doc())
+    out = tmp_path / "o.json"
+    eig = tmp_path / "eigs.csv"
+    assert main(["oracle", "-c", cfg, "-o", str(out),
+                 "--eigenvalues", str(eig)]) == 0
+    text = out.read_text()
+    oracle = json.loads(text)["oracle"]
+    rows = [line.split(",") for line in eig.read_text().splitlines()[1:]]
+    blocks = re.findall(r'"eigenvalues_below": \[\n(.*?)\n *\]', text, re.S)
+    assert len(blocks) == len(oracle["results"])
+    for cutoff, result, block in zip(oracle["cutoffs"], oracle["results"], blocks):
+        assert result["count_below"] > 0
+        json_text = [line.strip().rstrip(",") for line in block.splitlines()]
+        csv_text = [row[2] for row in rows if float(row[0]) == cutoff]
+        assert json_text == csv_text[:result["count_below"]]
+
+
+def _full_doc():
+    doc = _certify_doc()
+    doc["oracle"] = _oracle_doc()["oracle"]
+    doc["scan"] = {"r_max": 50.0, "angles": 2, "samples": 32}
+    return doc
+
+
+def test_report_matches_single_subcommands(tmp_path, capsys):
+    # report runs the certify, oracle and scan sections a config holds,
+    # and each section equals the one its own subcommand writes
+    cfg = _write(tmp_path, "c.json", _full_doc())
+    parsed = {}
+    for sub in ("report", "certify", "oracle", "scan-decay"):
+        assert main([sub, "-c", cfg]) == 0
+        parsed[sub] = json.loads(capsys.readouterr().out)
+    report = parsed["report"]
+    assert report["threshold"] == parsed["certify"]["threshold"]
+    assert report["threshold"] == parsed["oracle"]["threshold"]
+    assert report["certificate"] == parsed["certify"]["certificate"]
+    assert report["oracle"] == parsed["oracle"]["oracle"]
+    assert report["decay_profiles"] == parsed["scan-decay"]["decay_profiles"]
+    assert "certificate" not in parsed["oracle"]
+    assert "oracle" not in parsed["certify"]
+
+
+def test_report_exit_not_certified(tmp_path):
+    doc = _full_doc()
+    doc["measure"]["weight"] = 0.0
+    out = tmp_path / "r.json"
+    assert main(["report", "-c", _write(tmp_path, "c.json", doc),
+                 "-o", str(out)]) == 1
+    parsed = json.loads(out.read_text())
+    assert parsed["certificate"]["certified"] is False
+    assert {"oracle", "decay_profiles"} <= set(parsed)
+
+
 def test_report_builds_once_per_run(tmp_path, monkeypatch):
     calls = {"build_measure": 0, "threshold": 0}
 
@@ -217,23 +293,13 @@ def test_report_determinism(tmp_path):
     assert open(a, "rb").read() == open(b, "rb").read()
 
 
-def test_timing_opt_in(tmp_path):
-    doc = _certify_doc()
-    doc["output"] = {"timing": True}
-    cfg = _write(tmp_path, "c.json", doc)
-    out = str(tmp_path / "r.json")
-    assert main(["certify", "-c", cfg, "-o", out]) == 0
-    parsed = json.loads(open(out).read())
-    assert parsed["timing"]["certify_seconds"] > 0.0
-
-
 # ---------------------------------------------------------------------------
 # report serialization
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))
 def test_float_format_round_trips(x):
-    assert float(rep._format_float(x)) == x
+    assert json.loads(rep.dump_json({"x": x}))["x"] == x
 
 
 def test_dump_json_deterministic_and_sorted():
@@ -246,3 +312,21 @@ def test_dump_json_deterministic_and_sorted():
     parsed = json.loads(one)
     assert parsed["a"]["z"] == [0, 1, 2]
     assert parsed["a"]["y"] == {"im": 2.0, "re": 1.0}
+
+
+# ---------------------------------------------------------------------------
+# benchmark harness
+
+
+def test_benchmark_wrap_points_exist(monkeypatch):
+    # a traced benchmark round wraps each (module, attribute) of
+    # bench/child.py's _WRAPPED by getattr; every one must still exist
+    path = Path(__file__).resolve().parents[1] / "bench" / "child.py"
+    spec = importlib.util.spec_from_file_location("bench_child", path)
+    child = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec.loader.exec_module(child)
+    assert child._WRAPPED
+    for owner, attr, name, _ in child._WRAPPED:
+        assert callable(getattr(owner, attr, None)), name
+    assert callable(getattr(cli, child._ROOT_SPAN[0].split(".")[1], None))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import k0e
 
 from spinbound.certificate import grad_norm_sq, grad_norm_sq_quadrature
-from spinbound.errors import ConfigError
+from spinbound.errors import ConfigError, ResolutionError
 from spinbound.hankel import (FhatProfile, _rotated_hankel_point,
                               _series_values, fhat_at_zero, fhat_profile)
 from spinbound.quadrature import log_rule
@@ -90,12 +90,18 @@ def test_contour_rule_at_exponential():
     assert np.max(np.abs(got / want[sample] - 1.0)) < 1e-10
 
 
+def _rho_half(prof):
+    """First table radius where the profile falls to half of fhat(0)."""
+    half = np.searchsorted(-prof._vals, -0.5 * fhat_at_zero(prof.a))
+    return float(prof._grid[min(half, prof._grid.size - 1)])
+
+
 @pytest.mark.parametrize("a", [0.4, 0.2, 0.1, 0.05, 0.025])
 def test_profile_against_contour_oracle(a):
     prof = fhat_profile(a)
+    rho_half = _rho_half(prof)
     # sample across the flat head, the shoulder, and the far tail
-    for rho in (prof.rho_lo * 3.0, prof.rho_half, 10.0 * prof.rho_half,
-                1e4 * prof.rho_half):
+    for rho in (prof.rho_lo * 3.0, rho_half, 10.0 * rho_half, 1e4 * rho_half):
         want = _oracle_fhat(a, rho)
         assert prof(rho) == pytest.approx(want, rel=1e-8)
 
@@ -176,7 +182,7 @@ def test_mass_identity(a, tol):
     # int_0^inf fhat(rho) rho drho = f_a(0) = 1
     prof = fhat_profile(a)
     rho, w = log_rule(prof.rho_lo, prof.rho_hi * (1 - 1e-12), 4096, 8)
-    head = 0.5 * prof.value_at_zero * prof.rho_lo ** 2
+    head = 0.5 * fhat_at_zero(a) * prof.rho_lo ** 2
     if a == 2.0:
         tail = 0.0
     else:
@@ -211,6 +217,14 @@ def test_grad_norm_quadrature(a):
 @given(st.floats(0.05, 2.0))
 def test_grad_norm_quadrature_property(a):
     assert grad_norm_sq_quadrature(a) == pytest.approx(0.5 * np.pi * a, rel=1e-6)
+
+
+@pytest.mark.parametrize("a", [0.017, 0.0125, 0.005, 0.001])
+def test_untabulable_exponent_raises_typed_error(a):
+    # below a ~ 0.017 the build overflows in double precision; the failure
+    # must be a ResolutionError, with no RuntimeWarning (an error here) first
+    with pytest.raises(ResolutionError):
+        FhatProfile(a)
 
 
 def test_domain_validation():
