@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.special import j0, j1, jv
 
 from .errors import (CapacityError, ConfigError, NumericalInputError,
@@ -21,6 +20,7 @@ from .measure import fourier_matrix
 from .model import (CouplingSpec, PointCloud, ThresholdData, lower_band,
                     lower_band_vectors)
 from .quadrature import log_rule, merge_edges, panel_rule, uniform_rule
+from .spline import cubic_spline
 
 TOL_DEF = 1e-8
 MIN_POINT_SEP = 1e-6
@@ -394,11 +394,12 @@ class _ModeTable:
     """Spline of the angular coefficients c_m(rho) for one expansion center.
 
     c_m is smooth in log rho on either side of the ring rho = |p_j| where
-    the band vector direction passes through the origin; the table splits
-    there so the kink is never interpolated across.  ``lo`` and ``hi`` are
-    the table's edges and ``rj`` the kink radius (None when off the table).
-    The table ends one decade (32 points) past ``reach``, the largest rho
-    read, so the spline's end condition stays clear of it.
+    the band vector direction passes through the origin; the two sides are
+    fitted apart and joined at the ring, so the kink is never interpolated
+    across (a point on the ring takes the inner side).  ``lo`` and ``hi``
+    are the table's edges and ``rj`` the kink radius (None when off the
+    table).  The table ends one decade (32 points) past ``reach``, the
+    largest rho read, so the spline's end condition stays clear of it.
     """
 
     def __init__(self, model, pj, prof, m_arr, reach):
@@ -412,27 +413,16 @@ class _ModeTable:
             grid = merge_edges(grid, _kink_ring(rj, lo, hi))
         cm = _angular_modes(model, pj, grid, m_arr)
         self.lo, self.hi = grid[0], grid[-1]
-        self._shape = cm.shape[1:]
+        log_grid = np.log(grid)
         if self.rj is None:
-            self._split = self.hi
-            self._inner = self._outer = self._fit(grid, cm)
+            self._spline = cubic_spline(log_grid, cm)
         else:
             k = int(np.searchsorted(grid, rj))
-            self._split = rj
-            self._inner = self._fit(grid[:k + 1], cm[:k + 1])
-            self._outer = self._fit(grid[k:], cm[k:])
-
-    @staticmethod
-    def _fit(grid, cm):
-        return CubicSpline(np.log(grid), cm, axis=0)
+            self._spline = cubic_spline(log_grid[:k + 1], cm[:k + 1]).then(
+                cubic_spline(log_grid[k:], cm[k:]))
 
     def __call__(self, rho):
-        rho = np.clip(np.asarray(rho, dtype=float), self.lo, self.hi)
-        out = np.empty(rho.shape + self._shape, dtype=complex)
-        inner = rho <= self._split
-        for sel, spline in ((inner, self._inner), (~inner, self._outer)):
-            out[sel] = spline(np.log(rho[sel]))
-        return out
+        return self._spline(np.log(np.clip(np.asarray(rho, dtype=float), self.lo, self.hi)))
 
 
 def _node_modes(model, pj, prof, r_nodes, m_arr):
@@ -450,7 +440,7 @@ def _node_modes(model, pj, prof, r_nodes, m_arr):
     if many:
         table = np.array([_radial_modes(modes, prof, rr, m_arr)
                           for rr in grid])                    # (G, M)
-        spline = CubicSpline(np.log(grid), table, axis=0)
+        spline = cubic_spline(np.log(grid), table)
         R = spline(np.log(np.clip(radii, grid[0], grid[-1])))  # (D, M)
         if radii[0] == 0.0:
             R[0] = _radial_modes(modes, prof, 0.0, m_arr)

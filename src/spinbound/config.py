@@ -11,11 +11,11 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .errors import ConfigError
 from .measure import ClosedFormCircle, CurveDelta, Density, SampledCurve, Segment, Sum
 from .model import CouplingSpec
+from .spline import bilinear
 
 DEFAULT_A_SCHEDULE = (0.4, 0.2, 0.1, 0.05, 0.025)
 
@@ -349,13 +349,9 @@ def _build_density(section, box):
     values = np.asarray(section["values"], dtype=float)
     xs = np.linspace(box[0], box[1], values.shape[0])
     ys = np.linspace(box[2], box[3], values.shape[1])
-    interp = RegularGridInterpolator((xs, ys), values, bounds_error=False,
-                                     fill_value=0.0)
 
     def sampled(x, y):
-        pts = np.column_stack([np.broadcast_to(x, np.broadcast(x, y).shape).ravel(),
-                               np.broadcast_to(y, np.broadcast(x, y).shape).ravel()])
-        return interp(pts).reshape(np.broadcast(x, y).shape)
+        return bilinear(xs, ys, values, x, y)
 
     return Density(sampled, tuple(box))
 

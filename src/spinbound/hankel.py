@@ -26,10 +26,11 @@ exponent is tabulated from two sources:
   an exponentially damped (K0 or complex Hankel-1) kernel and the integrand
   becomes smooth enough for log-spaced panels.
 
-The table is interpolated log-log cubically.  Below the table the first
-value is held; above it the spline's end slope carries the log-log line on
-(it approximates the power-law tail fhat ~ C * rho^-(2+a), e.g.
--2.39999999999736 at a = 0.4), and the Gaussian (a = 2) is zero there.
+The table is interpolated log-log by a not-a-knot cubic spline
+(``spline.cubic_spline``).  Below the table the first value is held;
+above it the spline's end slope carries the log-log line on (it
+approximates the power-law tail fhat ~ C * rho^-(2+a), e.g.
+-2.400000000001056 at a = 0.4), and the Gaussian (a = 2) is zero there.
 """
 
 from __future__ import annotations
@@ -37,11 +38,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.special import gamma, gammaln, hankel1, k0
 
 from .errors import ConfigError, ResolutionError
 from .quadrature import merge_edges, panel_rule
+from .spline import cubic_spline
 
 _EXP_CUTOFF = 45.0  # e^-45 ~ 3e-20 of peak
 
@@ -223,7 +224,7 @@ class FhatProfile:
         self.rho_lo, self.rho_hi = float(grid[0]), float(grid[-1])
         self._grid = grid
         self._vals = vals
-        self._spline = CubicSpline(np.log(grid), np.log(vals))
+        self._spline = cubic_spline(np.log(grid), np.log(vals))
         self._end_slope = float(self._spline(np.log(grid[-1]), 1))
         self.tail_coefficient = float(vals[-1] * grid[-1] ** (2.0 + self.a))
 

@@ -12,11 +12,11 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import (DegenerateInputError, NumericalInputError,
                      QuadratureFailureError, ResolutionError)
 from .quadrature import uniform_rule
+from .spline import cubic_spline
 
 TWO_PI = 2.0 * np.pi
 NODE_CAP = 2_000_000
@@ -93,20 +93,21 @@ class SampledCurve(Curve):
             raise DegenerateInputError("sampled curve needs at least 4 (x, y) nodes")
         self.nodes = nodes
         self.closed = bool(closed)
-        if closed and not np.allclose(nodes[0], nodes[-1]):
-            nodes = np.vstack([nodes, nodes[0]])
+        if closed:
+            # a last node that nearly repeats the first is the seam: the
+            # periodic spline needs it equal to the first exactly
+            keep = nodes[:-1] if np.allclose(nodes[0], nodes[-1]) else nodes
+            nodes = np.vstack([keep, nodes[:1]])
         t = np.linspace(0.0, 1.0, len(nodes))
-        bc = "periodic" if closed else "natural"
-        self._sx = CubicSpline(t, nodes[:, 0], bc_type=bc)
-        self._sy = CubicSpline(t, nodes[:, 1], bc_type=bc)
+        self._spline = cubic_spline(t, nodes, "periodic" if closed else "natural")
 
     def point(self, t):
-        t = np.asarray(t, dtype=float)
-        return (self._sx(t), self._sy(t))
+        xy = self._spline(t)
+        return (xy[..., 0], xy[..., 1])
 
     def derivative(self, t):
-        t = np.asarray(t, dtype=float)
-        return (self._sx(t, 1), self._sy(t, 1))
+        xy = self._spline(t, 1)
+        return (xy[..., 0], xy[..., 1])
 
 
 # ---------------------------------------------------------------------------

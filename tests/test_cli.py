@@ -53,6 +53,18 @@ def test_certify_exit_not_certified(tmp_path):
     assert doc["certificate"]["certified"] is False
 
 
+def test_certify_closed_curve_with_near_repeated_end(tmp_path):
+    # a last node allclose to the first closes the sampled curve, and the
+    # run completes instead of failing in the periodic spline
+    doc = _certify_doc()
+    doc["measure"]["curve"] = {
+        "type": "sampled", "closed": True,
+        "nodes": [[1, 0], [0, 1], [-1, 0], [0, -1], [1.0000000001, 0]]}
+    out = tmp_path / "report.json"
+    assert main(["certify", "-c", _write(tmp_path, "c.json", doc), "-o", str(out)]) == 0
+    assert json.loads(out.read_text())["certificate"]["certified"] is True
+
+
 def test_exit_config_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

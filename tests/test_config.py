@@ -148,6 +148,18 @@ def test_build_measure_sampled_density_and_sum():
     nu = build_measure(section)
     assert isinstance(nu, Sum) and len(nu.parts) == 2
     assert np.isfinite(fourier_batch(nu, np.array([[0.5, 0.5]]))[0].real)
+    # the density is bilinear between the samples (spacing 0.1), exact on
+    # them, and 0 outside the box, whose edges belong to it
+    density = nu.parts[0].V
+    u, v = 0.25, 0.6
+    x, y = xs[30] + 0.1 * u, xs[7] + 0.1 * v
+    want = ((1 - u) * (1 - v) * grid[30, 7] + (1 - u) * v * grid[30, 8]
+            + u * (1 - v) * grid[31, 7] + u * v * grid[31, 8])
+    assert density(np.array([x]), np.array([y]))[0] == pytest.approx(want, rel=1e-14)
+    assert np.allclose(density(xs[[0, 40, 12]], xs[[0, 40, 40]]),
+                       grid[[0, 40, 12], [0, 40, 40]], rtol=1e-15, atol=0.0)
+    outside = density(np.array([-2.01, 2.01, 0.0, 0.0]), np.array([0.0, 0.0, -2.01, 2.01]))
+    assert np.all(outside == 0.0)
 
 
 def test_measure_validation_nested():

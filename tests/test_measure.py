@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 
 from conftest import bessel_j0_series
 from spinbound.errors import DegenerateInputError, ResolutionError
-from spinbound.measure import (ClosedFormCircle, CurveDelta, Density, Segment,
-                               Sum, decay_scan, fourier, fourier_batch,
-                               fourier_grid, fourier_matrix, total_mass)
+from spinbound.measure import (ClosedFormCircle, CurveDelta, Density,
+                               SampledCurve, Segment, Sum, decay_scan, fourier,
+                               fourier_batch, fourier_grid, fourier_matrix,
+                               total_mass)
 
 momenta = st.tuples(st.floats(-10, 10), st.floats(-10, 10))
 
@@ -103,6 +104,45 @@ def test_fourier_grid_matches_batch(circle_measure, gaussian_well):
 def test_resolution_cap(circle_measure):
     with pytest.raises(ResolutionError):
         fourier(circle_measure, (1e6, 0.0))
+
+
+# ---------------------------------------------------------------------------
+# sampled curves
+
+
+def _circle_nodes():
+    ang = np.linspace(0.0, 2.0 * np.pi, 17)   # the last node repeats the first
+    return np.column_stack([np.cos(ang), np.sin(ang)])
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
+def test_sampled_curve_passes_through_its_nodes(closed):
+    nodes = _circle_nodes()
+    # a closed curve gets its closing node appended
+    curve = SampledCurve(nodes[:-1] if closed else nodes, closed=closed)
+    x, y = curve.point(np.linspace(0.0, 1.0, 17))
+    assert np.max(np.abs(x - nodes[:, 0])) < 1e-14
+    assert np.max(np.abs(y - nodes[:, 1])) < 1e-14
+    x, y = curve.point(np.linspace(0.0, 1.0, 401))
+    assert np.max(np.abs(np.hypot(x, y) - 1.0)) < (1e-4 if closed else 1e-2)
+    assert curve.length() == pytest.approx(2.0 * np.pi, rel=1e-3)
+
+
+@pytest.mark.parametrize("gap", [0.0, 1e-10], ids=["exact", "near"])
+def test_closed_sampled_curve_is_smooth_across_the_seam(gap):
+    # a last node equal or allclose to the first closes the curve itself
+    nodes = _circle_nodes()
+    nodes[-1, 0] += gap
+    curve = SampledCurve(nodes, closed=True)
+    start = np.array(curve.derivative(0.0))
+    end = np.array(curve.derivative(np.nextafter(1.0, 0.0)))
+    assert np.max(np.abs(end - start)) < 1e-12 * np.max(np.abs(start))
+    # the curve closes on the first node, not on the perturbed last one
+    assert np.allclose(curve.point(np.nextafter(1.0, 0.0)), (1.0, 0.0), rtol=0.0, atol=1e-14)
+    # the open curve through the same nodes has a corner at its ends
+    open_curve = SampledCurve(nodes)
+    corner = np.array(open_curve.derivative(1.0)) - np.array(open_curve.derivative(0.0))
+    assert np.max(np.abs(corner)) > 1.0
 
 
 # ---------------------------------------------------------------------------
