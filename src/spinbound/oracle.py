@@ -33,11 +33,27 @@ is already even under the half turn) and the coupling exactly odd, and
 counts both defects in the same one-rounding-unit budget.  When that
 passes, ``spectrum`` builds and solves one block per pair and counts its
 eigenvalues twice; otherwise, and for n = 1, it solves every block.
+
+The mirror m (k_x, k_y) = (k_x, -k_y) keeps the lattice too, and
+m R = R^-1 m.  The antiunitary Theta = K P_m diag(1, chi), with K entrywise
+complex conjugation and chi the unit phase of conj A(k) = chi A(m k),
+commutes with the operator when table(m q) = conj table(q) and the
+coupling fits (chi = -1 for Rashba, +1 for Dresselhaus).  In position space
+K P_m is the mirror x -> -x; R^s m for s = 1, 2, 3 are the lattice's other
+mirrors (a diagonal, y -> -y, the other diagonal).  Theta maps every
+sector onto itself, so conj(h) = P h P^H on each block h for a phased
+permutation P of its rows, and h is unitarily equivalent to a real
+symmetric matrix of the same size, which LAPACK solves three to four
+times faster than a complex Hermitian one.  The gate averages over Theta
+as well, for the first mirror R^s m, s < 4/n, that fits the same budget;
+when one does, every block is solved real, whatever n, and otherwise
+complex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -147,6 +163,18 @@ def _turn(n_pairs, quarters):
     return np.stack([x, y], axis=-1)
 
 
+def _mirror(n_pairs, quarters):
+    """Integer lattice points mirrored, (x, y) -> (x, -y), then turned."""
+    return _turn(n_pairs * np.array([1, -1]), quarters)
+
+
+def _position(n_pairs, points):
+    """Indices of integer lattice points in ``n_pairs``, which ascend in key."""
+    width = 2 * int(np.max(np.abs(n_pairs))) + 1
+    return np.searchsorted(n_pairs[:, 0] * width + n_pairs[:, 1],
+                           points[..., 0] * width + points[..., 1])
+
+
 def _operator_data(model: CouplingSpec, nu, box: BoxSpec):
     """Integer mode indices, A on the modes, and the potential table.
 
@@ -167,20 +195,27 @@ def _operator_data(model: CouplingSpec, nu, box: BoxSpec):
 
 
 def _symmetry(model: CouplingSpec, n_pairs, a, table, step):
-    """(n, p, paired, table, a) for the largest group Z_n the operator keeps.
+    """(n, p, paired, mirror, table, a): the group the operator keeps.
 
     For n = 4 and 2, phi = i^(4p/n) is the n-th root of unity that best
     fits A(R k) = phi A(k), and the table and the coupling are averaged over
     the group: table_s(q) = mean_d table(R^d q) and a_s(k) = mean_d
     phi^-d A(R^d k).  They define an operator H_s that U commutes with
-    exactly.  The averages are returned when ||H - H_s||_F <= eps ||H||_F;
-    both norms are summed over mode differences q, each weighted by the
-    number of mode pairs at that difference.  Otherwise n = 1 and the
-    plain data.
+    exactly.  The largest n is taken whose average moves H by
+    ||H - H_s||_F <= eps ||H||_F; both norms are summed over mode
+    differences q, each weighted by the number of mode pairs at that
+    difference.  Otherwise n = 1 and the plain data.
 
     ``paired`` is True when the average over time reversal as well, a real
-    table and an odd coupling, fits the same budget; the table and the
-    coupling returned are then those.
+    table and an odd coupling, fits the same budget.  ``mirror`` is
+    (s, chi) when, in addition, the average over Theta = K P_m diag(1, chi)
+    does, for the lattice mirror m = R^s m_0 with m_0 (k_x, k_y) =
+    (k_x, -k_y) and chi the unit phase that best fits conj A(k) = chi A(m k):
+    table(q) <-> conj table(m q) and a(k) <-> conj(chi) conj a(m k).  The
+    mirrors R^s m_0 for s < 4/n are tried in turn, as the others are the
+    same up to a turn in Z_n; None when none fits.  Each average is
+    returned only when it is taken, and the returned table and coupling
+    are the last ones taken.
     """
     n_max = (len(table) - 1) // 4
     mask = np.zeros((2 * n_max + 1,) * 2)
@@ -196,45 +231,148 @@ def _symmetry(model: CouplingSpec, n_pairs, a, table, step):
     norm2 = 2.0 * (np.sum(pairs * np.abs(table) ** 2) - len(a) * abs(t0) ** 2
                    + np.sum(np.abs(p2 + t0) ** 2) + np.sum(np.abs(a) ** 2))
     budget2 = np.finfo(float).eps ** 2 * norm2
-    for n in (4, 2):
-        quarters = 4 // n
+
+    def defect2(table, a, table_s, a_s):
+        return 2.0 * (np.sum(pairs * np.abs(table - table_s) ** 2)
+                      + np.sum(np.abs(a - a_s) ** 2))
+
+    # the averages over Z_n, T and Theta commute, and each is an orthogonal
+    # projection in the Frobenius inner product, so their defects add in
+    # squares
+    n, p, used2 = 1, 0, 0.0
+    for n_try in (4, 2):
+        quarters = 4 // n_try
         roots = _QUARTER[::quarters]
         # the turned lattice is the lattice, so these values are finite too
         turned = [model.coupling(*(step * _turn(n_pairs, d * quarters)).T)
-                  for d in range(n)]
-        p = int(np.argmin([np.linalg.norm(turned[1] - w * a) for w in roots]))
-        a_s = np.mean([roots[-p * d % n] * t for d, t in enumerate(turned)], axis=0)
-        table_s = np.mean([np.rot90(table, -d * quarters) for d in range(n)], axis=0)
-        defect2 = 2.0 * (np.sum(pairs * np.abs(table - table_s) ** 2)
-                         + np.sum(np.abs(a - a_s) ** 2))
-        if defect2 > budget2:
-            continue
-        # T takes table(q) to conj table(-q) and A(k) to -A(-k); table_s is
-        # even under the half turn, so its T average is its real part, and
-        # the modes are listed so that -k is the reversed order.  The two
-        # averages commute, so their defects add in squares.  A coupling
-        # that vanishes fits every phi, and an even p leaves sectors that
-        # are their own partners, so only an odd p pairs
-        a_t = 0.5 * (a_s - a_s[::-1])
-        defect2 += 2.0 * (np.sum(pairs * table_s.imag ** 2)
-                          + np.sum(np.abs(a_s - a_t) ** 2))
-        if defect2 <= budget2 and p % 2:
-            return n, p, True, table_s.real, a_t
-        return n, p, False, table_s, a_s
-    return 1, 0, False, table, a
+                  for d in range(n_try)]
+        p_try = int(np.argmin([np.linalg.norm(turned[1] - w * a) for w in roots]))
+        a_s = np.mean([roots[-p_try * d % n_try] * t for d, t in enumerate(turned)],
+                      axis=0)
+        table_s = np.mean([np.rot90(table, -d * quarters) for d in range(n_try)], axis=0)
+        d2 = defect2(table, a, table_s, a_s)
+        if d2 <= budget2:
+            n, p, used2, table, a = n_try, p_try, d2, table_s, a_s
+            break
+    # T takes table(q) to conj table(-q) and A(k) to -A(-k); for n > 1 the
+    # averaged table is even under the half turn, so its T average is its
+    # real part, and the modes are listed so that -k is the reversed order.  A coupling that
+    # vanishes fits every phi, and an even p leaves sectors that are their
+    # own partners, so only an odd p pairs
+    paired = False
+    if p % 2:
+        table_t, a_t = table.real, 0.5 * (a - a[::-1])
+        d2 = defect2(table, a, table_t, a_t)
+        if used2 + d2 <= budget2:
+            paired, used2, table, a = True, used2 + d2, table_t, a_t
+    diffs = np.arange(-2 * n_max, 2 * n_max + 1)
+    grid = np.stack(np.meshgrid(diffs, diffs, indexing="ij"), axis=-1)
+    for s in range(4 // n):
+        image = a[_position(n_pairs, _mirror(n_pairs, s))]
+        fit = np.vdot(image, np.conj(a))
+        chi = fit / abs(fit) if fit else 1.0     # a vanishing coupling fits any chi
+        q = _mirror(grid, s) + 2 * n_max
+        table_m = 0.5 * (table + np.conj(table[q[..., 0], q[..., 1]]))
+        a_m = 0.5 * (a + np.conj(chi * image))
+        d2 = defect2(table, a, table_m, a_m)
+        if used2 + d2 <= budget2:
+            return n, p, paired, (s, chi), table_m, a_m
+    return n, p, paired, None, table, a
 
 
-def _blocks(n_pairs, step, n, p, table, a, sectors):
+class _RealBasis(NamedTuple):
+    """A real basis of one spin's rows of a block that Theta maps to itself.
+
+    P[r, partner[r]] = c_r is the phased permutation of conj(h) = P h P^H,
+    with partner an involution and c constant on its pairs.  Rephasing row
+    r by d_r, with d = 1 on the lower index i of a pair, conj(c_i) on its
+    partner and sqrt(conj c) at a fixed point, makes P a plain permutation.
+    Then the basis is u = (e_i + e_j)/sqrt(2) over the pairs' lower indices
+    and e_i over the fixed points, followed by w = i (e_i - e_j)/sqrt(2)
+    over the lower indices.
+    """
+
+    first: np.ndarray      # the pairs' lower indices, then the fixed points
+    partner: np.ndarray    # their partners
+    lower: int             # the number of pairs
+    phase: np.ndarray      # d on the first rows
+    partner_phase: np.ndarray   # d on the partners' rows
+
+
+def _real_basis(partner, phase):
+    index = np.arange(len(partner))
+    lower, fixed = index[partner > index], index[partner == index]
+    root = np.sqrt(np.conj(phase[fixed]))
+    first = np.concatenate([lower, fixed])
+    return _RealBasis(first, partner[first], len(lower),
+                      np.concatenate([np.ones(len(lower)), root]),
+                      np.concatenate([np.conj(phase[lower]), root]))
+
+
+def _real_form(h, rows: _RealBasis, cols: _RealBasis):
+    """h in the real bases ``rows`` and ``cols``, a real matrix.
+
+    Needs conj(h) = P_rows h P_cols^H.  With G and G' the rephased
+    h[rows.first, cols.first] and h[rows.first, cols.partner], that gives
+    the u rows against the u columns as Re(G + G'), w against u as
+    Im(G + G'), u against w as Im(G' - G) and w against w as Re(G - G'),
+    with 1/sqrt(2) on every fixed point's row and column.
+    """
+    g = h[np.ix_(rows.first, cols.first)] * np.outer(np.conj(rows.phase), cols.phase)
+    g_partner = (h[np.ix_(rows.first, cols.partner)]
+                 * np.outer(np.conj(rows.phase), cols.partner_phase))
+    m_r, m_c, k_r, k_c = len(rows.first), len(cols.first), rows.lower, cols.lower
+    out = np.empty((m_r + k_r, m_c + k_c))
+    out[:m_r, :m_c] = g.real + g_partner.real
+    out[m_r:, :m_c] = g.imag[:k_r] + g_partner.imag[:k_r]
+    out[:m_r, m_c:] = g_partner.imag[:, :k_c] - g.imag[:, :k_c]
+    out[m_r:, m_c:] = g.real[:k_r, :k_c] - g_partner.real[:k_r, :k_c]
+    out[k_r:m_r] *= np.sqrt(0.5)
+    out[:, k_c:m_c] *= np.sqrt(0.5)
+    return out
+
+
+def _sector_potentials(table, r, n):
+    """V_omega = sum_f omega^f G_f over the representatives r, every sector.
+
+    G_f[r, s] = table(r - R^f s) is gathered by flat index into the table,
+    whose axes run over -2 n_max..2 n_max, and the sectors' sums are one
+    product with the matrix of omega^f; the origin's row and column carry
+    1/sqrt(n).
+    """
+    quarters, m = 4 // n, len(r)
+    off, side = (len(table) - 1) // 2, len(table)
+    g = np.empty((n, m, m), dtype=table.dtype)
+    for f in range(n):
+        s = _turn(r, f * quarters)
+        np.take(table, (r[:, None, 0] - s[None, :, 0] + off) * side
+                + (r[:, None, 1] - s[None, :, 1] + off), out=g[f])
+    omega = _QUARTER[np.outer(np.arange(n), np.arange(n)) * quarters % 4]
+    pots = (omega @ g.reshape(n, -1)).reshape(n, m, m)
+    pots[:, -1, :] /= np.sqrt(n)
+    pots[:, :, -1] /= np.sqrt(n)
+    return pots
+
+
+def _blocks(n_pairs, step, n, p, table, a, sectors, mirror=None):
     """U's eigenspace blocks of the operator for the listed sectors j.
 
     With omega = i^(4j/n), the eigenvalue of U, sector j's basis is
     sum_d omega^d |R^d r, up> and sum_d (omega/phi)^d |R^d r, down>, over
     d < n and divided by sqrt(n), for the orbit representatives r, spin up
-    first.  Its potential block is V_omega = sum_f omega^f G_f with
-    G_f[r, s] = table(r - R^f s).  The origin is its own orbit: its row and
-    column carry 1/sqrt(n), its spin-up state lives in sector 0 and its
-    spin-down state in the sector with omega = phi.  For n = 1 this is the
-    whole operator, in the order of the modes.
+    first.  Its potential block is ``_sector_potentials``' V_omega.  The
+    origin is its own orbit: its row and column carry 1/sqrt(n), its
+    spin-up state lives in sector 0 and its spin-down state in the sector
+    with omega = phi.  For n = 1 this is the whole operator, in the order
+    of the modes.
+
+    With ``mirror`` = (s, chi) from ``_symmetry``, Theta maps every sector
+    onto itself: m R^f = R^-f m turns conj(h) into P h P^H, where P takes
+    r to the representative r' of m r = R^e r', with phase omega^e on
+    spin-up rows and conj(chi) (omega/phi)^e on spin-down rows.  Each block
+    is then returned real, in the ``_RealBasis`` of each spin's rows, built
+    quadrant by quadrant from the potential blocks and the coupling, so the
+    complex block is never formed.  Without it the blocks are complex.
     """
     quarters = 4 // n
     orbit = np.stack([_turn(n_pairs, d * quarters) for d in range(n)])
@@ -246,15 +384,13 @@ def _blocks(n_pairs, step, n, p, table, a, sectors):
     # a sector without one of its spin states keeps the leading rows
     r = n_pairs[rep]
     m = len(r)
-    off = (len(table) - 1) // 2
-    pots = np.zeros((n, m, m), dtype=complex)
-    for f in range(n):
-        s = _turn(r, f * quarters)
-        g = table[r[:, None, 0] - s[None, :, 0] + off, r[:, None, 1] - s[None, :, 1] + off]
-        for j in range(n):
-            pots[j] += _QUARTER[j * f * quarters % 4] * g
-    pots[:, -1, :] /= np.sqrt(n)
-    pots[:, :, -1] /= np.sqrt(n)
+    if mirror is not None:
+        # the representative of m r is the turn R^-e (m r) of least key;
+        # m fixes the origin, so the leading rows map among themselves
+        image = np.stack([_turn(_mirror(r, mirror[0]), -d * quarters) for d in range(n)])
+        e = np.argmin(image[..., 0] * width + image[..., 1], axis=0)
+        partner = _position(r, image[e, np.arange(m)])
+    pots = _sector_potentials(table, r, n)
     k = step * r
     p2 = k[:, 0] * k[:, 0] + k[:, 1] * k[:, 1]
     ar = a[rep]
@@ -262,15 +398,27 @@ def _blocks(n_pairs, step, n, p, table, a, sectors):
     for j in sectors:
         down = (j - p) % n
         mu, md = m - (j != 0), m - (down != 0)
-        up_diag, down_diag = np.arange(mu), mu + np.arange(md)
-        h = np.zeros((mu + md, mu + md), dtype=complex)
-        h[:mu, :mu] = pots[j][:mu, :mu]
-        h[mu:, mu:] = pots[down][:md, :md]
-        h[up_diag, up_diag] += p2[:mu]
-        h[down_diag, down_diag] += p2[:md]
-        both = min(mu, md)
-        h[up_diag[:both], down_diag[:both]] = ar[:both]
-        h[down_diag[:both], up_diag[:both]] = np.conj(ar[:both])
+        both = np.arange(min(mu, md))
+        if mirror is None:
+            h = np.zeros((mu + md, mu + md), dtype=complex)
+            h[:mu, :mu] = pots[j][:mu, :mu]
+            h[mu:, mu:] = pots[down][:md, :md]
+            h[np.diag_indices(mu + md)] += np.concatenate([p2[:mu], p2[:md]])
+            h[both, mu + both] = ar[both]
+            h[mu + both, both] = np.conj(ar[both])
+        else:
+            # P keeps the spins apart, so each quadrant has its real form;
+            # P fixes |k|, so the kinetic diagonal stays diagonal
+            up = _real_basis(partner[:mu], _QUARTER[j * e[:mu] * quarters % 4])
+            dn = _real_basis(partner[:md], np.conj(mirror[1])
+                             * _QUARTER[down * e[:md] * quarters % 4])
+            coupling = np.zeros((mu, md), dtype=complex)
+            coupling[both, both] = ar[both]
+            cross = _real_form(coupling, up, dn)
+            h = np.block([[_real_form(pots[j], up, up), cross],
+                          [cross.T, _real_form(pots[down], dn, dn)]])
+            h[np.diag_indices(len(h))] += p2[np.concatenate(
+                [up.first, up.first[:up.lower], dn.first, dn.first[:dn.lower]])]
         blocks.append(h)
     return blocks
 
@@ -285,9 +433,9 @@ def _sector_blocks(model: CouplingSpec, nu, box: BoxSpec):
     """
     n_pairs, a, table = _operator_data(model, nu, box)
     step = np.pi / box.L
-    n, p, paired, table, a = _symmetry(model, n_pairs, a, table, step)
+    n, p, paired, mirror, table, a = _symmetry(model, n_pairs, a, table, step)
     sectors = [j for j in range(n) if not paired or j < (p - j) % n]
-    return 1 + paired, _blocks(n_pairs, step, n, p, table, a, sectors)
+    return 1 + paired, _blocks(n_pairs, step, n, p, table, a, sectors, mirror)
 
 
 def assemble(model: CouplingSpec, nu: RadonMeasureSpec | None, box: BoxSpec):
@@ -357,11 +505,14 @@ def spectrum(model: CouplingSpec, thr: ThresholdData, nu, box: BoxSpec):
     partners.  When the gate pairs the sectors, each block solved stands
     for itself and its partner, so every eigenvalue it has is counted
     twice and the two halves of a Kramers pair are equal; otherwise every
-    sector is solved and the halves come from different blocks.
+    sector is solved and the halves come from different blocks.  When the
+    gate keeps Theta, every block is a real symmetric matrix with the
+    sector's spectrum; otherwise it is the complex Hermitian block.
     """
     copies, blocks = _sector_blocks(model, nu, box)
     # block.T is Fortran-ordered, so LAPACK works on it in place; it is
-    # conj(block), which has the same real eigenvalues
+    # conj(block), or for a real block its transpose, with the same
+    # eigenvalues
     eigs = np.sort(np.concatenate([np.repeat(_eigvalsh(b.T, overwrite_a=True), copies)
                                    for b in blocks]))
     return _counted(eigs, thr, box)

@@ -21,13 +21,16 @@ def _circle(center, radius=1.0, weight=-1.0):
     return CurveDelta(ClosedFormCircle(center, radius), weight=weight)
 
 
+REAL, COMPLEX = "float64", "complex128"
+
+
 def _solve_sizes(monkeypatch):
-    """Record the size of every matrix the oracle hands to eigvalsh."""
+    """Record the size and dtype of every matrix the oracle hands to eigvalsh."""
     sizes = []
     original = scipy.linalg.eigvalsh
 
     def spy(a, *args, **kwargs):
-        sizes.append(np.shape(a)[0])
+        sizes.append((np.shape(a)[0], np.asarray(a).dtype.name))
         return original(a, *args, **kwargs)
     monkeypatch.setattr(oracle.scipy.linalg, "eigvalsh", spy)
     return sizes
@@ -113,14 +116,22 @@ def test_variational_monotonicity(rashba2, thr2, circle_measure):
 
 
 def test_kramers_pairing_gaussian(thr2, gaussian_well):
-    # time-reversal symmetry forces two-fold degeneracy below the edge
+    # time-reversal symmetry forces two-fold degeneracy below the edge.
+    # spectrum() takes both halves of a pair from one block, so the gaps
+    # come from the dense matrix, where the halves are solved apart
     model = CouplingSpec.rashba(2.0)
     thr = threshold(model)
-    res = spectrum(model, thr, gaussian_well, BoxSpec(L=10.0, K=4.0))
+    box = BoxSpec(L=10.0, K=4.0)
+    ref = scipy.linalg.eigvalsh(assemble(model, gaussian_well, box))
+    res = spectrum(model, thr, gaussian_well, box)
+    assert np.max(np.abs(res.eigenvalues - ref)) < 1e-10
+    below = ref[ref < thr.kappa - box.resolved_edge_tol(thr.kappa)]
+    assert len(below) == res.count_below
     assert res.count_below >= 2
     assert res.count_below % 2 == 0
-    assert len(res.pairing) == res.count_below // 2
-    for _, _, gap in res.pairing:
+    pairs = oracle._greedy_pairs(below)
+    assert len(pairs) == res.count_below // 2
+    for _, _, gap in pairs:
         assert gap < 1e-9
 
 
@@ -185,53 +196,80 @@ def test_eigen_count_below_edge_band(rashba2, thr2):
 # rotation sectors
 
 
-# (model, measure, box, sizes of the blocks spectrum() solves).  The box
-# lattices have M = 1 + 4 * 81 = 325 and M = 1 + 4 * 73 = 293 modes; with
-# four sectors the origin's spin-up state joins sector 0 and its spin-down
-# state the sector of phi (R turns counterclockwise, so Rashba has
-# phi = -i and Dresselhaus phi = i).  Time reversal pairs sector j with
-# sector p - j, and only the lower sector of each pair is solved: 0 and 1
-# of Rashba's 163/162/162/163, 0 and 2 of Dresselhaus's 147/147/146/146
+# (model, measure, box, sizes of the blocks spectrum() solves, their dtype).
+# The box lattices have M = 1 + 4 * 81 = 325 and M = 1 + 4 * 73 = 293
+# modes; with four sectors the origin's spin-up state joins sector 0 and
+# its spin-down state the sector of phi (R turns counterclockwise, so
+# Rashba has phi = -i and Dresselhaus phi = i).  Time reversal pairs sector
+# j with sector p - j, and only the lower sector of each pair is solved: 0
+# and 1 of Rashba's 163/162/162/163, 0 and 2 of Dresselhaus's
+# 147/147/146/146.  A block is real when Theta = K P_m diag(1, chi), for
+# one of the lattice's mirrors m, commutes as well: K P_m is the mirror
+# x -> -x in position space for m (k_x, k_y) = (k_x, -k_y), y -> -y for
+# (-k_x, k_y), and the diagonals' mirrors for the other two
 _SPLIT_CASES = {
-    # C4-symmetric measures: U = P_R (x) diag(1, phi) commutes
+    # C4-symmetric measures: U = P_R (x) diag(1, phi) commutes, and Theta
+    # with chi = -1 for Rashba, +1 for Dresselhaus
     "rashba-circle": (CouplingSpec.rashba(2.0), _circle((0.0, 0.0)),
-                      BoxSpec(L=8.0, K=4.0), [163, 162]),
+                      BoxSpec(L=8.0, K=4.0), [163, 162], REAL),
     "dresselhaus-well": (CouplingSpec.dresselhaus(3.0), _well((0.0, 0.0)),
-                         BoxSpec(L=10.0, K=3.0), [147, 146]),
+                         BoxSpec(L=10.0, K=3.0), [147, 146], REAL),
+    # a turned gauge, A -> e^(0.4 i) A, fits chi = -e^(-0.8 i), not real
+    "turned-gauge-rashba": (CouplingSpec.custom(
+        lambda px, py: np.exp(0.4j) * 2.0 * (py + 1j * px), a_growth=0.5, r_growth=4.0),
+        _circle((0.0, 0.0)), BoxSpec(L=8.0, K=4.0), [163, 162], REAL),
     # a centred segment keeps only the half turn, with phi = -1: two
     # sectors of 325, one Kramers pair
     "rashba-segment": (CouplingSpec.rashba(2.0),
                        CurveDelta(Segment((-1.0, 0.0), (1.0, 0.0)), weight=-1.0),
-                       BoxSpec(L=8.0, K=4.0), [325]),
-    # any other input is one block
+                       BoxSpec(L=8.0, K=4.0), [325], REAL),
+    # without the half turn the operator is one block of 2M, real when a
+    # mirror keeps the measure: off the centre along the x-axis
+    "x-axis-circle": (CouplingSpec.rashba(2.0), _circle((0.7, 0.0)),
+                      BoxSpec(L=8.0, K=4.0), [650], REAL),
+    "sum-x-axis-part": (CouplingSpec.rashba(2.0),
+                        Sum([_circle((0.0, 0.0)),
+                             _circle((0.7, 0.0), radius=0.5, weight=-0.5),
+                             CurveDelta(Segment((-1.0, 0.0), (1.0, 0.0)), weight=-0.5)]),
+                        BoxSpec(L=8.0, K=4.0), [650], REAL),
+    "diagonal-circle": (CouplingSpec.dresselhaus(3.0), _circle((0.5, 0.5)),
+                        BoxSpec(L=8.0, K=4.0), [650], REAL),
+    # and complex when none does
     "off-centre-circle": (CouplingSpec.rashba(2.0), _circle((0.7, 0.3)),
-                          BoxSpec(L=8.0, K=4.0), [650]),
+                          BoxSpec(L=8.0, K=4.0), [650], COMPLEX),
     "sum-off-centre-part": (CouplingSpec.rashba(2.0),
                             Sum([_circle((0.0, 0.0)),
                                  _circle((0.7, 0.3), radius=0.5, weight=-0.5)]),
-                            BoxSpec(L=8.0, K=4.0), [650]),
+                            BoxSpec(L=8.0, K=4.0), [650], COMPLEX),
+    # A = 2 (p_y + i p_x) + 0.3 breaks the turns, but conj A(k) = A(-k_x, k_y)
+    # keeps the mirror y -> -y with chi = 1.  A constant c keeps x -> -x when
+    # it is imaginary and a diagonal's mirror when it is a real multiple of
+    # 1 + i or 1 - i; 0.3 + 0.1 i keeps none
     "non-odd-coupling": (CouplingSpec.custom(lambda px, py: 2.0 * (py + 1j * px) + 0.3,
                                              a_growth=0.5, r_growth=4.0),
-                         _circle((0.0, 0.0)), BoxSpec(L=8.0, K=4.0), [650]),
+                         _circle((0.0, 0.0)), BoxSpec(L=8.0, K=4.0), [650], REAL),
+    "no-mirror-coupling": (CouplingSpec.custom(
+        lambda px, py: 2.0 * (py + 1j * px) + 0.3 + 0.1j, a_growth=0.5, r_growth=4.0),
+        _circle((0.0, 0.0)), BoxSpec(L=8.0, K=4.0), [650], COMPLEX),
     # a vanishing coupling fits phi = 1, whose sectors 0 and 2 are their own
     # time-reversal partners: all four are solved, the origin's two spin
-    # states both in sector 0
+    # states both in sector 0.  It fits chi = 1 too, without dividing 0 by 0
     "zero-coupling": (CouplingSpec.rashba(0.0), _circle((0.0, 0.0)),
-                      BoxSpec(L=8.0, K=4.0), [164, 162, 162, 162]),
+                      BoxSpec(L=8.0, K=4.0), [164, 162, 162, 162], REAL),
 }
 # the cases solved one block per Kramers pair
-_PAIRED = ("dresselhaus-well", "rashba-circle", "rashba-segment")
+_PAIRED = ("dresselhaus-well", "rashba-circle", "rashba-segment", "turned-gauge-rashba")
 
 
 @pytest.mark.parametrize("case", sorted(_SPLIT_CASES))
 def test_parity_split_matches_full_eigensolve(case, monkeypatch):
     # the rotation sectors generalise the k -> -k parity split (the half turn)
-    model, nu, box, sizes = _SPLIT_CASES[case]
+    model, nu, box, sizes, dtype = _SPLIT_CASES[case]
     thr = threshold(model)
     ref = scipy.linalg.eigvalsh(assemble(model, nu, box))
     solved = _solve_sizes(monkeypatch)
     res = spectrum(model, thr, nu, box)
-    assert solved == sizes
+    assert solved == [(size, dtype) for size in sizes]
     assert res.mode_count == len(ref) // 2
 
     assert np.max(np.abs(res.eigenvalues - ref)) < 1e-10
@@ -255,14 +293,14 @@ def test_kramers_partners_across_sectors(case):
     # block, so each block's spectrum (its bound states below kappa too)
     # must equal its partner's: a cross-check of how the blocks are built,
     # and of solving one block per pair
-    model, nu, box, _ = _SPLIT_CASES[case]
+    model, nu, box, _, _ = _SPLIT_CASES[case]
     kappa = threshold(model).kappa
     n_pairs, a, table = oracle._operator_data(model, nu, box)
     step = np.pi / box.L
-    n, p, paired, table, a = oracle._symmetry(model, n_pairs, a, table, step)
+    n, p, paired, mirror, table, a = oracle._symmetry(model, n_pairs, a, table, step)
     # the pairing rests on a real table (and an odd coupling)
     assert paired and np.isrealobj(table)
-    blocks = oracle._blocks(n_pairs, step, n, p, table, a, range(n))
+    blocks = oracle._blocks(n_pairs, step, n, p, table, a, range(n), mirror)
     eigs = [scipy.linalg.eigvalsh(b) for b in blocks]
     assert sum(int(np.sum(e < kappa)) for e in eigs) >= 2
     for j in range(n):
@@ -272,8 +310,8 @@ def test_kramers_partners_across_sectors(case):
         assert np.max(np.abs(eigs[j] - eigs[partner])) < 1e-10
 
 
-@pytest.mark.parametrize("weight, sizes", [(1e-15, [163, 162]),
-                                           (1e-13, [650])])
+@pytest.mark.parametrize("weight, sizes", [(1e-15, [(163, REAL), (162, REAL)]),
+                                           (1e-13, [(650, COMPLEX)])])
 def test_sector_gate_at_one_rounding_unit(weight, sizes, monkeypatch):
     # an off-centre circle of weight 1e-13 breaks C4 (and C2) by about four
     # rounding units of ||H||_F, one of weight 1e-15 by a twentieth of one
@@ -288,19 +326,49 @@ def test_sector_gate_at_one_rounding_unit(weight, sizes, monkeypatch):
     assert np.max(np.abs(res.eigenvalues - ref)) < 1e-10
 
 
-@pytest.mark.parametrize("imag, sizes", [(7e-16, [163, 162]),
-                                         (6e-14, [163, 162, 162, 163])])
+@pytest.mark.parametrize("imag, sizes", [(7e-16, [(163, REAL), (162, REAL)]),
+                                         (6e-14, [(163, COMPLEX), (162, COMPLEX),
+                                                  (162, COMPLEX), (163, COMPLEX)])])
 def test_time_reversal_gate_at_one_rounding_unit(imag, sizes, monkeypatch):
     # an imaginary part imag * nuhat keeps the centred circle's table
     # invariant under the quarter turn but breaks time reversal: by about
     # four rounding units of ||H||_F at 6e-14, a twentieth of one at 7e-16.
-    # Past the budget all four sectors are solved, as without the pairing
+    # Past the budget all four sectors are solved, as without the pairing;
+    # the mirror, which takes table(q) to conj table(m q), breaks with it
     model = CouplingSpec.rashba(2.0)
     nu = _circle((0.0, 0.0))
     box = BoxSpec(L=8.0, K=4.0)
     grid = oracle.fourier_grid
     monkeypatch.setattr(oracle, "fourier_grid",
                         lambda *args: grid(*args) * (1.0 + 1j * imag))
+    ref = scipy.linalg.eigvalsh(assemble(model, nu, box))
+    solved = _solve_sizes(monkeypatch)
+    res = spectrum(model, threshold(model), nu, box)
+    assert solved == sizes
+    assert np.max(np.abs(res.eigenvalues - ref)) < 1e-10
+
+
+def _chiral(px, py):
+    """sin(4 theta) of the momentum grid px x py: C4-even, odd under every mirror."""
+    x, y = np.asarray(px)[:, None], np.asarray(py)[None, :]
+    r2 = x * x + y * y
+    return 4.0 * x * y * (x * x - y * y) / np.where(r2 > 0.0, r2 * r2, 1.0)
+
+
+@pytest.mark.parametrize("chiral, sizes", [(1e-15, [(163, REAL), (162, REAL)]),
+                                           (9e-14, [(163, COMPLEX), (162, COMPLEX)])])
+def test_mirror_gate_at_one_rounding_unit(chiral, sizes, monkeypatch):
+    # a real factor 1 + chiral * sin(4 theta) keeps the centred circle's
+    # table invariant under the quarter turn and time reversal but breaks
+    # the mirror: by about four rounding units of ||H||_F at 9e-14, a
+    # twentieth of one at 1e-15.  Past the budget the Kramers pairs are
+    # still solved one block each, as complex matrices
+    model = CouplingSpec.rashba(2.0)
+    nu = _circle((0.0, 0.0))
+    box = BoxSpec(L=8.0, K=4.0)
+    grid = oracle.fourier_grid
+    monkeypatch.setattr(oracle, "fourier_grid",
+                        lambda nu, px, py: grid(nu, px, py) * (1.0 + chiral * _chiral(px, py)))
     ref = scipy.linalg.eigvalsh(assemble(model, nu, box))
     solved = _solve_sizes(monkeypatch)
     res = spectrum(model, threshold(model), nu, box)
@@ -320,7 +388,7 @@ def test_eigen_count_below_solves_the_matrix_as_given(rashba2, thr2, circle_meas
         res = eigen_count_below(rashba2, thr2, h, BoxSpec(L=6.0, K=3.0))
         assert np.max(np.abs(res.eigenvalues - ref)) < 1e-10
         assert res.mode_count == h.shape[0] // 2
-    assert solved == [h.shape[0] for h in matrices]
+    assert solved == [(h.shape[0], COMPLEX) for h in matrices]
 
 
 def test_kramers_pairing_off_centre_well(monkeypatch):
@@ -331,7 +399,7 @@ def test_kramers_pairing_off_centre_well(monkeypatch):
     box = BoxSpec(L=5.0, K=4.0)
     sizes = _solve_sizes(monkeypatch)
     res = spectrum(model, thr, _well((1.0, 0.5), half_side=2.5), box)
-    assert sizes == [2 * res.mode_count]
+    assert sizes == [(2 * res.mode_count, COMPLEX)]
     assert res.count_below >= 2
     assert res.count_below % 2 == 0
     assert len(res.pairing) == res.count_below // 2
