@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import j0, j1, jv
+from scipy.fft import fht, next_fast_len
 
 from .errors import (CapacityError, ConfigError, NumericalInputError,
                      ResolutionError)
@@ -378,9 +378,7 @@ def potential_matrix_exact(model: CouplingSpec, nu, basis: TrialBasis):
 
 _N_ANGLES = 256
 _M_MAX = 40
-_OSC_BUDGET = 1.0e4       # oscillation periods resolved: P(r) * r ~ budget
-_MAX_DISTINCT_RADII = 48
-_CHUNK = 4096            # quadrature nodes per block of the radial sum
+_LN_STEP = 1.0 / 200.0    # ln rho spacing of the FFTLog samples
 
 
 def _kink_ring(rj, lo, hi):
@@ -428,24 +426,17 @@ class _ModeTable:
 def _node_modes(model, pj, prof, r_nodes, m_arr):
     """R_m(r) of the expansion center pj at every node radius, shape (T, M)."""
     radii, where = np.unique(np.round(r_nodes, 12), return_inverse=True)
-    many = len(radii) > _MAX_DISTINCT_RADII
-    grid = radii[radii > 0.0]
-    if many:
-        grid = np.geomspace(max(grid.min(), 1e-4 * grid.max()), grid.max(),
-                            _MAX_DISTINCT_RADII)
-    # _radial_modes reads c_m up to p_cut = max(2e3, _OSC_BUDGET / r), and
-    # at r = 0 up to the profile's end
-    reach = prof.rho_hi if radii[0] == 0.0 else max(2.0e3, _OSC_BUDGET / grid[0])
-    modes = _ModeTable(model, pj, prof, m_arr, reach)
-    if many:
-        table = np.array([_radial_modes(modes, prof, rr, m_arr)
-                          for rr in grid])                    # (G, M)
-        spline = cubic_spline(np.log(grid), table)
-        R = spline(np.log(np.clip(radii, grid[0], grid[-1])))  # (D, M)
-        if radii[0] == 0.0:
-            R[0] = _radial_modes(modes, prof, 0.0, m_arr)
-    else:
-        R = np.array([_radial_modes(modes, prof, rr, m_arr) for rr in radii])
+    pos = radii[radii > 0.0]
+    # every positive radius takes the FFTLog rule, whose samples reach
+    # 1e4 / r past the least one; r = 0 reads c_0 up to the profile's end
+    rho_hi = max(1.0e5, 1.0e4 / pos[0]) if len(pos) else 0.0
+    modes = _ModeTable(model, pj, prof, m_arr,
+                       prof.rho_hi if radii[0] == 0.0 else rho_hi)
+    R = np.zeros((len(radii), len(m_arr)), dtype=complex)
+    if len(pos):
+        R[radii > 0.0] = _hankel_fftlog(modes, prof, pos, m_arr, rho_hi)
+    if radii[0] == 0.0:
+        R[0] = _origin_mode(modes, prof, m_arr)
     return R[where]
 
 
@@ -465,84 +456,56 @@ def _angular_modes(model, pj, rho, m_arr):
     return sel * np.exp(-1j * m_arr[None, :] * (np.pi / _N_ANGLES))
 
 
-def _radial_modes(modes, prof, rr, m_arr):
-    """R_m(rr) for all m at one radius rr >= 0 (one rule for all rr and a).
+def _hankel_fftlog(modes, prof, radii, m_arr, rho_hi):
+    """R_m at the sorted positive radii, by one FFTLog transform per order |m|.
 
-    Log panels up to rho_lin, panels of width <= pi / (2 rr) up to p_cut, then
-    the tail: by parts for rr > 0; at rr = 0 only m = 0 (J_m(0) = delta_m0)
-    keeps one, g(p) p / a for g ~ rho^-(1+a).  The nodes are summed in blocks
-    of _CHUNK, so no (nodes x modes) array is formed.
+    g_m = c_m fhat rho is sampled uniformly in ln rho from
+    min(table edge, 1e-4 / r_max) to rho_hi >= 1e4 / r_min and transformed
+    by ``scipy.fft.fht`` (Talman 1978; Hamilton 2000), whose output grid
+    is k = 1 / rho reversed, at least four decades wider than the radii on
+    each side, and holds k R_m(k), with J_-m = (-1)^m J_m.  The lowest
+    decade of samples is tapered to zero, so the transform's periodic
+    wrap in ln rho meets no jump; there rho r < 1e-3, so it holds no
+    weight.  A cubic spline in ln k over the output rows that bracket the
+    radii carries R_m to them.
     """
-    rho_lo = modes.lo
-    if rr > 0.0:
-        p_cut = min(max(2.0e3, _OSC_BUDGET / rr), modes.hi)
-        rho_lin = min(max(4.0 / rr, rho_lo * 10.0), p_cut)
-    else:
-        p_cut = rho_lin = modes.hi
-    panels = 2 * int(np.ceil((p_cut - rho_lin) * rr / np.pi))
-    if panels * 6 > 500_000:
-        raise ResolutionError(
-            "band-correction quadrature exceeds the node budget",
-            attempted_nodes=panels * 6)
-    edge_sets = [np.geomspace(rho_lo, rho_lin, 4 * int(np.ceil(
-        np.log10(rho_lin / rho_lo))) + 1),
-        np.linspace(rho_lin, p_cut, panels + 1)]
-    if modes.rj is not None:
-        # the angular coefficients c_m have a radial kink on the ring
-        # rho = |p_j| (band vector singular at the origin); cluster edges
-        edge_sets.append(_kink_ring(modes.rj, rho_lo, p_cut))
-    edges = merge_edges(*edge_sets)
-    rho, wq = panel_rule(edges, 6)
-    vals = np.zeros(len(m_arr), dtype=complex)
-    for start in range(0, len(rho), _CHUNK):
-        q = rho[start:start + _CHUNK]
-        g = modes(q) * (wq[start:start + _CHUNK] * prof(q) * q)[:, None]
-        vals += np.einsum("qm,qm->m", g, _bessel(m_arr, q * rr))
-    # two weightless sample points pin g and g' at the cutoff
-    extras = np.array([p_cut * (1.0 - 1e-4), p_cut])
-    g_cut = modes(extras) * (prof(extras) * extras)[:, None]
-    if rr > 0.0:
-        return vals + _oscillatory_tail(g_cut, extras, rr, m_arr)
-    return vals + np.where(m_arr == 0, g_cut[-1] * p_cut / prof.a, 0.0)
-
-
-def _bessel(m_arr, x):
-    """J_m(x), shape (len(x), len(m_arr)), from the orders |m| by J_-m = (-1)^m J_m.
-
-    J_0 and J_1 come from j0 and j1; where x >= max|m| the orders climb by
-    J_{k+1} = (2k/x) J_k - J_{k-1}, which is stable below the turning point
-    k = x.  The nodes with x < max|m| take jv.
-    """
+    rho_lo = min(modes.lo, 1.0e-4 / radii[-1])
+    n = next_fast_len(int(np.ceil(np.log(rho_hi / rho_lo) / _LN_STEP)) + 1, real=True)
+    rho = np.geomspace(rho_lo, rho_hi, n)
+    t = np.minimum(np.log(rho / rho_lo) / np.log(10.0), 1.0)
+    taper = t - np.sin(2.0 * np.pi * t) / (2.0 * np.pi)
+    g = modes(rho)
+    g *= (taper * prof(rho) * rho)[:, None]
+    g = g.T                                                      # (M, n)
+    k = 1.0 / rho[::-1]
+    rows = slice(int(np.searchsorted(k, radii[0])) - 2, int(np.searchsorted(k, radii[-1])) + 2)
+    dln = np.log(rho_hi / rho_lo) / (n - 1)
     orders = np.abs(m_arr)
-    top = int(orders.max())
-    j = np.empty((len(x), top + 1))
-    near = x < top
-    j[near] = jv(np.arange(top + 1)[None, :], x[near][:, None])
-    far = x[~near]
-    climb = np.empty((top + 1, len(far)))
-    climb[0] = j0(far)
-    if top > 0:
-        climb[1] = j1(far)
-    for k in range(1, top):
-        climb[k + 1] = (2.0 * k / far) * climb[k] - climb[k - 1]
-    j[~near] = climb.T
-    j = j[:, orders]
-    j[:, (m_arr < 0) & (orders % 2 == 1)] *= -1.0
-    return j
+    R = np.empty((len(m_arr), rows.stop - rows.start), dtype=complex)
+    for order in np.unique(orders):
+        cols = np.flatnonzero(orders == order)
+        out = fht(np.concatenate([g[cols].real, g[cols].imag]), dln, mu=order)[:, rows]
+        out /= k[rows]
+        sign = np.where(m_arr[cols] < 0, (-1.0) ** order, 1.0)
+        R[cols] = sign[:, None] * (out[:len(cols)] + 1j * out[len(cols):])
+    return cubic_spline(np.log(k[rows]), R.T)(np.log(radii))
 
 
-def _oscillatory_tail(g_pair, rho_pair, rr, m_arr):
-    """Tail of int g J_m(rho r) d rho beyond the cutoff, by parts twice."""
-    p = rho_pair[1]
-    amp = np.sqrt(2.0 / (np.pi * p * rr))
-    big_g = g_pair[1] * amp
-    d_rho = rho_pair[1] - rho_pair[0]
-    big_g_prime = (g_pair[1] * amp - g_pair[0] * np.sqrt(2.0 / (np.pi * rho_pair[0] * rr))) / d_rho
-    omega = p * rr - 0.5 * np.pi * m_arr - 0.25 * np.pi
-    mu = 4.0 * m_arr.astype(float) ** 2
-    return (-big_g * np.sin(omega) / rr
-            - big_g_prime * np.cos(omega) / rr ** 2
-            - big_g * (mu - 1.0) / (8.0 * p * rr) * np.cos(omega) / rr)
+def _origin_mode(modes, prof, m_arr):
+    """R_m(0) = delta_m0 int c_0 fhat rho d rho, since J_m(0) = delta_m0.
+
+    Log panels run to the table's end, with edges clustered on the kink
+    ring; past it g = c_0 fhat rho ~ rho^-(1+a) leaves the tail g(P) P / a.
+    """
+    lo, hi = modes.lo, modes.hi
+    edge_sets = [np.geomspace(lo, hi, 4 * int(np.ceil(np.log10(hi / lo))) + 1)]
+    if modes.rj is not None:
+        edge_sets.append(_kink_ring(modes.rj, lo, hi))
+    rho, w = panel_rule(merge_edges(*edge_sets), 6)
+    zero = m_arr == 0
+    g = modes(rho)[:, zero][:, 0] * (prof(rho) * rho)
+    tail = modes(hi)[zero][0] * prof(hi) * hi * hi / prof.a
+    return np.where(zero, np.sum(w * g) + tail, 0.0)
 
 
 # ---------------------------------------------------------------------------

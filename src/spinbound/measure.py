@@ -320,7 +320,9 @@ def decay_scan(nu: RadonMeasureSpec, alpha, r_max, samples=64):
 
     level = float(np.mean(tail_mags))
     classification = "inconclusive"
-    if slope <= -0.2 and mags[-1] < 0.5 * mags[0]:
+    # a tail wholly at the rounding floor has decayed, though its fitted
+    # slope is flat
+    if np.all(tail_mags <= floor) or (slope <= -0.2 and mags[-1] < 0.5 * mags[0]):
         classification = "decaying"
     elif level > 1e-12 and np.max(np.abs(tail_mags - level)) < 0.1 * level:
         classification = "non_decaying"

@@ -332,13 +332,13 @@ def _real_form(h, rows: _RealBasis, cols: _RealBasis):
     return out
 
 
-def _sector_potentials(table, r, n):
-    """V_omega = sum_f omega^f G_f over the representatives r, every sector.
+def _sector_potentials(table, r, n, sectors):
+    """V_omega = sum_f omega^f G_f over the representatives r, per listed sector.
 
     G_f[r, s] = table(r - R^f s) is gathered by flat index into the table,
     whose axes run over -2 n_max..2 n_max, and the sectors' sums are one
-    product with the matrix of omega^f; the origin's row and column carry
-    1/sqrt(n).
+    product with the rows of the matrix of omega^f that the sectors pick;
+    the origin's row and column carry 1/sqrt(n).  Returns {sector: V}.
     """
     quarters, m = 4 // n, len(r)
     off, side = (len(table) - 1) // 2, len(table)
@@ -347,15 +347,15 @@ def _sector_potentials(table, r, n):
         s = _turn(r, f * quarters)
         np.take(table, (r[:, None, 0] - s[None, :, 0] + off) * side
                 + (r[:, None, 1] - s[None, :, 1] + off), out=g[f])
-    omega = _QUARTER[np.outer(np.arange(n), np.arange(n)) * quarters % 4]
-    pots = (omega @ g.reshape(n, -1)).reshape(n, m, m)
+    omega = _QUARTER[np.outer(sectors, np.arange(n)) * quarters % 4]
+    pots = (omega @ g.reshape(n, -1)).reshape(len(sectors), m, m)
     pots[:, -1, :] /= np.sqrt(n)
     pots[:, :, -1] /= np.sqrt(n)
-    return pots
+    return dict(zip(sectors, pots))
 
 
 def _blocks(n_pairs, step, n, p, table, a, sectors, mirror=None):
-    """U's eigenspace blocks of the operator for the listed sectors j.
+    """U's eigenspace blocks of the operator for the listed sectors j, one by one.
 
     With omega = i^(4j/n), the eigenvalue of U, sector j's basis is
     sum_d omega^d |R^d r, up> and sum_d (omega/phi)^d |R^d r, down>, over
@@ -390,11 +390,13 @@ def _blocks(n_pairs, step, n, p, table, a, sectors, mirror=None):
         image = np.stack([_turn(_mirror(r, mirror[0]), -d * quarters) for d in range(n)])
         e = np.argmin(image[..., 0] * width + image[..., 1], axis=0)
         partner = _position(r, image[e, np.arange(m)])
-    pots = _sector_potentials(table, r, n)
+    # sector j's block reads the potentials of j and of its spin-down
+    # sector (j - p) mod n only
+    pots = _sector_potentials(table, r, n, sorted({s for j in sectors
+                                                   for s in (j, (j - p) % n)}))
     k = step * r
     p2 = k[:, 0] * k[:, 0] + k[:, 1] * k[:, 1]
     ar = a[rep]
-    blocks = []
     for j in sectors:
         down = (j - p) % n
         mu, md = m - (j != 0), m - (down != 0)
@@ -419,13 +421,14 @@ def _blocks(n_pairs, step, n, p, table, a, sectors, mirror=None):
                           [cross.T, _real_form(pots[down], dn, dn)]])
             h[np.diag_indices(len(h))] += p2[np.concatenate(
                 [up.first, up.first[:up.lower], dn.first, dn.first[:dn.lower]])]
-        blocks.append(h)
-    return blocks
+        yield h
+        # drop this block before the next is built
+        del h
 
 
 def _sector_blocks(model: CouplingSpec, nu, box: BoxSpec):
-    """(copies, blocks): the sector blocks to solve, each solved spectrum
-    standing for ``copies`` sectors.
+    """(copies, blocks): the sector blocks to solve, built one at a time as
+    they are read, each solved spectrum standing for ``copies`` sectors.
 
     Time reversal carries sector j onto sector (p - j) mod n, whose block
     has the same spectrum; when the gate pairs them, only the lower sector
@@ -448,7 +451,7 @@ def assemble(model: CouplingSpec, nu: RadonMeasureSpec | None, box: BoxSpec):
     (2*pi/(4 L^2)) * nuhat(k_j - k_l).
     """
     n_pairs, a, table = _operator_data(model, nu, box)
-    return _blocks(n_pairs, np.pi / box.L, 1, 0, table, a, [0])[0]
+    return next(_blocks(n_pairs, np.pi / box.L, 1, 0, table, a, [0]))
 
 
 def _greedy_pairs(eigs):
@@ -510,12 +513,14 @@ def spectrum(model: CouplingSpec, thr: ThresholdData, nu, box: BoxSpec):
     sector's spectrum; otherwise it is the complex Hermitian block.
     """
     copies, blocks = _sector_blocks(model, nu, box)
-    # block.T is Fortran-ordered, so LAPACK works on it in place; it is
-    # conj(block), or for a real block its transpose, with the same
-    # eigenvalues
-    eigs = np.sort(np.concatenate([np.repeat(_eigvalsh(b.T, overwrite_a=True), copies)
-                                   for b in blocks]))
-    return _counted(eigs, thr, box)
+    # each block is solved before the next is built.  block.T is
+    # Fortran-ordered, so LAPACK works on it in place; it is conj(block),
+    # or for a real block its transpose, with the same eigenvalues
+    eigs = []
+    for block in blocks:
+        eigs.append(np.repeat(_eigvalsh(block.T, overwrite_a=True), copies))
+        del block
+    return _counted(np.sort(np.concatenate(eigs)), thr, box)
 
 
 def convergence_sweep(model: CouplingSpec, thr: ThresholdData, nu,

@@ -7,7 +7,7 @@ from scipy.special import jv
 from spinbound import certificate
 from spinbound.certificate import (_M_MAX, TrialBasis, _kinetic_halfplane,
                                    _ModeTable, _angular_modes, _node_modes,
-                                   _pair_scale, _radial_modes, certify,
+                                   _pair_scale, certify,
                                    definiteness, kinetic_matrix,
                                    potential_matrix_dropped,
                                    potential_matrix_exact, select_points,
@@ -195,10 +195,10 @@ def test_exact_equals_dropped_for_constant_phase():
     assert np.max(np.abs(we - wd)) < 1e-12
 
 
-@pytest.mark.slow
 def test_exact_equals_dropped_for_constant_phase_density(gaussian_well):
-    # exercises the many-distinct-radii interpolation branch of the band
-    # correction; the residual measures that pipeline's numerical error
+    # every density node has its own radius, and all of them take the one
+    # FFTLog transform per order; the residual measures the whole
+    # pipeline's numerical error
     model = constant_coupling_model()
     thr = threshold(model)
     pts = select_points(thr.minset, 1)
@@ -279,22 +279,28 @@ def _kink_cluster(rj, depth):
     return rj * np.concatenate([1.0 - side, 1.0 + side])
 
 
-@pytest.mark.parametrize("rr", [6.0, 12.0])
+def _gaussian_modes(modes, m_arr, rr):
+    """R_m(rr) at a = 2 by panels of width <= min(pi/(4 r), 0.25) to rho = 40."""
+    width = min(0.25 * np.pi / rr, 0.25) if rr > 0.0 else 0.25
+    edges = merge_edges(np.linspace(0.0, 40.0, int(np.ceil(40.0 / width)) + 1),
+                        _kink_cluster(1.0, 10))
+    rho, w = panel_rule(edges, 8)
+    return ((w * rho * np.exp(-0.5 * rho * rho))[:, None] * modes(rho)
+            * jv(m_arr[None, :], rho[:, None] * rr)).sum(axis=0)
+
+
+@pytest.mark.parametrize("rr", [0.5, 6.0, 12.0, 70.0])
 def test_radial_modes_resolve_bessel_at_gaussian_exponent(rashba2, rr):
     # at a = 2 the profile table stops at rho = 37, well inside the range
-    # where J_m(rho r) oscillates; reference: panels of width <= pi/(4r) out
-    # to rho = 40 with the closed form fhat = exp(-rho^2/2).  Both sides take
-    # c_m from the mode table, so only the radial rule is compared (the
-    # table's own interpolation moves R_m here by up to 2.3e-4 of max|R_m|)
+    # where J_m(rho r) oscillates; reference: fine panels out to rho = 40
+    # with the closed form fhat = exp(-rho^2/2).  Both sides take c_m from
+    # the same mode table (its own interpolation moves R_m here by up to
+    # 2.3e-4 of max|R_m|), so only the radial rule is compared, against
+    # the peak of R_m, R_0(0)
     pj, m_arr, prof, modes = _band_modes(rashba2, 2.0)
-    got = _radial_modes(modes, prof, rr, m_arr)
-    panels = int(np.ceil(40.0 / (0.25 * np.pi / rr)))
-    edges = merge_edges(np.linspace(0.0, 40.0, panels + 1), _kink_cluster(1.0, 10))
-    rho, w = panel_rule(edges, 8)
-    cm = modes(rho)
-    ref = ((w * rho * np.exp(-0.5 * rho * rho))[:, None] * cm
-           * jv(m_arr[None, :], rho[:, None] * rr)).sum(axis=0)
-    assert np.max(np.abs(got - ref)) < 1e-5 * np.max(np.abs(ref))
+    got = _node_modes(rashba2, pj, prof, np.array([rr]), m_arr)[0]
+    peak = np.max(np.abs(_gaussian_modes(modes, m_arr, 0.0)))
+    assert np.max(np.abs(got - _gaussian_modes(modes, m_arr, rr))) < 1e-6 * peak
 
 
 def test_radial_modes_tail_at_origin(rashba2):
@@ -303,8 +309,8 @@ def test_radial_modes_tail_at_origin(rashba2):
     # a = 0.025 that tail is a sizeable share of R_0(0).  Reference: the
     # integral to P = 1e6 plus the constant c_0 times the mass past P,
     # which the identity int fhat rho d rho = f_a(0) = 1 gives
-    pj, m_arr, prof, modes = _band_modes(rashba2, 0.025)
-    got = _radial_modes(modes, prof, 0.0, m_arr)
+    pj, m_arr, prof, _ = _band_modes(rashba2, 0.025)
+    got = _node_modes(rashba2, pj, prof, np.array([0.0]), m_arr)[0]
     assert np.all(got[m_arr != 0] == 0.0)
     big_p = 1e6
     decades = int(np.ceil(np.log10(big_p / prof.rho_lo)))
@@ -318,46 +324,40 @@ def test_radial_modes_tail_at_origin(rashba2):
     assert abs(got[_M_MAX] - ref) < 1e-5 * abs(ref)
 
 
-@pytest.mark.parametrize("m_arr", [np.arange(-_M_MAX, _M_MAX + 1),
-                                   np.arange(-_M_MAX - 1, 0, 2)],
-                         ids=["all-orders", "odd-negative"])
-def test_bessel_matches_jv(m_arr):
-    # the orders climb by forward recurrence only where x >= max|m|; it
-    # loses digits well inside the turning point, which the 20 < x < 40
-    # nodes of the log sweep would show at 1e-13
-    top = float(np.max(np.abs(m_arr)))
-    x = np.concatenate([[0.0, np.nextafter(top, 0.0), top, np.nextafter(top, np.inf)],
-                        np.geomspace(1e-3, 1e6, 400)])
-    got = certificate._bessel(m_arr, x)
-    assert np.max(np.abs(got - jv(m_arr[None, :], x[:, None]))) < 1e-13
+@pytest.mark.parametrize("a", [0.025, 0.4, 2.0])
+def test_node_modes_mix_origin_and_positive_radii(rashba2, a):
+    # a node at the origin takes the r = 0 rule and the others the FFTLog
+    # rule, each row as when its radius comes alone (the origin widens the
+    # mode table to the profile's end, which moves c_m only by rounding)
+    pj, m_arr, prof, _ = _band_modes(rashba2, a)
+    r = np.array([1.5, 0.0, 0.02, 1.5, 0.0, 9.0])
+    got = _node_modes(rashba2, pj, prof, r, m_arr)
+    origin = _node_modes(rashba2, pj, prof, np.array([0.0]), m_arr)[0]
+    alone = _node_modes(rashba2, pj, prof, np.array([0.02, 1.5, 9.0]), m_arr)
+    peak = np.max(np.abs(origin))
+    assert np.array_equal(got[1], got[4])
+    assert np.max(np.abs(got[1] - origin)) <= 1e-12 * peak
+    for row, want in zip((2, 0, 5), alone):
+        assert np.max(np.abs(got[row] - want)) <= 1e-9 * peak
 
 
-def test_radial_modes_match_jv_on_their_nodes(rashba2, monkeypatch):
-    # the README case: a = 0.4, r = 1, p_j = (1, 0).  The reference sums all
-    # nodes of the same panel rule at once with jv, plus the same tail
-    pj, m_arr, prof, modes = _band_modes(rashba2, 0.4)
-    rules = []
-
-    def recorded_rule(edges, n):
-        rules.append((edges, *panel_rule(edges, n)))
-        return rules[-1][1:]
-
-    monkeypatch.setattr(certificate, "panel_rule", recorded_rule)
-    got = _radial_modes(modes, prof, 1.0, m_arr)
-    (edges, rho, w), = rules
-    assert len(rho) > 4 * certificate._CHUNK     # several blocks
-    g = modes(rho) * (w * prof(rho) * rho)[:, None]
-    ref = np.array([np.sum(g[:, i] * jv(m, rho)) for i, m in enumerate(m_arr)])
-    p_cut = edges[-1]
-    extras = np.array([p_cut * (1.0 - 1e-4), p_cut])
-    g_cut = modes(extras) * (prof(extras) * extras)[:, None]
-    ref += certificate._oscillatory_tail(g_cut, extras, 1.0, m_arr)
-    assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
+def test_node_modes_independent_of_the_sample_grid(rashba2):
+    # the least and the largest radius set the FFTLog grid's ends, so
+    # adding 1e-6 and 300 moves every sample; at a = 0.025 g_{+-1} ~
+    # rho^-a is far from zero at the grid's low end, and without the taper
+    # the transform's periodic wrap moved R_{+-1}(0.003) by 7e-5 of the peak
+    pj, m_arr, prof, _ = _band_modes(rashba2, 0.025)
+    r = np.array([0.003, 1.0])
+    got = _node_modes(rashba2, pj, prof, r, m_arr)
+    wide = _node_modes(rashba2, pj, prof, np.array([1e-6, 0.003, 1.0, 300.0]), m_arr)
+    peak = np.max(np.abs(_node_modes(rashba2, pj, prof, np.array([0.0]), m_arr)))
+    assert np.max(np.abs(wide[1:3] - got)) < 1e-6 * peak
 
 
 def test_exact_potential_memory_peak(rashba2, thr2, circle_measure):
-    # the radial sum walks its nodes in blocks and the angular FFT its
-    # rows in blocks, so the README case stays near 60 MiB of arrays
+    # one FFTLog sample table of c_m fhat rho (about 5,500 x 81) and an
+    # angular FFT that walks its rows in blocks keep the README case near
+    # 12 MiB of arrays
     basis = trial_basis(rashba2, thr2, select_points(thr2.minset, 4), 0.4)
     tracemalloc.start()
     try:
@@ -412,8 +412,8 @@ def _per_point_potential(model, nu, basis):
 @pytest.mark.parametrize("case", [
     # (coupling, alpha, N, turn of the points, measure centre, radius, a of W)
     ("rashba", 2.0, 4, 0.97, (0.0, 0.0), 1.0, 0.4),
-    # every node radius differs, so W takes the 48-radius spline branch;
-    # a = 2 keeps its 48 radial rules short (T does not see the measure)
+    # every node radius differs, and all take the one FFTLog transform per
+    # order; a = 2 for W (T does not see the measure)
     ("dresselhaus", 3.0, 4, 0.0, (0.4, -0.2), 1.5, 2.0),
 ], ids=["rashba-turned", "dresselhaus-off-centre"])
 def test_orbit_reduction_matches_per_point(case):
@@ -564,6 +564,15 @@ def test_certify_from_gaussian_exponent(rashba2, thr2, circle_measure):
     assert len(res.diagnostics) == 2
     assert res.certified and res.certified_count == 4
     assert res.a_star == 0.4
+
+
+def test_certify_exact_form_on_a_far_circle(rashba2, thr2):
+    # every node radius takes the same FFTLog rule, however fast J_m(rho r)
+    # oscillates there, so a measure far out (|x| = 70) certifies in the
+    # exact form as in the dropped one
+    far = CurveDelta(ClosedFormCircle((0.0, 0.0), 70.0), weight=-1.0)
+    res = certify(rashba2, thr2, far, 1, [0.4], potential_form="exact")
+    assert res.certified and np.isfinite(res.lambda_max_Q)
 
 
 def test_certify_partial_count(rashba2, thr2):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bessel_j0_series
+from spinbound.config import build_measure
 from spinbound.errors import DegenerateInputError, ResolutionError
 from spinbound.measure import (ClosedFormCircle, CurveDelta, Density,
                                SampledCurve, Segment, Sum, decay_scan, fourier,
@@ -199,6 +200,18 @@ def test_segment_decaying_direction():
     prof = decay_scan(unit_segment(), 0.0, 200.0, 128)
     assert prof.classification == "decaying"
     assert prof.fitted_slope == pytest.approx(-1.0, abs=0.15)
+
+
+def test_density_decay_at_rounding_floor():
+    # the weak Gaussian well's transform falls to the 1e-19 rounding floor
+    # well before r = 10, so the tail's fitted slope is flat (about 1e-15);
+    # a tail wholly at that floor still counts as decaying
+    well = build_measure({"type": "density", "box": [-8.0, 8.0, -8.0, 8.0],
+                          "density": {"type": "gaussian-well", "depth": 0.05,
+                                      "width": 1.0}})
+    for k in range(3):
+        prof = decay_scan(well, 2.0 * np.pi * k / 3.0, 20.0, 48)
+        assert prof.classification == "decaying"
 
 
 def test_segment_nondecay_direction_examples():
