@@ -378,7 +378,9 @@ def potential_matrix_exact(model: CouplingSpec, nu, basis: TrialBasis):
 
 _N_ANGLES = 256
 _M_MAX = 40
-_LN_STEP = 1.0 / 200.0    # ln rho spacing of the FFTLog samples
+_LN_STEP = 1.0 / 200.0    # ln rho spacing of the FFTLog samples, at most
+_TURN_STEP = 1.0 / 16.0   # radians R_m may turn per step in ln r
+_MAX_SAMPLES = 2 ** 19    # FFTLog samples per expansion center
 
 
 def _kink_ring(rj, lo, hi):
@@ -419,8 +421,9 @@ class _ModeTable:
             self._spline = cubic_spline(log_grid[:k + 1], cm[:k + 1]).then(
                 cubic_spline(log_grid[k:], cm[k:]))
 
-    def __call__(self, rho):
-        return self._spline(np.log(np.clip(np.asarray(rho, dtype=float), self.lo, self.hi)))
+    def __call__(self, rho, cols=slice(None)):
+        log_rho = np.log(np.clip(np.asarray(rho, dtype=float), self.lo, self.hi))
+        return self._spline.columns(cols)(log_rho)
 
 
 def _node_modes(model, pj, prof, r_nodes, m_arr):
@@ -434,7 +437,10 @@ def _node_modes(model, pj, prof, r_nodes, m_arr):
                        prof.rho_hi if radii[0] == 0.0 else rho_hi)
     R = np.zeros((len(radii), len(m_arr)), dtype=complex)
     if len(pos):
-        R[radii > 0.0] = _hankel_fftlog(modes, prof, pos, m_arr, rho_hi)
+        # the kink of c_m on the ring rho = |p_j| makes R_m(r) turn by about
+        # r |p_j| radians per unit of ln r, so the ln step shrinks with it
+        step = min(_LN_STEP, _TURN_STEP / (pos[-1] * max(float(np.hypot(*pj)), 1.0)))
+        R[radii > 0.0] = _hankel_fftlog(modes, prof, pos, m_arr, rho_hi, step)
     if radii[0] == 0.0:
         R[0] = _origin_mode(modes, prof, m_arr)
     return R[where]
@@ -456,39 +462,58 @@ def _angular_modes(model, pj, rho, m_arr):
     return sel * np.exp(-1j * m_arr[None, :] * (np.pi / _N_ANGLES))
 
 
-def _hankel_fftlog(modes, prof, radii, m_arr, rho_hi):
+def _hankel_fftlog(modes, prof, radii, m_arr, rho_hi, step):
     """R_m at the sorted positive radii, by one FFTLog transform per order |m|.
 
-    g_m = c_m fhat rho is sampled uniformly in ln rho from
-    min(table edge, 1e-4 / r_max) to rho_hi >= 1e4 / r_min and transformed
-    by ``scipy.fft.fht`` (Talman 1978; Hamilton 2000), whose output grid
-    is k = 1 / rho reversed, at least four decades wider than the radii on
-    each side, and holds k R_m(k), with J_-m = (-1)^m J_m.  The lowest
-    decade of samples is tapered to zero, so the transform's periodic
-    wrap in ln rho meets no jump; there rho r < 1e-3, so it holds no
-    weight.  A cubic spline in ln k over the output rows that bracket the
-    radii carries R_m to them.
+    g_m = c_m fhat rho is sampled at ln rho spacing at most ``step``, from
+    1e-6 / r_max to rho_hi >= 1e4 / r_min, and transformed by
+    ``scipy.fft.fht`` (Talman 1978; Hamilton 2000), whose output grid is
+    k = 1 / rho reversed, at least four decades wider than the radii on
+    each side, and holds k R_m(k), with J_-m = (-1)^m J_m.  Below the grid
+    rho r < 1e-6, where c_0 = O(rho^2) and c_m J_m(rho r) = O(rho^2 r) for
+    m != 0; fhat rho d rho has unit mass, so each integral loses O(1e-12)
+    there.  The lowest decade of samples, where rho r < 1e-5, is tapered
+    to zero, so the transform's periodic wrap in ln rho meets no jump.
+    Six-point Lagrange interpolation in ln k carries R_m from the output
+    rows around each radius to it, so only those rows are kept.
     """
-    rho_lo = min(modes.lo, 1.0e-4 / radii[-1])
-    n = next_fast_len(int(np.ceil(np.log(rho_hi / rho_lo) / _LN_STEP)) + 1, real=True)
+    rho_lo = 1.0e-6 / radii[-1]
+    n = next_fast_len(int(np.ceil(np.log(rho_hi / rho_lo) / step)) + 1, real=True)
+    if n > _MAX_SAMPLES:
+        raise ResolutionError("band-correction FFTLog grid needs %d samples, above its "
+                              "budget of %d" % (n, _MAX_SAMPLES), attempted_nodes=n)
     rho = np.geomspace(rho_lo, rho_hi, n)
     t = np.minimum(np.log(rho / rho_lo) / np.log(10.0), 1.0)
-    taper = t - np.sin(2.0 * np.pi * t) / (2.0 * np.pi)
-    g = modes(rho)
-    g *= (taper * prof(rho) * rho)[:, None]
-    g = g.T                                                      # (M, n)
-    k = 1.0 / rho[::-1]
-    rows = slice(int(np.searchsorted(k, radii[0])) - 2, int(np.searchsorted(k, radii[-1])) + 2)
+    weight = (t - np.sin(2.0 * np.pi * t) / (2.0 * np.pi)) * prof(rho) * rho
     dln = np.log(rho_hi / rho_lo) / (n - 1)
+    # output row i sits at ln k = i dln - ln rho_hi; each radius reads the
+    # rows base .. base + 5 around it, at offset u in [2, 3) from base
+    at = (np.log(radii) + np.log(rho_hi)) / dln
+    base = np.floor(at).astype(int) - 2
+    rows, where = np.unique(base[:, None] + np.arange(6), return_inverse=True)
+    k = 1.0 / rho[::-1][rows]
     orders = np.abs(m_arr)
-    R = np.empty((len(m_arr), rows.stop - rows.start), dtype=complex)
-    for order in np.unique(orders):
-        cols = np.flatnonzero(orders == order)
-        out = fht(np.concatenate([g[cols].real, g[cols].imag]), dln, mu=order)[:, rows]
-        out /= k[rows]
-        sign = np.where(m_arr[cols] < 0, (-1.0) ** order, 1.0)
-        R[cols] = sign[:, None] * (out[:len(cols)] + 1j * out[len(cols):])
-    return cubic_spline(np.log(k[rows]), R.T)(np.log(radii))
+    unique = np.unique(orders)
+    R = np.empty((len(m_arr), len(rows)), dtype=complex)
+    # the +-m columns of as many orders as keep the sample table within
+    # 2 _MAX_SAMPLES values; the README case takes them all at once
+    per = max(1, _MAX_SAMPLES // n)
+    for group in np.split(unique, np.arange(per, len(unique), per)):
+        cols = np.flatnonzero(np.isin(orders, group))
+        g = modes(rho, cols)
+        g *= weight[:, None]
+        for order in group:
+            pick = orders[cols] == order
+            own = cols[pick]
+            out = fht(np.hstack([g[:, pick].real, g[:, pick].imag]).T, dln, mu=order)[:, rows] / k
+            sign = (-1.0) ** np.minimum(m_arr[own], 0)
+            R[own] = sign[:, None] * (out[:len(own)] + 1j * out[len(own):])
+    u = at - base
+    out = np.zeros((len(radii), len(m_arr)), dtype=complex)
+    for s in range(6):
+        lagrange = np.prod([(u - q) / (s - q) for q in range(6) if q != s], axis=0)
+        out += lagrange[:, None] * R[:, where.reshape(-1, 6)[:, s]].T
+    return out
 
 
 def _origin_mode(modes, prof, m_arr):

@@ -45,6 +45,11 @@ class PiecewiseCubic:
                 (self.c0, self.c1, self.c2, self.c3),
                 (other.c0, other.c1, other.c2, other.c3))])
 
+    def columns(self, cols):
+        """The same cubic for the entries ``cols`` of the first trailing axis."""
+        return PiecewiseCubic(self.x, [c[:, cols] for c in (self.c0, self.c1, self.c2, self.c3)],
+                              period=self.period)
+
     def __call__(self, t, nu=0):
         """Value (nu = 0) or first derivative (nu = 1) at t, shape t.shape + trailing."""
         if nu not in (0, 1):

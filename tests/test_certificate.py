@@ -12,7 +12,8 @@ from spinbound.certificate import (_M_MAX, TrialBasis, _kinetic_halfplane,
                                    potential_matrix_dropped,
                                    potential_matrix_exact, select_points,
                                    trial_basis)
-from spinbound.errors import CapacityError, ConfigError, NumericalInputError
+from spinbound.errors import (CapacityError, ConfigError, NumericalInputError,
+                              ResolutionError)
 from spinbound.hankel import fhat_profile
 from spinbound.measure import ClosedFormCircle, CurveDelta, fourier_matrix
 from spinbound.model import (Circle, CouplingSpec, PointCloud,
@@ -267,8 +268,8 @@ def test_exact_matrix_band_overlap_limit(rashba2, thr2, circle_measure):
 # rho d rho, checked against radial quadratures of its own.
 
 
-def _band_modes(model, a):
-    pj = np.array([1.0, 0.0])
+def _band_modes(model, a, pj=(1.0, 0.0)):
+    pj = np.array(pj)
     m_arr = np.arange(-_M_MAX, _M_MAX + 1)
     prof = fhat_profile(a)
     return pj, m_arr, prof, _ModeTable(model, pj, prof, m_arr, prof.rho_hi)
@@ -279,28 +280,50 @@ def _kink_cluster(rj, depth):
     return rj * np.concatenate([1.0 - side, 1.0 + side])
 
 
-def _gaussian_modes(modes, m_arr, rr):
+def _gaussian_modes(modes, m_arr, rr, rj=1.0):
     """R_m(rr) at a = 2 by panels of width <= min(pi/(4 r), 0.25) to rho = 40."""
     width = min(0.25 * np.pi / rr, 0.25) if rr > 0.0 else 0.25
     edges = merge_edges(np.linspace(0.0, 40.0, int(np.ceil(40.0 / width)) + 1),
-                        _kink_cluster(1.0, 10))
+                        _kink_cluster(rj, 10))
     rho, w = panel_rule(edges, 8)
     return ((w * rho * np.exp(-0.5 * rho * rho))[:, None] * modes(rho)
             * jv(m_arr[None, :], rho[:, None] * rr)).sum(axis=0)
 
 
+def _assert_gaussian_modes(alpha, rr):
+    model = CouplingSpec.rashba(alpha)
+    pj, m_arr, prof, modes = _band_modes(model, 2.0, pj=(0.5 * alpha, 0.0))
+    got = _node_modes(model, pj, prof, np.array([rr]), m_arr)[0]
+    ref = _gaussian_modes(modes, m_arr, rr, rj=0.5 * alpha)
+    assert np.max(np.abs(got - ref)) < 1e-6 * np.max(np.abs(ref))
+
+
 @pytest.mark.parametrize("rr", [0.5, 6.0, 12.0, 70.0])
-def test_radial_modes_resolve_bessel_at_gaussian_exponent(rashba2, rr):
+def test_radial_modes_resolve_bessel_at_gaussian_exponent(rr):
     # at a = 2 the profile table stops at rho = 37, well inside the range
     # where J_m(rho r) oscillates; reference: fine panels out to rho = 40
     # with the closed form fhat = exp(-rho^2/2).  Both sides take c_m from
     # the same mode table (its own interpolation moves R_m here by up to
-    # 2.3e-4 of max|R_m|), so only the radial rule is compared, against
-    # the peak of R_m, R_0(0)
-    pj, m_arr, prof, modes = _band_modes(rashba2, 2.0)
-    got = _node_modes(rashba2, pj, prof, np.array([rr]), m_arr)[0]
-    peak = np.max(np.abs(_gaussian_modes(modes, m_arr, 0.0)))
-    assert np.max(np.abs(got - _gaussian_modes(modes, m_arr, rr))) < 1e-6 * peak
+    # 2.3e-4 of max|R_m|), so only the radial rule is compared, at each
+    # radius against its own max|R_m(r)| (at r = 70 that is 3e-5 of the
+    # peak R_0(0))
+    _assert_gaussian_modes(2.0, rr)
+
+
+def test_radial_modes_resolve_a_fast_kink_far_out():
+    # the kink of c_m on the ring rho = |p_j| makes R_m(r) turn about
+    # r |p_j| radians per unit of ln r: 210 for Rashba alpha = 6
+    # (|p_j| = 3) at r = 70, where max|R_m| is 1e-6 of the peak R_0(0)
+    _assert_gaussian_modes(6.0, 70.0)
+
+
+def test_node_modes_refuse_a_grid_past_the_sample_budget(rashba2):
+    # the ln step shrinks like 1 / (r_max |p_j|), so a measure reaching
+    # |x| = 1e4 would need millions of samples; it stops before sampling
+    pj, m_arr, prof, _ = _band_modes(rashba2, 0.4)
+    with pytest.raises(ResolutionError) as err:
+        _node_modes(rashba2, pj, prof, np.array([1.0, 1.0e4]), m_arr)
+    assert err.value.attempted_nodes > 2 ** 19
 
 
 def test_radial_modes_tail_at_origin(rashba2):
@@ -345,7 +368,7 @@ def test_node_modes_independent_of_the_sample_grid(rashba2):
     # the least and the largest radius set the FFTLog grid's ends, so
     # adding 1e-6 and 300 moves every sample; at a = 0.025 g_{+-1} ~
     # rho^-a is far from zero at the grid's low end, and without the taper
-    # the transform's periodic wrap moved R_{+-1}(0.003) by 7e-5 of the peak
+    # the transform's periodic wrap moved R_{+-1}(0.003) by 3e-5 of the peak
     pj, m_arr, prof, _ = _band_modes(rashba2, 0.025)
     r = np.array([0.003, 1.0])
     got = _node_modes(rashba2, pj, prof, r, m_arr)
@@ -355,7 +378,7 @@ def test_node_modes_independent_of_the_sample_grid(rashba2):
 
 
 def test_exact_potential_memory_peak(rashba2, thr2, circle_measure):
-    # one FFTLog sample table of c_m fhat rho (about 5,500 x 81) and an
+    # one FFTLog sample table of c_m fhat rho (about 5,100 x 81) and an
     # angular FFT that walks its rows in blocks keep the README case near
     # 12 MiB of arrays
     basis = trial_basis(rashba2, thr2, select_points(thr2.minset, 4), 0.4)
