@@ -24,7 +24,11 @@ exponent is tabulated from two sources:
   astronomically wide ranges of r, so the contour is rotated into the upper
   half-plane: with theta = min(pi/2, pi/(3a)) the Hankel kernel turns into
   an exponentially damped (K0 or complex Hankel-1) kernel and the integrand
-  becomes smooth enough for log-spaced panels.
+  becomes smooth enough for log-spaced panels.  The rule covers all the
+  rejected nodes in one pass (``_contour_values``): the per-exponent cuts
+  are computed once, and each block of nodes gets its panels as flat
+  arrays tagged with their node, one integrand evaluation and one
+  np.add.reduceat.
 
 The table is interpolated log-log by a not-a-knot cubic spline
 (``spline.cubic_spline``).  Below the table the first value is held;
@@ -41,10 +45,15 @@ import numpy as np
 from scipy.special import gamma, gammaln, hankel1, k0
 
 from .errors import ConfigError, ResolutionError
-from .quadrature import merge_edges, panel_rule
+from .quadrature import gl_nodes
 from .spline import cubic_spline
 
 _EXP_CUTOFF = 45.0  # e^-45 ~ 3e-20 of peak
+_CONTOUR_NODES = 10  # Gauss-Legendre points per contour panel
+# contour nodes per evaluation block: 16 keeps a build's arrays near 2 MiB
+# (10,000-32,000 points per block) and left the least resident heap of
+# the block sizes 1-64 measured
+_CONTOUR_BLOCK = 16
 
 # power-law series: term count and the trust gate's thresholds
 _SERIES_TERMS = 600
@@ -59,78 +68,143 @@ def fhat_at_zero(a):
     return 2.0 ** (2.0 / a) * gamma(2.0 / a) / a
 
 
-def _rotated_hankel_point(a, rho, nodes_per_panel=10):
-    """fhat(rho) for 0 < a < 2, rho > 0 via the rotated-contour integral."""
-    theta = min(0.5 * np.pi, np.pi / (3.0 * a))
-    at = a * theta
-    c_env = np.cos(at)            # >= 1/2 by choice of theta
-    s_env = np.sin(at)
-    sin_t, cos_t = np.sin(theta), np.cos(theta)
+def _contour_cuts(a):
+    """Per-exponent constants of the rotated-contour rule.
 
-    # cutoff where the envelope beats the s ds weight: in u = s^a the
-    # integrand magnitude is ~ u^(2/a - 1) exp(-c_env u / 2), so the upper
-    # limit must satisfy (c_env/2) u - (2/a) ln u >= budget; solved by
-    # fixed-point iteration (matters for small a, where the plain
-    # exp(-c u/2) = cutoff rule lands before the integrand peak)
+    Returns (theta, c_env, s_env, s_env_cut, s_floor).  The contour turns by
+    theta = min(pi/2, pi/(3a)), and c_env, s_env are cos and sin of
+    a theta (c_env >= 1/2).  In u = s^a the integrand is about
+    u^(2/a - 1) exp(-c_env u / 2), so the envelope cut u_cut solves
+    (c_env/2) u - (2/a) ln u = _EXP_CUTOFF by fixed-point iteration (the
+    plain exp(-c u/2) rule would land before the integrand peak for small
+    a).  Below the peak scale u* = 4/(a c_env) the integrand grows like
+    u^(2/a - 1), and s_floor = (u* exp(-1 - 22.5 a))^(1/a) keeps the
+    omitted mass under exp(-45) of the result where the envelope sets the
+    range.
+    """
+    theta = min(0.5 * np.pi, np.pi / (3.0 * a))
+    c_env, s_env = np.cos(a * theta), np.sin(a * theta)
     u_cut = 2.0 * _EXP_CUTOFF / c_env
     for _ in range(40):
         u_cut = (2.0 / c_env) * (_EXP_CUTOFF + (2.0 / a) * np.log(u_cut))
-    s_env_cut = u_cut ** (1.0 / a)
+    u_star = 4.0 / (a * c_env)
+    return (theta, c_env, s_env, u_cut ** (1.0 / a),
+            (u_star * np.exp(-1.0 - 22.5 * a)) ** (1.0 / a))
+
+
+def _ragged(counts):
+    """Runs of counts[i] entries laid end to end: each entry's run and rank in it."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    return owner, np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _contour_panels(a, rho, cuts):
+    """Panels of the rotated-contour rule at every node rho > 0.
+
+    ``cuts`` is ``_contour_cuts(a)``.  A node's range is [s_lo, s_up]:
+    s_up is the nearer of the envelope cut and the kernel cut
+    _EXP_CUTOFF / (rho sin theta), and s_lo = min(1e-12 s_up, s_floor).
+    Its panel edges are a geometric set on [s_lo, s_up], the kernel
+    oscillation k pi / (rho cos theta) and the envelope oscillation
+    (k pi / s_env)^(1/a), clipped to [s_lo, s_up] and merged as
+    ``quadrature.merge_edges`` merges them.
+
+    Returns (lo, hi, node, kernel_limited): the panel ends, node after
+    node, the node of each panel, and whether the kernel cut lies below the
+    envelope cut at each node.
+    """
+    theta, _, s_env, s_env_cut, s_floor = cuts
+    sin_t, cos_t = np.sin(theta), np.cos(theta)
     s_kernel_cut = _EXP_CUTOFF / (rho * sin_t)
-    s_up = min(s_env_cut, s_kernel_cut)
-    if not np.isfinite(s_up):
+    s_up = np.minimum(s_env_cut, s_kernel_cut)
+    if not np.all(np.isfinite(s_up)):
         raise ResolutionError(
             "exponent a=%g too small for the contour quadrature" % a)
-    # lower cut: below the integrand-peak scale u* = 4/(a c_env) the
-    # integrand grows like u^(2/a - 1); u_lo = u* exp(-1 - 22.5 a) keeps the
-    # omitted mass under exp(-45) of the result in the envelope-dominated
-    # regime, while 1e-12 s_up covers the kernel-dominated one
-    u_star = 4.0 / (a * c_env)
-    s_lo = min(1e-12 * s_up,
-               (u_star * np.exp(-1.0 - 22.5 * a)) ** (1.0 / a))
+    s_lo = np.minimum(1e-12 * s_up, s_floor)
 
-    edge_sets = [np.geomspace(s_lo, s_up, max(8, int(np.ceil(
-        np.log10(s_up / s_lo) * 5)) + 1))]
-    # oscillation of the rotated Hankel kernel, exp(i rho s cos theta)
+    # geometric set, as np.geomspace builds it: 10 ** (j step + log10 s_lo)
+    # with the ends set exactly
+    count = np.maximum(8, np.ceil(np.log10(s_up / s_lo) * 5.0).astype(int) + 1)
+    node, j = _ragged(count)
+    log_lo = np.log10(s_lo)
+    step = (np.log10(s_up) - log_lo) / (count - 1)
+    geo = 10.0 ** (j * step[node] + log_lo[node])
+    geo = np.where(j == 0, s_lo[node], np.where(j == count[node] - 1, s_up[node], geo))
+    nodes, edges = [node], [geo]
     if cos_t > 1e-12:
-        k1 = int(np.floor(rho * s_up * cos_t / np.pi))
-        if k1 >= 1:
-            edge_sets.append(np.arange(1, k1 + 1) * np.pi / (rho * cos_t))
+        # oscillation of the rotated Hankel kernel, exp(i rho s cos theta)
+        node, k = _ragged(np.floor(rho * s_up * cos_t / np.pi).astype(int))
+        nodes.append(node)
+        edges.append((k + 1) * np.pi / (rho[node] * cos_t))
     # oscillation of the rotated envelope, phase (s_env/2) s^a
-    k2 = int(np.floor(s_env * s_up ** a / np.pi))
-    if k2 >= 1:
-        edge_sets.append((np.arange(1, k2 + 1) * np.pi / s_env) ** (1.0 / a))
-    edges = merge_edges(*edge_sets)
-    edges = edges[(edges >= s_lo) & (edges <= s_up)]
-    edges = merge_edges(edges, [s_lo, s_up])
+    node, k = _ragged(np.floor(s_env * s_up ** a / np.pi).astype(int))
+    nodes.append(node)
+    edges.append(((k + 1) * np.pi / s_env) ** (1.0 / a))
 
-    s, w = panel_rule(edges, nodes_per_panel)
-    env = np.exp(-0.5 * (s ** a) * (c_env + 1j * s_env))
-    if theta >= 0.5 * np.pi - 1e-12:
-        # H1_0(i x) = -(2i/pi) K0(x); Re[e^{2 i theta} ...] collapses to a
-        # real K0 integral
-        kernel = k0(np.minimum(rho * s, 700.0))
-        val = (2.0 / np.pi) * np.sum(w * s * kernel * np.exp(-0.5 * c_env * s ** a)
-                                     * np.sin(0.5 * s_env * s ** a))
-        return float(val)
-    z = rho * s * np.exp(1j * theta)
-    kernel = hankel1(0, z)
-    # env is replaced by env - 1: the pure-kernel ray integral vanishes
-    # exactly (d/dz [z H1] = z H0, boundary term is real), and the
-    # subtraction removes the catastrophic cancellation that otherwise
-    # swamps the rho^(-2-a) tail at large rho
-    # only in the kernel-dominated regime: at small rho the integration
-    # range is set by the envelope and the plain form is cancellation-free,
-    # while the subtracted one is not
-    if s_kernel_cut < s_env_cut:
-        ze = -0.5 * (s ** a) * (c_env + 1j * s_env)
-        small = np.abs(ze) < 1e-2
-        env = np.where(
-            small,
-            ze * (1.0 + ze * (0.5 + ze * (1.0 / 6.0 + ze / 24.0))),
-            env - 1.0)
-    val = np.real(np.exp(2j * theta) * np.sum(w * s * kernel * env))
-    return float(val)
+    node, e = np.concatenate(nodes), np.concatenate(edges)
+    inside = (e >= s_lo[node]) & (e <= s_up[node])
+    node, e = node[inside], e[inside]
+    order = np.lexsort((e, node))
+    node, e = node[order], e[order]
+    starts = np.ones(len(e), dtype=bool)
+    starts[1:] = node[1:] != node[:-1]
+    keep = starts.copy()
+    keep[1:] |= np.diff(e) > 1e-14 * np.maximum(e[1:], 1e-300)
+    node, e, starts = node[keep], e[keep], starts[keep]
+    # a panel joins each edge to the next one of the same node
+    left = np.flatnonzero(~starts[1:])
+    return e[left], e[left + 1], node[left], s_kernel_cut < s_env_cut
+
+
+def _contour_values(a, rho):
+    """fhat at every node rho > 0 for 0 < a < 2, by the rotated-contour rule.
+
+    Nodes are taken _CONTOUR_BLOCK at a time: their panels are built, the
+    integrand is evaluated at every Gauss-Legendre point, and
+    np.add.reduceat adds up each node's panel sums.
+    """
+    cuts = _contour_cuts(a)
+    theta, c_env, s_env = cuts[:3]
+    x, w = gl_nodes(_CONTOUR_NODES)
+    # H1_0(i x) = -(2i/pi) K0(x); at theta = pi/2, Re[e^{2 i theta} ...]
+    # collapses to a real K0 integral
+    real_k0 = theta >= 0.5 * np.pi - 1e-12
+    out = np.empty(len(rho))
+    for b in range(0, len(rho), _CONTOUR_BLOCK):
+        block = rho[b:b + _CONTOUR_BLOCK]
+        lo, hi, node, kernel_limited = _contour_panels(a, block, cuts)
+        half = (0.5 * (hi - lo))[:, None]
+        s = (0.5 * (hi + lo))[:, None] + half * x
+        # weight times s first: below a ~ 0.017 this product overflows,
+        # which FhatProfile reports as a ResolutionError
+        ws = half * w * s
+        r = block[node][:, None]
+        sa = s ** a
+        if real_k0:
+            f = (ws * k0(np.minimum(r * s, 700.0)) * np.exp(-0.5 * c_env * sa)
+                 * np.sin(0.5 * s_env * sa))
+        else:
+            ze = -0.5 * sa * (c_env + 1j * s_env)
+            env = np.exp(ze)
+            # env is replaced by env - 1 where the kernel cut sets the range:
+            # the pure-kernel ray integral vanishes exactly (d/dz [z H1] =
+            # z H0, boundary term is real), and the subtraction removes the
+            # catastrophic cancellation that otherwise swamps the rho^(-2-a)
+            # tail at large rho.  Where the envelope sets the range (small
+            # rho) the plain form is cancellation-free and the subtracted
+            # one is not
+            sub = np.broadcast_to(kernel_limited[node][:, None], ze.shape)
+            head = sub & (np.abs(ze) < 1e-2)
+            env[sub] -= 1.0
+            z = ze[head]
+            env[head] = z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
+            f = ws * hankel1(0, r * s * np.exp(1j * theta)) * env
+        sums = np.add.reduceat(f.sum(axis=1), np.flatnonzero(np.diff(node, prepend=-1)))
+        if real_k0:
+            out[b:b + _CONTOUR_BLOCK] = (2.0 / np.pi) * sums
+        else:
+            out[b:b + _CONTOUR_BLOCK] = np.real(np.exp(2j * theta) * sums)
+    return out
 
 
 def _series_values(a, rho):
@@ -197,8 +271,7 @@ def _table(a, table_size):
         vals = 0.5 / (0.25 + grid * grid) ** 1.5
     else:
         vals, trusted = _series_values(a, grid)
-        for i in np.flatnonzero(~trusted):
-            vals[i] = _rotated_hankel_point(a, grid[i])
+        vals[~trusted] = _contour_values(a, grid[~trusted])
     if np.any(vals <= 0.0) or not np.all(np.isfinite(vals)):
         bad = int(np.argmin(vals))
         raise ResolutionError(

@@ -19,9 +19,27 @@ _BLOCK = 16384   # interpolated values per evaluation block
 def _interval(knots, t):
     """Index i of the interval x_i < t <= x_i+1, clipped to the end intervals.
 
-    Counting only the interior knots below t gives that index directly.
+    This is np.searchsorted(knots[1:-1], t), the count of interior knots
+    below t.  Each index is first guessed from the mean knot spacing, which
+    is exact on a uniform grid but for rounding; only the keys outside
+    their guessed interval are searched for.  Those include every key on
+    or outside the end knots and every NaN.
     """
-    return np.searchsorted(knots[1:-1], t)
+    t = np.asarray(t, dtype=float)
+    flat = t.ravel()
+    last = len(knots) - 2
+    # a key near the float range may overflow to inf, which the clip
+    # handles; fmax and fmin send NaN to 0, so the cast to int stays quiet
+    with np.errstate(over="ignore"):
+        guess = flat - knots[0]
+        guess *= (last + 1) / (knots[-1] - knots[0])
+    np.fmax(guess, 0.0, out=guess)
+    np.fmin(guess, last, out=guess)
+    i = guess.astype(np.intp)
+    miss = ~((knots[i] < flat) & (flat <= knots[1:][i]))
+    if miss.any():
+        i[miss] = np.searchsorted(knots[1:-1], flat[miss])
+    return i.reshape(t.shape)
 
 
 class PiecewiseCubic:

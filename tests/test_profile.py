@@ -1,16 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import k0e
+from scipy.special import hankel1, k0, k0e
 
 from spinbound.certificate import grad_norm_sq, grad_norm_sq_quadrature
 from spinbound.errors import ConfigError, ResolutionError
-from spinbound.hankel import (FhatProfile, _rotated_hankel_point,
-                              _series_values, fhat_at_zero, fhat_profile)
-from spinbound.quadrature import log_rule
+from spinbound.hankel import (FhatProfile, _contour_cuts, _contour_panels,
+                              _contour_values, _series_values, fhat_at_zero,
+                              fhat_profile)
+from spinbound.quadrature import log_rule, merge_edges, panel_rule
 
 
 def _oracle_fhat(a, rho):
@@ -86,8 +88,112 @@ def test_contour_rule_at_exponential():
     want = 0.5 / (0.25 + grid * grid) ** 1.5
     assert np.array_equal(prof._vals, want)
     sample = np.arange(0, grid.size, 61)
-    got = np.array([_rotated_hankel_point(1.0, rho) for rho in grid[sample]])
+    got = _contour_values(1.0, grid[sample])
     assert np.max(np.abs(got / want[sample] - 1.0)) < 1e-10
+
+
+def _scalar_contour(a, rho, nodes_per_panel=10):
+    """fhat(rho) by the rotated-contour rule, one node at a time.
+
+    The reference for ``_contour_values``: the same cuts, panel edges and
+    integrands, built with np.geomspace, ``merge_edges`` and
+    ``panel_rule`` for the single node rho.  Returns the value and the
+    number of quadrature points.
+    """
+    theta = min(0.5 * np.pi, np.pi / (3.0 * a))
+    at = a * theta
+    c_env = np.cos(at)
+    s_env = np.sin(at)
+    sin_t, cos_t = np.sin(theta), np.cos(theta)
+    u_cut = 2.0 * 45.0 / c_env
+    for _ in range(40):
+        u_cut = (2.0 / c_env) * (45.0 + (2.0 / a) * np.log(u_cut))
+    s_env_cut = u_cut ** (1.0 / a)
+    s_kernel_cut = 45.0 / (rho * sin_t)
+    s_up = min(s_env_cut, s_kernel_cut)
+    u_star = 4.0 / (a * c_env)
+    s_lo = min(1e-12 * s_up, (u_star * np.exp(-1.0 - 22.5 * a)) ** (1.0 / a))
+
+    edge_sets = [np.geomspace(s_lo, s_up, max(8, int(np.ceil(
+        np.log10(s_up / s_lo) * 5)) + 1))]
+    if cos_t > 1e-12:
+        k1 = int(np.floor(rho * s_up * cos_t / np.pi))
+        if k1 >= 1:
+            edge_sets.append(np.arange(1, k1 + 1) * np.pi / (rho * cos_t))
+    k2 = int(np.floor(s_env * s_up ** a / np.pi))
+    if k2 >= 1:
+        edge_sets.append((np.arange(1, k2 + 1) * np.pi / s_env) ** (1.0 / a))
+    edges = merge_edges(*edge_sets)
+    edges = edges[(edges >= s_lo) & (edges <= s_up)]
+    edges = merge_edges(edges, [s_lo, s_up])
+
+    s, w = panel_rule(edges, nodes_per_panel)
+    env = np.exp(-0.5 * (s ** a) * (c_env + 1j * s_env))
+    if theta >= 0.5 * np.pi - 1e-12:
+        kernel = k0(np.minimum(rho * s, 700.0))
+        val = (2.0 / np.pi) * np.sum(w * s * kernel * np.exp(-0.5 * c_env * s ** a)
+                                     * np.sin(0.5 * s_env * s ** a))
+        return float(val), s.size
+    kernel = hankel1(0, rho * s * np.exp(1j * theta))
+    if s_kernel_cut < s_env_cut:
+        ze = -0.5 * (s ** a) * (c_env + 1j * s_env)
+        small = np.abs(ze) < 1e-2
+        env = np.where(
+            small,
+            ze * (1.0 + ze * (0.5 + ze * (1.0 / 6.0 + ze / 24.0))),
+            env - 1.0)
+    val = np.real(np.exp(2j * theta) * np.sum(w * s * kernel * env))
+    return float(val), s.size
+
+
+def _rejected_nodes(a):
+    """The table nodes at exponent a that the series gate leaves to the contour rule."""
+    prof = fhat_profile(a)
+    grid = np.geomspace(prof.rho_lo, prof.rho_hi, 4096)
+    return grid[~_series_values(a, grid)[1]]
+
+
+@pytest.mark.parametrize("a", [0.025, 0.05, 0.4, 0.7, 1.5, 1.9])
+def test_contour_values_match_scalar_rule(a):
+    rho = _rejected_nodes(a)
+    _, _, node, kernel_limited = _contour_panels(a, rho, _contour_cuts(a))
+    # evenly spread nodes, and the two on each side of the switch from
+    # envelope-limited (s_up = s_env_cut) to kernel-limited ranges
+    sample = np.linspace(0, rho.size - 1, 24).astype(int)
+    switch = np.flatnonzero(np.diff(kernel_limited))
+    sample = np.union1d(sample, np.concatenate([switch, switch + 1]))
+    if a == 0.4:
+        assert not kernel_limited[0] and rho[switch[0]] < 2e-4
+    if a >= 2.0 / 3.0:
+        # the Hankel-1 branch, where kernel-limited nodes take env - 1
+        assert kernel_limited[sample].any()
+    want = np.array([_scalar_contour(a, r) for r in rho[sample]])
+    got = _contour_values(a, rho[sample])
+    assert np.max(np.abs(got / want[:, 0] - 1.0)) < 1e-13
+    points = 10 * np.bincount(node, minlength=rho.size)
+    assert np.array_equal(points[sample], want[:, 1])
+
+
+@pytest.mark.parametrize("a,points", [(0.4, 157960), (0.2, 209040),
+                                      (0.1, 356100), (0.05, 682750)])
+def test_contour_point_count(a, points):
+    # the scalar rule's total number of contour points over the rejected nodes
+    rho = _rejected_nodes(a)
+    lo, _, _, _ = _contour_panels(a, rho, _contour_cuts(a))
+    assert 10 * lo.size == points
+
+
+def test_contour_memory_peak():
+    # the contour rule builds panels and integrands for 16 nodes at a
+    # time: the a = 0.025 table (1,487 rejected nodes, 1.27 M points) peaks
+    # near 2 MiB of arrays, against about 53 MiB if every node is taken at once
+    tracemalloc.start()
+    try:
+        FhatProfile(0.025)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def _rho_half(prof):
@@ -152,7 +258,7 @@ def test_series_gate_rejects_cancelling_node():
     i = int(np.argmin(np.abs(np.log(grid / 1.4e-6))))
     vals, trusted = _series_values(a, grid[i:i + 1])
     assert not trusted[0]
-    want = _rotated_hankel_point(a, grid[i])
+    want = _contour_values(a, grid[i:i + 1])[0]
     assert abs(vals[0] - want) > want
     assert prof(grid[i]) == pytest.approx(want, rel=1e-14)
 

@@ -1,13 +1,14 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline, RegularGridInterpolator
 
 import spinbound
-from spinbound.spline import bilinear, cubic_spline
+from spinbound.spline import _interval, bilinear, cubic_spline
 
 
 def _rel(got, want):
@@ -77,6 +78,32 @@ def test_joined_pieces_keep_the_kink_out():
     # a point on the join takes the inner (left) piece
     assert spline(1.0, 1) == pytest.approx(-1.0, abs=1e-12)
     assert spline(np.nextafter(1.0, 2.0), 1) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("knots", [
+    np.linspace(-2.0, 1.0, 7),
+    np.linspace(0.0, 1.0, 2),
+    np.log(np.geomspace(1.4e-7, 1e110, 4096)),
+    np.log(_kink_grid()),
+], ids=["uniform", "one-interval", "log-uniform", "ring-merged"])
+def test_interval_is_searchsorted(knots):
+    rng = np.random.default_rng(3)
+    lo, hi = knots[0], knots[-1]
+    pad = 0.1 * (hi - lo)
+    keys = np.concatenate([
+        rng.uniform(lo - pad, hi + pad, 5000),
+        knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
+        0.5 * (knots[1:] + knots[:-1]),
+        [np.inf, -np.inf, np.nan, lo - 1e300, hi + 1e300, -1.7e308, 1.7e308]])
+    rng.shuffle(keys)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _interval(knots, keys)
+        grid = _interval(knots, keys[:4000].reshape(40, 100))
+        one = _interval(knots, np.nan)
+    assert np.array_equal(got, np.searchsorted(knots[1:-1], keys))
+    assert np.array_equal(grid, np.searchsorted(knots[1:-1], keys[:4000].reshape(40, 100)))
+    assert one.shape == () and one == np.searchsorted(knots[1:-1], np.nan)
 
 
 def test_bilinear_matches_regular_grid_interpolator():
