@@ -9,7 +9,7 @@ matrix, ``oracle`` cross-checks by brute-force diagonalization, and
 """
 
 from .certificate import (CertificateResult, DefinitenessReport, TrialBasis,
-                          certify, definiteness, grad_norm_sq, kinetic_matrix,
+                          certify, definiteness, kinetic_matrix,
                           potential_matrix_dropped, potential_matrix_exact,
                           select_points, trial_basis)
 from .config import RunConfig, build_measure, build_model, parse_config
@@ -19,13 +19,10 @@ from .errors import (CapacityError, ConfigError, DegenerateInputError,
                      SupportError)
 from .hankel import FhatProfile
 from .measure import (ClosedFormCircle, CurveDelta, DecayProfile, Density,
-                      SampledCurve, Segment, Sum, decay_scan, fourier,
-                      fourier_batch, fourier_grid, fourier_matrix,
-                      total_mass)
-from .model import (BandBasis, BandPair, Circle, CouplingSpec, PointCloud,
-                    SymbolMatrix, ThresholdData, band_basis, bands,
-                    lower_band, lower_band_vectors, quad_constant, symbol,
-                    threshold)
+                      SampledCurve, Segment, Sum, decay_scan, fourier_batch,
+                      fourier_grid, fourier_matrix)
+from .model import (Circle, CouplingSpec, PointCloud, ThresholdData,
+                    lower_band, lower_band_vectors, threshold)
 from .oracle import (BoxSpec, SpectrumResult, SweepResult, assemble,
                      convergence_sweep, eigen_count_below, spectrum)
 

@@ -64,30 +64,6 @@ def trial_basis(model: CouplingSpec, thr: ThresholdData, points, a) -> TrialBasi
 # closed forms
 
 
-def grad_norm_sq(a):
-    """Dirichlet integral of the bump exp(-|x|^a/2) over the plane: pi a / 2."""
-    a = float(a)
-    if not (0.0 < a <= 2.0):
-        raise ConfigError("bump exponent a must lie in (0, 2]")
-    return 0.5 * np.pi * a
-
-
-def grad_norm_sq_quadrature(a):
-    """Independent radial quadrature of |grad f_a|^2; cross-checks grad_norm_sq."""
-    a = float(a)
-    if not (0.0 < a <= 2.0):
-        raise ConfigError("bump exponent a must lie in (0, 2]")
-    # upper cut where r^a - 2 ln r stays above the working budget
-    u_up = 60.0
-    for _ in range(40):
-        u_up = 60.0 + 2.0 * np.log(u_up)
-    r_hi = u_up ** (1.0 / a)
-    r_lo = max(10.0 ** (-14.0 / (2.0 * a)), 1e-280)  # omitted head < 1e-14
-    r, w = log_rule(r_lo, r_hi, 8, 8)
-    grad_sq = 0.25 * a * a * r ** (2.0 * a - 2.0) * np.exp(-r ** a)
-    return float(2.0 * np.pi * np.sum(w * r * grad_sq))
-
-
 def _bump_sq(a, r):
     """|f_a(x)|^2 = exp(-r^a) at radius r."""
     return np.exp(-np.asarray(r, dtype=float) ** a)
@@ -352,23 +328,21 @@ def potential_matrix_exact(model: CouplingSpec, nu, basis: TrialBasis):
     r = np.hypot(x, y)
     theta = np.arctan2(y, x)
     f = np.exp(-0.5 * r ** basis.a)
-    n = len(pts)
     rep, phi, chi = _rotation_orbit(model, pts, _gate_sample(pts[0], basis.profile))
     m_arr = np.arange(-_M_MAX, _M_MAX + 1)
-    psi1 = np.empty((n, len(x)), dtype=complex)
-    psi2 = np.empty((n, len(x)), dtype=complex)
+    delta = np.empty((len(pts), len(x)), dtype=complex)
     for i in np.unique(rep):
-        # named: numpy multiplies into a large temporary in place, operands
-        # swapped, which rounds complex products differently
-        per_node = _node_modes(model, pts[i], basis.profile, r, m_arr)   # (T, M)
-        for j in np.flatnonzero(rep == i):
-            pj = pts[j]
-            vj = complex(lower_band_vectors(model, pj[0], pj[1])[0])
-            harmonics = np.exp(1j * np.outer(theta - phi[j], m_arr)) * (1j) ** m_arr
-            delta = chi[j] * np.sum(harmonics * per_node, axis=1)
-            phase = np.exp(1j * (pj[0] * x + pj[1] * y))
-            psi1[j] = phase * (vj * f + delta)
-            psi2[j] = phase * (f / _SQRT2)
+        # R_m e^{im theta} of the representative, turned to each point of
+        # its orbit by the factor chi_j i^m e^{-im phi_j}
+        table = _node_modes(model, pts[i], basis.profile, r, m_arr)   # (T, M)
+        table *= np.exp(1j * np.outer(theta, m_arr))
+        own = np.flatnonzero(rep == i)
+        turn = chi[own] * (1j) ** m_arr[:, None] * np.exp(-1j * np.outer(m_arr, phi[own]))
+        delta[own] = (table @ turn).T
+    v = lower_band_vectors(model, pts[:, 0], pts[:, 1])[:, 0]
+    phase = np.exp(1j * (pts[:, :1] * x + pts[:, 1:] * y))
+    psi1 = phase * (v[:, None] * f + delta)
+    psi2 = phase * (f / _SQRT2)
     return (psi1.conj() * w) @ psi1.T + (psi2.conj() * w) @ psi2.T
 
 

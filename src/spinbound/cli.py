@@ -32,12 +32,11 @@ EXIT_NUMERICAL = 3
 
 def _parse_grid(text):
     """'start:stop:step' -> inclusive 1-D grid of |p| values."""
-    parts = text.split(":")
     try:
-        start, stop, step = (float(p) for p in parts)
+        start, stop, step = (float(p) for p in text.split(":"))
     except (ValueError, TypeError):
         raise ConfigError(["--grid must be 'start:stop:step', got %r" % text])
-    if len(parts) != 3 or step <= 0 or stop < start:
+    if step <= 0 or stop < start:
         raise ConfigError(["--grid must be 'start:stop:step' with step > 0"])
     n = int(np.floor((stop - start) / step + 1e-9)) + 1
     return start + step * np.arange(n)

@@ -311,11 +311,6 @@ def parse_config(text) -> RunConfig:
                      scan=doc.get("scan"), output=doc.get("output", {}))
 
 
-def serialize_config(config: RunConfig) -> str:
-    """JSON text whose parse reproduces the config (round-trip identity)."""
-    return json.dumps(config.raw, sort_keys=True, indent=2) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # construction of domain objects from validated sections
 

@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gamma, gammaln, hankel1, k0
+from scipy.special import gammaln, hankel1, k0
 
 from .errors import ConfigError, ResolutionError
 from .quadrature import gl_nodes
@@ -61,11 +61,6 @@ _SERIES_LOG_MAX = 600.0     # ln of the largest term summed; keeps the sums fini
 _SERIES_ROUNDING = 1e-12    # rounding bound allowed, relative to the sum
 _SERIES_TAIL_TERMS = 20
 _SERIES_TAIL = 1e-18        # largest tail term allowed, relative to the sum
-
-
-def fhat_at_zero(a):
-    """fhat(0) = 2^(2/a) Gamma(2/a) / a (Gamma integral after u = r^a/2)."""
-    return 2.0 ** (2.0 / a) * gamma(2.0 / a) / a
 
 
 def _contour_cuts(a):
@@ -299,7 +294,6 @@ class FhatProfile:
         self._vals = vals
         self._spline = cubic_spline(np.log(grid), np.log(vals))
         self._end_slope = float(self._spline(np.log(grid[-1]), 1))
-        self.tail_coefficient = float(vals[-1] * grid[-1] ** (2.0 + self.a))
 
     def __call__(self, rho):
         rho = np.asarray(rho, dtype=float)
@@ -318,12 +312,6 @@ class FhatProfile:
         return out if out.shape else float(out)
 
 
-_PROFILE_CACHE: dict[float, FhatProfile] = {}
-
-
 def fhat_profile(a) -> FhatProfile:
-    """Cached radial profile for a bump exponent a in (0, 2]."""
-    a = float(a)
-    if a not in _PROFILE_CACHE:
-        _PROFILE_CACHE[a] = FhatProfile(a)
-    return _PROFILE_CACHE[a]
+    """Radial profile for a bump exponent a in (0, 2]."""
+    return FhatProfile(float(a))

@@ -8,7 +8,7 @@ scaled to the number of phase oscillations across the support.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -127,12 +127,9 @@ class CurveDelta:
 
     curve: Curve
     weight: Callable | float = 1.0
-    nonpositive: bool = field(init=False, default=False)
 
     def __post_init__(self):
         self._h = _as_weight(self.weight)
-        x, y = self.curve.point(np.linspace(0.0, 1.0, 512))
-        self.nonpositive = bool(np.max(self._h(x, y)) <= 0.0)
 
     def quad_nodes(self, max_abs_p):
         """(x, y, weights) with weights carrying h and the arclength element."""
@@ -152,7 +149,6 @@ class Density:
 
     V: Callable
     support_box: tuple[float, float, float, float]  # (xmin, xmax, ymin, ymax)
-    nonpositive: bool = field(init=False, default=False)
 
     def __post_init__(self):
         x0, x1, y0, y1 = self.support_box
@@ -163,7 +159,6 @@ class Density:
         vals = np.asarray(self.V(gx[:, None], gy[None, :]), dtype=float)
         if not np.all(np.isfinite(vals)):
             raise QuadratureFailureError("density is non-finite on its support box")
-        self.nonpositive = bool(np.max(vals) <= 0.0)
 
     def _tensor_rule(self, max_abs_p):
         """Axis nodes xs, ys and weights vw = V * (wx outer wy) on their grid.
@@ -191,10 +186,6 @@ class Density:
 class Sum:
     parts: list
 
-    @property
-    def nonpositive(self):
-        return all(p.nonpositive for p in self.parts)
-
     def quad_nodes(self, max_abs_p):
         """The parts' (x, y, weights) nodes, concatenated."""
         parts = [p.quad_nodes(max_abs_p) for p in self.parts]
@@ -206,17 +197,6 @@ RadonMeasureSpec = CurveDelta | Density | Sum
 
 # ---------------------------------------------------------------------------
 # transforms
-
-
-def total_mass(nu: RadonMeasureSpec):
-    """integral of nu(dx); equals 2*pi*fourier(nu, 0)."""
-    x, y, w = nu.quad_nodes(0.0)
-    return float(np.sum(w))
-
-
-def fourier(nu: RadonMeasureSpec, p):
-    """nuhat(p) = (1/2pi) * integral exp(-i<p,x>) nu(dx)."""
-    return complex(fourier_batch(nu, np.asarray(p, dtype=float).reshape(1, 2))[0])
 
 
 def fourier_batch(nu: RadonMeasureSpec, points):

@@ -74,44 +74,7 @@ class CouplingSpec:
 
 
 # ---------------------------------------------------------------------------
-# pointwise symbol / bands / eigenbasis
-
-
-@dataclass(frozen=True)
-class SymbolMatrix:
-    matrix: np.ndarray  # 2x2 complex
-    p: tuple[float, float]
-
-
-@dataclass(frozen=True)
-class BandPair:
-    lambda_plus: float
-    lambda_minus: float
-
-
-@dataclass(frozen=True)
-class BandBasis:
-    u_minus: np.ndarray  # lower-band unit eigenvector in C^2
-    u_plus: np.ndarray
-
-
-def symbol(model: CouplingSpec, p) -> SymbolMatrix:
-    """Momentum-space symbol at p: [[p^2, A(p)], [conj A(p), p^2]]."""
-    px, py = float(p[0]), float(p[1])
-    a = complex(model.coupling(px, py))
-    if not np.isfinite(a):
-        raise NumericalInputError("coupling is non-finite at p=%r" % (p,))
-    p2 = px * px + py * py
-    m = np.array([[p2, a], [np.conj(a), p2]], dtype=complex)
-    return SymbolMatrix(matrix=m, p=(px, py))
-
-
-def bands(model: CouplingSpec, p) -> BandPair:
-    """Dispersion branches (p^2 + |A|, p^2 - |A|) at a single momentum."""
-    px, py = float(p[0]), float(p[1])
-    absa = abs(complex(model.coupling(px, py)))
-    p2 = px * px + py * py
-    return BandPair(lambda_plus=p2 + absa, lambda_minus=p2 - absa)
+# lower band and its eigenvectors
 
 
 def lower_band(model: CouplingSpec, px, py):
@@ -121,30 +84,16 @@ def lower_band(model: CouplingSpec, px, py):
     return px * px + py * py - np.abs(model.coupling(px, py))
 
 
-def band_basis(model: CouplingSpec, p) -> BandBasis:
-    """Orthonormal eigenbasis of the symbol.
-
-    Phase convention: the second component of each eigenvector is 1/sqrt(2).
-    At points with A(p) = 0 the fixed fallback (-1,1)/sqrt(2), (1,1)/sqrt(2)
-    is returned; any unitary choice is valid there.
-    """
-    px, py = float(p[0]), float(p[1])
-    a = complex(model.coupling(px, py))
-    if a == 0.0:
-        u_minus = np.array([-1.0, 1.0], dtype=complex) / _SQRT2
-        u_plus = np.array([1.0, 1.0], dtype=complex) / _SQRT2
-    else:
-        phase = a / abs(a)
-        u_minus = np.array([-phase, 1.0], dtype=complex) / _SQRT2
-        u_plus = np.array([phase, 1.0], dtype=complex) / _SQRT2
-    return BandBasis(u_minus=u_minus, u_plus=u_plus)
-
-
 def lower_band_vectors(model: CouplingSpec, px, py):
-    """Vectorized lower-band eigenvectors; returns array shape (..., 2)."""
+    """Vectorized lower-band eigenvectors; returns array shape (..., 2).
+
+    Phase convention: the second component is 1/sqrt(2).  Where A(p) = 0
+    the fixed fallback (-1, 1)/sqrt(2) is returned; any unit vector is an
+    eigenvector there.
+    """
     a = model.coupling(px, py)
     absa = np.abs(a)
-    phase = np.where(absa > 0.0, a / np.where(absa > 0.0, absa, 1.0), -1.0 + 0.0j)
+    phase = np.where(absa > 0.0, a / np.where(absa > 0.0, absa, 1.0), 1.0 + 0.0j)
     out = np.empty(np.broadcast(np.asarray(px), np.asarray(py)).shape + (2,), dtype=complex)
     out[..., 0] = -phase / _SQRT2
     out[..., 1] = 1.0 / _SQRT2
@@ -216,31 +165,6 @@ def _radial_newton(f, r0, r_lo, r_hi, steps):
             break
         r = r_new
     return r
-
-
-def quad_constant(model: CouplingSpec, thr: ThresholdData, p0,
-                  n_angles=256, n_radial=512):
-    """A global constant c with lambda_minus(p) - kappa <= c |p - p0|^2.
-
-    Sampled maximum of the ratio over a disk of radius max(4|p0|, 4 r_growth),
-    combined with the analytic bound (p^2 + |kappa|)/(|p| - |p0|)^2 evaluated
-    on the disk boundary, which dominates the ratio outside the disk.
-    """
-    p0 = np.asarray(p0, dtype=float)
-    r0 = float(np.hypot(p0[0], p0[1]))
-    r_disk = max(4.0 * r0, 4.0 * model.r_growth)
-    ang = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
-    rad = np.linspace(r_disk / n_radial, r_disk, n_radial)
-    px = rad[None, :] * np.cos(ang)[:, None]
-    py = rad[None, :] * np.sin(ang)[:, None]
-    lam = lower_band(model, px, py) - thr.kappa
-    d2 = (px - p0[0]) ** 2 + (py - p0[1]) ** 2
-    mask = d2 > 1e-12
-    grid_max = float(np.max(lam[mask] / d2[mask])) if np.any(mask) else 0.0
-    # outside the disk: lambda_minus - kappa <= p^2 + |kappa| and the ratio
-    # bound below is decreasing in |p|, so its boundary value covers the tail
-    c_tail = (r_disk * r_disk + abs(thr.kappa)) / (r_disk - r0) ** 2
-    return max(grid_max, c_tail)
 
 
 def threshold(model: CouplingSpec) -> ThresholdData:

@@ -81,12 +81,9 @@ class PiecewiseCubic:
         d = (flat - self.x[i]).reshape((-1,) + (1,) * len(trailing))
         # blocks of about _BLOCK values keep Horner's temporaries in cache
         rows = max(1, _BLOCK // self.c0[0].size)
-        if len(flat) <= rows:
-            out = self._horner(i, d, nu)
-        else:
-            out = np.empty(flat.shape + trailing, dtype=self.c0.dtype)
-            for s in range(0, len(flat), rows):
-                out[s:s + rows] = self._horner(i[s:s + rows], d[s:s + rows], nu)
+        out = np.empty(flat.shape + trailing, dtype=self.c0.dtype)
+        for s in range(0, len(flat), rows):
+            out[s:s + rows] = self._horner(i[s:s + rows], d[s:s + rows], nu)
         return out.reshape(t.shape + trailing)
 
     def _horner(self, i, d, nu):

@@ -3,6 +3,7 @@ import pytest
 
 from spinbound.measure import ClosedFormCircle, CurveDelta, Density
 from spinbound.model import CouplingSpec, threshold
+from spinbound.quadrature import log_rule
 
 
 def bessel_j0_series(x):
@@ -19,6 +20,23 @@ def bessel_j0_series(x):
         term = term * q / (k * k)
         total = total + term
     return total
+
+
+def grad_norm_sq_quadrature(a):
+    """|grad f_a|^2 of the bump f_a = exp(-|x|^a/2), integrated over the plane.
+
+    A radial log rule on [r_lo, r_hi]: the omitted head is below 1e-14, and
+    past r_hi the integrand r^(2a-1) exp(-r^a) is below e^-60.  The closed
+    form is pi a / 2.
+    """
+    u_up = 60.0
+    for _ in range(40):
+        u_up = 60.0 + 2.0 * np.log(u_up)
+    r_hi = u_up ** (1.0 / a)
+    r_lo = max(10.0 ** (-14.0 / (2.0 * a)), 1e-280)
+    r, w = log_rule(r_lo, r_hi, 8, 8)
+    grad_sq = 0.25 * a * a * r ** (2.0 * a - 2.0) * np.exp(-r ** a)
+    return float(2.0 * np.pi * np.sum(w * r * grad_sq))
 
 
 @pytest.fixture(scope="session")

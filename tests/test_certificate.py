@@ -5,9 +5,10 @@ import pytest
 from scipy.special import jv
 
 from spinbound import certificate
-from spinbound.certificate import (_M_MAX, TrialBasis, _kinetic_halfplane,
-                                   _ModeTable, _angular_modes, _node_modes,
-                                   _pair_scale, certify,
+from spinbound.certificate import (_M_MAX, TrialBasis, _gate_sample,
+                                   _kinetic_halfplane, _ModeTable,
+                                   _angular_modes, _node_modes, _pair_scale,
+                                   _rotation_orbit, certify,
                                    definiteness, kinetic_matrix,
                                    potential_matrix_dropped,
                                    potential_matrix_exact, select_points,
@@ -17,7 +18,7 @@ from spinbound.errors import (CapacityError, ConfigError, NumericalInputError,
 from spinbound.hankel import fhat_profile
 from spinbound.measure import ClosedFormCircle, CurveDelta, fourier_matrix
 from spinbound.model import (Circle, CouplingSpec, PointCloud,
-                             lower_band_vectors, quad_constant, threshold)
+                             lower_band_vectors, threshold)
 from spinbound.quadrature import merge_edges, panel_rule
 
 TWO_PI_E = 2.0 * np.pi * np.exp(-1.0)
@@ -106,15 +107,15 @@ def test_kinetic_diagonal_bound(model_name):
     model = getattr(CouplingSpec, model_name)(2.0)
     thr = threshold(model)
     pts = select_points(thr.minset, 2)
-    c = [quad_constant(model, thr, p) for p in pts]
     prev = None
     for a in (0.4, 0.2, 0.1):
         basis = trial_basis(model, thr, pts, a)
         t = kinetic_matrix(model, thr, basis)
         diag = np.real(np.diag(t))
         assert np.all(diag >= 0.0)
-        for j in range(len(pts)):
-            assert diag[j] <= 0.5 * np.pi * c[j] * a
+        # lambda_- - kappa = (|p| - alpha/2)^2 <= |p - p_j|^2, so
+        # T_jj <= int |q|^2 fhat^2 dq = ||grad f_a||^2 = pi a / 2
+        assert np.all(diag <= 0.5 * np.pi * a)
         if prev is not None:        # monotone decay along the schedule
             assert np.all(diag <= prev + 1e-9)
         prev = diag
@@ -413,6 +414,34 @@ def _per_point_kinetic(model, thr, basis):
     return T
 
 
+def _per_point_loop_potential(model, nu, basis):
+    """W with Delta_j summed point by point from its orbit's radial modes.
+
+    The reference for the one product per orbit in potential_matrix_exact:
+    the same orbits and radial modes, with the harmonics e^{im(theta -
+    phi_j)} formed for each point on its own.
+    """
+    pts = basis.points
+    max_p = _pair_scale(pts) + float(np.max(np.hypot(pts[:, 0], pts[:, 1]))) + 4.0
+    x, y, w = nu.quad_nodes(max_p)
+    r, theta = np.hypot(x, y), np.arctan2(y, x)
+    f = np.exp(-0.5 * r ** basis.a)
+    rep, phi, chi = _rotation_orbit(model, pts, _gate_sample(pts[0], basis.profile))
+    m_arr = np.arange(-_M_MAX, _M_MAX + 1)
+    psi = np.empty((len(pts), 2, len(x)), dtype=complex)
+    for i in np.unique(rep):
+        per_node = _node_modes(model, pts[i], basis.profile, r, m_arr)
+        for j in np.flatnonzero(rep == i):
+            px, py = pts[j]
+            harmonics = np.exp(1j * np.outer(theta - phi[j], m_arr)) * (1j) ** m_arr
+            delta = chi[j] * np.sum(harmonics * per_node, axis=1)
+            v = lower_band_vectors(model, px, py)
+            phase = np.exp(1j * (px * x + py * y))
+            psi[j, 0] = phase * (v[0] * f + delta)
+            psi[j, 1] = phase * (v[1] * f)
+    return np.einsum("jsn,n,ksn->jk", psi.conj(), w, psi)
+
+
 def _per_point_potential(model, nu, basis):
     """W with every point's band correction from its own mode table."""
     pts, prof = basis.points, basis.profile
@@ -455,6 +484,26 @@ def test_orbit_reduction_matches_per_point(case):
     w_ref = _per_point_potential(model, nu, basis)
     w = potential_matrix_exact(model, nu, basis)
     assert np.max(np.abs(w - w_ref)) <= 1e-12 * np.max(np.abs(w_ref))
+
+
+@pytest.mark.parametrize("case", ["readme-circle", "gaussian-well", "own-orbits"])
+def test_exact_potential_matches_per_point_loop(case, gaussian_well):
+    if case == "own-orbits":
+        # a coupling that is not odd: the gate leaves every point alone
+        model = _WORK_CASES["non-odd-3"][0]
+        pts = _rotated(select_points(Circle((0.0, 0.0), 1.0), 3), 0.3)
+        basis = TrialBasis(points=pts, a=1.0, profile=fhat_profile(1.0))
+        nu = CurveDelta(ClosedFormCircle((0.0, 0.0), 1.0), weight=-1.0)
+    else:
+        model = CouplingSpec.rashba(2.0)
+        thr = threshold(model)
+        n, a = (4, 0.4) if case == "readme-circle" else (2, 1.0)
+        basis = trial_basis(model, thr, select_points(thr.minset, n), a)
+        nu = (CurveDelta(ClosedFormCircle((0.0, 0.0), 1.0), weight=-1.0)
+              if case == "readme-circle" else gaussian_well)
+    w_ref = _per_point_loop_potential(model, nu, basis)
+    w = potential_matrix_exact(model, nu, basis)
+    assert np.max(np.abs(w - w_ref)) <= 1e-13 * np.max(np.abs(w_ref))
 
 
 def test_orbit_reduction_six_point_ring():

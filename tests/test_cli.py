@@ -120,6 +120,14 @@ def test_exit_numerical_error(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("grid", ["1:3", "1:3:1:1", "1:x:1", "3:1:1", "1:3:0"])
+def test_exit_config_error_on_a_malformed_grid(tmp_path, grid):
+    cfg = _write(tmp_path, "c.json", {"measure": _certify_doc()["measure"]})
+    out = tmp_path / "f.csv"
+    assert main(["fourier", "-c", cfg, "-o", str(out), "--grid", grid]) == 2
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # fourier / scan output
 

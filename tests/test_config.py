@@ -3,8 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from spinbound.config import (build_measure, build_model, parse_config,
-                              serialize_config)
+from spinbound.config import build_measure, build_model, parse_config
 from spinbound.errors import ConfigError
 from spinbound.measure import CurveDelta, Density, Sum, fourier_batch
 
@@ -29,7 +28,7 @@ def test_parse_valid_config():
 
 def test_round_trip():
     cfg = parse_config(json.dumps(VALID))
-    again = parse_config(serialize_config(cfg))
+    again = parse_config(json.dumps(cfg.raw))
     assert again.raw == cfg.raw
 
 

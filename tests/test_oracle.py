@@ -4,8 +4,7 @@ import scipy.linalg
 
 from spinbound import oracle
 from spinbound.errors import CapacityError, ConfigError, SupportError
-from spinbound.measure import (ClosedFormCircle, CurveDelta, Density, Segment, Sum,
-                               total_mass)
+from spinbound.measure import ClosedFormCircle, CurveDelta, Density, Segment, Sum
 from spinbound.model import CouplingSpec, threshold
 from spinbound.oracle import (BoxSpec, assemble, convergence_sweep,
                               eigen_count_below, spectrum)
@@ -96,7 +95,7 @@ def test_diagonal_coupling_is_scaled_total_mass(rashba2, gaussian_well):
     diag = np.diag(h - hfree)
     # coupling at zero mode difference: (2 pi / 4L^2) * nuhat(0), and
     # nuhat(0) = total mass / (2 pi)
-    expected = total_mass(gaussian_well) / (4.0 * box.L ** 2)
+    expected = np.sum(gaussian_well.quad_nodes(0.0)[2]) / (4.0 * box.L ** 2)
     assert np.allclose(diag, expected, rtol=1e-10)
 
 

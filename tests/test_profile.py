@@ -7,12 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import hankel1, k0, k0e
 
-from spinbound.certificate import grad_norm_sq, grad_norm_sq_quadrature
+from conftest import grad_norm_sq_quadrature
 from spinbound.errors import ConfigError, ResolutionError
 from spinbound.hankel import (FhatProfile, _contour_cuts, _contour_panels,
-                              _contour_values, _series_values, fhat_at_zero,
-                              fhat_profile)
+                              _contour_values, _series_values, fhat_profile)
 from spinbound.quadrature import log_rule, merge_edges, panel_rule
+
+
+def fhat_at_zero(a):
+    """fhat(0) = 2^(2/a) Gamma(2/a) / a (Gamma integral after u = r^a/2)."""
+    return 2.0 ** (2.0 / a) * math.gamma(2.0 / a) / a
+
+
+def tail_coefficient(prof):
+    """C of the power-law tail fhat ~ C rho^-(2+a), read at the table's end."""
+    return prof._vals[-1] * prof._grid[-1] ** (2.0 + prof.a)
 
 
 def _oracle_fhat(a, rho):
@@ -58,10 +67,13 @@ def _oracle_fhat(a, rho):
 
 
 def test_value_at_zero():
-    assert fhat_at_zero(1.0) == pytest.approx(4.0, rel=1e-13)
-    for a in (0.25, 0.5, 1.5, 2.0):
-        want = 2.0 ** (2.0 / a) * math.gamma(2.0 / a) / a
-        assert fhat_at_zero(a) == pytest.approx(want, rel=1e-13)
+    # the table starts at rho_lo = 1e-4 / sqrt(<r^2>), where
+    # fhat = fhat(0) (1 - rho^2 <r^2> / 4 + O(rho^4)) = fhat(0) (1 - 2.5e-9)
+    assert fhat_at_zero(1.0) == 4.0
+    for a in (0.4, 1.0, 2.0):
+        prof = fhat_profile(a)
+        want = fhat_at_zero(a) * (1.0 - 2.5e-9)
+        assert prof(prof.rho_lo) == pytest.approx(want, rel=1e-12)
 
 
 def test_gaussian_closed_form():
@@ -292,7 +304,7 @@ def test_mass_identity(a, tol):
     if a == 2.0:
         tail = 0.0
     else:
-        tail = prof.tail_coefficient * prof.rho_hi ** (-a) / a
+        tail = tail_coefficient(prof) * prof.rho_hi ** (-a) / a
     total = float(np.sum(w * rho * prof(rho))) + head + tail
     assert total == pytest.approx(1.0, abs=tol)
 
@@ -310,13 +322,14 @@ def test_dirichlet_identity(a, rtol):
 
 
 def test_grad_norm_closed_forms():
-    assert grad_norm_sq(1.0) == pytest.approx(np.pi / 2.0, rel=1e-15)
-    assert grad_norm_sq(2.0) == pytest.approx(np.pi, rel=1e-15)
+    # a = 2: int 2 pi r^3 exp(-r^2) dr = pi; a = 1: int (pi/2) r exp(-r) dr = pi/2
+    assert grad_norm_sq_quadrature(1.0) == pytest.approx(np.pi / 2.0, rel=1e-12)
+    assert grad_norm_sq_quadrature(2.0) == pytest.approx(np.pi, rel=1e-12)
 
 
 @pytest.mark.parametrize("a", [0.25, 0.5, 1.0, 2.0])
 def test_grad_norm_quadrature(a):
-    assert grad_norm_sq_quadrature(a) == pytest.approx(grad_norm_sq(a), abs=1e-6)
+    assert grad_norm_sq_quadrature(a) == pytest.approx(0.5 * np.pi * a, abs=1e-6)
 
 
 @settings(max_examples=25, deadline=None)
@@ -338,4 +351,4 @@ def test_domain_validation():
         with pytest.raises(ConfigError):
             FhatProfile(bad)
         with pytest.raises(ConfigError):
-            grad_norm_sq(bad)
+            fhat_profile(bad)
