@@ -24,6 +24,7 @@ from .spline import cubic_spline
 
 TOL_DEF = 1e-8
 MIN_POINT_SEP = 1e-6
+DEFAULT_A_SCHEDULE = (0.4, 0.2, 0.1, 0.05, 0.025)
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -44,20 +45,22 @@ def trial_basis(model: CouplingSpec, thr: ThresholdData, points, a) -> TrialBasi
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 1:
         raise ConfigError("trial points must form an (N, 2) array, N >= 1")
-    a = float(a)
-    if not (0.0 < a <= 2.0):
-        raise ConfigError("bump exponent a must lie in (0, 2]")
-    for j in range(len(pts)):
-        for k in range(j + 1, len(pts)):
-            if np.hypot(*(pts[j] - pts[k])) <= MIN_POINT_SEP:
-                raise ConfigError(
-                    "trial points %d and %d closer than %g" % (j, k, MIN_POINT_SEP))
+    close = np.argwhere(np.triu(_distances(pts) <= MIN_POINT_SEP, 1))
+    if len(close):
+        raise ConfigError("trial points %d and %d closer than %g"
+                          % (*close[0], MIN_POINT_SEP))
     gap = lower_band(model, pts[:, 0], pts[:, 1]) - thr.kappa
     worst = float(np.max(gap))
     if worst > thr.minset_tolerance:
         raise ConfigError(
             "trial point off the minimum set: lambda_- - kappa = %.3e" % worst)
-    return TrialBasis(points=pts, a=a, profile=fhat_profile(a))
+    return TrialBasis(points=pts, a=float(a), profile=fhat_profile(a))
+
+
+def _distances(pts):
+    """|p_j - p_k| for every pair of rows of the (N, 2) array pts."""
+    diff = pts[:, None, :] - pts[None, :, :]
+    return np.hypot(diff[..., 0], diff[..., 1])
 
 
 # ---------------------------------------------------------------------------
@@ -73,12 +76,19 @@ def _bump_sq(a, r):
 # point selection on the minimum set
 
 
-def select_points(minset, N, strategy="equispaced"):
-    N = int(N)
-    if N < 1:
-        raise ConfigError("point count N must be >= 1")
+def _selection_problems(N, strategy):
+    problems = []
+    if not (isinstance(N, (int, np.integer)) and not isinstance(N, bool) and N >= 1):
+        problems.append("N must be an integer >= 1")
     if strategy not in ("equispaced", "farthest_point"):
-        raise ConfigError("unknown point strategy %r" % (strategy,))
+        problems.append("point_strategy must be equispaced|farthest_point")
+    return problems
+
+
+def select_points(minset, N, strategy="equispaced"):
+    problems = _selection_problems(N, strategy)
+    if problems:
+        raise ConfigError(problems)
     if isinstance(minset, PointCloud):
         distinct = np.unique(np.round(np.asarray(minset.points, float), 9), axis=0)
         if N > len(distinct):
@@ -114,7 +124,7 @@ class DefinitenessReport:
     negative_definite: bool
 
 
-def definiteness(matrix, tol_rel=TOL_DEF) -> DefinitenessReport:
+def definiteness(matrix) -> DefinitenessReport:
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NumericalInputError("definiteness expects a square matrix")
@@ -126,7 +136,7 @@ def definiteness(matrix, tol_rel=TOL_DEF) -> DefinitenessReport:
     lam = float(np.linalg.eigvalsh(h)[-1]) if m.size else 0.0
     frob = float(np.linalg.norm(h)) if m.size else 0.0
     return DefinitenessReport(lambda_max=lam,
-                              negative_definite=bool(lam < -tol_rel * max(1.0, frob)))
+                              negative_definite=bool(lam < -TOL_DEF * max(1.0, frob)))
 
 
 # ---------------------------------------------------------------------------
@@ -294,12 +304,7 @@ def _kinetic_halfplane(model, kappa, prof, center, other):
 
 
 def _pair_scale(pts):
-    n = len(pts)
-    mx = 0.0
-    for j in range(n):
-        for k in range(j + 1, n):
-            mx = max(mx, float(np.hypot(*(pts[j] - pts[k]))))
-    return mx
+    return float(np.max(_distances(pts)))
 
 
 def potential_matrix_dropped(nu, basis: TrialBasis):
@@ -532,28 +537,42 @@ class CertificateResult:
     diagnostics: tuple
 
 
-def certify(model: CouplingSpec, thr: ThresholdData, nu, N, a_schedule,
-            point_strategy="equispaced", potential_form="exact",
-            points=None) -> CertificateResult:
+def certify_problems(N, a_schedule, point_strategy, potential_form, points):
+    """Every problem with ``certify``'s arguments, as messages; [] when none."""
+    problems = _selection_problems(N, point_strategy)
     schedule = [float(a) for a in a_schedule]
-    problems = []
     if not schedule:
         problems.append("a_schedule must not be empty")
     if any(not (0.0 < a <= 2.0) for a in schedule):
-        problems.append("a_schedule values must lie in (0, 2]")
-    if any(schedule[i + 1] >= schedule[i] for i in range(len(schedule) - 1)):
+        problems.append("every a in a_schedule must lie in (0, 2]")
+    if any(b >= a for a, b in zip(schedule, schedule[1:])):
         problems.append("a_schedule must be strictly decreasing")
     if potential_form not in ("exact", "dropped"):
-        problems.append("potential_form must be 'exact' or 'dropped'")
-    if points is not None:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if len(pts) != N:
-            problems.append("points must hold N = %d points, got %d" % (N, len(pts)))
+        problems.append("potential_form must be exact|dropped")
+    if (points is not None and isinstance(N, (int, np.integer))
+            and len(points) != N):
+        problems.append("points must hold N = %d points, got %d" % (N, len(points)))
+    return problems
+
+
+def certify(model: CouplingSpec, thr: ThresholdData, nu, N,
+            a_schedule=DEFAULT_A_SCHEDULE, point_strategy="equispaced",
+            potential_form="exact", points=None) -> CertificateResult:
+    """Try each a of the schedule until Q = T + W on N trial points is negative definite.
+
+    ``points`` are N trial momenta on the minimum set, [x, y] pairs; without
+    them ``point_strategy`` picks N.  Raises ConfigError listing every
+    problem of ``certify_problems``.
+    """
+    problems = certify_problems(N, a_schedule, point_strategy, potential_form, points)
     if problems:
         raise ConfigError(problems)
-    if points is None:
+    schedule = [float(a) for a in a_schedule]
+    if points is not None:
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+    else:
         pts = select_points(thr.minset, N, point_strategy)
-    precheck = definiteness(fourier_matrix(nu, pts), TOL_DEF)
+    precheck = definiteness(fourier_matrix(nu, pts))
 
     steps = []
     best_q, best_lam = None, np.inf
@@ -566,7 +585,7 @@ def certify(model: CouplingSpec, thr: ThresholdData, nu, N, a_schedule,
         else:
             W = potential_matrix_dropped(nu, basis)
         Q = T + W
-        rep = definiteness(Q, TOL_DEF)
+        rep = definiteness(Q)
         steps.append(ScheduleStep(a=a, lambda_max_Q=rep.lambda_max,
                                   negative_definite=rep.negative_definite,
                                   kinetic_diagonal=tuple(np.diag(T))))
@@ -581,7 +600,7 @@ def certify(model: CouplingSpec, thr: ThresholdData, nu, N, a_schedule,
     else:
         count = 0
         for nsub in range(len(pts), 0, -1):
-            if definiteness(best_q[:nsub, :nsub], TOL_DEF).negative_definite:
+            if definiteness(best_q[:nsub, :nsub]).negative_definite:
                 count = nsub
                 break
     return CertificateResult(

@@ -17,10 +17,9 @@ import numpy as np
 
 from . import report as rep
 from .certificate import certify
-from .config import (DEFAULT_A_SCHEDULE, build_measure, build_model,
-                     parse_config)
+from .config import build_measure, build_model, parse_config
 from .errors import ConfigError, SpinboundError
-from .measure import decay_scan, fourier_batch
+from .measure import decay_scans, fourier_batch
 from .model import threshold
 from .oracle import convergence_sweep
 
@@ -49,13 +48,6 @@ def _require(config, sections, subcommand):
                            % (subcommand, ", ".join(missing))])
 
 
-def _scan_angles(scan_section):
-    angles = scan_section.get("angles", 8)
-    if isinstance(angles, int):
-        return [2.0 * np.pi * k / angles for k in range(angles)]
-    return [float(a) for a in angles]
-
-
 def _base_report(config):
     return {"schema": rep.SCHEMA_TAG, "config": config.raw}
 
@@ -64,23 +56,6 @@ def _build(config):
     """The model, its threshold data and the measure of a config."""
     model = build_model(config.model)
     return model, threshold(model), build_measure(config.measure)
-
-
-def _run_certify_section(config, model, thr, nu):
-    cert = config.certify
-    points = cert.get("points")
-    return certify(model, thr, nu, cert["N"],
-                   cert.get("a_schedule", list(DEFAULT_A_SCHEDULE)),
-                   point_strategy=cert.get("point_strategy", "equispaced"),
-                   potential_form=cert.get("potential_form", "exact"),
-                   points=np.asarray(points, float) if points else None)
-
-
-def _run_oracle_section(config, model, thr, nu):
-    osec = config.oracle
-    edge_tol = osec.get("edge_tol")
-    return convergence_sweep(model, thr, nu, osec["L"], osec["cutoffs"],
-                             edge_tol=None if edge_tol is None else float(edge_tol))
 
 
 def _write_report(document, config, out_path):
@@ -101,19 +76,19 @@ def _cmd_pipeline(config, args, sections):
     if "certify" in sections or "oracle" in sections:
         doc["threshold"] = rep.threshold_section(thr)
     if "certify" in sections:
-        result = _run_certify_section(config, model, thr, nu)
+        result = certify(model, thr, nu, **config.certify)
         doc["certificate"] = rep.certificate_section(result)
         if not result.certified:
             code = EXIT_NOT_CERTIFIED
     if "oracle" in sections:
-        sweep = _run_oracle_section(config, model, thr, nu)
+        sweep = convergence_sweep(model, thr, nu, **config.oracle)
         doc["oracle"] = rep.sweep_section(sweep)
         eig_path = (getattr(args, "eigenvalues", None)
                     or config.output.get("eigenvalues_csv"))
         if eig_path:
             _write_eigenvalues(eig_path, sweep)
     if "scan" in sections:
-        profiles = _decay_profiles(nu, config.scan)
+        profiles = decay_scans(nu, **config.scan)
         doc["decay_profiles"] = [rep.profile_section(p) for p in profiles]
         if config.output.get("profile_csv"):
             _write_profiles(config.output["profile_csv"], profiles)
@@ -128,11 +103,6 @@ def _write_eigenvalues(path, sweep):
     rep.write_csv(path, ("cutoff", "index", "eigenvalue"), rows)
 
 
-def _decay_profiles(nu, scan):
-    return [decay_scan(nu, ang, scan["r_max"], scan.get("samples", 64))
-            for ang in _scan_angles(scan)]
-
-
 def _write_profiles(path, profiles):
     rows = [(p.direction_angle, float(r), float(m), p.fitted_slope,
              p.classification)
@@ -143,7 +113,7 @@ def _write_profiles(path, profiles):
 
 
 def _cmd_scan_decay(config, args):
-    profiles = _decay_profiles(build_measure(config.measure), config.scan)
+    profiles = decay_scans(build_measure(config.measure), **config.scan)
     path = args.output or config.output.get("profile_csv")
     if path:
         _write_profiles(path, profiles)

@@ -7,17 +7,19 @@ pass instead of failing on the first key.
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .certificate import certify, certify_problems
 from .errors import ConfigError
-from .measure import ClosedFormCircle, CurveDelta, Density, SampledCurve, Segment, Sum
+from .measure import (ClosedFormCircle, CurveDelta, Density, SampledCurve, Segment,
+                      Sum, decay_scans, scan_problems)
 from .model import CouplingSpec
+from .oracle import convergence_sweep, sweep_problems
 from .spline import bilinear
-
-DEFAULT_A_SCHEDULE = (0.4, 0.2, 0.1, 0.05, 0.025)
 
 
 @dataclass
@@ -51,25 +53,29 @@ def _check_keys(obj, path, required, optional, sink):
     return not missing and not unknown
 
 
-def _number(obj, key, path, sink, lo=None, hi=None, lo_open=False, hi_open=False):
+def _finite(v):
+    """A finite JSON number; JSON booleans are not numbers."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and bool(np.isfinite(v))
+
+
+def _numbers(v):
+    return isinstance(v, list) and all(_finite(c) for c in v)
+
+
+def _pair(v):
+    return isinstance(v, list) and len(v) == 2 and _numbers(v)
+
+
+def _number(obj, key, path, sink, positive=False):
     v = obj.get(key)
-    if not isinstance(v, (int, float)) or isinstance(v, bool) or not np.isfinite(v):
+    if not _finite(v):
         sink.add(path, "%r must be a finite number" % key)
-        return None
-    v = float(v)
-    if lo is not None and (v <= lo if lo_open else v < lo):
+    elif positive and v <= 0.0:
         sink.add(path, "%r = %g out of range" % (key, v))
-        return None
-    if hi is not None and (v >= hi if hi_open else v > hi):
-        sink.add(path, "%r = %g out of range" % (key, v))
-        return None
-    return v
 
 
 def _point(value, path, sink):
-    if (isinstance(value, list) and len(value) == 2
-            and all(isinstance(c, (int, float)) and not isinstance(c, bool)
-                    and np.isfinite(c) for c in value)):
+    if _pair(value):
         return (float(value[0]), float(value[1]))
     sink.add(path, "expected a finite [x, y] pair")
     return None
@@ -98,7 +104,7 @@ def _validate_curve(section, path, sink):
     if kind == "circle":
         if _check_keys(section, path, ("type", "center", "radius"), (), sink):
             _point(section["center"], path + ".center", sink)
-            _number(section, "radius", path, sink, lo=0.0, lo_open=True)
+            _number(section, "radius", path, sink, positive=True)
     elif kind == "segment":
         if _check_keys(section, path, ("type", "start", "end"), (), sink):
             a = _point(section["start"], path + ".start", sink)
@@ -128,9 +134,9 @@ def _validate_density(section, path, sink):
     kind = section.get("type")
     if kind == "gaussian-well":
         if _check_keys(section, path, ("type", "depth"), ("width", "center"), sink):
-            _number(section, "depth", path, sink, lo=0.0, lo_open=True)
+            _number(section, "depth", path, sink, positive=True)
             if "width" in section:
-                _number(section, "width", path, sink, lo=0.0, lo_open=True)
+                _number(section, "width", path, sink, positive=True)
             if "center" in section:
                 _point(section["center"], path + ".center", sink)
     elif kind == "sampled":
@@ -141,8 +147,7 @@ def _validate_density(section, path, sink):
                                for r in v))
             if not rows_ok:
                 sink.add(path, "values must be a rectangular grid, >= 2 per axis")
-            elif not all(isinstance(c, (int, float)) and not isinstance(c, bool)
-                         and np.isfinite(c) for r in v for c in r):
+            elif not all(_numbers(r) for r in v):
                 sink.add(path, "values must all be finite numbers")
     else:
         sink.add(path, "density type must be gaussian-well|sampled, got %r" % (kind,))
@@ -165,9 +170,7 @@ def _validate_measure(section, path, sink, depth=0):
         if _check_keys(section, path, ("type", "density", "box"), (), sink):
             _validate_density(section["density"], path + ".density", sink)
             box = section["box"]
-            if (not isinstance(box, list) or len(box) != 4
-                    or not all(isinstance(c, (int, float)) and not isinstance(c, bool)
-                               and np.isfinite(c) for c in box)):
+            if not (_numbers(box) and len(box) == 4):
                 sink.add(path, "box must be [xmin, xmax, ymin, ymax]")
             elif not (box[1] > box[0] and box[3] > box[2]):
                 sink.add(path, "box must have positive extent on both axes")
@@ -183,84 +186,47 @@ def _validate_measure(section, path, sink, depth=0):
         sink.add(path, "measure type must be curve|density|sum, got %r" % (kind,))
 
 
-def _validate_certify(section, sink):
+# A run section holds the keyword arguments of the library call it
+# configures: the call's signature holds their defaults, its problem list
+# their rules, and this table only the JSON shape of each value (None: any).
+_NUMBER = (_finite, "a finite number")
+_NUMBERS = (_numbers, "a list of finite numbers")
+_RUN_SECTIONS = {
+    "certify": (certify, certify_problems, {
+        "N": _NUMBER, "a_schedule": _NUMBERS,
+        "point_strategy": None, "potential_form": None,
+        "points": (lambda v: isinstance(v, list) and all(map(_pair, v)),
+                   "a list of finite [x, y] pairs")}),
+    "oracle": (convergence_sweep, sweep_problems,
+               {"L": _NUMBER, "cutoffs": _NUMBERS, "edge_tol": _NUMBER}),
+    "scan": (decay_scans, scan_problems, {
+        "r_max": _NUMBER, "samples": _NUMBER,
+        "angles": (lambda v: _finite(v) or _numbers(v),
+                   "a count or a list of finite numbers")}),
+}
+
+
+def _validate_run(name, section, sink):
+    """Key set and JSON shapes of a run section, then its call's problems.
+
+    The problem list reads values of the right shape only, so it runs once
+    every key has one.
+    """
     if not isinstance(section, dict):
-        sink.add("certify", "must be an object")
+        sink.add(name, "must be an object")
         return
-    if not _check_keys(section, "certify", ("N",),
-                       ("a_schedule", "point_strategy", "potential_form", "points"),
-                       sink):
+    call, problems, shapes = _RUN_SECTIONS[name]
+    params = inspect.signature(call).parameters
+    required = [k for k in shapes if params[k].default is params[k].empty]
+    if not _check_keys(section, name, required, shapes, sink):
         return
-    n = section.get("N")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        sink.add("certify", "N must be an integer >= 1")
-    sched = section.get("a_schedule", list(DEFAULT_A_SCHEDULE))
-    if (not isinstance(sched, list) or not sched
-            or not all(isinstance(a, (int, float)) and not isinstance(a, bool)
-                       and np.isfinite(a) for a in sched)):
-        sink.add("certify", "a_schedule must be a non-empty list of numbers")
-    else:
-        if any(not (0.0 < a <= 2.0) for a in sched):
-            sink.add("certify", "every a in a_schedule must lie in (0, 2]")
-        if any(b >= a for a, b in zip(sched, sched[1:])):
-            sink.add("certify", "a_schedule must be strictly decreasing")
-    strat = section.get("point_strategy", "equispaced")
-    if strat not in ("equispaced", "farthest_point"):
-        sink.add("certify", "point_strategy must be equispaced|farthest_point")
-    form = section.get("potential_form", "exact")
-    if form not in ("exact", "dropped"):
-        sink.add("certify", "potential_form must be exact|dropped")
-    pts = section.get("points")
-    if pts is not None:
-        if not isinstance(pts, list):
-            sink.add("certify", "points must be a list of [x, y] pairs")
-        else:
-            for i, p in enumerate(pts):
-                _point(p, "certify.points[%d]" % i, sink)
-            if isinstance(n, int) and not isinstance(n, bool) and len(pts) != n:
-                sink.add("certify", "points must hold N = %d points, got %d"
-                         % (n, len(pts)))
-
-
-def _validate_oracle(section, sink):
-    if not isinstance(section, dict):
-        sink.add("oracle", "must be an object")
-        return
-    if not _check_keys(section, "oracle", ("L", "cutoffs"), ("edge_tol",), sink):
-        return
-    _number(section, "L", "oracle", sink, lo=0.0, lo_open=True)
-    cutoffs = section.get("cutoffs")
-    if (not isinstance(cutoffs, list) or not cutoffs
-            or not all(isinstance(c, (int, float)) and not isinstance(c, bool)
-                       and np.isfinite(c) and c > 0 for c in cutoffs)):
-        sink.add("oracle", "cutoffs must be a non-empty list of positive numbers")
-    elif any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
-        sink.add("oracle", "cutoffs must be strictly increasing")
-    if "edge_tol" in section:
-        _number(section, "edge_tol", "oracle", sink, lo=0.0)
-
-
-def _validate_scan(section, sink):
-    if not isinstance(section, dict):
-        sink.add("scan", "must be an object")
-        return
-    if not _check_keys(section, "scan", ("r_max",), ("angles", "samples"), sink):
-        return
-    _number(section, "r_max", "scan", sink, lo=0.0, lo_open=True)
-    angles = section.get("angles", 8)
-    if isinstance(angles, int) and not isinstance(angles, bool):
-        if angles < 1:
-            sink.add("scan", "angles count must be >= 1")
-    elif isinstance(angles, list):
-        if not angles or not all(isinstance(a, (int, float))
-                                 and not isinstance(a, bool) and np.isfinite(a)
-                                 for a in angles):
-            sink.add("scan", "angles must be a non-empty list of numbers")
-    else:
-        sink.add("scan", "angles must be a count or an explicit list")
-    samples = section.get("samples", 64)
-    if not isinstance(samples, int) or isinstance(samples, bool) or samples < 32:
-        sink.add("scan", "samples must be an integer >= 32")
+    misshapen = [k for k, v in section.items() if shapes[k] and not shapes[k][0](v)]
+    for k in misshapen:
+        sink.add(name, "%r must be %s" % (k, shapes[k][1]))
+    if not misshapen:
+        for problem in problems(**{k: section.get(k, params[k].default)
+                                   for k in shapes}):
+            sink.add(name, problem)
 
 
 def _validate_output(section, sink):
@@ -296,12 +262,9 @@ def parse_config(text) -> RunConfig:
         _validate_model(doc["model"], sink)
     if "measure" in doc:
         _validate_measure(doc["measure"], "measure", sink)
-    if "certify" in doc:
-        _validate_certify(doc["certify"], sink)
-    if "oracle" in doc:
-        _validate_oracle(doc["oracle"], sink)
-    if "scan" in doc:
-        _validate_scan(doc["scan"], sink)
+    for name in _RUN_SECTIONS:
+        if name in doc:
+            _validate_run(name, doc[name], sink)
     if "output" in doc:
         _validate_output(doc["output"], sink)
     if sink.problems:

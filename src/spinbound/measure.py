@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (DegenerateInputError, NumericalInputError,
+from .errors import (ConfigError, DegenerateInputError, NumericalInputError,
                      QuadratureFailureError, ResolutionError)
 from .quadrature import uniform_rule
 from .spline import cubic_spline
@@ -272,10 +272,34 @@ class DecayProfile:
     classification: str  # "decaying" | "non_decaying" | "inconclusive"
 
 
+def scan_problems(r_max, angles, samples):
+    """Every problem with a decay scan's arguments, as messages; [] when none."""
+    problems = []
+    if not (np.isfinite(r_max) and r_max > 0.0):
+        problems.append("r_max must be positive")
+    count = len(angles) if np.ndim(angles) else angles
+    if not (isinstance(count, (int, np.integer)) and count >= 1):
+        problems.append("angles must be a count >= 1 or a non-empty list")
+    if not (isinstance(samples, (int, np.integer)) and samples >= 32):
+        problems.append("samples must be an integer >= 32 (16 in the tail)")
+    return problems
+
+
+def decay_scans(nu: RadonMeasureSpec, r_max, angles=8, samples=64):
+    """``decay_scan`` on each ray: a count of equispaced angles, or a list of them."""
+    problems = scan_problems(r_max, angles, samples)
+    if problems:
+        raise ConfigError(problems)
+    if not np.ndim(angles):
+        angles = [2.0 * np.pi * k / angles for k in range(angles)]
+    return [decay_scan(nu, float(a), r_max, samples) for a in angles]
+
+
 def decay_scan(nu: RadonMeasureSpec, alpha, r_max, samples=64):
     """|nuhat| along the ray of angle alpha, with a log-log tail slope fit."""
-    if samples < 32:
-        raise ValueError("need at least 32 samples (16 in the tail)")
+    problems = scan_problems(r_max, [alpha], samples)
+    if problems:
+        raise ConfigError(problems)
     radii = np.linspace(r_max / samples, r_max, samples)
     pts = np.column_stack([radii * np.cos(alpha), radii * np.sin(alpha)])
     mags = np.abs(fourier_batch(nu, pts))

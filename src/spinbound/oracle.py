@@ -67,6 +67,22 @@ _PAIR_REL_GAP = 1e-6
 _QUARTER = np.array([1.0, 1.0j, -1.0, -1.0j])    # i^q, exactly
 
 
+def sweep_problems(L, cutoffs, edge_tol):
+    """Every problem with a box half-side, its cutoffs and edge margin; [] when none."""
+    problems = []
+    if not (np.isfinite(L) and L > 0.0):
+        problems.append("box half-side L must be positive")
+    if len(cutoffs) < 1:
+        problems.append("cutoffs must not be empty")
+    elif not all(np.isfinite(c) and c > 0.0 for c in cutoffs):
+        problems.append("every cutoff K must be positive")
+    elif any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
+        problems.append("cutoffs must be strictly increasing")
+    if edge_tol is not None and not (np.isfinite(edge_tol) and edge_tol >= 0.0):
+        problems.append("edge_tol must be nonnegative")
+    return problems
+
+
 @dataclass(frozen=True)
 class BoxSpec:
     """Periodic box half-side, momentum cutoff, and continuum-edge margin.
@@ -82,14 +98,7 @@ class BoxSpec:
     edge_tol: float | None = None
 
     def __post_init__(self):
-        problems = []
-        if not (np.isfinite(self.L) and self.L > 0.0):
-            problems.append("box half-side L must be positive")
-        if not (np.isfinite(self.K) and self.K > 0.0):
-            problems.append("momentum cutoff K must be positive")
-        if self.edge_tol is not None and not (np.isfinite(self.edge_tol)
-                                              and self.edge_tol >= 0.0):
-            problems.append("edge_tol must be nonnegative")
+        problems = sweep_problems(self.L, [self.K], self.edge_tol)
         if problems:
             raise ConfigError(problems)
 
@@ -534,10 +543,10 @@ def convergence_sweep(model: CouplingSpec, thr: ThresholdData, nu,
     artifact, not a spectral statement.
     """
     cutoffs = [float(c) for c in cutoffs]
-    if len(cutoffs) < 1:
-        raise ConfigError(["cutoff list is empty"])
-    if any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
-        raise ConfigError(["cutoffs must be strictly increasing: %r" % (cutoffs,)])
+    edge_tol = None if edge_tol is None else float(edge_tol)
+    problems = sweep_problems(L, cutoffs, edge_tol)
+    if problems:
+        raise ConfigError(problems)
     results = [spectrum(model, thr, nu, BoxSpec(L=L, K=c, edge_tol=edge_tol))
                for c in cutoffs]
     counts = [r.count_below for r in results]

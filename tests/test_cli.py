@@ -1,4 +1,5 @@
 import importlib.util
+import inspect
 import json
 import os
 import re
@@ -189,14 +190,44 @@ def test_oracle_subcommand_with_eigenvalues(tmp_path):
         assert values[:result["count_below"]] == result["eigenvalues_below"]
 
 
-def test_oracle_edge_tol_reaches_every_cutoff(tmp_path):
-    doc = _oracle_doc()
-    doc["oracle"]["edge_tol"] = 0.5
-    cfg = _write(tmp_path, "c.json", doc)
-    out = str(tmp_path / "o.json")
-    assert main(["oracle", "-c", cfg, "-o", out]) == 0
-    results = json.loads(open(out).read())["oracle"]["results"]
-    assert [r["edge_tol"] for r in results] == [0.5, 0.5]
+@pytest.mark.parametrize("section, key, value", [
+    ("certify", "a_schedule", [0.3]),
+    ("certify", "point_strategy", "farthest_point"),
+    ("certify", "potential_form", "dropped"),
+    ("certify", "points", [[0.0, 1.0], [0.0, -1.0]]),
+    ("oracle", "edge_tol", 0.5),
+    ("scan", "angles", [0.5]),
+    ("scan", "samples", 48),
+])
+def test_run_keys_reach_the_call(tmp_path, monkeypatch, section, key, value):
+    # a run section is the keyword arguments of one library call: an
+    # optional key set to a non-default value reaches it as given, and an
+    # absent key is left to the call's own default
+    call = {"certify": "certify", "oracle": "convergence_sweep",
+            "scan": "decay_scans"}[section]
+    seen = {}
+    original = getattr(cli, call)
+
+    def captured(*args, **kwargs):
+        seen.update(kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, call, captured)
+    doc = {"model": {"type": "rashba", "alpha": 2.0},
+           "measure": _certify_doc()["measure"],
+           "certify": {"N": 2},
+           "oracle": {"L": 6.0, "cutoffs": [2.5, 3.0]},
+           "scan": {"r_max": 50.0}}
+    doc[section][key] = value
+    default = inspect.signature(original).parameters[key].default
+    assert value != (list(default) if isinstance(default, tuple) else default)
+    out = tmp_path / "r.json"
+    subcommand = "scan-decay" if section == "scan" else section
+    assert main([subcommand, "-c", _write(tmp_path, "c.json", doc), "-o", str(out)]) == 0
+    assert seen == doc[section]
+    if key == "edge_tol":
+        results = json.loads(out.read_text())["oracle"]["results"]
+        assert [r["edge_tol"] for r in results] == [0.5, 0.5]
 
 
 def test_oracle_json_and_csv_print_eigenvalues_alike(tmp_path):

@@ -1,11 +1,15 @@
+import inspect
 import json
 
 import numpy as np
 import pytest
 
+from spinbound import config
+from spinbound.certificate import certify
 from spinbound.config import build_measure, build_model, parse_config
 from spinbound.errors import ConfigError
-from spinbound.measure import CurveDelta, Density, Sum, fourier_batch
+from spinbound.measure import CurveDelta, Density, Sum, decay_scans, fourier_batch
+from spinbound.oracle import convergence_sweep
 
 
 VALID = {
@@ -100,6 +104,22 @@ def test_all_problems_collected():
     text = str(err.value)
     for fragment in ("alpha", "N must be", "(0, 2]", "L", "increasing", "bogus"):
         assert fragment in text
+
+
+@pytest.mark.parametrize("name, call", [
+    ("certify", certify), ("oracle", convergence_sweep), ("scan", decay_scans)])
+def test_run_section_keys_are_the_call_keywords(name, call):
+    # a run section's keys are its call's keyword parameters, so no key is
+    # parsed without a parameter to land in; a key is required exactly when
+    # its parameter has no default
+    params = [p for p in inspect.signature(call).parameters.values()
+              if p.name not in ("model", "thr", "nu")]
+    assert config._RUN_SECTIONS[name][0] is call
+    assert set(config._RUN_SECTIONS[name][2]) == {p.name for p in params}
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps({name: {}}))
+    assert err.value.errors == ["%s: missing required key %r" % (name, p.name)
+                                for p in params if p.default is p.empty]
 
 
 def test_build_model_kinds():

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import bessel_j0_series
 from spinbound.config import build_measure
-from spinbound.errors import DegenerateInputError, ResolutionError
+from spinbound.errors import ConfigError, DegenerateInputError, ResolutionError
 from spinbound.measure import (ClosedFormCircle, CurveDelta, Density,
                                SampledCurve, Segment, Sum, decay_scan,
                                fourier_batch, fourier_grid, fourier_matrix)
@@ -192,6 +192,12 @@ def test_circle_decay(circle_measure):
         prof = decay_scan(circle_measure, 2.0 * np.pi * k / 8.0, 60.0, 96)
         assert prof.classification == "decaying"
         assert prof.fitted_slope <= -0.4
+
+
+@pytest.mark.parametrize("r_max, samples", [(40.0, 16), (0.0, 64), (-1.0, 64)])
+def test_decay_scan_rejects_bad_arguments(r_max, samples):
+    with pytest.raises(ConfigError):
+        decay_scan(unit_segment(), 0.0, r_max, samples)
 
 
 def test_segment_nondecaying_direction():
