@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import fht, next_fast_len
+from scipy.fft import irfft, next_fast_len, rfft
+from scipy.special import loggamma
 
 from .errors import (CapacityError, ConfigError, NumericalInputError,
                      ResolutionError)
@@ -27,6 +28,7 @@ MIN_POINT_SEP = 1e-6
 DEFAULT_A_SCHEDULE = (0.4, 0.2, 0.1, 0.05, 0.025)
 
 _SQRT2 = np.sqrt(2.0)
+_LN2 = np.log(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -340,10 +342,14 @@ def potential_matrix_exact(model: CouplingSpec, nu, basis: TrialBasis):
         # R_m e^{im theta} of the representative, turned to each point of
         # its orbit by the factor chi_j i^m e^{-im phi_j}
         table = _node_modes(model, pts[i], basis.profile, r, m_arr)   # (T, M)
-        table *= np.exp(1j * np.outer(theta, m_arr))
+        # harmonics a block of nodes at a time, so no second table is formed
+        for start in range(0, len(r), _NODE_BLOCK):
+            block = slice(start, start + _NODE_BLOCK)
+            table[block] *= np.exp(1j * np.outer(theta[block], m_arr))
         own = np.flatnonzero(rep == i)
         turn = chi[own] * (1j) ** m_arr[:, None] * np.exp(-1j * np.outer(m_arr, phi[own]))
         delta[own] = (table @ turn).T
+        del table   # before the next orbit's table, or psi below, is formed
     v = lower_band_vectors(model, pts[:, 0], pts[:, 1])[:, 0]
     phase = np.exp(1j * (pts[:, :1] * x + pts[:, 1:] * y))
     psi1 = phase * (v[:, None] * f + delta)
@@ -360,6 +366,7 @@ _M_MAX = 40
 _LN_STEP = 1.0 / 200.0    # ln rho spacing of the FFTLog samples, at most
 _TURN_STEP = 1.0 / 16.0   # radians R_m may turn per step in ln r
 _MAX_SAMPLES = 2 ** 19    # FFTLog samples per expansion center
+_NODE_BLOCK = 2048        # nodes per block of harmonics e^{im theta}
 
 
 def _kink_ring(rj, lo, hi):
@@ -408,6 +415,11 @@ class _ModeTable:
 def _node_modes(model, pj, prof, r_nodes, m_arr):
     """R_m(r) of the expansion center pj at every node radius, shape (T, M)."""
     radii, where = np.unique(np.round(r_nodes, 12), return_inverse=True)
+    return _radius_modes(model, pj, prof, radii, m_arr)[where]
+
+
+def _radius_modes(model, pj, prof, radii, m_arr):
+    """R_m(r) at the sorted distinct radii; the mode table dies on return."""
     pos = radii[radii > 0.0]
     # every positive radius takes the FFTLog rule, whose samples reach
     # 1e4 / r past the least one; r = 0 reads c_0 up to the profile's end
@@ -422,7 +434,7 @@ def _node_modes(model, pj, prof, r_nodes, m_arr):
         R[radii > 0.0] = _hankel_fftlog(modes, prof, pos, m_arr, rho_hi, step)
     if radii[0] == 0.0:
         R[0] = _origin_mode(modes, prof, m_arr)
-    return R[where]
+    return R
 
 
 def _angular_modes(model, pj, rho, m_arr):
@@ -441,17 +453,56 @@ def _angular_modes(model, pj, rho, m_arr):
     return sel * np.exp(-1j * m_arr[None, :] * (np.pi / _N_ANGLES))
 
 
+def _fftlog_coefficients(n, dln, orders):
+    """FFTLog coefficient tables u_mu for n samples at ln spacing dln, in turn.
+
+    With no bias and no offset, u_mu(y) = 2^{2iy} Gamma((mu+1)/2 + iy) /
+    Gamma((mu+1)/2 - iy) at y_k = k pi / (n dln), k = 0 .. n // 2 (Hamilton
+    2000; scipy's ``fhtcoeff`` at bias and offset 0).  u_0 and u_1
+    take one ``loggamma`` each, and every other order is stepped from the one
+    two below it by u_{mu+2} = u_mu (x + iy) / (x - iy), x = (mu+1)/2, in
+    place: yields u_mu for each of the ascending ``orders``, valid until the
+    next is yielded, so at most two tables exist.
+    """
+    y = np.linspace(0.0, np.pi * (n // 2) / (n * dln), n // 2 + 1)
+    tables = [np.exp(2j * (loggamma(0.5 * (mu + 1) + 1j * y).imag + _LN2 * y))
+              for mu in (0, 1)]
+    at = [0, 1]
+    for mu in orders:
+        u = tables[mu % 2]
+        while at[mu % 2] < mu:
+            x = 0.5 * (at[mu % 2] + 1)
+            u *= (x + 1j * y) / (x - 1j * y)
+            at[mu % 2] += 2
+        yield u
+
+
+def _fftlog(samples, u):
+    """FFTLog of each column of the real (n, c) samples with the table u.
+
+    irfft(rfft(samples) u) reversed, as scipy's ``fht`` applies it; for even n
+    the last coefficient is taken real, as ``fhtcoeff`` makes it.
+    """
+    n = len(samples)
+    spectrum = rfft(samples, axis=0)
+    spectrum *= u[:, None]
+    if n % 2 == 0:
+        spectrum.imag[-1] = 0.0
+    return irfft(spectrum, n, axis=0)[::-1]
+
+
 def _hankel_fftlog(modes, prof, radii, m_arr, rho_hi, step):
     """R_m at the sorted positive radii, by one FFTLog transform per order |m|.
 
     g_m = c_m fhat rho is sampled at ln rho spacing at most ``step``, from
-    1e-6 / r_max to rho_hi >= 1e4 / r_min, and transformed by
-    ``scipy.fft.fht`` (Talman 1978; Hamilton 2000), whose output grid is
-    k = 1 / rho reversed, at least four decades wider than the radii on
-    each side, and holds k R_m(k), with J_-m = (-1)^m J_m.  Below the grid
-    rho r < 1e-6, where c_0 = O(rho^2) and c_m J_m(rho r) = O(rho^2 r) for
-    m != 0; fhat rho d rho has unit mass, so each integral loses O(1e-12)
-    there.  The lowest decade of samples, where rho r < 1e-5, is tapered
+    1e-6 / r_max to rho_hi >= 1e4 / r_min, and transformed by FFTLog
+    (Talman 1978; Hamilton 2000): rfft, times the order's coefficient table
+    (``_fftlog_coefficients``, stepped from order to order by the Gamma
+    recurrence), irfft.  The output grid is k = 1 / rho reversed, at least
+    four decades wider than the radii on each side, and holds k R_m(k),
+    with J_-m = (-1)^m J_m.  Below the grid rho r < 1e-6, where c_0 =
+    O(rho^2) and c_m J_m(rho r) = O(rho^2 r) for m != 0; fhat rho d rho has
+    unit mass, so each integral loses O(1e-12) there.  The lowest decade of samples, where rho r < 1e-5, is tapered
     to zero, so the transform's periodic wrap in ln rho meets no jump.
     Six-point Lagrange interpolation in ln k carries R_m from the output
     rows around each radius to it, so only those rows are kept.
@@ -473,6 +524,7 @@ def _hankel_fftlog(modes, prof, radii, m_arr, rho_hi, step):
     k = 1.0 / rho[::-1][rows]
     orders = np.abs(m_arr)
     unique = np.unique(orders)
+    coefficients = _fftlog_coefficients(n, dln, unique)
     R = np.empty((len(m_arr), len(rows)), dtype=complex)
     # the +-m columns of as many orders as keep the sample table within
     # 2 _MAX_SAMPLES values; the README case takes them all at once
@@ -484,9 +536,10 @@ def _hankel_fftlog(modes, prof, radii, m_arr, rho_hi, step):
         for order in group:
             pick = orders[cols] == order
             own = cols[pick]
-            out = fht(np.hstack([g[:, pick].real, g[:, pick].imag]).T, dln, mu=order)[:, rows] / k
+            out = _fftlog(np.hstack([g[:, pick].real, g[:, pick].imag]),
+                          next(coefficients))[rows] / k[:, None]
             sign = (-1.0) ** np.minimum(m_arr[own], 0)
-            R[own] = sign[:, None] * (out[:len(own)] + 1j * out[len(own):])
+            R[own] = sign[:, None] * (out[:, :len(own)] + 1j * out[:, len(own):]).T
     u = at - base
     out = np.zeros((len(radii), len(m_arr)), dtype=complex)
     for s in range(6):

@@ -1,11 +1,15 @@
+import ast
+import pathlib
 import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import jv
+from scipy.fft import fht
+from scipy.special import jv, loggamma
 
 from spinbound import certificate
-from spinbound.certificate import (_M_MAX, TrialBasis, _gate_sample,
+from spinbound.certificate import (_M_MAX, TrialBasis, _fftlog,
+                                   _fftlog_coefficients, _gate_sample,
                                    _kinetic_halfplane, _ModeTable,
                                    _angular_modes, _node_modes, _pair_scale,
                                    _rotation_orbit, certify,
@@ -390,6 +394,87 @@ def test_exact_potential_memory_peak(rashba2, thr2, circle_measure):
     finally:
         tracemalloc.stop()
     assert peak < 96 * 2 ** 20
+
+
+def test_exact_potential_memory_peak_on_a_density(rashba2, thr2, gaussian_well):
+    # the harmonics e^{im theta} are multiplied into the (nodes x 81) mode
+    # table a block of nodes at a time, and each orbit's table is freed
+    # before the next is built, so one table (103 MiB on this density's
+    # 82,944 nodes) and the per-radius modes it is gathered from set the
+    # peak: 1.19 tables here and 1.22 at N = 4, against 3.1 before
+    basis = trial_basis(rashba2, thr2, select_points(thr2.minset, 2), 1.0)
+    pts = basis.points
+    max_p = _pair_scale(pts) + float(np.max(np.hypot(pts[:, 0], pts[:, 1]))) + 4.0
+    table = len(gaussian_well.quad_nodes(max_p)[0]) * (2 * _M_MAX + 1) * 16
+    tracemalloc.start()
+    try:
+        potential_matrix_exact(rashba2, gaussian_well, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * table
+
+
+# FFTLog: one coefficient table per parity of the order, stepped by the Gamma
+# recurrence, checked against scipy's fht, which builds each order's table
+# from loggamma.
+
+
+@pytest.mark.parametrize("n", [1536, 1125])
+def test_fftlog_matches_scipy_fht_at_every_order(n):
+    # next_fast_len(real=True) may return an odd n, where no coefficient is
+    # forced real.  The coefficient phases reach about y ln y at the
+    # largest y = pi / (2 dln), and both tables round them to eps times
+    # that; at dln = 0.05 (phases near 100) they agree to 2e-14 of the output
+    dln = 0.05
+    samples = np.random.default_rng(n).standard_normal((n, 2))
+    for mu, u in enumerate(_fftlog_coefficients(n, dln, range(_M_MAX + 1))):
+        want = fht(samples.T, dln, mu=mu).T
+        got = _fftlog(samples, u)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), mu
+
+
+def test_fftlog_coefficients_against_mpmath():
+    # at the band correction's own spacing dln = 0.005 the phases reach
+    # 3,000 radians, and the loggamma tables u_0, u_1 are 4.7e-13 off; the
+    # recurrence adds a few eps per step, so order 40 is no further off
+    mp = pytest.importorskip("mpmath")
+    n, dln = 1536, 0.005
+    y = np.linspace(0.0, np.pi * (n // 2) / (n * dln), n // 2 + 1)[::37]
+    with mp.workdps(40):
+        for mu, u in enumerate(_fftlog_coefficients(n, dln, range(_M_MAX + 1))):
+            x = mp.mpf(mu + 1) / 2
+            want = np.array([complex(mp.power(2, 2j * mp.mpf(v)) * mp.gamma(x + 1j * mp.mpf(v))
+                                     / mp.gamma(x - 1j * mp.mpf(v))) for v in y])
+            assert np.max(np.abs(u[::37] - want)) < 1e-12, mu
+
+
+@pytest.mark.parametrize("m_max", [0, 3, _M_MAX])
+def test_node_modes_make_two_loggamma_calls(rashba2, monkeypatch, m_max):
+    # u_0 and u_1 take one loggamma each, and every higher order is stepped
+    # from them, however many orders there are
+    calls = []
+
+    def counted(z):
+        calls.append(z)
+        return loggamma(z)
+
+    monkeypatch.setattr(certificate, "loggamma", counted)
+    _node_modes(rashba2, np.array([1.0, 0.0]), fhat_profile(0.4),
+                np.array([0.5, 1.0, 3.0]), np.arange(-m_max, m_max + 1))
+    assert len(calls) == 2
+
+
+def test_no_module_calls_scipy_fht():
+    package = pathlib.Path(certificate.__file__).parent
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                assert "fht" not in [alias.name for alias in node.names], path.name
+            elif isinstance(node, ast.Attribute):
+                assert node.attr != "fht", path.name
+            elif isinstance(node, ast.Name):
+                assert node.id != "fht", path.name
 
 
 # Rotation orbits: one band correction per orbit, one kinetic integral per

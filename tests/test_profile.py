@@ -275,6 +275,50 @@ def test_series_gate_rejects_cancelling_node():
     assert prof(grid[i]) == pytest.approx(want, rel=1e-14)
 
 
+def _full_grid_series(a, rho):
+    """Every term of the power-law series added at every node, with its gate."""
+    ln_rho = np.log(rho)
+    total, bound, tail = np.zeros(rho.shape), np.zeros(rho.shape), np.zeros(rho.shape)
+    ln_max = np.full(rho.shape, -np.inf)
+    for n in range(1, 601):
+        half_turns = (0.5 * a * n) % 2.0
+        if half_turns in (0.0, 1.0):
+            continue
+        sine = math.sin(math.pi * half_turns)
+        ln_term = (math.log(2.0 / math.pi * abs(sine))
+                   + 2.0 * math.lgamma(1.0 + 0.5 * a * n)
+                   + (a * n - n) * math.log(2.0) - math.lgamma(n + 1.0)
+                   - (2.0 + a * n) * ln_rho)
+        np.maximum(ln_max, ln_term, out=ln_max)
+        term = np.exp(np.minimum(ln_term, 600.0))
+        total += math.copysign(1.0, sine) * (1.0 if n % 2 else -1.0) * term
+        bound += term * (1.0 + np.abs(ln_term))
+        if n > 580:
+            np.maximum(tail, term, out=tail)
+    trusted = ((ln_max <= 600.0) & (total > 0.0)
+               & (np.finfo(float).eps * bound <= 1e-12 * total)
+               & (tail <= 1e-18 * total))
+    return total, trusted
+
+
+@pytest.mark.parametrize("a", [0.025, 0.05, 0.1, 0.2, 0.4, 0.7, 0.9])
+def test_series_windows_match_the_full_grid_sum(a):
+    # each term is added only up to the node past which it underflows to
+    # 0; the trusted values and the gate are bit for bit those of the plain
+    # sum over every node, on the table grid and node by node
+    prof = fhat_profile(a)
+    grid = np.geomspace(prof.rho_lo, prof.rho_hi, 4096)
+    want, want_trusted = _full_grid_series(a, grid)
+    vals, trusted = _series_values(a, grid)
+    assert np.array_equal(trusted, want_trusted)
+    assert np.array_equal(vals[trusted], want[trusted])
+    for i in (0, int(np.argmax(trusted)), 2048, 4095):
+        val, ok = _series_values(a, grid[i:i + 1])
+        assert ok[0] == trusted[i]
+        if ok[0]:
+            assert val[0] == vals[i]
+
+
 def test_series_not_trusted_where_divergent():
     # for a > 1 the series is only asymptotic; the contour rule does all.
     # Past rho ~ 6 its first 600 terms fall fast enough to pass the
