@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import loggamma
 
 from .errors import (CapacityError, ConfigError, NumericalInputError,
@@ -221,21 +220,28 @@ def kinetic_matrix(model: CouplingSpec, thr: ThresholdData, basis: TrialBasis):
     |c|, |o| and |c - o| (any rotation or reflection carries it, and its
     rule, onto another with the same three), so one integral is computed
     per distinct triple: the two halves of a pair on one circle coincide.
+    A radial band also lets every decade of rho past the guard radius take
+    the 2-panel angular rule of ``_kinetic_halfplane``; any other band keeps
+    the 16-panel rule on every decade.  The radial nodes of the decades are
+    built once and shared by every half-plane.
     """
     pts = basis.points
     n = len(pts)
     centre = np.repeat(pts, n, axis=0)          # slot j * n + k: about p_j,
     other = np.tile(pts, (n, 1))                # facing p_k
     diagonal = np.eye(n, dtype=bool).ravel()
-    if _radial_band(model, _gate_sample(pts[0], basis.profile)):
+    radial = _radial_band(model, _gate_sample(pts[0], basis.profile))
+    if radial:
         key = np.round(np.column_stack([np.hypot(*centre.T), np.hypot(*other.T),
                                         np.hypot(*(other - centre).T)]), 12)
     else:
         key = np.arange(n * n)[:, None]
     _, first, inverse = np.unique(key, axis=0, return_index=True,
                                   return_inverse=True)
+    decades = _decade_rules(basis.profile)
     half = np.array([_kinetic_halfplane(model, thr.kappa, basis.profile, centre[s],
-                                        None if diagonal[s] else other[s])
+                                        None if diagonal[s] else other[s],
+                                        radial, decades)
                      for s in first])
     H = half[inverse.ravel()].reshape(n, n)
     T = H + H.T
@@ -243,30 +249,59 @@ def kinetic_matrix(model: CouplingSpec, thr: ThresholdData, basis: TrialBasis):
     return T
 
 
-def _kinetic_halfplane(model, kappa, prof, center, other):
-    """Polar integral about `center`, restricted to its bisector half-plane."""
+# angular panels of 8 nodes per ring past the guard radius, and the decades
+# evaluated together there: 8 decades x 32 rings x 16 angles, no more nodes
+# than one decade of the 16-panel rule
+_FAR_PANELS = 2
+_FAR_DECADES = 8
+
+
+def _decade_rules(prof):
+    """(lo, hi, rho, w) for each decade of rho on the profile's table.
+
+    Every kinetic half-plane takes these radial nodes: 4 log panels of 8
+    nodes per decade (fewer where the table cuts a decade short).
+    """
+    k_lo = int(np.floor(np.log10(prof.rho_lo)))
+    k_hi = int(np.ceil(np.log10(prof.rho_hi)))
+    bounds = ((max(10.0 ** k, prof.rho_lo), min(10.0 ** (k + 1), prof.rho_hi))
+              for k in range(k_lo, k_hi))
+    return [(lo, hi, *log_rule(lo, hi, 4, 8)) for lo, hi in bounds if hi > lo]
+
+
+def _kinetic_halfplane(model, kappa, prof, center, other, radial, decades):
+    """Polar integral about `center`, restricted to its bisector half-plane.
+
+    rho = |p - center| runs over the ``decades`` of ``_decade_rules`` until
+    a decade at or past the guard radius 10 (1 + |center| + d) adds less
+    than 1e-6 of the sum.  Below the guard every ring takes 16 angular
+    panels of 8 nodes, one decade at a time.  Past it the integrand is
+    analytic in the angle when the band is radial (``radial``), and 2
+    panels of 8 nodes take each ring, eight decades at a time; on Rashba
+    alpha = 2 and Dresselhaus alpha = 3, N = 4 and 6, a = 0.4 to 0.025, T
+    moved by at most 1.7e-16 relative against 16 panels on every decade.
+    Rings that the bisector cuts nowhere share one row of angles.
+    """
     if other is None:
         # the angular rule starts at arg(center), so it turns with the point
         d, axis = 0.0, float(np.arctan2(center[1], center[0]))
     else:
         d = float(np.hypot(*(other - center)))
         axis = float(np.arctan2(other[1] - center[1], other[0] - center[0]))
-    t_ref, w_ref = uniform_rule(0.0, 1.0, 16, 8)
+    near_rule = uniform_rule(0.0, 1.0, 16, 8)
+    far_rule = uniform_rule(0.0, 1.0, _FAR_PANELS, 8)
     # at a = 2 the table ends at rho = 37 with fhat 0 past it, so its end
     # counts as reaching the guard; for a < 2 it ends far beyond any guard
     rho_guard = min(10.0 * (1.0 + np.hypot(*center) + d), prof.rho_hi)
-    k_lo = int(np.floor(np.log10(prof.rho_lo)))
-    k_hi = int(np.ceil(np.log10(prof.rho_hi)))
+    near = sum(lo < rho_guard for lo, *_ in decades) if radial else len(decades)
+    starts = list(range(near)) + list(range(near, len(decades), _FAR_DECADES))
     cum = 0.0
-    converged = False
-    for k in range(k_lo, k_hi):
-        lo = max(10.0 ** k, prof.rho_lo)
-        hi = min(10.0 ** (k + 1), prof.rho_hi)
-        if hi <= lo:
-            continue
-        rho, w_rho = log_rule(lo, hi, 4, 8)
-        if other is None:
-            beta = np.zeros_like(rho)
+    for start, stop in zip(starts, starts[1:] + [len(decades)]):
+        _, his, rhos, weights = zip(*decades[start:stop])
+        rho, w_rho = np.concatenate(rhos), np.concatenate(weights)
+        t_ref, w_ref = near_rule if start < near else far_rule
+        if other is None or rho[-1] <= 0.5 * d:
+            beta = np.zeros(1)      # no ring is cut: one row of angles for all
         else:
             beta = np.where(rho > 0.5 * d,
                             np.arccos(np.clip(0.5 * d / rho, -1.0, 1.0)), 0.0)
@@ -288,17 +323,16 @@ def _kinetic_halfplane(model, kappa, prof, center, other):
             f_o = prof(np.hypot(px - other[0], py - other[1]))
         # group so extremes cancel before they overflow: gap grows like
         # rho^2 while fhat decays like rho^-(2+a)
-        dec = float(np.sum((w_rho[:, None] * w_ang * rho[:, None])
-                           * ((gap * f_c) * f_o)))
-        cum += dec
-        if hi >= rho_guard and cum != 0.0 and abs(dec) < 1e-6 * abs(cum):
-            converged = True
-            break
-    if not converged:
-        raise ResolutionError(
-            "kinetic quadrature annuli did not fall below 1e-6 relative "
-            "within the tabulated radial range")
-    return cum
+        values = (w_rho[:, None] * w_ang * rho[:, None]) * ((gap * f_c) * f_o)
+        edges = np.cumsum([0] + [len(r) for r in rhos])
+        for hi, first, last in zip(his, edges, edges[1:]):
+            dec = float(np.sum(values[first:last]))
+            cum += dec
+            if hi >= rho_guard and cum != 0.0 and abs(dec) < 1e-6 * abs(cum):
+                return cum
+    raise ResolutionError(
+        "kinetic quadrature annuli did not fall below 1e-6 relative "
+        "within the tabulated radial range")
 
 
 # ---------------------------------------------------------------------------
@@ -484,11 +518,25 @@ def _fftlog(samples, u):
     the last coefficient is taken real, as ``fhtcoeff`` makes it.
     """
     n = len(samples)
-    spectrum = rfft(samples, axis=0)
+    spectrum = np.fft.rfft(samples, axis=0)
     spectrum *= u[:, None]
     if n % 2 == 0:
         spectrum.imag[-1] = 0.0
-    return irfft(spectrum, n, axis=0)[::-1]
+    return np.fft.irfft(spectrum, n, axis=0)[::-1]
+
+
+def _fast_len(n):
+    """The least 2^i 3^j 5^k >= n, as scipy.fft.next_fast_len(n, real=True)."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the least power of two that takes p35 to n or past it
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _hankel_fftlog(modes, prof, radii, m_arr, rho_hi, step):
@@ -508,7 +556,7 @@ def _hankel_fftlog(modes, prof, radii, m_arr, rho_hi, step):
     rows around each radius to it, so only those rows are kept.
     """
     rho_lo = 1.0e-6 / radii[-1]
-    n = next_fast_len(int(np.ceil(np.log(rho_hi / rho_lo) / step)) + 1, real=True)
+    n = _fast_len(int(np.ceil(np.log(rho_hi / rho_lo) / step)) + 1)
     if n > _MAX_SAMPLES:
         raise ResolutionError("band-correction FFTLog grid needs %d samples, above its "
                               "budget of %d" % (n, _MAX_SAMPLES), attempted_nodes=n)

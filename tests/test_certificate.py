@@ -4,13 +4,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.fft import fht
+from scipy.fft import fht, next_fast_len
 from scipy.special import jv, loggamma
 
 from spinbound import certificate
-from spinbound.certificate import (_M_MAX, TrialBasis, _fftlog,
-                                   _fftlog_coefficients, _gate_sample,
-                                   _kinetic_halfplane, _ModeTable,
+from spinbound.certificate import (_M_MAX, TrialBasis, _decade_rules,
+                                   _fast_len, _fftlog, _fftlog_coefficients,
+                                   _gate_sample, _kinetic_halfplane, _ModeTable,
                                    _angular_modes, _node_modes, _pair_scale,
                                    _rotation_orbit, certify,
                                    definiteness, kinetic_matrix,
@@ -21,9 +21,9 @@ from spinbound.errors import (CapacityError, ConfigError, NumericalInputError,
                               ResolutionError)
 from spinbound.hankel import fhat_profile
 from spinbound.measure import ClosedFormCircle, CurveDelta, fourier_matrix
-from spinbound.model import (Circle, CouplingSpec, PointCloud,
+from spinbound.model import (Circle, CouplingSpec, PointCloud, lower_band,
                              lower_band_vectors, threshold)
-from spinbound.quadrature import merge_edges, panel_rule
+from spinbound.quadrature import log_rule, merge_edges, panel_rule, uniform_rule
 
 TWO_PI_E = 2.0 * np.pi * np.exp(-1.0)
 
@@ -130,10 +130,139 @@ def test_kinetic_diagonal_turns_with_the_point(rashba2, thr2):
     # radial, so T_jj is the same for every orientation of p_j
     prof = fhat_profile(0.4)
     ang = 2.0 * np.pi * np.arange(12) / 12.0 + 0.05
+    decades = _decade_rules(prof)
     diag = np.array([_kinetic_halfplane(rashba2, thr2.kappa, prof,
-                                        np.array([np.cos(t), np.sin(t)]), None)
+                                        np.array([np.cos(t), np.sin(t)]), None, True,
+                                        decades)
                      for t in ang])
     assert np.ptp(diag) <= 1e-12 * np.max(np.abs(diag))
+
+
+def _rotated(pts, turn):
+    c, s = np.cos(turn), np.sin(turn)
+    return pts @ np.array([[c, s], [-s, c]])
+
+
+def _reference_halfplane(model, kappa, prof, center, other):
+    """The half-plane integral with 16 angular panels of 8 on every decade."""
+    if other is None:
+        d, axis = 0.0, float(np.arctan2(center[1], center[0]))
+    else:
+        d = float(np.hypot(*(other - center)))
+        axis = float(np.arctan2(other[1] - center[1], other[0] - center[0]))
+    t_ref, w_ref = uniform_rule(0.0, 1.0, 16, 8)
+    rho_guard = min(10.0 * (1.0 + np.hypot(*center) + d), prof.rho_hi)
+    cum = 0.0
+    k_lo = int(np.floor(np.log10(prof.rho_lo)))
+    k_hi = int(np.ceil(np.log10(prof.rho_hi)))
+    for k in range(k_lo, k_hi):
+        lo = max(10.0 ** k, prof.rho_lo)
+        hi = min(10.0 ** (k + 1), prof.rho_hi)
+        if hi <= lo:
+            continue
+        rho, w_rho = log_rule(lo, hi, 4, 8)
+        if other is None:
+            beta = np.zeros_like(rho)
+        else:
+            beta = np.where(rho > 0.5 * d,
+                            np.arccos(np.clip(0.5 * d / rho, -1.0, 1.0)), 0.0)
+        span = 2.0 * np.pi - 2.0 * beta
+        theta = axis + beta[:, None] + span[:, None] * t_ref[None, :]
+        w_ang = span[:, None] * w_ref[None, :]
+        px = center[0] + rho[:, None] * np.cos(theta)
+        py = center[1] + rho[:, None] * np.sin(theta)
+        gap = np.maximum(lower_band(model, px, py) - kappa, 0.0)
+        noise = 64.0 * np.finfo(float).eps * (px * px + py * py + abs(kappa) + 1.0)
+        gap[gap < noise] = 0.0
+        f_c = prof(rho)[:, None]
+        f_o = f_c if other is None else prof(np.hypot(px - other[0], py - other[1]))
+        dec = float(np.sum((w_rho[:, None] * w_ang * rho[:, None]) * ((gap * f_c) * f_o)))
+        cum += dec
+        if hi >= rho_guard and cum != 0.0 and abs(dec) < 1e-6 * abs(cum):
+            return cum
+    raise AssertionError("reference kinetic sum did not converge")
+
+
+def _per_point_kinetic(model, thr, basis):
+    """T with both halves of every pair integrated on their own, 16 panels."""
+    pts, prof = basis.points, basis.profile
+    n = len(pts)
+
+    def half(center, other):
+        return _reference_halfplane(model, thr.kappa, prof, center, other)
+
+    T = np.zeros((n, n))
+    for j in range(n):
+        T[j, j] = half(pts[j], None)
+        for k in range(j + 1, n):
+            T[j, k] = T[k, j] = half(pts[j], pts[k]) + half(pts[k], pts[j])
+    return T
+
+
+_CUSTOM = CouplingSpec.custom(lambda px, py: 2.0 * (py + 1j * px) + 0.3,
+                              a_growth=0.5, r_growth=4.0)
+
+
+@pytest.mark.parametrize("case", [
+    ("rashba", 4, 0.4), ("rashba", 4, 0.1), ("rashba", 4, 0.025),
+    ("dresselhaus", 3, 0.4), ("dresselhaus", 3, 0.1), ("dresselhaus", 3, 0.025),
+    ("custom", 3, 0.4), ("custom", 3, 0.1),
+], ids=lambda case: "%s-%d-a%g" % case)
+def test_kinetic_matches_the_16_panel_reference(case, monkeypatch):
+    # past the guard radius a radial band takes 2 angular panels instead of
+    # 16; the custom coupling is not radial, so it keeps 16 panels on every
+    # decade and its T is the reference's to the last bit.  Both sides share
+    # kinetic_matrix's reduction to one integral per pair geometry: the noise
+    # clamp makes an integral depend on the orientation by up to 4e-6 at
+    # a = 0.1, far above the difference between the angular rules
+    kind, n, a = case
+    turn = 0.3 * 2.0 * np.pi / n
+    if kind == "custom":
+        # the minimum set is one point, so the points skip trial_basis
+        model = _CUSTOM
+        thr = threshold(model)
+        pts = _rotated(select_points(Circle((0.0, 0.0), 1.0), n), turn)
+        basis = TrialBasis(points=pts, a=a, profile=fhat_profile(a))
+    else:
+        model = getattr(CouplingSpec, kind)(2.0 if kind == "rashba" else 3.0)
+        thr = threshold(model)
+        basis = trial_basis(model, thr, _rotated(select_points(thr.minset, n), turn), a)
+    t = kinetic_matrix(model, thr, basis)
+    monkeypatch.setattr(certificate, "_kinetic_halfplane",
+                        lambda *args: _reference_halfplane(*args[:5]))
+    t_ref = kinetic_matrix(model, thr, basis)
+    if kind == "custom":
+        assert np.array_equal(t, t_ref)
+    assert np.max(np.abs(t - t_ref)) <= 1e-14 * np.max(np.abs(t_ref))
+
+
+def test_kinetic_work_count(rashba2, thr2, monkeypatch):
+    # at a = 0.05 a half-plane visits about 100 decades, 48 of them below
+    # the guard radius; past it each ring takes 16 angles instead of 128:
+    # 672,256 nodes against 1,262,080 with 128 angles on every decade
+    nodes = []
+
+    def counted(model, qx, qy):
+        nodes.append(np.size(qx))
+        return lower_band(model, qx, qy)
+
+    monkeypatch.setattr(certificate, "lower_band", counted)
+    basis = trial_basis(rashba2, thr2, select_points(thr2.minset, 4), 0.05)
+    kinetic_matrix(rashba2, thr2, basis)
+    assert sum(nodes) <= 760_000
+
+
+def test_kinetic_memory_peak(rashba2, thr2):
+    # one decade of 32 x 128 nodes, or eight far decades of 32 x 16, at a
+    # time, and the radial nodes of the 156 decades: 0.69 MiB of arrays
+    basis = trial_basis(rashba2, thr2, select_points(thr2.minset, 4), 0.05)
+    tracemalloc.start()
+    try:
+        kinetic_matrix(rashba2, thr2, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_kinetic_symmetry(rashba2, thr2):
@@ -393,7 +522,7 @@ def test_exact_potential_memory_peak(rashba2, thr2, circle_measure):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 96 * 2 ** 20
+    assert peak < 16 * 2 ** 20
 
 
 def test_exact_potential_memory_peak_on_a_density(rashba2, thr2, gaussian_well):
@@ -432,6 +561,14 @@ def test_fftlog_matches_scipy_fht_at_every_order(n):
         want = fht(samples.T, dln, mu=mu).T
         got = _fftlog(samples, u)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), mu
+
+
+def test_fast_len_matches_scipy():
+    for n in range(1, 20_001):
+        assert _fast_len(n) == next_fast_len(n, real=True), n
+    for n in np.random.default_rng(19).integers(20_001, 2 ** 19 + 1, 500):
+        assert _fast_len(int(n)) == next_fast_len(int(n), real=True), n
+    assert _fast_len(2 ** 19) == 2 ** 19
 
 
 def test_fftlog_coefficients_against_mpmath():
@@ -479,24 +616,6 @@ def test_no_module_calls_scipy_fht():
 
 # Rotation orbits: one band correction per orbit, one kinetic integral per
 # pair geometry, checked against the work done point by point and pair by pair.
-
-
-def _rotated(pts, turn):
-    c, s = np.cos(turn), np.sin(turn)
-    return pts @ np.array([[c, s], [-s, c]])
-
-
-def _per_point_kinetic(model, thr, basis):
-    """T with both halves of every pair integrated on their own."""
-    pts, prof = basis.points, basis.profile
-    n = len(pts)
-    T = np.zeros((n, n))
-    for j in range(n):
-        T[j, j] = _kinetic_halfplane(model, thr.kappa, prof, pts[j], None)
-        for k in range(j + 1, n):
-            T[j, k] = T[k, j] = (_kinetic_halfplane(model, thr.kappa, prof, pts[j], pts[k])
-                                 + _kinetic_halfplane(model, thr.kappa, prof, pts[k], pts[j]))
-    return T
 
 
 def _per_point_loop_potential(model, nu, basis):
@@ -628,8 +747,7 @@ _WORK_CASES = {
     "rashba-4": (CouplingSpec.rashba(2.0), 4, 1, 3),
     "dresselhaus-6": (CouplingSpec.dresselhaus(3.0), 6, 1, 4),
     # neither symmetry holds: every point and every ordered pair on its own
-    "non-odd-3": (CouplingSpec.custom(lambda px, py: 2.0 * (py + 1j * px) + 0.3,
-                                      a_growth=0.5, r_growth=4.0), 3, 3, 3 + 3 * 2),
+    "non-odd-3": (_CUSTOM, 3, 3, 3 + 3 * 2),
 }
 
 

@@ -132,14 +132,15 @@ def test_bilinear_matches_regular_grid_interpolator():
     assert np.all(outside == 0.0)
 
 
-def test_package_import_skips_scipy_interpolate():
+def test_package_import_skips_scipy_fft_and_interpolate():
     # scipy.interpolate (and the scipy.optimize it loads) costs about 0.3 s
-    # of start-up; no module of the package may import it
+    # of start-up, and scipy.fft about 0.04 s; numpy.fft serves the package,
+    # and no module of it may import either
     src = os.path.dirname(os.path.dirname(spinbound.__file__))
     code = ("import sys, spinbound, spinbound.cli; "
-            "print('scipy.interpolate' in sys.modules)")
+            "print([m for m in ('scipy.fft', 'scipy.interpolate') if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code],
                           env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
