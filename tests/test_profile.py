@@ -9,8 +9,9 @@ from scipy.special import hankel1, k0, k0e
 
 from conftest import grad_norm_sq_quadrature
 from spinbound.errors import ConfigError, ResolutionError
-from spinbound.hankel import (FhatProfile, _contour_cuts, _contour_panels,
-                              _contour_values, _series_values, fhat_profile)
+from spinbound import hankel
+from spinbound.hankel import (FhatProfile, _contour_cuts, _contour_values,
+                              _series_values, fhat_profile)
 from spinbound.quadrature import log_rule, merge_edges, panel_rule
 
 
@@ -76,6 +77,25 @@ def test_value_at_zero():
         assert prof(prof.rho_lo) == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("a", [0.4, 0.2, 0.1])
+def test_table_head_against_small_rho_series(a):
+    # J0(x) = 1 - x^2/4 + x^4/64 - ...: fhat(rho) = fhat(0) (1 - rho^2 <r^2>/4
+    # + rho^4 <r^4>/64 - ...), with <r^2k> = 2^(2k/a) Gamma((2k+2)/a) / Gamma(2/a).
+    # At rho_lo the rho^4 term is 2.5e-17 (a = 0.4) to 6.3e-14 (a = 0.1),
+    # and the omitted rho^6 term is at most 6.8e-16
+    prof = fhat_profile(a)
+    moment = [math.exp(2 * k / a * math.log(2.0) + math.lgamma((2 * k + 2) / a)
+                       - math.lgamma(2.0 / a)) for k in (1, 2)]
+    x = prof.rho_lo ** 2
+    want = fhat_at_zero(a) * (1.0 - x * moment[0] / 4.0 + x * x * moment[1] / 64.0)
+    assert prof._vals[0] == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def _step(prof):
+    """The ln-rho step of a profile's table grid."""
+    return math.log(prof.rho_hi / prof.rho_lo) / (prof._grid.size - 1)
+
+
 def test_gaussian_closed_form():
     prof = fhat_profile(2.0)
     rho = np.linspace(0.01, 8.0, 200)
@@ -94,23 +114,23 @@ def test_exponential_closed_form():
 
 def test_contour_rule_at_exponential():
     # the a = 1 table is the closed form; the contour rule it replaced must
-    # still reproduce it, since every 1 < a < 2 table comes from that rule
+    # still reproduce it at every node, since every 1 < a < 2 table comes
+    # from that rule
     prof = fhat_profile(1.0)
     grid = np.geomspace(prof.rho_lo, prof.rho_hi, 4096)
     want = 0.5 / (0.25 + grid * grid) ** 1.5
     assert np.array_equal(prof._vals, want)
-    sample = np.arange(0, grid.size, 61)
-    got = _contour_values(1.0, grid[sample])
-    assert np.max(np.abs(got / want[sample] - 1.0)) < 1e-10
+    got = _contour_values(1.0, grid, _step(prof))
+    assert np.max(np.abs(got / want - 1.0)) < 1e-13
 
 
 def _scalar_contour(a, rho, nodes_per_panel=10):
-    """fhat(rho) by the rotated-contour rule, one node at a time.
+    """fhat(rho) by the rotated-contour rule on Gauss-Legendre panels, one node at a time.
 
-    The reference for ``_contour_values``: the same cuts, panel edges and
-    integrands, built with np.geomspace, ``merge_edges`` and
-    ``panel_rule`` for the single node rho.  Returns the value and the
-    number of quadrature points.
+    The reference for the lattice rule ``_contour_values``: the same cuts
+    and integrands on panels built with np.geomspace, ``merge_edges`` and
+    ``panel_rule`` for the single node rho.  Each panel is split at the
+    kernel's and the envelope's oscillations.
     """
     theta = min(0.5 * np.pi, np.pi / (3.0 * a))
     at = a * theta
@@ -145,30 +165,29 @@ def _scalar_contour(a, rho, nodes_per_panel=10):
         kernel = k0(np.minimum(rho * s, 700.0))
         val = (2.0 / np.pi) * np.sum(w * s * kernel * np.exp(-0.5 * c_env * s ** a)
                                      * np.sin(0.5 * s_env * s ** a))
-        return float(val), s.size
+        return float(val)
     kernel = hankel1(0, rho * s * np.exp(1j * theta))
     if s_kernel_cut < s_env_cut:
-        ze = -0.5 * (s ** a) * (c_env + 1j * s_env)
-        small = np.abs(ze) < 1e-2
-        env = np.where(
-            small,
-            ze * (1.0 + ze * (0.5 + ze * (1.0 / 6.0 + ze / 24.0))),
-            env - 1.0)
+        # env - 1 to full precision where s^a is small
+        x, y = -0.5 * c_env * s ** a, -0.5 * s_env * s ** a
+        env = (np.expm1(x) * np.cos(y) - 2.0 * np.sin(0.5 * y) ** 2
+               + 1j * np.exp(x) * np.sin(y))
     val = np.real(np.exp(2j * theta) * np.sum(w * s * kernel * env))
-    return float(val), s.size
+    return float(val)
 
 
 def _rejected_nodes(a):
-    """The table nodes at exponent a that the series gate leaves to the contour rule."""
+    """The table nodes at exponent a that the series gate leaves to the contour rule, and the step."""
     prof = fhat_profile(a)
     grid = np.geomspace(prof.rho_lo, prof.rho_hi, 4096)
-    return grid[~_series_values(a, grid)[1]]
+    return grid[~_series_values(a, grid)[1]], _step(prof)
 
 
-@pytest.mark.parametrize("a", [0.025, 0.05, 0.4, 0.7, 1.5, 1.9])
+@pytest.mark.parametrize("a", [0.025, 0.05, 0.1, 0.2, 0.4, 0.7, 0.9])
 def test_contour_values_match_scalar_rule(a):
-    rho = _rejected_nodes(a)
-    _, _, node, kernel_limited = _contour_panels(a, rho, _contour_cuts(a))
+    rho, step = _rejected_nodes(a)
+    theta, _, _, s_env_cut, _ = _contour_cuts(a)
+    kernel_limited = 45.0 / (rho * np.sin(theta)) < s_env_cut
     # evenly spread nodes, and the two on each side of the switch from
     # envelope-limited (s_up = s_env_cut) to kernel-limited ranges
     sample = np.linspace(0, rho.size - 1, 24).astype(int)
@@ -180,25 +199,72 @@ def test_contour_values_match_scalar_rule(a):
         # the Hankel-1 branch, where kernel-limited nodes take env - 1
         assert kernel_limited[sample].any()
     want = np.array([_scalar_contour(a, r) for r in rho[sample]])
-    got = _contour_values(a, rho[sample])
-    assert np.max(np.abs(got / want[:, 0] - 1.0)) < 1e-13
-    points = 10 * np.bincount(node, minlength=rho.size)
-    assert np.array_equal(points[sample], want[:, 1])
+    got = _contour_values(a, rho[sample], step)
+    assert np.max(np.abs(got / want - 1.0)) < 1e-13
+    # the lattice has converged: half the step moves no node beyond rounding
+    finer = _contour_values(a, rho[sample], 0.5 * step)
+    assert np.max(np.abs(finer / got - 1.0)) < 1e-14
 
 
-@pytest.mark.parametrize("a,points", [(0.4, 157960), (0.2, 209040),
-                                      (0.1, 356100), (0.05, 682750)])
-def test_contour_point_count(a, points):
-    # the scalar rule's total number of contour points over the rejected nodes
-    rho = _rejected_nodes(a)
-    lo, _, _, _ = _contour_panels(a, rho, _contour_cuts(a))
-    assert 10 * lo.size == points
+def _mp_fhat(mp, a, rho):
+    """fhat(rho) = int_0^inf r J0(rho r) exp(-r^a/2) dr on the real axis, to 20 digits.
+
+    Tanh-sinh on pieces of four half-periods of J0 up to where the
+    envelope falls below e^-86.
+    """
+    with mp.workdps(20):
+        a, rho = mp.mpf(a), mp.mpf(rho)
+        r_max = 172 ** (1 / a)
+        piece = 4 * mp.pi / rho
+        edges = [k * piece for k in range(int(mp.ceil(r_max / piece)) + 1)]
+        return float(mp.quad(lambda r: r * mp.besselj(0, rho * r) * mp.exp(-r ** a / 2),
+                             edges))
+
+
+@pytest.mark.parametrize("a", [1.5, 1.9])
+def test_contour_values_against_mpmath_past_one(a):
+    # for 1 < a < 2 every node comes from the contour rule.  At rho ~ 8 and
+    # ~ 18 the subtracted envelope env - 1 is small over the whole
+    # integrand, where a four-term Taylor head of it had been up to 6e-11
+    # off; both rules now agree with the real-axis integral to 1e-13
+    mp = pytest.importorskip("mpmath")
+    prof = fhat_profile(a)
+    for rho_near in (8.0, 18.0):
+        node = np.argmin(np.abs(np.log(prof._grid / rho_near)))
+        rho = prof._grid[node]
+        want = _mp_fhat(mp, a, rho)
+        lattice = _contour_values(a, np.array([rho]), _step(prof))[0]
+        panel = _scalar_contour(a, rho)
+        assert abs(lattice - want) <= max(2.0 * abs(panel - want), 1e-13 * want)
+        assert abs(lattice - want) <= 1e-13 * want
+        assert prof._vals[node] == pytest.approx(lattice, rel=1e-14)
+
+
+@pytest.mark.parametrize("a,evaluations", [(0.4, 583), (0.2, 617), (0.1, 664),
+                                           (0.05, 722), (1.5, 808)])
+def test_contour_kernel_evaluations(a, evaluations, monkeypatch):
+    # one kernel value per lattice point of rho s per build.  The per-node
+    # Gauss-Legendre panels this rule replaced took 157,960 (a = 0.4) to
+    # 682,750 (a = 0.05) kernel values, and 3,254,560 at a = 1.5, where all
+    # 4096 nodes are contour nodes
+    count = []
+
+    def counted(kernel):
+        def wrapper(*args):
+            count.append(np.size(args[-1]))
+            return kernel(*args)
+        return wrapper
+
+    monkeypatch.setattr(hankel, "k0", counted(hankel.k0))
+    monkeypatch.setattr(hankel, "hankel1", counted(hankel.hankel1))
+    FhatProfile(a)
+    assert len(count) == 1 and count[0] == evaluations
 
 
 def test_contour_memory_peak():
-    # the contour rule builds panels and integrands for 16 nodes at a
-    # time: the a = 0.025 table (1,487 rejected nodes, 1.27 M points) peaks
-    # near 2 MiB of arrays, against about 53 MiB if every node is taken at once
+    # the contour rule holds a few lattice tables of under 1,000 points
+    # each: the a = 0.025 build (1,487 contour nodes) peaks at 0.4 MiB of
+    # arrays, where per-node panels in blocks of 16 nodes peaked near 2 MiB
     tracemalloc.start()
     try:
         FhatProfile(0.025)
@@ -270,7 +336,7 @@ def test_series_gate_rejects_cancelling_node():
     i = int(np.argmin(np.abs(np.log(grid / 1.4e-6))))
     vals, trusted = _series_values(a, grid[i:i + 1])
     assert not trusted[0]
-    want = _contour_values(a, grid[i:i + 1])[0]
+    want = _contour_values(a, grid[i:i + 1], _step(prof))[0]
     assert abs(vals[0] - want) > want
     assert prof(grid[i]) == pytest.approx(want, rel=1e-14)
 
