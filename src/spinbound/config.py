@@ -16,7 +16,8 @@ import numpy as np
 from .certificate import certify, certify_problems
 from .errors import ConfigError
 from .measure import (ClosedFormCircle, CurveDelta, Density, SampledCurve, Segment,
-                      Sum, decay_scans, scan_problems)
+                      Sum, decay_scans, sampled_curve_problems, scan_problems,
+                      segment_problems)
 from .model import CouplingSpec
 from .oracle import convergence_sweep, sweep_problems
 from .spline import bilinear
@@ -109,18 +110,18 @@ def _validate_curve(section, path, sink):
         if _check_keys(section, path, ("type", "start", "end"), (), sink):
             a = _point(section["start"], path + ".start", sink)
             b = _point(section["end"], path + ".end", sink)
-            if a is not None and a == b:
-                sink.add(path, "segment endpoints coincide")
+            if a is not None and b is not None:
+                for problem in segment_problems(a, b):
+                    sink.add(path, problem)
     elif kind == "sampled":
         if _check_keys(section, path, ("type", "nodes"), ("closed",), sink):
             nodes = section["nodes"]
-            ok = (isinstance(nodes, list) and len(nodes) >= 4
-                  and all(_point(n, path + ".nodes[%d]" % i, sink) is not None
-                          for i, n in enumerate(nodes)))
-            if not ok and not isinstance(nodes, list):
+            if not isinstance(nodes, list):
                 sink.add(path, "nodes must be a list of [x, y] pairs")
-            elif isinstance(nodes, list) and len(nodes) < 4:
-                sink.add(path, "sampled curve needs at least 4 nodes")
+            elif all(_point(n, path + ".nodes[%d]" % i, sink) is not None
+                     for i, n in enumerate(nodes)):
+                for problem in sampled_curve_problems(nodes):
+                    sink.add(path, problem)
             if "closed" in section and not isinstance(section["closed"], bool):
                 sink.add(path, "'closed' must be a boolean")
     else:

@@ -60,14 +60,30 @@ class ClosedFormCircle(Curve):
         return TWO_PI * self.radius
 
 
+def segment_problems(start, end):
+    """Every problem with a segment's endpoints; [] when none."""
+    if start[0] == end[0] and start[1] == end[1]:
+        return ["segment endpoints coincide"]
+    return []
+
+
+def sampled_curve_problems(nodes):
+    """Every problem with a sampled curve's nodes; [] when none."""
+    nodes = np.asarray(nodes, dtype=float)
+    if nodes.ndim != 2 or nodes.shape[1] != 2 or len(nodes) < 4:
+        return ["sampled curve needs at least 4 (x, y) nodes"]
+    return []
+
+
 @dataclass
 class Segment(Curve):
     start: tuple[float, float]
     end: tuple[float, float]
 
     def __post_init__(self):
-        if np.hypot(self.end[0] - self.start[0], self.end[1] - self.start[1]) == 0.0:
-            raise DegenerateInputError("zero-length segment")
+        problems = segment_problems(self.start, self.end)
+        if problems:
+            raise ConfigError(problems)
 
     def point(self, t):
         t = np.asarray(t, dtype=float)
@@ -88,9 +104,10 @@ class SampledCurve(Curve):
     """Twice-differentiable cubic interpolation through node points."""
 
     def __init__(self, nodes, closed=False):
+        problems = sampled_curve_problems(nodes)
+        if problems:
+            raise ConfigError(problems)
         nodes = np.asarray(nodes, dtype=float)
-        if nodes.ndim != 2 or nodes.shape[1] != 2 or len(nodes) < 4:
-            raise DegenerateInputError("sampled curve needs at least 4 (x, y) nodes")
         self.nodes = nodes
         self.closed = bool(closed)
         if closed:

@@ -4,8 +4,11 @@ The perturbed operator is assembled in a truncated plane-wave basis
 e^{i<k,x>}/(2L) on [-L, L]^2 with modes k on the lattice (pi/L) Z^2,
 |k| <= K.  The measure enters only through its Fourier transform at mode
 differences, so curve measures need no spatial grid.  A dense Hermitian
-eigensolve then counts eigenvalues below the band minimum kappa, which is
-the independent check against the variational certificate.
+eigensolve (numpy's LAPACK ``eigvalsh``) then counts eigenvalues below the
+band minimum kappa, which is the independent check against the variational
+certificate.  That solver returns NaN for a matrix with a non-finite entry
+and raises nothing, so the coupling and the potential table are checked
+finite first (NumericalInputError).
 
 The lattice and the cutoff are invariant under the turn R by 2 pi / n for
 n = 4, 2 and 1.  When nuhat is too and A(R k) = phi A(k) for an n-th root
@@ -56,7 +59,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import CapacityError, ConfigError, NumericalInputError, SupportError
 from .measure import Density, RadonMeasureSpec, Sum, fourier_grid
@@ -200,6 +202,9 @@ def _operator_data(model: CouplingSpec, nu, box: BoxSpec):
     _check_support(nu, box.L)
     diff_axis = (np.pi / box.L) * np.arange(-2 * n_max, 2 * n_max + 1)
     table = (2.0 * np.pi / (4.0 * box.L * box.L)) * fourier_grid(nu, diff_axis, diff_axis)
+    # the eigensolver would return NaN for a block with a non-finite entry
+    if not np.all(np.isfinite(table)):
+        raise NumericalInputError("potential is non-finite at the mode differences")
     return n_pairs, a, table
 
 
@@ -351,11 +356,12 @@ def _sector_potentials(table, r, n, sectors):
     """
     quarters, m = 4 // n, len(r)
     off, side = (len(table) - 1) // 2, len(table)
+    # the flat index of r - s is that of r less that of s, plus the origin's
+    start = (r[:, 0] * side + r[:, 1] + off * (side + 1))[:, None]
     g = np.empty((n, m, m), dtype=table.dtype)
     for f in range(n):
         s = _turn(r, f * quarters)
-        np.take(table, (r[:, None, 0] - s[None, :, 0] + off) * side
-                + (r[:, None, 1] - s[None, :, 1] + off), out=g[f])
+        np.take(table, start - (s[:, 0] * side + s[:, 1]), out=g[f])
     omega = _QUARTER[np.outer(sectors, np.arange(n)) * quarters % 4]
     pots = (omega @ g.reshape(n, -1)).reshape(len(sectors), m, m)
     pots[:, -1, :] /= np.sqrt(n)
@@ -399,15 +405,15 @@ def _blocks(n_pairs, step, n, p, table, a, sectors, mirror=None):
         image = np.stack([_turn(_mirror(r, mirror[0]), -d * quarters) for d in range(n)])
         e = np.argmin(image[..., 0] * width + image[..., 1], axis=0)
         partner = _position(r, image[e, np.arange(m)])
-    # sector j's block reads the potentials of j and of its spin-down
-    # sector (j - p) mod n only
-    pots = _sector_potentials(table, r, n, sorted({s for j in sectors
-                                                   for s in (j, (j - p) % n)}))
     k = step * r
     p2 = k[:, 0] * k[:, 0] + k[:, 1] * k[:, 1]
     ar = a[rep]
     for j in sectors:
         down = (j - p) % n
+        # sector j's block reads the potentials of j and of its spin-down
+        # sector only; they are dropped before the block is yielded, so
+        # that the eigensolver's copy of it is the only other large array
+        pots = _sector_potentials(table, r, n, sorted({j, down}))
         mu, md = m - (j != 0), m - (down != 0)
         both = np.arange(min(mu, md))
         if mirror is None:
@@ -430,6 +436,7 @@ def _blocks(n_pairs, step, n, p, table, a, sectors, mirror=None):
                           [cross.T, _real_form(pots[down], dn, dn)]])
             h[np.diag_indices(len(h))] += p2[np.concatenate(
                 [up.first, up.first[:up.lower], dn.first, dn.first[:dn.lower]])]
+        del pots
         yield h
         # drop this block before the next is built
         del h
@@ -478,10 +485,10 @@ def _greedy_pairs(eigs):
     return pairs
 
 
-def _eigvalsh(matrix, overwrite_a=False):
+def _eigvalsh(matrix):
     try:
-        return scipy.linalg.eigvalsh(matrix, overwrite_a=overwrite_a)
-    except scipy.linalg.LinAlgError as exc:
+        return np.linalg.eigvalsh(matrix)
+    except np.linalg.LinAlgError as exc:
         raise NumericalInputError("dense eigensolver failed: %s" % exc) from exc
 
 
@@ -522,12 +529,10 @@ def spectrum(model: CouplingSpec, thr: ThresholdData, nu, box: BoxSpec):
     sector's spectrum; otherwise it is the complex Hermitian block.
     """
     copies, blocks = _sector_blocks(model, nu, box)
-    # each block is solved before the next is built.  block.T is
-    # Fortran-ordered, so LAPACK works on it in place; it is conj(block),
-    # or for a real block its transpose, with the same eigenvalues
+    # each block is solved before the next is built
     eigs = []
     for block in blocks:
-        eigs.append(np.repeat(_eigvalsh(block.T, overwrite_a=True), copies))
+        eigs.append(np.repeat(_eigvalsh(block), copies))
         del block
     return _counted(np.sort(np.concatenate(eigs)), thr, box)
 

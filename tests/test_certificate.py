@@ -11,7 +11,7 @@ from spinbound import certificate
 from spinbound.certificate import (_M_MAX, TrialBasis, _decade_rules,
                                    _fast_len, _fftlog, _fftlog_coefficients,
                                    _gate_sample, _kinetic_halfplane, _ModeTable,
-                                   _angular_modes, _node_modes, _pair_scale,
+                                   _angular_modes, _im_loggamma, _node_modes, _pair_scale,
                                    _rotation_orbit, certify,
                                    definiteness, kinetic_matrix,
                                    potential_matrix_dropped,
@@ -563,6 +563,16 @@ def test_fftlog_matches_scipy_fht_at_every_order(n):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), mu
 
 
+def test_im_loggamma_matches_scipy():
+    # Stirling's series at x + 10 + iy and the recurrence back down; the
+    # phase grows like y ln y, and both round it to a few eps of itself
+    y = np.linspace(0.0, 1e4, 20_001)
+    for x in (0.5, 1.0):
+        want = loggamma(x + 1j * y).imag
+        assert np.all(np.abs(_im_loggamma(x, y) - want)
+                      <= 4.4e-15 * np.maximum(1.0, np.abs(want))), x
+
+
 def test_fast_len_matches_scipy():
     for n in range(1, 20_001):
         assert _fast_len(n) == next_fast_len(n, real=True), n
@@ -588,15 +598,16 @@ def test_fftlog_coefficients_against_mpmath():
 
 @pytest.mark.parametrize("m_max", [0, 3, _M_MAX])
 def test_node_modes_make_two_loggamma_calls(rashba2, monkeypatch, m_max):
-    # u_0 and u_1 take one loggamma each, and every higher order is stepped
+    # u_0 and u_1 take one Im loggamma each, and every higher order is stepped
     # from them, however many orders there are
     calls = []
+    phase = certificate._im_loggamma
 
-    def counted(z):
-        calls.append(z)
-        return loggamma(z)
+    def counted(x, y):
+        calls.append(x)
+        return phase(x, y)
 
-    monkeypatch.setattr(certificate, "loggamma", counted)
+    monkeypatch.setattr(certificate, "_im_loggamma", counted)
     _node_modes(rashba2, np.array([1.0, 0.0]), fhat_profile(0.4),
                 np.array([0.5, 1.0, 3.0]), np.arange(-m_max, m_max + 1))
     assert len(calls) == 2

@@ -109,6 +109,35 @@ def test_module_entry_point_exit_code(tmp_path):
     assert "cannot read config file" in proc.stderr
 
 
+def test_certify_and_oracle_run_without_scipy(tmp_path):
+    # the package runs on numpy alone: importing scipy.special costs about
+    # 0.2 s of start-up and scipy.linalg 0.05 s.  A full certify and oracle
+    # run, not only an import, so that an import made inside a function
+    # would be caught too
+    doc = _certify_doc()
+    doc["oracle"] = {"L": 6.0, "cutoffs": [2.5]}
+    cfg = _write(tmp_path, "c.json", doc)
+    code = ("import sys; from spinbound.cli import main; "
+            "codes = [main([sub, '-c', sys.argv[1], '-o', sys.argv[2] + sub]) "
+            "for sub in ('certify', 'oracle')]; "
+            "print(codes, sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    src = os.path.dirname(os.path.dirname(spinbound.__file__))
+    proc = subprocess.run([sys.executable, "-c", code, cfg, str(tmp_path / "report-")],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0] []"
+
+
+def test_pyproject_keeps_scipy_to_the_test_extra():
+    tomllib = pytest.importorskip("tomllib")
+    path = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    project = tomllib.loads(path.read_text())["project"]
+    assert project["dependencies"] == ["numpy>=1.25"]
+    assert "scipy>=1.10" in project["optional-dependencies"]["test"]
+
+
 def test_exit_numerical_error(tmp_path):
     # Fourier transform of a density demands unresolvable quadrature at
     # astronomically large momenta

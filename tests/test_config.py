@@ -8,7 +8,8 @@ from spinbound import config
 from spinbound.certificate import certify
 from spinbound.config import build_measure, build_model, parse_config
 from spinbound.errors import ConfigError
-from spinbound.measure import CurveDelta, Density, Sum, decay_scans, fourier_batch
+from spinbound.measure import (CurveDelta, Density, SampledCurve, Segment, Sum, decay_scans,
+                               fourier_batch)
 from spinbound.oracle import convergence_sweep
 
 
@@ -188,3 +189,19 @@ def test_measure_validation_nested():
     with pytest.raises(ConfigError) as err:
         parse_config(json.dumps(bad))
     assert "measure.parts[0].curve" in str(err.value)
+
+
+@pytest.mark.parametrize("curve,build", [
+    ({"type": "segment", "start": [1.0, 1.0], "end": [1.0, 1.0]},
+     lambda: Segment((1.0, 1.0), (1.0, 1.0))),
+    ({"type": "sampled", "nodes": [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]},
+     lambda: SampledCurve(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]))),
+], ids=["segment", "sampled"])
+def test_curve_rules_are_the_library_rules(curve, build):
+    # one rule per curve concept: the config refuses what the library
+    # refuses, with the same problem and the same error type (exit 2)
+    with pytest.raises(ConfigError) as lib:
+        build()
+    with pytest.raises(ConfigError) as cfg:
+        parse_config(json.dumps({"measure": {"type": "curve", "curve": curve}}))
+    assert cfg.value.errors == ["measure.curve: " + e for e in lib.value.errors]

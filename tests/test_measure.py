@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import bessel_j0_series
 from spinbound.config import build_measure
-from spinbound.errors import ConfigError, DegenerateInputError, ResolutionError
+from spinbound.errors import ConfigError, ResolutionError
 from spinbound.measure import (ClosedFormCircle, CurveDelta, Density,
                                SampledCurve, Segment, Sum, decay_scan,
                                fourier_batch, fourier_grid, fourier_matrix)
@@ -47,7 +47,7 @@ def test_segment_transform_closed_form():
     for px, py in [(3.0, 0.0), (3.0, 5.0), (0.7, -2.0)]:
         want = -(1.0 / (2.0 * np.pi)) * np.exp(-0.5j * px) * np.sinc(px / (2 * np.pi))
         assert abs(fourier_batch(nu, [(px, py)])[0] - want) < 1e-12
-    with pytest.raises(DegenerateInputError):
+    with pytest.raises(ConfigError, match="segment endpoints coincide"):
         Segment((1.0, 1.0), (1.0, 1.0))
 
 

@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from spinbound import oracle
-from spinbound.errors import CapacityError, ConfigError, SupportError
+from spinbound.cli import main
+from spinbound.errors import CapacityError, ConfigError, NumericalInputError, SupportError
 from spinbound.measure import ClosedFormCircle, CurveDelta, Density, Segment, Sum
 from spinbound.model import CouplingSpec, threshold
 from spinbound.oracle import (BoxSpec, assemble, convergence_sweep,
@@ -24,14 +27,14 @@ REAL, COMPLEX = "float64", "complex128"
 
 
 def _solve_sizes(monkeypatch):
-    """Record the size and dtype of every matrix the oracle hands to eigvalsh."""
+    """Record the size and dtype of every matrix the oracle hands to its eigensolver."""
     sizes = []
-    original = scipy.linalg.eigvalsh
+    original = oracle._eigvalsh
 
-    def spy(a, *args, **kwargs):
+    def spy(a):
         sizes.append((np.shape(a)[0], np.asarray(a).dtype.name))
-        return original(a, *args, **kwargs)
-    monkeypatch.setattr(oracle.scipy.linalg, "eigvalsh", spy)
+        return original(a)
+    monkeypatch.setattr(oracle, "_eigvalsh", spy)
     return sizes
 
 
@@ -179,6 +182,40 @@ def test_box_doubling_consistency(thr2, gaussian_well):
     assert small.count_below == big.count_below
     n = min(4, small.count_below)
     assert np.max(np.abs(small.eigenvalues[:n] - big.eigenvalues[:n])) < 1e-2
+
+
+def _nan_in_table(monkeypatch):
+    """Make oracle.fourier_grid put one NaN into the potential table."""
+    grid = oracle.fourier_grid
+
+    def poisoned(*args):
+        table = grid(*args)
+        table[1, 2] = np.nan
+        return table
+    monkeypatch.setattr(oracle, "fourier_grid", poisoned)
+
+
+def test_non_finite_potential_raises_typed_error(rashba2, thr2, circle_measure,
+                                                 monkeypatch):
+    # np.linalg.eigvalsh returns NaN eigenvalues for a matrix with a NaN
+    # entry and raises nothing, so the table is checked before any block
+    _nan_in_table(monkeypatch)
+    solved = _solve_sizes(monkeypatch)
+    with pytest.raises(NumericalInputError, match="non-finite"):
+        spectrum(rashba2, thr2, circle_measure, BoxSpec(L=6.0, K=2.5))
+    assert solved == []
+
+
+def test_non_finite_potential_exits_3(tmp_path, monkeypatch, capsys):
+    _nan_in_table(monkeypatch)
+    doc = {"model": {"type": "rashba", "alpha": 2.0},
+           "measure": {"type": "curve", "weight": -1.0,
+                       "curve": {"type": "circle", "center": [0.0, 0.0], "radius": 1.0}},
+           "oracle": {"L": 6.0, "cutoffs": [2.5]}}
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["oracle", "-c", str(cfg), "-o", str(tmp_path / "r.json")]) == 3
+    assert "non-finite" in capsys.readouterr().err
 
 
 def test_eigen_count_below_edge_band(rashba2, thr2):

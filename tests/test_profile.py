@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import hankel1, k0, k0e
+from scipy.special import gammaln, hankel1, k0, k0e
 
 from conftest import grad_norm_sq_quadrature
 from spinbound.errors import ConfigError, ResolutionError
 from spinbound import hankel
-from spinbound.hankel import (FhatProfile, _contour_cuts, _contour_values,
+from spinbound.hankel import (FhatProfile, _contour_cuts, _contour_values, _k0,
                               _series_values, fhat_profile)
 from spinbound.quadrature import log_rule, merge_edges, panel_rule
 
@@ -248,17 +248,58 @@ def test_contour_kernel_evaluations(a, evaluations, monkeypatch):
     # 682,750 (a = 0.05) kernel values, and 3,254,560 at a = 1.5, where all
     # 4096 nodes are contour nodes
     count = []
+    kernel = hankel._k0
 
-    def counted(kernel):
-        def wrapper(*args):
-            count.append(np.size(args[-1]))
-            return kernel(*args)
-        return wrapper
+    def counted(w):
+        count.append(np.size(w))
+        return kernel(w)
 
-    monkeypatch.setattr(hankel, "k0", counted(hankel.k0))
-    monkeypatch.setattr(hankel, "hankel1", counted(hankel.hankel1))
+    monkeypatch.setattr(hankel, "_k0", counted)
     FhatProfile(a)
     assert len(count) == 1 and count[0] == evaluations
+
+
+@pytest.mark.parametrize("a", [0.4, 0.025, 0.9, 1.5, 1.9])
+def test_kernel_on_the_lattice_matches_scipy(a, monkeypatch):
+    # every kernel value of one build: K0 on a real lattice from about
+    # 1e-38 up (a <= 2/3), or H0^(1) at arg theta = 1.16, 0.70 and 0.55.
+    # H0^(1)(z) = (2 / (pi i)) K0(-i z), and z = i w is exact in floating
+    # point, so both sides see the same argument
+    seen = []
+
+    def recorded(w):
+        seen.append(w)
+        return _k0(w)
+
+    monkeypatch.setattr(hankel, "_k0", recorded)
+    FhatProfile(a)
+    (w,) = seen
+    if a <= 2.0 / 3.0:
+        assert w.dtype == float
+        assert np.max(np.abs(_k0(w) / k0(w) - 1.0)) < 5e-15
+    else:
+        theta = _contour_cuts(a)[0]
+        assert np.allclose(np.angle(w), theta - 0.5 * np.pi, rtol=0.0, atol=1e-15)
+        want = hankel1(0, 1j * w)
+        assert np.max(np.abs((-2j / np.pi) * _k0(w) / want - 1.0)) < 5e-15
+
+
+def test_k0_matches_scipy_across_the_range():
+    # the trapezoid rule's error peaks just past the series' reach (1.4e-14
+    # at |w| = 1.01 if the series stopped at 1); both peak at 2.2e-15 here
+    x = np.geomspace(1.6e-38, 43.0, 20_000)
+    assert np.max(np.abs(_k0(x) / k0(x) - 1.0)) < 5e-15
+    for theta in (0.55, 0.70, 1.16):
+        w = np.geomspace(1e-30, 85.0, 20_000) * np.exp(1j * (theta - 0.5 * np.pi))
+        want = hankel1(0, 1j * w)
+        assert np.max(np.abs((-2j / np.pi) * _k0(w) / want - 1.0)) < 5e-15, theta
+
+
+@pytest.mark.parametrize("a", [0.025, 0.05, 0.1, 0.2, 0.4, 0.9, 1.5, 1.9])
+def test_grid_anchor_lgamma_matches_scipy(a):
+    # the table's lower end takes ln Gamma(4/a) - ln Gamma(2/a)
+    for x in (2.0 / a, 4.0 / a):
+        assert math.lgamma(x) == pytest.approx(float(gammaln(x)), rel=1e-15)
 
 
 def test_contour_memory_peak():
