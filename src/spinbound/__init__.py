@@ -13,10 +13,9 @@ from .certificate import (CertificateResult, DefinitenessReport, TrialBasis,
                           potential_matrix_dropped, potential_matrix_exact,
                           select_points, trial_basis)
 from .config import RunConfig, build_measure, build_model, parse_config
-from .errors import (CapacityError, ConfigError, DegenerateInputError,
-                     NumericalInputError, QuadratureFailureError,
-                     ResolutionError, SearchDomainError, SpinboundError,
-                     SupportError)
+from .errors import (CapacityError, ConfigError, NumericalInputError,
+                     QuadratureFailureError, ResolutionError,
+                     SearchDomainError, SpinboundError, SupportError)
 from .hankel import FhatProfile
 from .measure import (ClosedFormCircle, CurveDelta, DecayProfile, Density,
                       SampledCurve, Segment, Sum, decay_scan, fourier_batch,

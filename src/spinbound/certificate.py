@@ -16,9 +16,9 @@ from .errors import (CapacityError, ConfigError, NumericalInputError,
                      ResolutionError)
 from .hankel import FhatProfile, fhat_profile
 from .measure import fourier_matrix
-from .model import (CouplingSpec, PointCloud, ThresholdData, lower_band,
-                    lower_band_vectors)
-from .quadrature import log_rule, merge_edges, panel_rule, uniform_rule
+from .model import (Circle, CouplingSpec, PointCloud, ThresholdData,
+                    lower_band, lower_band_vectors)
+from .quadrature import merge_edges, panel_rule, uniform_rule
 from .spline import cubic_spline
 
 TOL_DEF = 1e-8
@@ -54,7 +54,20 @@ def trial_basis(model: CouplingSpec, thr: ThresholdData, points, a) -> TrialBasi
     if worst > thr.minset_tolerance:
         raise ConfigError(
             "trial point off the minimum set: lambda_- - kappa = %.3e" % worst)
+    r0 = _ring(thr)
+    if r0 is not None:
+        # onto the ring itself, where the kinetic gap takes its centres, so
+        # that T and W see the same points
+        pts = pts * (r0 / np.hypot(pts[:, 0], pts[:, 1]))[:, None]
     return TrialBasis(points=pts, a=float(a), profile=fhat_profile(a))
+
+
+def _ring(thr):
+    """r0 when the minimum set is the circle |q| = r0 > 0 about the origin."""
+    ms = thr.minset
+    if isinstance(ms, Circle) and tuple(ms.center) == (0.0, 0.0) and ms.radius > 0.0:
+        return float(ms.radius)
+    return None
 
 
 def _distances(pts):
@@ -165,12 +178,20 @@ def _band_scale(model, qx, qy):
     return qx * qx + qy * qy + np.abs(model.coupling(qx, qy))
 
 
-def _radial_band(model, sample):
-    """True when lambda_-(q) = lambda_-(|q|, 0) to rounding on the sample."""
+def _ring_radius(model, thr, sample):
+    """r0 when lambda_-(q) - kappa = (|q| - r0)^2 to rounding on the sample.
+
+    The minimum set must be the circle |q| = r0 > 0 about the origin (both
+    built-in couplings, with r0 = |alpha| / 2); otherwise, or when the
+    sample shows another band, None.
+    """
+    r0 = _ring(thr)
+    if r0 is None:
+        return None
     qx, qy = sample
-    r = np.hypot(qx, qy)
-    dev = np.abs(lower_band(model, qx, qy) - lower_band(model, r, np.zeros_like(r)))
-    return bool(np.all(dev <= _GATE_TOL * _band_scale(model, qx, qy)))
+    dev = np.abs(lower_band(model, qx, qy) - thr.kappa - (np.hypot(qx, qy) - r0) ** 2)
+    scale = _band_scale(model, qx, qy) + abs(thr.kappa)
+    return r0 if np.all(dev <= _GATE_TOL * scale) else None
 
 
 def _rotation_orbit(model, pts, sample):
@@ -215,22 +236,25 @@ def kinetic_matrix(model: CouplingSpec, thr: ThresholdData, basis: TrialBasis):
     Each entry is split along the perpendicular bisector of (p_j, p_k) and
     integrated in polar coordinates about the nearer bump center, so the
     near-singular concentration of fhat is always radially resolved.  When
-    lambda_- is radial, the half-plane about c facing o depends only on
-    |c|, |o| and |c - o| (any rotation or reflection carries it, and its
-    rule, onto another with the same three), so one integral is computed
-    per distinct triple: the two halves of a pair on one circle coincide.
-    A radial band also lets every decade of rho past the guard radius take
-    the 2-panel angular rule of ``_kinetic_halfplane``; any other band keeps
-    the 16-panel rule on every decade.  The radial nodes of the decades are
-    built once and shared by every half-plane.
+    a sample about p_0 shows lambda_- - kappa = (|q| - r0)^2 about a
+    centred minimum circle of radius r0 (``_ring_radius``; both built-in
+    couplings), the gap is taken in the bump's own coordinates, exactly
+    (``_ring_gap``), and the deep and far rings take cheaper angular rules
+    (``_kinetic_halfplane``).  Then the half-plane about c facing o depends
+    only on |c|, |o| and |c - o| (any rotation or reflection carries it,
+    and its rule, onto another with the same three), so one integral is
+    computed per distinct triple: the two halves of a pair on one circle
+    coincide.  Any other band takes lambda_- - kappa by subtraction and
+    16 angular panels on every decade, for every ordered pair.  The radial
+    nodes of the decades are built once and shared by every half-plane.
     """
     pts = basis.points
     n = len(pts)
     centre = np.repeat(pts, n, axis=0)          # slot j * n + k: about p_j,
     other = np.tile(pts, (n, 1))                # facing p_k
     diagonal = np.eye(n, dtype=bool).ravel()
-    radial = _radial_band(model, _gate_sample(pts[0], basis.profile))
-    if radial:
+    r0 = _ring_radius(model, thr, _gate_sample(pts[0], basis.profile))
+    if r0 is not None:
         key = np.round(np.column_stack([np.hypot(*centre.T), np.hypot(*other.T),
                                         np.hypot(*(other - centre).T)]), 12)
     else:
@@ -240,7 +264,7 @@ def kinetic_matrix(model: CouplingSpec, thr: ThresholdData, basis: TrialBasis):
     decades = _decade_rules(basis.profile)
     half = np.array([_kinetic_halfplane(model, thr.kappa, basis.profile, centre[s],
                                         None if diagonal[s] else other[s],
-                                        radial, decades)
+                                        r0, decades)
                      for s in first])
     H = half[inverse.ravel()].reshape(n, n)
     T = H + H.T
@@ -248,38 +272,75 @@ def kinetic_matrix(model: CouplingSpec, thr: ThresholdData, basis: TrialBasis):
     return T
 
 
-# angular panels of 8 nodes per ring past the guard radius, and the decades
-# evaluated together there: 8 decades x 32 rings x 16 angles, no more nodes
-# than one decade of the 16-panel rule
-_FAR_PANELS = 2
-_FAR_DECADES = 8
+# the 16-point periodic trapezoid of the deep rings, on [0, 1)
+_DEEP_RULE = (np.arange(16) / 16.0, np.full(16, 1.0 / 16.0))
+# deep rings: rho <= _DEEP min(r0, d / 2) (_DEEP r0 on the diagonal)
+_DEEP = 1e-2
+# decades evaluated together on the deep and the far rings: 8 decades x 32
+# rings x 16 angles, no more nodes than one decade of the 16-panel rule
+_CHUNK_DECADES = 8
 
 
 def _decade_rules(prof):
-    """(lo, hi, rho, w) for each decade of rho on the profile's table.
+    """(lo, hi, start, rho, w): the radial rule of each decade of the table.
 
     Every kinetic half-plane takes these radial nodes: 4 log panels of 8
-    nodes per decade (fewer where the table cuts a decade short).
+    nodes per decade (fewer where the table cuts a decade short).  Decade i
+    spans [lo[i], hi[i]] and holds the nodes start[i]:start[i + 1]; the
+    panels of all decades come from one ``panel_rule`` call.
     """
-    k_lo = int(np.floor(np.log10(prof.rho_lo)))
-    k_hi = int(np.ceil(np.log10(prof.rho_hi)))
-    bounds = ((max(10.0 ** k, prof.rho_lo), min(10.0 ** (k + 1), prof.rho_hi))
-              for k in range(k_lo, k_hi))
-    return [(lo, hi, *log_rule(lo, hi, 4, 8)) for lo, hi in bounds if hi > lo]
+    k = range(int(np.floor(np.log10(prof.rho_lo))), int(np.ceil(np.log10(prof.rho_hi))))
+    lo = np.maximum([10.0 ** j for j in k], prof.rho_lo)
+    hi = np.minimum([10.0 ** (j + 1) for j in k], prof.rho_hi)
+    keep = hi > lo
+    lo, hi = lo[keep], hi[keep]
+    panels = np.maximum(1, np.ceil(np.log10(hi / lo) * 4)).astype(int)
+    edges = [None] * len(lo)
+    for m in np.unique(panels):
+        own = np.flatnonzero(panels == m)
+        for i, row in zip(own, np.geomspace(lo[own], hi[own], m + 1, axis=1)):
+            edges[i] = row[:-1]
+    rho, w = panel_rule(np.concatenate(edges + [hi[-1:]]), 8)
+    return lo, hi, np.concatenate([[0], 8 * np.cumsum(panels)]), rho, w
 
 
-def _kinetic_halfplane(model, kappa, prof, center, other, radial, decades):
+def _ring_gap(c, r0, rho, qx, qy):
+    """lambda_-(c + q) - kappa = (|c + q| - r0)^2 on a ring band, for |c| = r0.
+
+    Taken as ((2 c.q + rho^2) / (|c + q| + r0))^2, in which nothing cancels
+    however small rho = |q| is.  q must come from rho and the angle: below
+    rho ~ 1e-16 r0 the sum c + q rounds q away.
+    """
+    return ((2.0 * (c[0] * qx + c[1] * qy) + rho * rho)
+            / (np.hypot(c[0] + qx, c[1] + qy) + r0)) ** 2
+
+
+def _kinetic_halfplane(model, kappa, prof, center, other, r0, decades):
     """Polar integral about `center`, restricted to its bisector half-plane.
 
     rho = |p - center| runs over the ``decades`` of ``_decade_rules`` until
     a decade at or past the guard radius 10 (1 + |center| + d) adds less
-    than 1e-6 of the sum.  Below the guard every ring takes 16 angular
-    panels of 8 nodes, one decade at a time.  Past it the integrand is
-    analytic in the angle when the band is radial (``radial``), and 2
-    panels of 8 nodes take each ring, eight decades at a time; on Rashba
-    alpha = 2 and Dresselhaus alpha = 3, N = 4 and 6, a = 0.4 to 0.025, T
-    moved by at most 1.7e-16 relative against 16 panels on every decade.
-    Rings that the bisector cuts nowhere share one row of angles.
+    than 1e-6 of the sum.  On a ring band (``r0``, see ``kinetic_matrix``)
+    the gap is ``_ring_gap`` about c = r0 center / |center|, and the rings
+    fall in three angular zones:
+
+    - deep, rho <= 1e-2 min(r0, d / 2) (1e-2 r0 on the diagonal): the
+      bisector cuts no ring, and the integrand is a trigonometric
+      polynomial in the angle whose degree-k terms fall like (rho / r0)^k
+      and (rho / d)^k, which a 16-point periodic trapezoid integrates to
+      rounding (Trefethen and Weideman, SIAM Rev. 56 (2014) 385), eight
+      decades at a time.  2 x 8 Gauss-Legendre panels err by 5e-10 on
+      cos 2 theta there;
+    - from there to the guard: 16 panels of 8 nodes, one decade at a time;
+    - past the guard the integrand is analytic in the angle, and 2 panels
+      of 8 nodes take each ring, eight decades at a time.
+
+    At a = 0.05, N = 4 on Rashba alpha = 2 that is 205,568 integrand
+    nodes; on Rashba alpha = 2 and Dresselhaus alpha = 3, N = 4 and 6, a =
+    0.4 to 0.025, T is within 1.7e-16 relative of 16 panels on every decade.  Any other band
+    takes lambda_- - kappa by subtraction, with the values below its
+    rounding noise clamped to 0, and 16 panels on every decade.  Rings
+    that the bisector cuts nowhere share one row of angles.
     """
     if other is None:
         # the angular rule starts at arg(center), so it turns with the point
@@ -287,18 +348,27 @@ def _kinetic_halfplane(model, kappa, prof, center, other, radial, decades):
     else:
         d = float(np.hypot(*(other - center)))
         axis = float(np.arctan2(other[1] - center[1], other[0] - center[0]))
-    near_rule = uniform_rule(0.0, 1.0, 16, 8)
-    far_rule = uniform_rule(0.0, 1.0, _FAR_PANELS, 8)
+    lo, hi, start, rho_all, w_all = decades
     # at a = 2 the table ends at rho = 37 with fhat 0 past it, so its end
     # counts as reaching the guard; for a < 2 it ends far beyond any guard
     rho_guard = min(10.0 * (1.0 + np.hypot(*center) + d), prof.rho_hi)
-    near = sum(lo < rho_guard for lo, *_ in decades) if radial else len(decades)
-    starts = list(range(near)) + list(range(near, len(decades), _FAR_DECADES))
+    if r0 is None:
+        deep = 0
+        near = len(hi)
+    else:
+        c = center * (r0 / np.hypot(*center))
+        deep = int(np.searchsorted(hi, _DEEP * (r0 if other is None else min(r0, 0.5 * d)),
+                                   side="right"))
+        near = int(np.searchsorted(lo, rho_guard))
+    near_rule = uniform_rule(0.0, 1.0, 16, 8)
+    far_rule = uniform_rule(0.0, 1.0, 2, 8)
+    bounds = (list(range(0, deep, _CHUNK_DECADES)) + list(range(deep, near))
+              + list(range(near, len(hi), _CHUNK_DECADES)) + [len(hi)])
     cum = 0.0
-    for start, stop in zip(starts, starts[1:] + [len(decades)]):
-        _, his, rhos, weights = zip(*decades[start:stop])
-        rho, w_rho = np.concatenate(rhos), np.concatenate(weights)
-        t_ref, w_ref = near_rule if start < near else far_rule
+    for first, stop in zip(bounds, bounds[1:]):
+        rho, w_rho = rho_all[start[first]:start[stop]], w_all[start[first]:start[stop]]
+        t_ref, w_ref = (_DEEP_RULE if first < deep else
+                        near_rule if first < near else far_rule)
         if other is None or rho[-1] <= 0.5 * d:
             beta = np.zeros(1)      # no ring is cut: one row of angles for all
         else:
@@ -307,14 +377,21 @@ def _kinetic_halfplane(model, kappa, prof, center, other, radial, decades):
         span = 2.0 * np.pi - 2.0 * beta
         theta = axis + beta[:, None] + span[:, None] * t_ref[None, :]
         w_ang = span[:, None] * w_ref[None, :]
-        px = center[0] + rho[:, None] * np.cos(theta)
-        py = center[1] + rho[:, None] * np.sin(theta)
-        gap = np.maximum(lower_band(model, px, py) - kappa, 0.0)
-        # near the band minimum the subtraction cancels to rounding noise;
-        # a spurious positive residue there gets multiplied by the enormous
-        # fhat peak, so clamp values below the noise floor to exact zero
-        noise = 64.0 * np.finfo(float).eps * (px * px + py * py + abs(kappa) + 1.0)
-        gap[gap < noise] = 0.0
+        if r0 is None:
+            px = center[0] + rho[:, None] * np.cos(theta)
+            py = center[1] + rho[:, None] * np.sin(theta)
+            gap = np.maximum(lower_band(model, px, py) - kappa, 0.0)
+            # near the band minimum the subtraction cancels to rounding
+            # noise; a spurious positive residue there gets multiplied by
+            # the enormous fhat peak, so clamp values below the noise floor
+            # to exact zero
+            noise = 64.0 * np.finfo(float).eps * (px * px + py * py + abs(kappa) + 1.0)
+            gap[gap < noise] = 0.0
+        else:
+            qx = rho[:, None] * np.cos(theta)
+            qy = rho[:, None] * np.sin(theta)
+            gap = _ring_gap(c, r0, rho[:, None], qx, qy)
+            px, py = c[0] + qx, c[1] + qy
         f_c = prof(rho)[:, None]
         if other is None:
             f_o = f_c
@@ -323,11 +400,10 @@ def _kinetic_halfplane(model, kappa, prof, center, other, radial, decades):
         # group so extremes cancel before they overflow: gap grows like
         # rho^2 while fhat decays like rho^-(2+a)
         values = (w_rho[:, None] * w_ang * rho[:, None]) * ((gap * f_c) * f_o)
-        edges = np.cumsum([0] + [len(r) for r in rhos])
-        for hi, first, last in zip(his, edges, edges[1:]):
-            dec = float(np.sum(values[first:last]))
+        for i in range(first, stop):
+            dec = float(np.sum(values[start[i] - start[first]:start[i + 1] - start[first]]))
             cum += dec
-            if hi >= rho_guard and cum != 0.0 and abs(dec) < 1e-6 * abs(cum):
+            if hi[i] >= rho_guard and cum != 0.0 and abs(dec) < 1e-6 * abs(cum):
                 return cum
     raise ResolutionError(
         "kinetic quadrature annuli did not fall below 1e-6 relative "

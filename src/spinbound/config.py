@@ -16,8 +16,8 @@ import numpy as np
 from .certificate import certify, certify_problems
 from .errors import ConfigError
 from .measure import (ClosedFormCircle, CurveDelta, Density, SampledCurve, Segment,
-                      Sum, decay_scans, sampled_curve_problems, scan_problems,
-                      segment_problems)
+                      Sum, box_problems, decay_scans, sampled_curve_problems,
+                      scan_problems, segment_problems)
 from .model import CouplingSpec
 from .oracle import convergence_sweep, sweep_problems
 from .spline import bilinear
@@ -173,8 +173,9 @@ def _validate_measure(section, path, sink, depth=0):
             box = section["box"]
             if not (_numbers(box) and len(box) == 4):
                 sink.add(path, "box must be [xmin, xmax, ymin, ymax]")
-            elif not (box[1] > box[0] and box[3] > box[2]):
-                sink.add(path, "box must have positive extent on both axes")
+            else:
+                for problem in box_problems(box):
+                    sink.add(path, problem)
     elif kind == "sum":
         if _check_keys(section, path, ("type", "parts"), (), sink):
             parts = section["parts"]

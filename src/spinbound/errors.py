@@ -42,9 +42,5 @@ class SupportError(SpinboundError):
     """A measure's support is not contained in the required spatial domain."""
 
 
-class DegenerateInputError(SpinboundError):
-    """Geometrically degenerate input (zero-length segment and the like)."""
-
-
 class QuadratureFailureError(SpinboundError):
     """A quadrature did not converge (non-integrable density, etc.)."""

@@ -13,8 +13,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (ConfigError, DegenerateInputError, NumericalInputError,
-                     QuadratureFailureError, ResolutionError)
+from .errors import (ConfigError, NumericalInputError, QuadratureFailureError,
+                     ResolutionError)
 from .quadrature import uniform_rule
 from .spline import cubic_spline
 
@@ -160,6 +160,14 @@ class CurveDelta:
         return x, y, w * np.hypot(dx, dy) * self._h(x, y)
 
 
+def box_problems(box):
+    """Every problem with a support box (xmin, xmax, ymin, ymax); [] when none."""
+    x0, x1, y0, y1 = box
+    if not (x1 > x0 and y1 > y0):
+        return ["box must have positive extent on both axes"]
+    return []
+
+
 @dataclass
 class Density:
     """Absolutely continuous part nu(dx) = V(x) dx on an axis-aligned box."""
@@ -168,9 +176,10 @@ class Density:
     support_box: tuple[float, float, float, float]  # (xmin, xmax, ymin, ymax)
 
     def __post_init__(self):
+        problems = box_problems(self.support_box)
+        if problems:
+            raise ConfigError(problems)
         x0, x1, y0, y1 = self.support_box
-        if not (x1 > x0 and y1 > y0):
-            raise DegenerateInputError("support box must have positive area")
         gx = np.linspace(x0, x1, 64)
         gy = np.linspace(y0, y1, 64)
         vals = np.asarray(self.V(gx[:, None], gy[None, :]), dtype=float)

@@ -34,16 +34,6 @@ def uniform_rule(a, b, n_panels, nodes_per_panel=8):
     return panel_rule(edges, nodes_per_panel)
 
 
-def log_rule(a, b, panels_per_decade=8, nodes_per_panel=8):
-    """Composite rule on [a, b] (0 < a < b) with log-uniform panel edges."""
-    if not (0.0 < a < b):
-        raise ValueError("log_rule needs 0 < a < b")
-    decades = np.log10(b / a)
-    n_panels = max(1, int(np.ceil(decades * panels_per_decade)))
-    edges = np.geomspace(a, b, n_panels + 1)
-    return panel_rule(edges, nodes_per_panel)
-
-
 def merge_edges(*edge_sets):
     """Sorted union of several edge arrays, duplicates (1e-14 relative) removed."""
     e = np.unique(np.concatenate([np.asarray(s, dtype=float) for s in edge_sets]))

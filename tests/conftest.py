@@ -3,7 +3,13 @@ import pytest
 
 from spinbound.measure import ClosedFormCircle, CurveDelta, Density
 from spinbound.model import CouplingSpec, threshold
-from spinbound.quadrature import log_rule
+from spinbound.quadrature import panel_rule
+
+
+def log_rule(a, b, panels_per_decade=8, nodes_per_panel=8):
+    """Composite Gauss-Legendre rule on [a, b] (0 < a < b), log-uniform panels."""
+    n_panels = max(1, int(np.ceil(np.log10(b / a) * panels_per_decade)))
+    return panel_rule(np.geomspace(a, b, n_panels + 1), nodes_per_panel)
 
 
 def bessel_j0_series(x):

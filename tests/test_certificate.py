@@ -7,10 +7,11 @@ import pytest
 from scipy.fft import fht, next_fast_len
 from scipy.special import jv, loggamma
 
+from conftest import log_rule
 from spinbound import certificate
 from spinbound.certificate import (_M_MAX, TrialBasis, _decade_rules,
                                    _fast_len, _fftlog, _fftlog_coefficients,
-                                   _gate_sample, _kinetic_halfplane, _ModeTable,
+                                   _gate_sample, _kinetic_halfplane, _ModeTable, _ring_gap,
                                    _angular_modes, _im_loggamma, _node_modes, _pair_scale,
                                    _rotation_orbit, certify,
                                    definiteness, kinetic_matrix,
@@ -23,7 +24,7 @@ from spinbound.hankel import fhat_profile
 from spinbound.measure import ClosedFormCircle, CurveDelta, fourier_matrix
 from spinbound.model import (Circle, CouplingSpec, PointCloud, lower_band,
                              lower_band_vectors, threshold)
-from spinbound.quadrature import log_rule, merge_edges, panel_rule, uniform_rule
+from spinbound.quadrature import merge_edges, panel_rule, uniform_rule
 
 TWO_PI_E = 2.0 * np.pi * np.exp(-1.0)
 
@@ -126,16 +127,43 @@ def test_kinetic_diagonal_bound(model_name):
 
 
 def test_kinetic_diagonal_turns_with_the_point(rashba2, thr2):
-    # the diagonal integral's angular rule starts at arg(p_j); lambda_- is
-    # radial, so T_jj is the same for every orientation of p_j
-    prof = fhat_profile(0.4)
+    # the diagonal integral's angular rule starts at arg(p_j) and its gap is
+    # taken about p_j itself; lambda_- is radial, so T_jj is the same for
+    # every orientation of p_j, also at small a, where most of it sits on
+    # rings far below rounding of |p_j|
     ang = 2.0 * np.pi * np.arange(12) / 12.0 + 0.05
-    decades = _decade_rules(prof)
-    diag = np.array([_kinetic_halfplane(rashba2, thr2.kappa, prof,
-                                        np.array([np.cos(t), np.sin(t)]), None, True,
-                                        decades)
-                     for t in ang])
-    assert np.ptp(diag) <= 1e-12 * np.max(np.abs(diag))
+    for a in (0.4, 0.1, 0.05, 0.025):
+        prof = fhat_profile(a)
+        decades = _decade_rules(prof)
+        diag = np.array([_kinetic_halfplane(rashba2, thr2.kappa, prof,
+                                            np.array([np.cos(t), np.sin(t)]), None,
+                                            thr2.minset.radius, decades)
+                         for t in ang])
+        assert np.ptp(diag) <= 1e-13 * np.max(np.abs(diag)), a
+
+
+@pytest.mark.parametrize("a,value", [(0.1, 0.093529), (0.05, 0.048108),
+                                     (0.025, 0.024426)])
+def test_kinetic_diagonal_matches_the_bump_local_integral(rashba2, thr2, a, value):
+    # T_jj of the gap ((2 c.q + rho^2) / (|c + q| + r0))^2 integrated on
+    # 200,001 ln rho points x 4,096 angles to the end of the profile table;
+    # subtracting lambda_- - kappa and clamping its rounding noise to 0 gave
+    # 0.08920, 0.03371 and 0.01325, below even pi a / 4 for a <= 0.05
+    basis = trial_basis(rashba2, thr2, [(np.cos(0.05), np.sin(0.05))], a)
+    assert kinetic_matrix(rashba2, thr2, basis)[0, 0] == pytest.approx(value, rel=1e-5)
+
+
+def test_trial_points_projected_onto_the_ring(rashba2, thr2):
+    # a point one ulp off the ring is stored as its projection, so T and W
+    # see the same point, and its T_jj is the projection's
+    off = np.array([np.nextafter(np.cos(0.3), 2.0), np.sin(0.3)])
+    onto = off / np.hypot(*off)
+    basis = trial_basis(rashba2, thr2, [off], 0.05)
+    assert np.array_equal(basis.points, onto[None, :])
+    t_off = kinetic_matrix(rashba2, thr2, basis)[0, 0]
+    t_onto = kinetic_matrix(rashba2, thr2, trial_basis(rashba2, thr2, [onto], 0.05))[0, 0]
+    assert t_off == pytest.approx(t_onto, rel=1e-15)
+    assert 0.0 < t_off < 0.5 * np.pi * 0.05
 
 
 def _rotated(pts, turn):
@@ -143,8 +171,14 @@ def _rotated(pts, turn):
     return pts @ np.array([[c, s], [-s, c]])
 
 
-def _reference_halfplane(model, kappa, prof, center, other):
-    """The half-plane integral with 16 angular panels of 8 on every decade."""
+def _reference_halfplane(model, kappa, prof, center, other, r0):
+    """The half-plane integral with 16 angular panels of 8 on every decade.
+
+    With ``r0`` (a ring band) the gap is (|p| - r0)^2 in the bump's own
+    coordinates, ((2 c.q + rho^2) / (|c + q| + r0))^2 about c = r0 center /
+    |center|; without it, lambda_-(p) - kappa with its rounding noise
+    clamped to 0.
+    """
     if other is None:
         d, axis = 0.0, float(np.arctan2(center[1], center[0]))
     else:
@@ -169,11 +203,18 @@ def _reference_halfplane(model, kappa, prof, center, other):
         span = 2.0 * np.pi - 2.0 * beta
         theta = axis + beta[:, None] + span[:, None] * t_ref[None, :]
         w_ang = span[:, None] * w_ref[None, :]
-        px = center[0] + rho[:, None] * np.cos(theta)
-        py = center[1] + rho[:, None] * np.sin(theta)
-        gap = np.maximum(lower_band(model, px, py) - kappa, 0.0)
-        noise = 64.0 * np.finfo(float).eps * (px * px + py * py + abs(kappa) + 1.0)
-        gap[gap < noise] = 0.0
+        if r0 is None:
+            px = center[0] + rho[:, None] * np.cos(theta)
+            py = center[1] + rho[:, None] * np.sin(theta)
+            gap = np.maximum(lower_band(model, px, py) - kappa, 0.0)
+            noise = 64.0 * np.finfo(float).eps * (px * px + py * py + abs(kappa) + 1.0)
+            gap[gap < noise] = 0.0
+        else:
+            c = r0 * center / np.hypot(*center)
+            qx, qy = rho[:, None] * np.cos(theta), rho[:, None] * np.sin(theta)
+            px, py = c[0] + qx, c[1] + qy
+            gap = ((2.0 * (c[0] * qx + c[1] * qy) + rho[:, None] ** 2)
+                   / (np.hypot(px, py) + r0)) ** 2
         f_c = prof(rho)[:, None]
         f_o = f_c if other is None else prof(np.hypot(px - other[0], py - other[1]))
         dec = float(np.sum((w_rho[:, None] * w_ang * rho[:, None]) * ((gap * f_c) * f_o)))
@@ -187,9 +228,10 @@ def _per_point_kinetic(model, thr, basis):
     """T with both halves of every pair integrated on their own, 16 panels."""
     pts, prof = basis.points, basis.profile
     n = len(pts)
+    r0 = thr.minset.radius if isinstance(thr.minset, Circle) else None
 
     def half(center, other):
-        return _reference_halfplane(model, thr.kappa, prof, center, other)
+        return _reference_halfplane(model, thr.kappa, prof, center, other, r0)
 
     T = np.zeros((n, n))
     for j in range(n):
@@ -209,12 +251,13 @@ _CUSTOM = CouplingSpec.custom(lambda px, py: 2.0 * (py + 1j * px) + 0.3,
     ("custom", 3, 0.4), ("custom", 3, 0.1),
 ], ids=lambda case: "%s-%d-a%g" % case)
 def test_kinetic_matches_the_16_panel_reference(case, monkeypatch):
-    # past the guard radius a radial band takes 2 angular panels instead of
-    # 16; the custom coupling is not radial, so it keeps 16 panels on every
-    # decade and its T is the reference's to the last bit.  Both sides share
-    # kinetic_matrix's reduction to one integral per pair geometry: the noise
-    # clamp makes an integral depend on the orientation by up to 4e-6 at
-    # a = 0.1, far above the difference between the angular rules
+    # on a ring band the deep rings take a 16-point trapezoid and the rings
+    # past the guard radius 2 angular panels, instead of 16 panels of 8
+    # each; both sides take the gap in the bump's own coordinates.  The
+    # custom coupling fails the ring gate, so it keeps the clamped
+    # subtraction and 16 panels on every decade, and its T is the
+    # reference's to the last bit.  Both sides share kinetic_matrix's
+    # reduction to one integral per pair geometry
     kind, n, a = case
     turn = 0.3 * 2.0 * np.pi / n
     if kind == "custom":
@@ -229,7 +272,7 @@ def test_kinetic_matches_the_16_panel_reference(case, monkeypatch):
         basis = trial_basis(model, thr, _rotated(select_points(thr.minset, n), turn), a)
     t = kinetic_matrix(model, thr, basis)
     monkeypatch.setattr(certificate, "_kinetic_halfplane",
-                        lambda *args: _reference_halfplane(*args[:5]))
+                        lambda *args: _reference_halfplane(*args[:6]))
     t_ref = kinetic_matrix(model, thr, basis)
     if kind == "custom":
         assert np.array_equal(t, t_ref)
@@ -237,24 +280,25 @@ def test_kinetic_matches_the_16_panel_reference(case, monkeypatch):
 
 
 def test_kinetic_work_count(rashba2, thr2, monkeypatch):
-    # at a = 0.05 a half-plane visits about 100 decades, 48 of them below
-    # the guard radius; past it each ring takes 16 angles instead of 128:
-    # 672,256 nodes against 1,262,080 with 128 angles on every decade
+    # at a = 0.05 a half-plane visits about 100 decades: about 40 deep ones
+    # at 16 angles per ring, 8 more below the guard radius at 128, and the
+    # rest past it at 16: 205,568 gap nodes for four points, against
+    # 672,256 with 128 angles on every decade below the guard
     nodes = []
 
-    def counted(model, qx, qy):
+    def counted(c, r0, rho, qx, qy):
         nodes.append(np.size(qx))
-        return lower_band(model, qx, qy)
+        return _ring_gap(c, r0, rho, qx, qy)
 
-    monkeypatch.setattr(certificate, "lower_band", counted)
+    monkeypatch.setattr(certificate, "_ring_gap", counted)
     basis = trial_basis(rashba2, thr2, select_points(thr2.minset, 4), 0.05)
     kinetic_matrix(rashba2, thr2, basis)
-    assert sum(nodes) <= 760_000
+    assert 0 < sum(nodes) <= 210_000
 
 
 def test_kinetic_memory_peak(rashba2, thr2):
-    # one decade of 32 x 128 nodes, or eight far decades of 32 x 16, at a
-    # time, and the radial nodes of the 156 decades: 0.69 MiB of arrays
+    # one decade of 32 x 128 nodes, or eight deep or far decades of 32 x
+    # 16, at a time, and the radial nodes of the 156 decades: 0.64 MiB
     basis = trial_basis(rashba2, thr2, select_points(thr2.minset, 4), 0.05)
     tracemalloc.start()
     try:
@@ -353,9 +397,8 @@ def test_exact_matrix_brute_force(rashba2, thr2, circle_measure):
 
     x, y, wgt = circle_measure.quad_nodes(2.0)
     prof = basis.profile
-    import spinbound.quadrature as q
-    r_nodes, r_w = q.log_rule(1e-6, 400.0, 160, 8)
-    ang, aw = q.uniform_rule(0.0, 2.0 * np.pi, 128, 8)
+    r_nodes, r_w = log_rule(1e-6, 400.0, 160, 8)
+    ang, aw = uniform_rule(0.0, 2.0 * np.pi, 128, 8)
     # p = p_j + (dx, dy) with the same offsets for both points, so
     # e^{i<p,x>} = e^{i<p_j,x>} e^{i(dx x + dy y)} and each phase block of
     # the offsets serves both
@@ -870,3 +913,14 @@ def test_certify_partial_count(rashba2, thr2):
     if not res.certified:
         assert res.a_star is None
         assert res.certified_count < 3
+
+
+def test_certify_readme_circle_eight_points_not_certified(rashba2, thr2, circle_measure):
+    # with the gap subtracted and its rounding noise clamped to 0, T was low
+    # enough at a = 0.025 for Q to read negative definite (lambda_max =
+    # -5.44e-4); the exact gap leaves 6 of 8
+    res = certify(rashba2, thr2, circle_measure, 8, (0.4, 0.2, 0.1, 0.05, 0.025),
+                  potential_form="exact")
+    assert not res.certified and res.a_star is None
+    assert res.certified_count == 6
+    assert res.lambda_max_Q > 1e-2

@@ -205,3 +205,17 @@ def test_curve_rules_are_the_library_rules(curve, build):
     with pytest.raises(ConfigError) as cfg:
         parse_config(json.dumps({"measure": {"type": "curve", "curve": curve}}))
     assert cfg.value.errors == ["measure.curve: " + e for e in lib.value.errors]
+
+
+@pytest.mark.parametrize("box", [[0.0, 0.0, -1.0, 1.0], [-1.0, 1.0, 2.0, 1.0]],
+                         ids=["flat", "inverted"])
+def test_box_rule_is_the_library_rule(box):
+    # one support-box rule: the config refuses what Density refuses, with
+    # the same problem and the same error type (exit 2)
+    with pytest.raises(ConfigError) as lib:
+        Density(lambda x, y: -np.exp(-0.5 * (x * x + y * y)), tuple(box))
+    doc = {"measure": {"type": "density", "box": box,
+                       "density": {"type": "gaussian-well", "depth": 1.0}}}
+    with pytest.raises(ConfigError) as cfg:
+        parse_config(json.dumps(doc))
+    assert cfg.value.errors == ["measure: " + e for e in lib.value.errors]

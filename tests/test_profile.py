@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln, hankel1, k0, k0e
 
-from conftest import grad_norm_sq_quadrature
+from conftest import grad_norm_sq_quadrature, log_rule
 from spinbound.errors import ConfigError, ResolutionError
 from spinbound import hankel
 from spinbound.hankel import (FhatProfile, _contour_cuts, _contour_values, _k0,
                               _series_values, fhat_profile)
-from spinbound.quadrature import log_rule, merge_edges, panel_rule
+from spinbound.quadrature import merge_edges, panel_rule
 
 
 def fhat_at_zero(a):
