@@ -446,19 +446,21 @@ def potential_matrix_exact(model: CouplingSpec, nu, basis: TrialBasis):
     f = np.exp(-0.5 * r ** basis.a)
     rep, phi, chi = _rotation_orbit(model, pts, _gate_sample(pts[0], basis.profile))
     m_arr = np.arange(-_M_MAX, _M_MAX + 1)
+    radii, where = np.unique(np.round(r, 12), return_inverse=True)
     delta = np.empty((len(pts), len(x)), dtype=complex)
     for i in np.unique(rep):
         # R_m e^{im theta} of the representative, turned to each point of
-        # its orbit by the factor chi_j i^m e^{-im phi_j}
-        table = _node_modes(model, pts[i], basis.profile, r, m_arr)   # (T, M)
-        # harmonics a block of nodes at a time, so no second table is formed
-        for start in range(0, len(r), _NODE_BLOCK):
-            block = slice(start, start + _NODE_BLOCK)
-            table[block] *= np.exp(1j * np.outer(theta[block], m_arr))
+        # its orbit by the factor chi_j i^m e^{-im phi_j}; R_m is gathered
+        # from its per-radius rows a block of nodes at a time, so no
+        # nodes x modes table is formed
+        modes = _radius_modes(model, pts[i], basis.profile, radii, m_arr)
         own = np.flatnonzero(rep == i)
         turn = chi[own] * (1j) ** m_arr[:, None] * np.exp(-1j * np.outer(m_arr, phi[own]))
-        delta[own] = (table @ turn).T
-        del table   # before the next orbit's table, or psi below, is formed
+        for start in range(0, len(r), _NODE_BLOCK):
+            block = slice(start, start + _NODE_BLOCK)
+            harmonics = modes[where[block]] * np.exp(1j * np.outer(theta[block], m_arr))
+            delta[own, block] = (harmonics @ turn).T
+        del modes   # before the next orbit's modes are built
     v = lower_band_vectors(model, pts[:, 0], pts[:, 1])[:, 0]
     phase = np.exp(1j * (pts[:, :1] * x + pts[:, 1:] * y))
     psi1 = phase * (v[:, None] * f + delta)
@@ -475,7 +477,7 @@ _M_MAX = 40
 _LN_STEP = 1.0 / 200.0    # ln rho spacing of the FFTLog samples, at most
 _TURN_STEP = 1.0 / 16.0   # radians R_m may turn per step in ln r
 _MAX_SAMPLES = 2 ** 19    # FFTLog samples per expansion center
-_NODE_BLOCK = 2048        # nodes per block of harmonics e^{im theta}
+_NODE_BLOCK = 2048        # nodes or radii per block of R_m rows
 # Stirling's series coefficients B_2j / (2j (2j - 1)), j = 1..8, and the
 # shift that puts its argument past |z| = 10
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360,
@@ -526,12 +528,6 @@ class _ModeTable:
         return self._spline.columns(cols)(log_rho)
 
 
-def _node_modes(model, pj, prof, r_nodes, m_arr):
-    """R_m(r) of the expansion center pj at every node radius, shape (T, M)."""
-    radii, where = np.unique(np.round(r_nodes, 12), return_inverse=True)
-    return _radius_modes(model, pj, prof, radii, m_arr)[where]
-
-
 def _radius_modes(model, pj, prof, radii, m_arr):
     """R_m(r) at the sorted distinct radii; the mode table dies on return."""
     pos = radii[radii > 0.0]
@@ -545,7 +541,7 @@ def _radius_modes(model, pj, prof, radii, m_arr):
         # the kink of c_m on the ring rho = |p_j| makes R_m(r) turn by about
         # r |p_j| radians per unit of ln r, so the ln step shrinks with it
         step = min(_LN_STEP, _TURN_STEP / (pos[-1] * max(float(np.hypot(*pj)), 1.0)))
-        R[radii > 0.0] = _hankel_fftlog(modes, prof, pos, m_arr, rho_hi, step)
+        _hankel_fftlog(modes, prof, pos, m_arr, rho_hi, step, R[len(radii) - len(pos):])
     if radii[0] == 0.0:
         R[0] = _origin_mode(modes, prof, m_arr)
     return R
@@ -641,8 +637,8 @@ def _fast_len(n):
     return best
 
 
-def _hankel_fftlog(modes, prof, radii, m_arr, rho_hi, step):
-    """R_m at the sorted positive radii, by one FFTLog transform per order |m|.
+def _hankel_fftlog(modes, prof, radii, m_arr, rho_hi, step, out):
+    """R_m at the sorted positive radii into out, by one FFTLog transform per order |m|.
 
     g_m = c_m fhat rho is sampled at ln rho spacing at most ``step``, from
     1e-6 / r_max to rho_hi >= 1e4 / r_min, and transformed by FFTLog
@@ -655,7 +651,8 @@ def _hankel_fftlog(modes, prof, radii, m_arr, rho_hi, step):
     unit mass, so each integral loses O(1e-12) there.  The lowest decade of samples, where rho r < 1e-5, is tapered
     to zero, so the transform's periodic wrap in ln rho meets no jump.
     Six-point Lagrange interpolation in ln k carries R_m from the output
-    rows around each radius to it, so only those rows are kept.
+    rows around each radius to it, a block of radii at a time, so only
+    those rows are kept.
     """
     rho_lo = 1.0e-6 / radii[-1]
     n = _fast_len(int(np.ceil(np.log(rho_hi / rho_lo) / step)) + 1)
@@ -686,16 +683,17 @@ def _hankel_fftlog(modes, prof, radii, m_arr, rho_hi, step):
         for order in group:
             pick = orders[cols] == order
             own = cols[pick]
-            out = _fftlog(np.hstack([g[:, pick].real, g[:, pick].imag]),
-                          next(coefficients))[rows] / k[:, None]
+            kr = _fftlog(np.hstack([g[:, pick].real, g[:, pick].imag]),
+                         next(coefficients))[rows] / k[:, None]
             sign = (-1.0) ** np.minimum(m_arr[own], 0)
-            R[own] = sign[:, None] * (out[:, :len(own)] + 1j * out[:, len(own):]).T
+            R[own] = sign[:, None] * (kr[:, :len(own)] + 1j * kr[:, len(own):]).T
     u = at - base
-    out = np.zeros((len(radii), len(m_arr)), dtype=complex)
-    for s in range(6):
-        lagrange = np.prod([(u - q) / (s - q) for q in range(6) if q != s], axis=0)
-        out += lagrange[:, None] * R[:, where.reshape(-1, 6)[:, s]].T
-    return out
+    near = where.reshape(-1, 6)
+    for start in range(0, len(radii), _NODE_BLOCK):
+        block = slice(start, start + _NODE_BLOCK)
+        for s in range(6):
+            lagrange = np.prod([(u[block] - q) / (s - q) for q in range(6) if q != s], axis=0)
+            out[block] += lagrange[:, None] * R[:, near[block, s]].T
 
 
 def _origin_mode(modes, prof, m_arr):

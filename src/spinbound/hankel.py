@@ -3,46 +3,32 @@
 Under the unitary 2D convention the transform of a radial function is the
 order-zero Hankel transform fhat(rho) = int_0^inf r J0(rho r) exp(-r^a/2) dr.
 It is the density of a 2D isotropic a-stable law, and is tabulated once per
-exponent on a log rho grid.  Two exponents have closed forms, the Gaussian
-exp(-rho^2/2) at a = 2 and 0.5 / (1/4 + rho^2)^(3/2) at a = 1; every other
-exponent is tabulated from two sources:
-
-* For a < 1, integrating exp(-r^a/2) = sum (-r^a/2)^n / n! term by term
-  gives the everywhere-convergent power-law series (the 2D analogue of
-  Bergstrom's expansion, Ark. Mat. 2 (1952) 375)
-
-      fhat(rho) = sum_{n>=1} (-1)^(n+1) (2/pi) sin(pi a n/2)
-                  Gamma(1 + a n/2)^2 2^(a n - n) / n! * rho^-(2 + a n).
-
-  A node keeps the series value only where the sum can be trusted: no term
-  near overflow, a positive sum, a rounding bound below 1e-12 of the sum,
-  and a converged tail.  At small rho the terms grow huge and cancel (600
-  terms at a = 0.4, rho = 1.4e-6 sum to -1.7e301), so the low-rho end fails
-  the gate; for a >= 1 the series diverges and no node is trusted.  Each
-  term is added only over the head of the ascending grid where it is
-  nonzero (``_series_values``).
-* Every other node uses the rotated-contour quadrature.  Direct oscillatory
-  quadrature is hopeless because for small a the envelope decays over
-  astronomically wide ranges of r, so the contour is rotated into the upper
-  half-plane: with theta = min(pi/2, pi/(3a)) the Hankel kernel turns into
-  an exponentially damped (K0 or complex Hankel-1) kernel, which depends on
-  rho only through rho s.  Both kernels come from one numpy K0 (``_k0``),
-  with H0^(1)(z) = (2 / (pi i)) K0(-i z).  In ln s the integrand is
-  analytic in a strip, so the trapezoid rule on a lattice of the table's
-  own ln rho step converges geometrically, and one lattice serves every
-  node (``_contour_values``):
-  each kernel and envelope value is computed once per build, and each node
-  is a direct sum over a window of the two tables.  On the schedule's
-  exponents it agrees with per-node Gauss-Legendre panels to 1e-13 and
-  moves by under 4e-15 when the step is halved; at a = 1 every node
-  matches the closed form to 7.4e-14, and at a = 1.5 and 1.9 it is within
-  5e-15 of a 20-digit mpmath quadrature at 8 <= rho <= 30.
+exponent on a log rho grid.  The Gaussian exp(-rho^2/2) at a = 2 is its
+closed form; every other exponent is tabulated by the rotated-contour
+quadrature.  Direct oscillatory quadrature is hopeless because for small
+a the envelope decays over astronomically wide ranges of r, so the
+contour is rotated into the upper half-plane: with
+theta = min(pi/2, pi/(3a)) the Hankel kernel turns into an exponentially
+damped (K0 or complex Hankel-1) kernel, which depends on rho only through
+rho s.  Both kernels come from one numpy K0 (``_k0``), with
+H0^(1)(z) = (2 / (pi i)) K0(-i z).  In ln s the integrand is analytic in
+a strip, so the trapezoid rule on a lattice of the table's own ln rho
+step converges geometrically, and one lattice serves every node of the
+table, which lies on that lattice (``_contour_values``): each kernel and
+envelope value is computed once per build, and each node is a direct sum
+over a window of the two tables.  On the schedule's exponents it agrees
+with per-node Gauss-Legendre panels to 1e-13 and moves by under 1e-14
+when the step is halved; it is within 1e-13 of the power-law series
+summed to 60 digits wherever that series converges (a < 1), at a = 1
+every node matches 0.5 / (1/4 + rho^2)^(3/2) to 1e-13, and at a = 1.5
+and 1.9 it is within 1e-13 of a 20-digit mpmath quadrature at
+8 <= rho <= 30.
 
 The table is interpolated log-log by a not-a-knot cubic spline
 (``spline.cubic_spline``).  Below the table the first value is held;
 above it the spline's end slope carries the log-log line on (it
 approximates the power-law tail fhat ~ C * rho^-(2+a), e.g.
--2.400000000001056 at a = 0.4), and the Gaussian (a = 2) is zero there.
+-2.3999999999939363 at a = 0.4), and the Gaussian (a = 2) is zero there.
 """
 
 from __future__ import annotations
@@ -55,14 +41,6 @@ from .errors import ConfigError, ResolutionError
 from .spline import cubic_spline
 
 _EXP_CUTOFF = 45.0  # e^-45 ~ 3e-20 of peak
-
-# power-law series: term count and the trust gate's thresholds
-_SERIES_TERMS = 600
-_SERIES_LOG_MAX = 600.0     # ln of the largest term summed; keeps the sums finite
-_SERIES_ROUNDING = 1e-12    # rounding bound allowed, relative to the sum
-_SERIES_TAIL_TERMS = 20
-_SERIES_TAIL = 1e-18        # largest tail term allowed, relative to the sum
-_LN_ZERO = -746.0           # exp(x) is exactly 0 in double precision below -745.14
 
 # K0: the power series' reach and term count, and the exponent past which
 # the integral representation's trapezoid rule stops
@@ -236,74 +214,13 @@ def _contour_values(a, rho, step):
     return out
 
 
-def _series_values(a, rho):
-    """Power-law series of fhat at ascending rho > 0, and where it can be trusted.
-
-    Returns (values, trusted); values are unspecified where trusted is
-    False.  Terms are built in log space and summed one n at a time.  A node
-    is trusted when no term's log passes _SERIES_LOG_MAX, the sum S is
-    positive, the rounding bound eps * sum |t_n| (1 + |ln t_n|) is at most
-    _SERIES_ROUNDING * S, and each of the last _SERIES_TAIL_TERMS terms is
-    at most _SERIES_TAIL * S.
-
-    ln t_n = ln c_n - (2 + a n) ln rho falls with rho, so on the ascending
-    grid term n is added only up to the node where ln t_n drops below
-    _LN_ZERO: past it exp(ln t_n) is exactly 0, and adding it would change
-    no sum, bound or maximum.
-    """
-    rho = np.asarray(rho, dtype=float)
-    total = np.zeros(rho.shape)
-    if not a < 1.0:
-        # divergent (asymptotic only) for a > 1, and convergent only for
-        # rho > 1/2 at a = 1
-        return total, np.zeros(rho.shape, dtype=bool)
-    ln_rho = np.log(rho)
-    ln_max = np.full(rho.shape, -np.inf)
-    bound = np.zeros(rho.shape)
-    tail = np.zeros(rho.shape)
-    # ln t_n, t_n and a spare row, written in place over each term's nodes:
-    # temporaries sized to each term's nodes left the malloc heap laid out
-    # otherwise and lifted the weak-well benchmark's peak RSS by 0.3 MiB
-    work = np.empty((3,) + rho.shape)
-    for n in range(1, _SERIES_TERMS + 1):
-        # sin(pi a n / 2) with the argument reduced mod 2 pi, so that the
-        # terms that vanish (a n / 2 an integer) are exactly zero
-        half_turns = (0.5 * a * n) % 2.0
-        if half_turns in (0.0, 1.0):
-            continue
-        sine = math.sin(math.pi * half_turns)
-        ln_coeff = (math.log(2.0 / math.pi * abs(sine))
-                    + 2.0 * math.lgamma(1.0 + 0.5 * a * n)
-                    + (a * n - n) * math.log(2.0) - math.lgamma(n + 1.0))
-        nonzero = slice(0, int(np.searchsorted(ln_rho, (ln_coeff - _LN_ZERO) / (2.0 + a * n),
-                                               side="right")))
-        ln_term, term, spare = work[:, nonzero]
-        np.multiply(2.0 + a * n, ln_rho[nonzero], out=ln_term)
-        np.subtract(ln_coeff, ln_term, out=ln_term)
-        np.maximum(ln_max[nonzero], ln_term, out=ln_max[nonzero])
-        np.minimum(ln_term, _SERIES_LOG_MAX, out=term)
-        np.exp(term, out=term)
-        np.multiply(math.copysign(1.0, sine) * (1.0 if n % 2 else -1.0), term, out=spare)
-        total[nonzero] += spare
-        np.abs(ln_term, out=spare)
-        spare += 1.0
-        spare *= term
-        bound[nonzero] += spare
-        if n > _SERIES_TERMS - _SERIES_TAIL_TERMS:
-            np.maximum(tail[nonzero], term, out=tail[nonzero])
-    trusted = ((ln_max <= _SERIES_LOG_MAX) & (total > 0.0)
-               & (np.finfo(float).eps * bound <= _SERIES_ROUNDING * total)
-               & (tail <= _SERIES_TAIL * total))
-    return total, trusted
-
-
 def _table(a, table_size):
     """Log-spaced rho grid and the profile's values on it."""
     # the transform flattens out below 1/sqrt(<r^2>), which for small a
     # sits far below 1/<r> (heavy-tailed weight); anchor the grid there
     r2_scale = math.exp(math.log(2.0) / a
                         + 0.5 * (math.lgamma(4.0 / a) - math.lgamma(2.0 / a)))
-    rho_lo = 1e-4 / r2_scale
+    ln_lo = math.log(1e-4 / r2_scale)
     # the power-law tail regime starts around rho^(-a) << 1, which for
     # small a is astronomically far out; carry the table far enough that
     # the slowly-converging tail is resolved rather than extrapolated,
@@ -311,15 +228,13 @@ def _table(a, table_size):
     rho_hi = min(1e110, (0.5 * a * 1e280) ** (1.0 / (2.0 + a)))
     if a == 2.0:
         rho_hi = 37.0  # Gaussian tail below 1e-300 past here
-    grid = np.geomspace(rho_lo, rho_hi, table_size)
+    # nodes on the contour rule's own lattice ln rho_lo + i step
+    step = (math.log(rho_hi) - ln_lo) / (table_size - 1)
+    grid = np.exp(ln_lo + step * np.arange(table_size))
     if a == 2.0:
         vals = np.exp(-0.5 * grid * grid)
-    elif a == 1.0:
-        vals = 0.5 / (0.25 + grid * grid) ** 1.5
     else:
-        vals, trusted = _series_values(a, grid)
-        vals[~trusted] = _contour_values(a, grid[~trusted],
-                                        math.log(rho_hi / rho_lo) / (table_size - 1))
+        vals = _contour_values(a, grid, step)
     if np.any(vals <= 0.0) or not np.all(np.isfinite(vals)):
         bad = int(np.argmin(vals))
         raise ResolutionError(

@@ -12,7 +12,7 @@ from spinbound import certificate
 from spinbound.certificate import (_M_MAX, TrialBasis, _decade_rules,
                                    _fast_len, _fftlog, _fftlog_coefficients,
                                    _gate_sample, _kinetic_halfplane, _ModeTable, _ring_gap,
-                                   _angular_modes, _im_loggamma, _node_modes, _pair_scale,
+                                   _angular_modes, _im_loggamma, _pair_scale, _radius_modes,
                                    _rotation_orbit, certify,
                                    definiteness, kinetic_matrix,
                                    potential_matrix_dropped,
@@ -27,6 +27,12 @@ from spinbound.model import (Circle, CouplingSpec, PointCloud, lower_band,
 from spinbound.quadrature import merge_edges, panel_rule, uniform_rule
 
 TWO_PI_E = 2.0 * np.pi * np.exp(-1.0)
+
+
+def _node_modes(model, pj, prof, r_nodes, m_arr):
+    """R_m(r) of the expansion center pj at every node radius, shape (T, M)."""
+    radii, where = np.unique(np.round(r_nodes, 12), return_inverse=True)
+    return _radius_modes(model, pj, prof, radii, m_arr)[where]
 
 
 def zero_coupling_model():
@@ -569,11 +575,12 @@ def test_exact_potential_memory_peak(rashba2, thr2, circle_measure):
 
 
 def test_exact_potential_memory_peak_on_a_density(rashba2, thr2, gaussian_well):
-    # the harmonics e^{im theta} are multiplied into the (nodes x 81) mode
-    # table a block of nodes at a time, and each orbit's table is freed
-    # before the next is built, so one table (103 MiB on this density's
-    # 82,944 nodes) and the per-radius modes it is gathered from set the
-    # peak: 1.19 tables here and 1.22 at N = 4, against 3.1 before
+    # R_m is gathered from its per-radius rows (10,449 radii x 81) and
+    # multiplied by e^{im theta} and the orbit's turn a block of nodes at a
+    # time, straight into Delta, so no nodes x 81 table (103 MiB on this
+    # density's 82,944 nodes) is formed.  The per-radius rows, the FFTLog
+    # sample table and its spline evaluation set the peak: 0.37 of such a
+    # table here and 0.38 at N = 4, against 1.19 with the table
     basis = trial_basis(rashba2, thr2, select_points(thr2.minset, 2), 1.0)
     pts = basis.points
     max_p = _pair_scale(pts) + float(np.max(np.hypot(pts[:, 0], pts[:, 1]))) + 4.0
@@ -584,7 +591,7 @@ def test_exact_potential_memory_peak_on_a_density(rashba2, thr2, gaussian_well):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.25 * table
+    assert peak < 0.4 * table
 
 
 # FFTLog: one coefficient table per parity of the order, stepped by the Gamma

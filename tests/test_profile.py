@@ -11,7 +11,7 @@ from conftest import grad_norm_sq_quadrature, log_rule
 from spinbound.errors import ConfigError, ResolutionError
 from spinbound import hankel
 from spinbound.hankel import (FhatProfile, _contour_cuts, _contour_values, _k0,
-                              _series_values, fhat_profile)
+                              fhat_profile)
 from spinbound.quadrature import merge_edges, panel_rule
 
 
@@ -113,15 +113,31 @@ def test_exponential_closed_form():
 
 
 def test_contour_rule_at_exponential():
-    # the a = 1 table is the closed form; the contour rule it replaced must
-    # still reproduce it at every node, since every 1 < a < 2 table comes
-    # from that rule
+    # the a = 1 table comes from the contour rule, as every 0 < a < 2 table
+    # does, and reproduces the closed form at every node
     prof = fhat_profile(1.0)
-    grid = np.geomspace(prof.rho_lo, prof.rho_hi, 4096)
-    want = 0.5 / (0.25 + grid * grid) ** 1.5
-    assert np.array_equal(prof._vals, want)
-    got = _contour_values(1.0, grid, _step(prof))
-    assert np.max(np.abs(got / want - 1.0)) < 1e-13
+    want = 0.5 / (0.25 + prof._grid ** 2) ** 1.5
+    assert np.max(np.abs(prof._vals / want - 1.0)) < 1e-13
+
+
+@pytest.mark.parametrize("a", [0.025, 0.4, 0.9, 1.0, 1.5, 1.9])
+def test_one_contour_call_per_build(a, monkeypatch):
+    # every node of the table comes from one lattice sum, and the nodes lie
+    # on that lattice: ln rho_i = ln rho_lo + i step to rounding
+    calls = []
+    rule = hankel._contour_values
+
+    def recorded(a, rho, step):
+        calls.append((rho, step))
+        return rule(a, rho, step)
+
+    monkeypatch.setattr(hankel, "_contour_values", recorded)
+    prof = FhatProfile(a)
+    (rho, step), = calls
+    assert np.array_equal(rho, prof._grid)
+    assert step == pytest.approx(_step(prof), rel=1e-14)
+    lattice = math.log(prof.rho_lo) + step * np.arange(rho.size)
+    assert np.max(np.abs(np.log(rho) - lattice)) < 1e-13
 
 
 def _scalar_contour(a, rho, nodes_per_panel=10):
@@ -176,16 +192,10 @@ def _scalar_contour(a, rho, nodes_per_panel=10):
     return float(val)
 
 
-def _rejected_nodes(a):
-    """The table nodes at exponent a that the series gate leaves to the contour rule, and the step."""
-    prof = fhat_profile(a)
-    grid = np.geomspace(prof.rho_lo, prof.rho_hi, 4096)
-    return grid[~_series_values(a, grid)[1]], _step(prof)
-
-
 @pytest.mark.parametrize("a", [0.025, 0.05, 0.1, 0.2, 0.4, 0.7, 0.9])
 def test_contour_values_match_scalar_rule(a):
-    rho, step = _rejected_nodes(a)
+    prof = fhat_profile(a)
+    rho, step = prof._grid, _step(prof)
     theta, _, _, s_env_cut, _ = _contour_cuts(a)
     kernel_limited = 45.0 / (rho * np.sin(theta)) < s_env_cut
     # evenly spread nodes, and the two on each side of the switch from
@@ -243,10 +253,10 @@ def test_contour_values_against_mpmath_past_one(a):
 @pytest.mark.parametrize("a,evaluations", [(0.4, 583), (0.2, 617), (0.1, 664),
                                            (0.05, 722), (1.5, 808)])
 def test_contour_kernel_evaluations(a, evaluations, monkeypatch):
-    # one kernel value per lattice point of rho s per build.  The per-node
-    # Gauss-Legendre panels this rule replaced took 157,960 (a = 0.4) to
-    # 682,750 (a = 0.05) kernel values, and 3,254,560 at a = 1.5, where all
-    # 4096 nodes are contour nodes
+    # one kernel value per lattice point of rho s per build, for all 4096
+    # nodes.  Per-node Gauss-Legendre panels took 157,960 (a = 0.4) to
+    # 682,750 (a = 0.05) kernel values for the low-rho nodes alone, and
+    # 3,254,560 for the 4096 nodes at a = 1.5
     count = []
     kernel = hankel._k0
 
@@ -304,8 +314,9 @@ def test_grid_anchor_lgamma_matches_scipy(a):
 
 def test_contour_memory_peak():
     # the contour rule holds a few lattice tables of under 1,000 points
-    # each: the a = 0.025 build (1,487 contour nodes) peaks at 0.4 MiB of
-    # arrays, where per-node panels in blocks of 16 nodes peaked near 2 MiB
+    # each and its 4096 node sums: the a = 0.025 build peaks at 0.62 MiB of
+    # arrays (1.09 MiB at a = 1.9, whose kernel is complex), where per-node
+    # panels in blocks of 16 nodes peaked near 2 MiB
     tracemalloc.start()
     try:
         FhatProfile(0.025)
@@ -332,107 +343,61 @@ def test_profile_against_contour_oracle(a):
 
 
 def _mp_series(mp, a, rhos, terms):
-    """The power-law series of fhat at each rho, summed in mpmath."""
+    """The power-law series of fhat at each rho, summed in mpmath, and where it converged.
+
+    fhat(rho) = sum_{n>=1} (-1)^(n+1) (2/pi) sin(pi a n/2) Gamma(1 + a n/2)^2
+    2^(a n - n) / n! * rho^-(2 + a n) converges for every rho when a < 1
+    (the 2D analogue of Bergstrom's expansion, Ark. Mat. 2 (1952) 375), but
+    at small rho its terms grow huge and cancel.  A sum counts as converged
+    where it is positive, no term passes 1e40 times it (so 60 digits leave
+    20) and none of its last 20 terms passes 1e-20 times it.
+    """
     a = mp.mpf(a)
     coeffs = [(-1) ** (n + 1) * 2 / mp.pi * mp.sinpi(a * n / 2)
               * mp.gamma(1 + a * n / 2) ** 2 * mp.mpf(2) ** (a * n - n)
               / mp.factorial(n) for n in range(1, terms + 1)]
-    out = []
+    out, converged = [], []
     for rho in rhos:
         inv = 1 / mp.mpf(rho)
         step = inv ** a
         power = inv ** 2
-        total = mp.mpf(0)
-        for c in coeffs:
+        total = largest = tail = mp.mpf(0)
+        for n, c in enumerate(coeffs):
             power *= step
-            total += c * power
+            term = c * power
+            total += term
+            largest = max(largest, abs(term))
+            if n >= terms - 20:
+                tail = max(tail, abs(term))
         out.append(float(total))
-    return np.array(out)
+        converged.append(bool(total > 0 and largest <= mp.mpf(10) ** 40 * total
+                              and tail <= mp.mpf(10) ** -20 * total))
+    return np.array(out), np.array(converged)
 
 
-@pytest.mark.parametrize("a", [0.4, 0.1, 0.025])
+# the first table node at which the power-law series summed in double
+# precision passes a rounding and convergence check; the contour rule and
+# that float sum differed most (up to 3.1e-12) there
+_SERIES_GATE_EDGE = {0.025: 1487, 0.05: 860, 0.1: 459, 0.2: 257, 0.4: 172,
+                     0.7: 163, 0.9: 175}
+
+
+@pytest.mark.parametrize("a", sorted(_SERIES_GATE_EDGE))
 def test_series_against_mpmath(a):
+    # every 64th node and the eight from the old gate edge up, wherever
+    # the 60-digit series converges: from node 64-416 up (a = 0.1-0.025)
+    # and from 155-171 (a = 0.7, 0.9).  The worst node is 6.2e-14 off
+    # (a = 0.4, in the far tail), and the gate-edge nodes 2.4e-14
     mp = pytest.importorskip("mpmath")
     prof = fhat_profile(a)
-    grid = np.geomspace(prof.rho_lo, prof.rho_hi, 4096)
-    vals, trusted = _series_values(a, grid)
-    accepted = np.flatnonzero(trusted)
-    assert accepted.size > 0.6 * grid.size
-    # the low-rho edge of the accepted range carries the most cancellation
-    sample = np.union1d(accepted[:8], accepted[::97])
+    edge = _SERIES_GATE_EDGE[a]
+    sample = np.union1d(np.arange(0, prof._grid.size, 64), np.arange(edge, edge + 8))
     with mp.workdps(60):
-        # 800 terms: the 200 past the float sum check its truncation too
-        want = _mp_series(mp, a, grid[sample], 800)
-    assert np.max(np.abs(vals[sample] / want - 1.0)) < 1e-12
-    # the table holds the series value wherever the gate trusts it
-    assert np.array_equal(prof._vals[trusted], vals[trusted])
-
-
-def test_series_gate_rejects_cancelling_node():
-    # at a = 0.4 and rho ~ 1.4e-6 the terms grow past 1e300 and cancel: the
-    # float sum is far off, and the node must come from the contour rule
-    a = 0.4
-    prof = fhat_profile(a)
-    grid = np.geomspace(prof.rho_lo, prof.rho_hi, 4096)
-    i = int(np.argmin(np.abs(np.log(grid / 1.4e-6))))
-    vals, trusted = _series_values(a, grid[i:i + 1])
-    assert not trusted[0]
-    want = _contour_values(a, grid[i:i + 1], _step(prof))[0]
-    assert abs(vals[0] - want) > want
-    assert prof(grid[i]) == pytest.approx(want, rel=1e-14)
-
-
-def _full_grid_series(a, rho):
-    """Every term of the power-law series added at every node, with its gate."""
-    ln_rho = np.log(rho)
-    total, bound, tail = np.zeros(rho.shape), np.zeros(rho.shape), np.zeros(rho.shape)
-    ln_max = np.full(rho.shape, -np.inf)
-    for n in range(1, 601):
-        half_turns = (0.5 * a * n) % 2.0
-        if half_turns in (0.0, 1.0):
-            continue
-        sine = math.sin(math.pi * half_turns)
-        ln_term = (math.log(2.0 / math.pi * abs(sine))
-                   + 2.0 * math.lgamma(1.0 + 0.5 * a * n)
-                   + (a * n - n) * math.log(2.0) - math.lgamma(n + 1.0)
-                   - (2.0 + a * n) * ln_rho)
-        np.maximum(ln_max, ln_term, out=ln_max)
-        term = np.exp(np.minimum(ln_term, 600.0))
-        total += math.copysign(1.0, sine) * (1.0 if n % 2 else -1.0) * term
-        bound += term * (1.0 + np.abs(ln_term))
-        if n > 580:
-            np.maximum(tail, term, out=tail)
-    trusted = ((ln_max <= 600.0) & (total > 0.0)
-               & (np.finfo(float).eps * bound <= 1e-12 * total)
-               & (tail <= 1e-18 * total))
-    return total, trusted
-
-
-@pytest.mark.parametrize("a", [0.025, 0.05, 0.1, 0.2, 0.4, 0.7, 0.9])
-def test_series_windows_match_the_full_grid_sum(a):
-    # each term is added only up to the node past which it underflows to
-    # 0; the trusted values and the gate are bit for bit those of the plain
-    # sum over every node, on the table grid and node by node
-    prof = fhat_profile(a)
-    grid = np.geomspace(prof.rho_lo, prof.rho_hi, 4096)
-    want, want_trusted = _full_grid_series(a, grid)
-    vals, trusted = _series_values(a, grid)
-    assert np.array_equal(trusted, want_trusted)
-    assert np.array_equal(vals[trusted], want[trusted])
-    for i in (0, int(np.argmax(trusted)), 2048, 4095):
-        val, ok = _series_values(a, grid[i:i + 1])
-        assert ok[0] == trusted[i]
-        if ok[0]:
-            assert val[0] == vals[i]
-
-
-def test_series_not_trusted_where_divergent():
-    # for a > 1 the series is only asymptotic; the contour rule does all.
-    # Past rho ~ 6 its first 600 terms fall fast enough to pass the
-    # rounding and tail checks, so convergence must be checked apart
-    grid = np.geomspace(1e-3, 1e80, 4096)
-    _, trusted = _series_values(1.5, grid)
-    assert not np.any(trusted)
+        # 800 terms: the tail check sees the last 20
+        want, converged = _mp_series(mp, a, prof._grid[sample], 800)
+    assert converged[np.isin(sample, np.arange(edge, edge + 8))].all()
+    assert converged.sum() > 0.85 * sample.size
+    assert np.max(np.abs(prof._vals[sample[converged]] / want[converged] - 1.0)) < 1e-13
 
 
 @pytest.mark.parametrize("a", [0.4, 0.2, 0.1, 0.05])
