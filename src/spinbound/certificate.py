@@ -2,8 +2,9 @@
 
 Trial spinors are momentum-space bumps f_a concentrated at points of the
 minimum set, paired with the lower-band eigenvector.  The certificate is the
-negative definiteness of the Rayleigh matrix Q = T + W built from them: each
-certified point contributes one eigenvalue below the threshold.
+inertia of the Rayleigh matrix Q = T + W built from them: by min-max and
+Sylvester's law, each eigenvalue of Q below the margin contributes one
+eigenvalue below the threshold.
 """
 
 from __future__ import annotations
@@ -134,22 +135,23 @@ def _farthest_point(candidates, N):
 @dataclass(frozen=True)
 class DefinitenessReport:
     lambda_max: float
-    negative_definite: bool
+    negative_count: int         # eigenvalues below -TOL_DEF max(1, |h|_F)
+    negative_definite: bool     # negative_count == n, and n >= 1
 
 
 def definiteness(matrix) -> DefinitenessReport:
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NumericalInputError("definiteness expects a square matrix")
-    asym = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    asym = float(np.max(np.abs(m - m.conj().T), initial=0.0))
     if asym > 1e-8:
         raise NumericalInputError(
             "matrix is not Hermitian (max asymmetry %.3e)" % asym)
     h = 0.5 * (m + m.conj().T)
-    lam = float(np.linalg.eigvalsh(h)[-1]) if m.size else 0.0
-    frob = float(np.linalg.norm(h)) if m.size else 0.0
-    return DefinitenessReport(lambda_max=lam,
-                              negative_definite=bool(lam < -TOL_DEF * max(1.0, frob)))
+    lam = np.linalg.eigvalsh(h)
+    count = int(np.count_nonzero(lam < -TOL_DEF * max(1.0, float(np.linalg.norm(h)))))
+    return DefinitenessReport(lambda_max=float(lam[-1]) if len(lam) else 0.0,
+                              negative_count=count, negative_definite=0 < count == len(m))
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +274,11 @@ def kinetic_matrix(model: CouplingSpec, thr: ThresholdData, basis: TrialBasis):
     return T
 
 
-# the 16-point periodic trapezoid of the deep rings, on [0, 1)
+# angular rules on [0, 1): the deep rings' 16-point periodic trapezoid, then
+# 16 panels of 8 Gauss nodes up to the guard and 2 panels of 8 past it
 _DEEP_RULE = (np.arange(16) / 16.0, np.full(16, 1.0 / 16.0))
+_NEAR_RULE = uniform_rule(0.0, 1.0, 16, 8)
+_FAR_RULE = uniform_rule(0.0, 1.0, 2, 8)
 # deep rings: rho <= _DEEP min(r0, d / 2) (_DEEP r0 on the diagonal)
 _DEEP = 1e-2
 # decades evaluated together on the deep and the far rings: 8 decades x 32
@@ -360,15 +365,13 @@ def _kinetic_halfplane(model, kappa, prof, center, other, r0, decades):
         deep = int(np.searchsorted(hi, _DEEP * (r0 if other is None else min(r0, 0.5 * d)),
                                    side="right"))
         near = int(np.searchsorted(lo, rho_guard))
-    near_rule = uniform_rule(0.0, 1.0, 16, 8)
-    far_rule = uniform_rule(0.0, 1.0, 2, 8)
     bounds = (list(range(0, deep, _CHUNK_DECADES)) + list(range(deep, near))
               + list(range(near, len(hi), _CHUNK_DECADES)) + [len(hi)])
     cum = 0.0
     for first, stop in zip(bounds, bounds[1:]):
         rho, w_rho = rho_all[start[first]:start[stop]], w_all[start[first]:start[stop]]
         t_ref, w_ref = (_DEEP_RULE if first < deep else
-                        near_rule if first < near else far_rule)
+                        _NEAR_RULE if first < near else _FAR_RULE)
         if other is None or rho[-1] <= 0.5 * d:
             beta = np.zeros(1)      # no ring is cut: one row of angles for all
         else:
@@ -721,18 +724,20 @@ def _origin_mode(modes, prof, m_arr):
 class ScheduleStep:
     a: float
     lambda_max_Q: float
+    negative_count: int
     negative_definite: bool
     kinetic_diagonal: tuple
 
 
 @dataclass(frozen=True)
 class CertificateResult:
+    """What ``certify`` found over the schedule steps it ran."""
     N: int
     a_star: float | None
-    lambda_max_Q: float
+    lambda_max_Q: float         # the smallest lambda_max of Q over the steps
     prechecked_fourier_matrix: DefinitenessReport
-    certified: bool
-    certified_count: int
+    certified: bool             # some step has all N eigenvalues below the margin
+    certified_count: int        # the most eigenvalues of Q below it at one step
     points: np.ndarray
     potential_form: str
     diagnostics: tuple
@@ -761,9 +766,11 @@ def certify(model: CouplingSpec, thr: ThresholdData, nu, N,
             potential_form="exact", points=None) -> CertificateResult:
     """Try each a of the schedule until Q = T + W on N trial points is negative definite.
 
-    ``points`` are N trial momenta on the minimum set, [x, y] pairs; without
-    them ``point_strategy`` picks N.  Raises ConfigError listing every
-    problem of ``certify_problems``.
+    Each eigenvalue of Q below -TOL_DEF max(1, |Q|_F) certifies one
+    eigenvalue of H below kappa; ``certified_count`` is the most at one step
+    run.  ``points`` are N trial momenta on the minimum set, [x, y] pairs;
+    without them ``point_strategy`` picks N.  Raises ConfigError listing
+    every problem of ``certify_problems``.
     """
     problems = certify_problems(N, a_schedule, point_strategy, potential_form, points)
     if problems:
@@ -776,7 +783,6 @@ def certify(model: CouplingSpec, thr: ThresholdData, nu, N,
     precheck = definiteness(fourier_matrix(nu, pts))
 
     steps = []
-    best_q, best_lam = None, np.inf
     a_star, certified = None, False
     for a in schedule:
         basis = trial_basis(model, thr, pts, a)
@@ -788,24 +794,15 @@ def certify(model: CouplingSpec, thr: ThresholdData, nu, N,
         Q = T + W
         rep = definiteness(Q)
         steps.append(ScheduleStep(a=a, lambda_max_Q=rep.lambda_max,
+                                  negative_count=rep.negative_count,
                                   negative_definite=rep.negative_definite,
                                   kinetic_diagonal=tuple(np.diag(T))))
-        if rep.lambda_max < best_lam:
-            best_lam, best_q = rep.lambda_max, Q
         if rep.negative_definite:
             a_star, certified = a, True
             break
 
-    if certified:
-        count = len(pts)
-    else:
-        count = 0
-        for nsub in range(len(pts), 0, -1):
-            if definiteness(best_q[:nsub, :nsub]).negative_definite:
-                count = nsub
-                break
     return CertificateResult(
-        N=len(pts), a_star=a_star, lambda_max_Q=float(best_lam),
+        N=len(pts), a_star=a_star, lambda_max_Q=min(s.lambda_max_Q for s in steps),
         prechecked_fourier_matrix=precheck, certified=certified,
-        certified_count=count, points=pts, potential_form=potential_form,
-        diagnostics=tuple(steps))
+        certified_count=max(s.negative_count for s in steps), points=pts,
+        potential_form=potential_form, diagnostics=tuple(steps))

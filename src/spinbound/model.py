@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NumericalInputError, SearchDomainError
+from .errors import ConfigError, NumericalInputError, SearchDomainError
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -53,9 +53,9 @@ class CouplingSpec:
     def custom(cls, evaluator, a_growth, r_growth):
         """Arbitrary continuous coupling; evaluator maps (px, py) arrays to complex."""
         if not (0.0 < a_growth < 1.0):
-            raise ValueError("a_growth must lie in (0, 1)")
+            raise ConfigError("a_growth must lie in (0, 1)")
         if r_growth <= 0.0:
-            raise ValueError("r_growth must be positive")
+            raise ConfigError("r_growth must be positive")
         return cls(kind="custom", evaluator=evaluator,
                    a_growth=float(a_growth), r_growth=float(r_growth))
 

@@ -95,6 +95,17 @@ def test_definiteness_examples():
     assert not rep1.negative_definite
 
 
+def test_definiteness_counts_negative_eigenvalues():
+    # the count is the inertia, whatever the order of the diagonal
+    for diag in ([1.0, -1.0], [-1.0, 1.0]):
+        rep = definiteness(np.diag(diag))
+        assert rep.negative_count == 1 and not rep.negative_definite
+    rep = definiteness(np.diag([-1.0, -2.0, -1e-9]))
+    assert rep.negative_count == 2 and not rep.negative_definite
+    empty = definiteness(np.zeros((0, 0)))
+    assert empty.negative_count == 0 and not empty.negative_definite
+
+
 def test_definiteness_rejects_non_hermitian():
     with pytest.raises(NumericalInputError):
         definiteness(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -913,21 +924,46 @@ def test_certify_exact_form_on_a_far_circle(rashba2, thr2):
 
 def test_certify_partial_count(rashba2, thr2):
     # a potential too weak to certify the full block still reports the
-    # largest definite leading principal block
+    # number of eigenvalues of Q below the margin
     weak = CurveDelta(ClosedFormCircle((0.0, 0.0), 1.0), weight=-0.05)
     res = certify(rashba2, thr2, weak, 3, [0.4], potential_form="dropped")
-    assert res.certified_count <= 3
+    basis = trial_basis(rashba2, thr2, res.points, 0.4)
+    Q = kinetic_matrix(rashba2, thr2, basis) + potential_matrix_dropped(weak, basis)
+    lam = np.linalg.eigvalsh(Q)
+    assert res.certified_count == np.count_nonzero(
+        lam < -1e-8 * max(1.0, np.linalg.norm(Q)))
+    assert res.certified == (res.certified_count == 3)
     if not res.certified:
         assert res.a_star is None
-        assert res.certified_count < 3
 
 
-def test_certify_readme_circle_eight_points_not_certified(rashba2, thr2, circle_measure):
+def test_certify_count_does_not_depend_on_point_order(rashba2, thr2, circle_measure):
+    # a leading principal block of Q depends on the order of the points and
+    # read 2, 4 and 2 here; the inertia of Q does not
+    pts = select_points(thr2.minset, 12)
+    for order in (np.arange(12), np.r_[0:12:2, 1:12:2], np.arange(12)[::-1]):
+        res = certify(rashba2, thr2, circle_measure, 12, [0.2],
+                      potential_form="exact", points=pts[order])
+        assert not res.certified and res.certified_count == 6
+
+
+def test_certify_readme_circle_eight_points_not_certified(rashba2, thr2, circle_measure,
+                                                          monkeypatch):
     # with the gap subtracted and its rounding noise clamped to 0, T was low
     # enough at a = 0.025 for Q to read negative definite (lambda_max =
     # -5.44e-4); the exact gap leaves 6 of 8
+    calls = []
+
+    def counted(matrix):
+        calls.append(np.shape(matrix))
+        return definiteness(matrix)
+
+    monkeypatch.setattr(certificate, "definiteness", counted)
     res = certify(rashba2, thr2, circle_measure, 8, (0.4, 0.2, 0.1, 0.05, 0.025),
                   potential_form="exact")
     assert not res.certified and res.a_star is None
+    assert [s.negative_count for s in res.diagnostics] == [4, 6, 6, 6, 6]
     assert res.certified_count == 6
     assert res.lambda_max_Q > 1e-2
+    # the precheck and one eigensolve per step, each on the whole matrix
+    assert calls == [(8, 8)] * 6

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinbound.errors import ConfigError
 from spinbound.model import (Circle, CouplingSpec, PointCloud, lower_band,
                              lower_band_vectors, threshold)
 
@@ -146,9 +147,9 @@ def test_quadratic_domination_constant():
 
 
 def test_custom_coupling_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="a_growth must lie in"):
         CouplingSpec.custom(lambda px, py: px + 0j, a_growth=1.5, r_growth=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="r_growth must be positive"):
         CouplingSpec.custom(lambda px, py: px + 0j, a_growth=0.5, r_growth=-1.0)
 
 
