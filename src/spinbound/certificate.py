@@ -39,6 +39,7 @@ class TrialBasis:
     points: np.ndarray          # (N, 2) momenta on the minimum set
     a: float                    # bump exponent in (0, 2]
     profile: FhatProfile        # radial transform of exp(-|x|^a/2)
+    ring: float | None = None   # r0 when rotation is a symmetry of the band (_ring_gate)
 
 
 def trial_basis(model: CouplingSpec, thr: ThresholdData, points, a) -> TrialBasis:
@@ -55,20 +56,15 @@ def trial_basis(model: CouplingSpec, thr: ThresholdData, points, a) -> TrialBasi
     if worst > thr.minset_tolerance:
         raise ConfigError(
             "trial point off the minimum set: lambda_- - kappa = %.3e" % worst)
-    r0 = _ring(thr)
-    if r0 is not None:
+    prof = fhat_profile(a)
+    ms, ring = thr.minset, None
+    if isinstance(ms, Circle) and tuple(ms.center) == (0.0, 0.0) and ms.radius > 0.0:
         # onto the ring itself, where the kinetic gap takes its centres, so
         # that T and W see the same points
-        pts = pts * (r0 / np.hypot(pts[:, 0], pts[:, 1]))[:, None]
-    return TrialBasis(points=pts, a=float(a), profile=fhat_profile(a))
-
-
-def _ring(thr):
-    """r0 when the minimum set is the circle |q| = r0 > 0 about the origin."""
-    ms = thr.minset
-    if isinstance(ms, Circle) and tuple(ms.center) == (0.0, 0.0) and ms.radius > 0.0:
-        return float(ms.radius)
-    return None
+        pts = pts * (ms.radius / np.hypot(pts[:, 0], pts[:, 1]))[:, None]
+        ring = _ring_gate(model, thr.kappa, float(ms.radius), pts,
+                          _gate_sample(pts[0], prof))
+    return TrialBasis(points=pts, a=float(a), profile=prof, ring=ring)
 
 
 def _distances(pts):
@@ -143,8 +139,9 @@ def definiteness(matrix) -> DefinitenessReport:
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NumericalInputError("definiteness expects a square matrix")
+    # both bounds scale with the matrix, so a heavy measure is not refused
     asym = float(np.max(np.abs(m - m.conj().T), initial=0.0))
-    if asym > 1e-8:
+    if asym > TOL_DEF * max(1.0, float(np.linalg.norm(m))):
         raise NumericalInputError(
             "matrix is not Hermitian (max asymmetry %.3e)" % asym)
     h = 0.5 * (m + m.conj().T)
@@ -157,10 +154,12 @@ def definiteness(matrix) -> DefinitenessReport:
 # ---------------------------------------------------------------------------
 # rotation symmetry of the band
 #
-# For the Rashba and Dresselhaus couplings lambda_- is radial and a rotation
-# R_phi only turns the phase of the band vector: u_-(R_phi q)_1 = chi u_-(q)_1.
-# The certificate uses that where a sample about p_0 shows it: this checks
-# numbers, not the coupling's name, and a point that fails keeps its own work.
+# For the Rashba and Dresselhaus couplings lambda_- - kappa = (|q| - r0)^2
+# and a rotation R_phi only turns the phase of the band vector: u_-(R_phi
+# q)_1 = chi u_-(q)_1.  ``trial_basis`` checks that once, on a sample about
+# p_0: this checks numbers, not the coupling's name.  When it holds, T takes
+# one integral per pair distance and W one band correction; when it does
+# not, every pair and every point keeps its own work.
 
 # angles of the sample rays about p_0, measured from the direction of p_0;
 # none points back through the origin, where u_- has no direction
@@ -175,57 +174,39 @@ def _gate_sample(p0, prof):
     return ((p0[0] + rho * np.cos(psi)).ravel(), (p0[1] + rho * np.sin(psi)).ravel())
 
 
-def _band_scale(model, qx, qy):
-    """Size of the terms of lambda_-(q) = |q|^2 - |A(q)|, for rounding bounds."""
-    return qx * qx + qy * qy + np.abs(model.coupling(qx, qy))
-
-
-def _ring_radius(model, thr, sample):
-    """r0 when lambda_-(q) - kappa = (|q| - r0)^2 to rounding on the sample.
-
-    The minimum set must be the circle |q| = r0 > 0 about the origin (both
-    built-in couplings, with r0 = |alpha| / 2); otherwise, or when the
-    sample shows another band, None.
-    """
-    r0 = _ring(thr)
-    if r0 is None:
-        return None
-    qx, qy = sample
-    dev = np.abs(lower_band(model, qx, qy) - thr.kappa - (np.hypot(qx, qy) - r0) ** 2)
-    scale = _band_scale(model, qx, qy) + abs(thr.kappa)
-    return r0 if np.all(dev <= _GATE_TOL * scale) else None
-
-
-def _rotation_orbit(model, pts, sample):
-    """(rep, phi, chi): p_j's band correction is chi_j Delta_rep(R_{-phi_j} x).
-
-    Point j joins p_0's orbit (rep_j = 0) when |p_j| = |p_0| and, with
-    phi_j = arg p_j - arg p_0 and chi_j = u_-(p_j)_1 / u_-(p_0)_1, both
-    u_-(R q)_1 = chi_j u_-(q)_1 and lambda_-(R q) = lambda_-(q) hold to
-    rounding on the sample for R = R_{phi_j}.  Any other point is its own
-    representative, with phi_j = 0 and chi_j = 1.
-    """
-    qx, qy = sample
-    n = len(pts)
-    u = lower_band_vectors(model, qx, qy)[..., 0]
-    lam = lower_band(model, qx, qy)
-    scale = _band_scale(model, qx, qy)
-    u_pts = lower_band_vectors(model, pts[:, 0], pts[:, 1])[:, 0]
-    radius = np.hypot(pts[:, 0], pts[:, 1])
+def _turns(model, pts):
+    """(phi, chi): phi_j = arg p_j - arg p_0, chi_j = u_-(p_j)_1 / u_-(p_0)_1."""
     angle = np.arctan2(pts[:, 1], pts[:, 0])
-    rep, phi, chi = np.arange(n), np.zeros(n), np.ones(n, dtype=complex)
-    for j in range(1, n):
-        if abs(radius[j] - radius[0]) > _GATE_TOL * radius[0]:
-            continue
-        turn = angle[j] - angle[0]
-        factor = u_pts[j] / u_pts[0]
-        c, s = np.cos(turn), np.sin(turn)
-        rx, ry = c * qx - s * qy, s * qx + c * qy
-        if (np.all(np.abs(lower_band_vectors(model, rx, ry)[..., 0] - factor * u)
-                   <= _GATE_TOL)
-                and np.all(np.abs(lower_band(model, rx, ry) - lam) <= _GATE_TOL * scale)):
-            rep[j], phi[j], chi[j] = 0, turn, factor
-    return rep, phi, chi
+    u = lower_band_vectors(model, pts[:, 0], pts[:, 1])[:, 0]
+    chi = u / u[0]
+    chi[0] = 1.0    # u / u exactly; the division may round
+    return angle - angle[0], chi
+
+
+def _ring_gate(model, kappa, r0, pts, sample):
+    """r0 when the sample shows rotation as a symmetry of the band, else None.
+
+    Three things must hold to rounding on the sample q about p_0:
+    lambda_-(q) - kappa = (|q| - r0)^2, and for the turn R_j of every point
+    (phi_j, chi_j of ``_turns``) lambda_-(R_j q) = lambda_-(q) and
+    u_-(R_j q)_1 = chi_j u_-(q)_1.  The turns are checked all at once.
+    """
+    qx, qy = sample
+    lam = lower_band(model, qx, qy)
+    # size of the terms of lambda_- = |q|^2 - |A(q)|, for the rounding bounds
+    scale = qx * qx + qy * qy + np.abs(model.coupling(qx, qy))
+    if np.any(np.abs(lam - kappa - (np.hypot(qx, qy) - r0) ** 2)
+              > _GATE_TOL * (scale + abs(kappa))):
+        return None
+    phi, chi = _turns(model, pts)
+    c, s = np.cos(phi[1:, None]), np.sin(phi[1:, None])
+    rx, ry = c * qx - s * qy, s * qx + c * qy
+    u = lower_band_vectors(model, qx, qy)[..., 0]
+    if (np.all(np.abs(lower_band(model, rx, ry) - lam) <= _GATE_TOL * scale)
+            and np.all(np.abs(lower_band_vectors(model, rx, ry)[..., 0] - chi[1:, None] * u)
+                       <= _GATE_TOL)):
+        return r0
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -238,35 +219,33 @@ def kinetic_matrix(model: CouplingSpec, thr: ThresholdData, basis: TrialBasis):
     Each entry is split along the perpendicular bisector of (p_j, p_k) and
     integrated in polar coordinates about the nearer bump center, so the
     near-singular concentration of fhat is always radially resolved.  When
-    a sample about p_0 shows lambda_- - kappa = (|q| - r0)^2 about a
-    centred minimum circle of radius r0 (``_ring_radius``; both built-in
-    couplings), the gap is taken in the bump's own coordinates, exactly
-    (``_ring_gap``), and the deep and far rings take cheaper angular rules
-    (``_kinetic_halfplane``).  Then the half-plane about c facing o depends
-    only on |c|, |o| and |c - o| (any rotation or reflection carries it,
-    and its rule, onto another with the same three), so one integral is
-    computed per distinct triple: the two halves of a pair on one circle
-    coincide.  Any other band takes lambda_- - kappa by subtraction and
-    16 angular panels on every decade, for every ordered pair.  The radial
-    nodes of the decades are built once and shared by every half-plane.
+    the basis carries a ring of radius r0 (``basis.ring``, set by
+    ``trial_basis`` where ``_ring_gate`` passes: both built-in couplings),
+    the gap is taken in the bump's own coordinates, exactly (``_ring_gap``),
+    and the deep and far rings take cheaper angular rules
+    (``_kinetic_halfplane``).  Every point is on the ring, so the
+    half-plane about c facing o depends only on d = |c - o| (a rotation or
+    reflection carries it, and its rule, onto any other with the same d),
+    and one integral is computed per rounded pair distance: the two halves
+    of a pair coincide.  Without a ring, lambda_- - kappa is taken by
+    subtraction, with 16 angular panels on every decade, for every ordered
+    pair.  The radial nodes of the decades are built once and shared by
+    every half-plane.
     """
     pts = basis.points
     n = len(pts)
     centre = np.repeat(pts, n, axis=0)          # slot j * n + k: about p_j,
     other = np.tile(pts, (n, 1))                # facing p_k
     diagonal = np.eye(n, dtype=bool).ravel()
-    r0 = _ring_radius(model, thr, _gate_sample(pts[0], basis.profile))
-    if r0 is not None:
-        key = np.round(np.column_stack([np.hypot(*centre.T), np.hypot(*other.T),
-                                        np.hypot(*(other - centre).T)]), 12)
+    if basis.ring is not None:
+        key = np.round(np.hypot(*(other - centre).T), 12)
     else:
-        key = np.arange(n * n)[:, None]
-    _, first, inverse = np.unique(key, axis=0, return_index=True,
-                                  return_inverse=True)
+        key = np.arange(n * n)
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     decades = _decade_rules(basis.profile)
     half = np.array([_kinetic_halfplane(model, thr.kappa, basis.profile, centre[s],
                                         None if diagonal[s] else other[s],
-                                        r0, decades)
+                                        basis.ring, decades)
                      for s in first])
     H = half[inverse.ravel()].reshape(n, n)
     T = H + H.T
@@ -326,8 +305,9 @@ def _kinetic_halfplane(model, kappa, prof, center, other, r0, decades):
     rho = |p - center| runs over the ``decades`` of ``_decade_rules`` until
     a decade at or past the guard radius 10 (1 + |center| + d) adds less
     than 1e-6 of the sum.  On a ring band (``r0``, see ``kinetic_matrix``)
-    the gap is ``_ring_gap`` about c = r0 center / |center|, and the rings
-    fall in three angular zones:
+    the gap is ``_ring_gap`` about the stored point, which ``trial_basis``
+    put on the ring |center| = r0, and the rings fall in three angular
+    zones:
 
     - deep, rho <= 1e-2 min(r0, d / 2) (1e-2 r0 on the diagonal): the
       bisector cuts no ring, and the integrand is a trigonometric
@@ -361,7 +341,6 @@ def _kinetic_halfplane(model, kappa, prof, center, other, r0, decades):
         deep = 0
         near = len(hi)
     else:
-        c = center * (r0 / np.hypot(*center))
         deep = int(np.searchsorted(hi, _DEEP * (r0 if other is None else min(r0, 0.5 * d)),
                                    side="right"))
         near = int(np.searchsorted(lo, rho_guard))
@@ -393,8 +372,8 @@ def _kinetic_halfplane(model, kappa, prof, center, other, r0, decades):
         else:
             qx = rho[:, None] * np.cos(theta)
             qy = rho[:, None] * np.sin(theta)
-            gap = _ring_gap(c, r0, rho[:, None], qx, qy)
-            px, py = c[0] + qx, c[1] + qy
+            gap = _ring_gap(center, r0, rho[:, None], qx, qy)
+            px, py = center[0] + qx, center[1] + qy
         f_c = prof(rho)[:, None]
         if other is None:
             f_o = f_c
@@ -436,10 +415,11 @@ def potential_matrix_exact(model: CouplingSpec, nu, basis: TrialBasis):
 
     Psi_j(x) = e^{i<p_j,x>} (u_-(p_j) f_a(|x|) + Delta_j(x) e_1): the second
     spinor component of u_- is constant by the phase convention, so the band
-    correction Delta_j lives in the first component only.  Its radial modes
-    are computed once per rotation orbit (see ``_rotation_orbit``):
-    Delta_j(r, theta) = chi_j sum_m i^m e^{im(theta - phi_j)} R_m(r), with
-    R_m those of the orbit's representative.
+    correction Delta_j lives in the first component only.  With a ring
+    (``basis.ring``) its radial modes R_m are computed once, at p_0, and
+    turned to every point: Delta_j(r, theta) = chi_j sum_m i^m e^{im(theta
+    - phi_j)} R_m(r), with phi_j and chi_j of ``_turns``.  Without one,
+    every point takes its own R_m, with phi_j = 0 and chi_j = 1.
     """
     pts = basis.points
     max_p = _pair_scale(pts) + float(np.max(np.hypot(pts[:, 0], pts[:, 1]))) + 4.0
@@ -447,13 +427,17 @@ def potential_matrix_exact(model: CouplingSpec, nu, basis: TrialBasis):
     r = np.hypot(x, y)
     theta = np.arctan2(y, x)
     f = np.exp(-0.5 * r ** basis.a)
-    rep, phi, chi = _rotation_orbit(model, pts, _gate_sample(pts[0], basis.profile))
+    n = len(pts)
+    if basis.ring is None:
+        rep, phi, chi = np.arange(n), np.zeros(n), np.ones(n, dtype=complex)
+    else:
+        rep = np.zeros(n, dtype=int)
+        phi, chi = _turns(model, pts)
     m_arr = np.arange(-_M_MAX, _M_MAX + 1)
     radii, where = np.unique(np.round(r, 12), return_inverse=True)
-    delta = np.empty((len(pts), len(x)), dtype=complex)
+    delta = np.empty((n, len(x)), dtype=complex)
     for i in np.unique(rep):
-        # R_m e^{im theta} of the representative, turned to each point of
-        # its orbit by the factor chi_j i^m e^{-im phi_j}; R_m is gathered
+        # R_m e^{im theta} of p_i, turned to each point that shares it by the factor chi_j i^m e^{-im phi_j}; R_m is gathered
         # from its per-radius rows a block of nodes at a time, so no
         # nodes x modes table is formed
         modes = _radius_modes(model, pts[i], basis.profile, radii, m_arr)
@@ -463,7 +447,7 @@ def potential_matrix_exact(model: CouplingSpec, nu, basis: TrialBasis):
             block = slice(start, start + _NODE_BLOCK)
             harmonics = modes[where[block]] * np.exp(1j * np.outer(theta[block], m_arr))
             delta[own, block] = (harmonics @ turn).T
-        del modes   # before the next orbit's modes are built
+        del modes   # before the next point's modes are built
     v = lower_band_vectors(model, pts[:, 0], pts[:, 1])[:, 0]
     phase = np.exp(1j * (pts[:, :1] * x + pts[:, 1:] * y))
     psi1 = phase * (v[:, None] * f + delta)

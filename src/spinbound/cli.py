@@ -35,6 +35,8 @@ def _parse_grid(text):
         start, stop, step = (float(p) for p in text.split(":"))
     except (ValueError, TypeError):
         raise ConfigError(["--grid must be 'start:stop:step', got %r" % text])
+    if not np.all(np.isfinite([start, stop, step])):
+        raise ConfigError(["--grid parts must be finite, got %r" % text])
     if step <= 0 or stop < start:
         raise ConfigError(["--grid must be 'start:stop:step' with step > 0"])
     n = int(np.floor((stop - start) / step + 1e-9)) + 1
@@ -130,6 +132,8 @@ def _cmd_fourier(config, args):
     nu = build_measure(config.measure)
     radii = _parse_grid(args.grid)
     ang = float(args.angle)
+    if not np.isfinite(ang):
+        raise ConfigError(["--angle must be finite, got %r" % args.angle])
     pts = np.column_stack([radii * np.cos(ang), radii * np.sin(ang)])
     vals = fourier_batch(nu, pts)
     rows = [(float(r), float(px), float(py), float(v.real), float(v.imag),

@@ -13,7 +13,7 @@ from spinbound.certificate import (_M_MAX, TrialBasis, _decade_rules,
                                    _fast_len, _fftlog, _fftlog_coefficients,
                                    _gate_sample, _kinetic_halfplane, _ModeTable, _ring_gap,
                                    _angular_modes, _im_loggamma, _pair_scale, _radius_modes,
-                                   _rotation_orbit, certify,
+                                   _turns, certify,
                                    definiteness, kinetic_matrix,
                                    potential_matrix_dropped,
                                    potential_matrix_exact, select_points,
@@ -22,8 +22,8 @@ from spinbound.errors import (CapacityError, ConfigError, NumericalInputError,
                               ResolutionError)
 from spinbound.hankel import fhat_profile
 from spinbound.measure import ClosedFormCircle, CurveDelta, fourier_matrix
-from spinbound.model import (Circle, CouplingSpec, PointCloud, lower_band,
-                             lower_band_vectors, threshold)
+from spinbound.model import (Circle, CouplingSpec, PointCloud, ThresholdData,
+                             lower_band, lower_band_vectors, threshold)
 from spinbound.quadrature import merge_edges, panel_rule, uniform_rule
 
 TWO_PI_E = 2.0 * np.pi * np.exp(-1.0)
@@ -109,6 +109,18 @@ def test_definiteness_counts_negative_eigenvalues():
 def test_definiteness_rejects_non_hermitian():
     with pytest.raises(NumericalInputError):
         definiteness(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_definiteness_asymmetry_bound_scales_with_the_matrix():
+    # an asymmetry of 3e-8 is rounding at |m| = 1e9, not a fault
+    assert definiteness(np.array([[-1e9, 3e-8], [0.0, -1e9]])).negative_count == 2
+
+
+def test_certify_a_heavy_circle(rashba2, thr2):
+    # at weight -1e8 the exact-form Q is asymmetric by 1.7e-8 in rounding
+    heavy = CurveDelta(ClosedFormCircle((0.0, 0.0), 1.0), weight=-1e8)
+    res = certify(rashba2, thr2, heavy, 4, [0.4])
+    assert res.certified and res.certified_count == 4
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +283,10 @@ def test_kinetic_matches_the_16_panel_reference(case, monkeypatch):
     # on a ring band the deep rings take a 16-point trapezoid and the rings
     # past the guard radius 2 angular panels, instead of 16 panels of 8
     # each; both sides take the gap in the bump's own coordinates.  The
-    # custom coupling fails the ring gate, so it keeps the clamped
+    # custom coupling's basis carries no ring, so it keeps the clamped
     # subtraction and 16 panels on every decade, and its T is the
     # reference's to the last bit.  Both sides share kinetic_matrix's
-    # reduction to one integral per pair geometry
+    # reduction to one integral per pair distance
     kind, n, a = case
     turn = 0.3 * 2.0 * np.pi / n
     if kind == "custom":
@@ -691,20 +703,26 @@ def test_no_module_calls_scipy_fht():
 
 
 def _per_point_loop_potential(model, nu, basis):
-    """W with Delta_j summed point by point from its orbit's radial modes.
+    """W with Delta_j summed point by point from the radial modes it shares.
 
-    The reference for the one product per orbit in potential_matrix_exact:
-    the same orbits and radial modes, with the harmonics e^{im(theta -
-    phi_j)} formed for each point on its own.
+    The reference for the one product per set of points that share radial
+    modes in potential_matrix_exact: with a ring every point turns p_0's,
+    without one each point has its own; the harmonics e^{im(theta - phi_j)}
+    are formed for each point on its own.
     """
     pts = basis.points
     max_p = _pair_scale(pts) + float(np.max(np.hypot(pts[:, 0], pts[:, 1]))) + 4.0
     x, y, w = nu.quad_nodes(max_p)
     r, theta = np.hypot(x, y), np.arctan2(y, x)
     f = np.exp(-0.5 * r ** basis.a)
-    rep, phi, chi = _rotation_orbit(model, pts, _gate_sample(pts[0], basis.profile))
+    n = len(pts)
+    if basis.ring is None:
+        rep, phi, chi = np.arange(n), np.zeros(n), np.ones(n, dtype=complex)
+    else:
+        rep = np.zeros(n, dtype=int)
+        phi, chi = _turns(model, pts)
     m_arr = np.arange(-_M_MAX, _M_MAX + 1)
-    psi = np.empty((len(pts), 2, len(x)), dtype=complex)
+    psi = np.empty((n, 2, len(x)), dtype=complex)
     for i in np.unique(rep):
         per_node = _node_modes(model, pts[i], basis.profile, r, m_arr)
         for j in np.flatnonzero(rep == i):
@@ -765,7 +783,8 @@ def test_orbit_reduction_matches_per_point(case):
 @pytest.mark.parametrize("case", ["readme-circle", "gaussian-well", "own-orbits"])
 def test_exact_potential_matches_per_point_loop(case, gaussian_well):
     if case == "own-orbits":
-        # a coupling that is not odd: the gate leaves every point alone
+        # a coupling that is not odd, in a hand-built basis: no ring, so
+        # every point takes its own modes
         model = _WORK_CASES["non-odd-3"][0]
         pts = _rotated(select_points(Circle((0.0, 0.0), 1.0), 3), 0.3)
         basis = TrialBasis(points=pts, a=1.0, profile=fhat_profile(1.0))
@@ -814,29 +833,75 @@ def _count_work(monkeypatch):
     return counts
 
 
+def _skewed_ring_model():
+    """A(q) = 2|q| e^{i(theta + 0.3 sin theta)}: lambda_- = (|q| - 1)^2 - 1.
+
+    The band is the ring |q| = 1, but its vector does not turn with q, so
+    rotation is no symmetry of H_0.  ``threshold`` makes a point cloud of
+    any custom coupling's minimum set; this one needs ThresholdData built by
+    hand to reach the ring.
+    """
+    def coupling(px, py):
+        theta = np.arctan2(py, px)
+        return 2.0 * np.hypot(px, py) * np.exp(1j * (theta + 0.3 * np.sin(theta)))
+    return (CouplingSpec.custom(coupling, a_growth=0.5, r_growth=4.0),
+            ThresholdData(-1.0, Circle((0.0, 0.0), 1.0)))
+
+
 _WORK_CASES = {
-    # one orbit: one table; one diagonal integral plus one per pair distance
+    # a ring: one table; one diagonal integral plus one per pair distance
     "rashba-4": (CouplingSpec.rashba(2.0), 4, 1, 3),
     "dresselhaus-6": (CouplingSpec.dresselhaus(3.0), 6, 1, 4),
     # neither symmetry holds: every point and every ordered pair on its own
     "non-odd-3": (_CUSTOM, 3, 3, 3 + 3 * 2),
+    # a ring band whose vector does not turn: no ring, so all on its own
+    "skewed-ring-4": (_skewed_ring_model()[0], 4, 4, 4 + 4 * 3),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_WORK_CASES))
 def test_orbit_reduction_work_counts(case, monkeypatch):
     model, n, tables, halfplanes = _WORK_CASES[case]
-    thr = threshold(model)
-    # the non-odd coupling's minimum set is one point, so the trial points
-    # go on the unit circle without the minimum-set check of trial_basis
-    radius = thr.minset.radius if isinstance(thr.minset, Circle) else 1.0
-    pts = _rotated(select_points(Circle((0.0, 0.0), radius), n), 0.3)
-    basis = TrialBasis(points=pts, a=1.0, profile=fhat_profile(1.0))
+    if case == "non-odd-3":
+        # the minimum set is one point, so the trial points go on the unit
+        # circle in a hand-built basis, which carries no ring
+        thr = threshold(model)
+        pts = _rotated(select_points(Circle((0.0, 0.0), 1.0), n), 0.3)
+        basis = TrialBasis(points=pts, a=1.0, profile=fhat_profile(1.0))
+    else:
+        thr = _skewed_ring_model()[1] if case == "skewed-ring-4" else threshold(model)
+        pts = _rotated(select_points(thr.minset, n), 0.3)
+        basis = trial_basis(model, thr, pts, 1.0)
+    # one table exactly when the basis carries a ring
+    assert (basis.ring is None) == (tables > 1)
     nu = CurveDelta(ClosedFormCircle((0.0, 0.0), 1.0), weight=-1.0)
     counts = _count_work(monkeypatch)
     kinetic_matrix(model, thr, basis)
     potential_matrix_exact(model, nu, basis)
     assert counts == {"tables": tables, "halfplanes": halfplanes}
+
+
+@pytest.mark.parametrize("kind,alpha,ring", [("rashba", 2.0, 1.0), ("rashba", -2.0, 1.0),
+                                             ("dresselhaus", 3.0, 1.5)])
+def test_trial_basis_ring(kind, alpha, ring):
+    model = getattr(CouplingSpec, kind)(alpha)
+    thr = threshold(model)
+    basis = trial_basis(model, thr, _rotated(select_points(thr.minset, 4), 0.3), 0.4)
+    assert basis.ring == ring
+
+
+def test_certify_runs_the_gate_once_per_step(rashba2, thr2, monkeypatch):
+    calls = []
+
+    def counted(p0, prof):
+        calls.append(prof.a)
+        return _gate_sample(p0, prof)
+
+    monkeypatch.setattr(certificate, "_gate_sample", counted)
+    weak = CurveDelta(ClosedFormCircle((0.0, 0.0), 1.0), weight=-0.05)
+    res = certify(rashba2, thr2, weak, 2, [0.4, 0.2], potential_form="exact")
+    assert len(res.diagnostics) == 2
+    assert calls == [0.4, 0.2]
 
 
 def test_scaling_covariance(rashba2, thr2):

@@ -158,6 +158,19 @@ def test_exit_config_error_on_a_malformed_grid(tmp_path, grid):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("option", [("--grid", "0:nan:1"), ("--grid", "0:inf:1"),
+                                    ("--grid", "0:1:nan"), ("--angle", "nan")],
+                         ids=["stop-nan", "stop-inf", "step-nan", "angle-nan"])
+def test_exit_config_error_on_a_non_finite_fourier_input(tmp_path, option):
+    # a traceback would exit 1, which reads as "not certified"
+    cfg = _write(tmp_path, "c.json", {"measure": _certify_doc()["measure"]})
+    out = tmp_path / "f.csv"
+    args = dict([("--grid", "1:3:1"), option])
+    argv = ["fourier", "-c", cfg, "-o", str(out)] + [x for kv in args.items() for x in kv]
+    assert main(argv) == 2
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # fourier / scan output
 
