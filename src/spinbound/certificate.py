@@ -9,6 +9,7 @@ eigenvalue below the threshold.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -229,8 +230,9 @@ def kinetic_matrix(model: CouplingSpec, thr: ThresholdData, basis: TrialBasis):
     and one integral is computed per rounded pair distance: the two halves
     of a pair coincide.  Without a ring, lambda_- - kappa is taken by
     subtraction, with 16 angular panels on every decade, for every ordered
-    pair.  The radial nodes of the decades are built once and shared by
-    every half-plane.
+    pair.  Each half-plane's radial end R and the closed-form tail past it
+    (``_radial_end``) are fixed first; the radial nodes of the decades up to
+    the largest R are then built once and shared by every half-plane.
     """
     pts = basis.points
     n = len(pts)
@@ -242,11 +244,12 @@ def kinetic_matrix(model: CouplingSpec, thr: ThresholdData, basis: TrialBasis):
     else:
         key = np.arange(n * n)
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    decades = _decade_rules(basis.profile)
-    half = np.array([_kinetic_halfplane(model, thr.kappa, basis.profile, centre[s],
-                                        None if diagonal[s] else other[s],
-                                        basis.ring, decades)
-                     for s in first])
+    facing = [None if diagonal[s] else other[s] for s in first]
+    ends = [_radial_end(basis.profile, thr.kappa, centre[s], o) for s, o in zip(first, facing)]
+    decades = _decade_rules(basis.profile, max(end[0] for end in ends))
+    half = np.array([_kinetic_halfplane(model, thr.kappa, basis.profile, centre[s], o,
+                                        basis.ring, decades, end)
+                     for s, o, end in zip(first, facing, ends)])
     H = half[inverse.ravel()].reshape(n, n)
     T = H + H.T
     np.fill_diagonal(T, np.diag(H))
@@ -263,20 +266,98 @@ _DEEP = 1e-2
 # decades evaluated together on the deep and the far rings: 8 decades x 32
 # rings x 16 angles, no more nodes than one decade of the 16-panel rule
 _CHUNK_DECADES = 8
+# the omitted part of a half-plane's tail is bounded by _TAIL_TOL pi a / 2,
+# where pi a / 2 = |grad f_a|^2 bounds every T_jj; _TAIL_TERMS coefficients
+# of fhat's power series are at hand for the closed form
+_TAIL_TOL = 1e-10
+_TAIL_TERMS = 40
 
 
-def _decade_rules(prof):
-    """(lo, hi, start, rho, w): the radial rule of each decade of the table.
+def _guard_radius(center, d):
+    """10 (1 + |center| + d): past it the far rings' rule and the tail's bound hold."""
+    return 10.0 * (1.0 + float(np.hypot(*center)) + d)
+
+
+def _series_coefficients(a, count):
+    """c_1 .. c_count of fhat(rho) = sum_n c_n rho^-(2 + n a).
+
+    c_n = (-1)^(n+1) (2/pi) sin(pi a n / 2) Gamma(1 + a n / 2)^2 2^(a n - n)
+    / n!, the 2D analogue of Bergstrom's series (Ark. Mat. 2 (1952) 375): it
+    converges for every rho > 0 when a < 1 and is asymptotic for
+    1 <= a < 2.  The sine is taken about the nearest
+    integer, so c_n is exactly 0 where a n / 2 is one (every n at a = 2).
+    """
+    n = np.arange(1, count + 1)
+    t = 0.5 * a * n
+    k = np.rint(t)
+    sine = (-1.0) ** k * np.sin(np.pi * (t - k))
+    log_size = np.array([2.0 * math.lgamma(1.0 + x) - math.lgamma(1.0 + m)
+                         for x, m in zip(t, n)]) + (2.0 * t - n) * _LN2
+    return (-1.0) ** (n + 1) * (2.0 / np.pi) * sine * np.exp(log_size)
+
+
+def _radial_end(prof, kappa, center, other):
+    """(R, tail): where the half-plane about ``center`` stops summing decades, and the rest.
+
+    With the gap rho^2, fhat = sum_n c_n rho^-(2 + n a) at both points and
+    the full ring, the integral past R is the closed form
+    2 pi sum_{m,n} c_m c_n R^-((m+n) a) / ((m+n) a), summed by powers s = m + n
+    until every later one is below the rounding of the sum; an off-diagonal
+    half-plane takes half of it.  The omitted terms are the next power and
+    the corrections of relative size, for rho >= R,
+
+    - (4 |c| + (|c|^2 + |kappa|) / R) / R to the gap: on a ring band
+      (|p| - r0)^2 lies in [(rho - 2 r0)^2, rho^2], and any other band has
+      0 <= lambda_- - kappa <= |p|^2 + |kappa|, so there the closed form
+      bounds the tail from above;
+    - 4 d / R to fhat at the other point, since rho <= |p - o| <= rho + d on
+      the half-plane and fhat falls like rho^-(2 + a);
+    - d / (2 R) to the half-plane's angular span pi + 2 arcsin(d / (2 rho)).
+
+    R is the first decade edge 10^k at or past the guard radius
+    10 (1 + |c| + d) at which their bound is below _TAIL_TOL pi a / 2,
+    capped at the table's end.  On the schedule's exponents and the README
+    circle that is 1e6 (a = 0.4) to 1e10 (a <= 0.05), about ten decades
+    past 1.  At a = 2 every c_n is 0 and R is the guard's decade edge, or
+    the table's end, past which fhat is 0; past the guard fhat^2 is below
+    e^-100.
+    """
+    a = prof.a
+    c = float(np.hypot(*center))
+    d = 0.0 if other is None else float(np.hypot(*(other - center)))
+    share = 1.0 if other is None else 0.5
+    coeffs = _series_coefficients(a, _TAIL_TERMS)
+    powers = np.convolve(coeffs, coeffs)       # sum_{m+n=s} c_m c_n, s = 2, 3, ...
+    s = np.arange(2, len(powers) + 2)
+    tol = _TAIL_TOL * 0.5 * np.pi * a
+    k = int(np.ceil(np.log10(_guard_radius(center, d))))
+    while True:
+        R = min(10.0 ** k, prof.rho_hi)
+        terms = (share * 2.0 * np.pi) * powers * R ** (-s * a) / (s * a)
+        partial = np.cumsum(terms)
+        # the largest of the powers past each one: a single power may be 0
+        rest = np.maximum.accumulate(np.abs(terms[::-1]))[::-1]
+        done = rest[1:] <= np.finfo(float).eps * np.abs(partial[:-1])
+        i = int(np.argmax(done)) if done.any() else len(partial) - 1
+        rel = (4.0 * c + 5.0 * d) / R + (c * c + abs(kappa)) / (R * R)
+        if (done.any() and rest[i + 1] + rel * abs(partial[i]) <= tol) or R == prof.rho_hi:
+            return R, float(partial[i])
+        k += 1
+
+
+def _decade_rules(prof, reach):
+    """(lo, hi, start, rho, w): the radial rule of each decade of the table up to ``reach``.
 
     Every kinetic half-plane takes these radial nodes: 4 log panels of 8
     nodes per decade (fewer where the table cuts a decade short).  Decade i
     spans [lo[i], hi[i]] and holds the nodes start[i]:start[i + 1]; the
-    panels of all decades come from one ``panel_rule`` call.
+    decades run to the first whose hi is at or past ``reach``, and their
+    panels come from one ``panel_rule`` call.
     """
     k = range(int(np.floor(np.log10(prof.rho_lo))), int(np.ceil(np.log10(prof.rho_hi))))
     lo = np.maximum([10.0 ** j for j in k], prof.rho_lo)
     hi = np.minimum([10.0 ** (j + 1) for j in k], prof.rho_hi)
-    keep = hi > lo
+    keep = (hi > lo) & (lo < reach)
     lo, hi = lo[keep], hi[keep]
     panels = np.maximum(1, np.ceil(np.log10(hi / lo) * 4)).astype(int)
     edges = [None] * len(lo)
@@ -299,15 +380,15 @@ def _ring_gap(c, r0, rho, qx, qy):
             / (np.hypot(c[0] + qx, c[1] + qy) + r0)) ** 2
 
 
-def _kinetic_halfplane(model, kappa, prof, center, other, r0, decades):
+def _kinetic_halfplane(model, kappa, prof, center, other, r0, decades, end):
     """Polar integral about `center`, restricted to its bisector half-plane.
 
-    rho = |p - center| runs over the ``decades`` of ``_decade_rules`` until
-    a decade at or past the guard radius 10 (1 + |center| + d) adds less
-    than 1e-6 of the sum.  On a ring band (``r0``, see ``kinetic_matrix``)
-    the gap is ``_ring_gap`` about the stored point, which ``trial_basis``
-    put on the ring |center| = r0, and the rings fall in three angular
-    zones:
+    rho = |p - center| runs over the ``decades`` of ``_decade_rules`` that
+    start below R, and the closed-form tail past R is added, where
+    ``end`` = (R, tail) comes from ``_radial_end``.  On a ring band (``r0``,
+    see ``kinetic_matrix``) the gap is ``_ring_gap`` about the stored point,
+    which ``trial_basis`` put on the ring |center| = r0, and the rings fall
+    in three angular zones:
 
     - deep, rho <= 1e-2 min(r0, d / 2) (1e-2 r0 on the diagonal): the
       bisector cuts no ring, and the integrand is a trigonometric
@@ -316,16 +397,18 @@ def _kinetic_halfplane(model, kappa, prof, center, other, r0, decades):
       rounding (Trefethen and Weideman, SIAM Rev. 56 (2014) 385), eight
       decades at a time.  2 x 8 Gauss-Legendre panels err by 5e-10 on
       cos 2 theta there;
-    - from there to the guard: 16 panels of 8 nodes, one decade at a time;
+    - from there to the guard radius 10 (1 + |center| + d): 16 panels of 8
+      nodes, one decade at a time;
     - past the guard the integrand is analytic in the angle, and 2 panels
       of 8 nodes take each ring, eight decades at a time.
 
-    At a = 0.05, N = 4 on Rashba alpha = 2 that is 205,568 integrand
+    At a = 0.05, N = 4 on Rashba alpha = 2 that is 131,840 integrand
     nodes; on Rashba alpha = 2 and Dresselhaus alpha = 3, N = 4 and 6, a =
-    0.4 to 0.025, T is within 1.7e-16 relative of 16 panels on every decade.  Any other band
-    takes lambda_- - kappa by subtraction, with the values below its
-    rounding noise clamped to 0, and 16 panels on every decade.  Rings
-    that the bisector cuts nowhere share one row of angles.
+    0.4 to 0.025, T is within 3.4e-16 relative of 16 panels on every decade
+    to the same R.  Any other band takes lambda_- - kappa by subtraction,
+    with the values below its rounding noise clamped to 0, and 16 panels on
+    every decade.  Rings that the bisector cuts nowhere share one row of
+    angles.
     """
     if other is None:
         # the angular rule starts at arg(center), so it turns with the point
@@ -334,21 +417,20 @@ def _kinetic_halfplane(model, kappa, prof, center, other, r0, decades):
         d = float(np.hypot(*(other - center)))
         axis = float(np.arctan2(other[1] - center[1], other[0] - center[0]))
     lo, hi, start, rho_all, w_all = decades
-    # at a = 2 the table ends at rho = 37 with fhat 0 past it, so its end
-    # counts as reaching the guard; for a < 2 it ends far beyond any guard
-    rho_guard = min(10.0 * (1.0 + np.hypot(*center) + d), prof.rho_hi)
+    R, tail = end
+    stop = int(np.searchsorted(lo, R))
     if r0 is None:
         deep = 0
-        near = len(hi)
+        near = stop
     else:
         deep = int(np.searchsorted(hi, _DEEP * (r0 if other is None else min(r0, 0.5 * d)),
                                    side="right"))
-        near = int(np.searchsorted(lo, rho_guard))
+        near = int(np.searchsorted(lo, _guard_radius(center, d)))
     bounds = (list(range(0, deep, _CHUNK_DECADES)) + list(range(deep, near))
-              + list(range(near, len(hi), _CHUNK_DECADES)) + [len(hi)])
-    cum = 0.0
-    for first, stop in zip(bounds, bounds[1:]):
-        rho, w_rho = rho_all[start[first]:start[stop]], w_all[start[first]:start[stop]]
+              + list(range(near, stop, _CHUNK_DECADES)) + [stop])
+    total = 0.0
+    for first, last in zip(bounds, bounds[1:]):
+        rho, w_rho = rho_all[start[first]:start[last]], w_all[start[first]:start[last]]
         t_ref, w_ref = (_DEEP_RULE if first < deep else
                         _NEAR_RULE if first < near else _FAR_RULE)
         if other is None or rho[-1] <= 0.5 * d:
@@ -381,15 +463,8 @@ def _kinetic_halfplane(model, kappa, prof, center, other, r0, decades):
             f_o = prof(np.hypot(px - other[0], py - other[1]))
         # group so extremes cancel before they overflow: gap grows like
         # rho^2 while fhat decays like rho^-(2+a)
-        values = (w_rho[:, None] * w_ang * rho[:, None]) * ((gap * f_c) * f_o)
-        for i in range(first, stop):
-            dec = float(np.sum(values[start[i] - start[first]:start[i + 1] - start[first]]))
-            cum += dec
-            if hi[i] >= rho_guard and cum != 0.0 and abs(dec) < 1e-6 * abs(cum):
-                return cum
-    raise ResolutionError(
-        "kinetic quadrature annuli did not fall below 1e-6 relative "
-        "within the tabulated radial range")
+        total += float(np.sum((w_rho[:, None] * w_ang * rho[:, None]) * ((gap * f_c) * f_o)))
+    return total + tail
 
 
 # ---------------------------------------------------------------------------

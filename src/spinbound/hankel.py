@@ -41,6 +41,7 @@ from .errors import ConfigError, ResolutionError
 from .spline import cubic_spline
 
 _EXP_CUTOFF = 45.0  # e^-45 ~ 3e-20 of peak
+_TABLE_SIZE = 4096   # log rho nodes per profile
 
 # K0: the power series' reach and term count, and the exponent past which
 # the integral representation's trapezoid rule stops
@@ -214,7 +215,7 @@ def _contour_values(a, rho, step):
     return out
 
 
-def _table(a, table_size):
+def _table(a):
     """Log-spaced rho grid and the profile's values on it."""
     # the transform flattens out below 1/sqrt(<r^2>), which for small a
     # sits far below 1/<r> (heavy-tailed weight); anchor the grid there
@@ -229,8 +230,8 @@ def _table(a, table_size):
     if a == 2.0:
         rho_hi = 37.0  # Gaussian tail below 1e-300 past here
     # nodes on the contour rule's own lattice ln rho_lo + i step
-    step = (math.log(rho_hi) - ln_lo) / (table_size - 1)
-    grid = np.exp(ln_lo + step * np.arange(table_size))
+    step = (math.log(rho_hi) - ln_lo) / (_TABLE_SIZE - 1)
+    grid = np.exp(ln_lo + step * np.arange(_TABLE_SIZE))
     if a == 2.0:
         vals = np.exp(-0.5 * grid * grid)
     else:
@@ -245,7 +246,7 @@ def _table(a, table_size):
 class FhatProfile:
     """Tabulated radial transform of exp(-|x|^a/2), extrapolated past the table."""
 
-    def __init__(self, a, table_size=4096):
+    def __init__(self, a):
         if not (0.0 < a <= 2.0):
             raise ConfigError("bump exponent a must lie in (0, 2]")
         self.a = float(a)
@@ -253,7 +254,7 @@ class FhatProfile:
             # below a ~ 0.017 the scales and the contour rule overflow in
             # double precision; raised here, so no warning is emitted
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                grid, vals = _table(self.a, table_size)
+                grid, vals = _table(self.a)
         except ArithmeticError as exc:
             raise ResolutionError(
                 "bump profile at a=%g cannot be tabulated: %s" % (a, exc)) from exc

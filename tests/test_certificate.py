@@ -9,9 +9,10 @@ from scipy.special import jv, loggamma
 
 from conftest import log_rule
 from spinbound import certificate
-from spinbound.certificate import (_M_MAX, TrialBasis, _decade_rules,
+from spinbound.certificate import (_M_MAX, DEFAULT_A_SCHEDULE, TrialBasis, _decade_rules,
                                    _fast_len, _fftlog, _fftlog_coefficients,
-                                   _gate_sample, _kinetic_halfplane, _ModeTable, _ring_gap,
+                                   _gate_sample, _kinetic_halfplane, _ModeTable, _radial_end,
+                                   _ring_gap, _series_coefficients,
                                    _angular_modes, _im_loggamma, _pair_scale, _radius_modes,
                                    _turns, certify,
                                    definiteness, kinetic_matrix,
@@ -161,13 +162,14 @@ def test_kinetic_diagonal_turns_with_the_point(rashba2, thr2):
     # every orientation of p_j, also at small a, where most of it sits on
     # rings far below rounding of |p_j|
     ang = 2.0 * np.pi * np.arange(12) / 12.0 + 0.05
+    centres = np.column_stack([np.cos(ang), np.sin(ang)])
     for a in (0.4, 0.1, 0.05, 0.025):
         prof = fhat_profile(a)
-        decades = _decade_rules(prof)
-        diag = np.array([_kinetic_halfplane(rashba2, thr2.kappa, prof,
-                                            np.array([np.cos(t), np.sin(t)]), None,
-                                            thr2.minset.radius, decades)
-                         for t in ang])
+        ends = [_radial_end(prof, thr2.kappa, c, None) for c in centres]
+        decades = _decade_rules(prof, max(R for R, _ in ends))
+        diag = np.array([_kinetic_halfplane(rashba2, thr2.kappa, prof, c, None,
+                                            thr2.minset.radius, decades, end)
+                         for c, end in zip(centres, ends)])
         assert np.ptp(diag) <= 1e-13 * np.max(np.abs(diag)), a
 
 
@@ -203,10 +205,11 @@ def _rotated(pts, turn):
 def _reference_halfplane(model, kappa, prof, center, other, r0):
     """The half-plane integral with 16 angular panels of 8 on every decade.
 
-    With ``r0`` (a ring band) the gap is (|p| - r0)^2 in the bump's own
-    coordinates, ((2 c.q + rho^2) / (|c + q| + r0))^2 about c = r0 center /
-    |center|; without it, lambda_-(p) - kappa with its rounding noise
-    clamped to 0.
+    The decades run to the radial end R of ``_radial_end``, and its
+    closed-form tail past R is added.  With ``r0`` (a ring band) the gap is
+    (|p| - r0)^2 in the bump's own coordinates, ((2 c.q + rho^2) /
+    (|c + q| + r0))^2 about c = r0 center / |center|; without it,
+    lambda_-(p) - kappa with its rounding noise clamped to 0.
     """
     if other is None:
         d, axis = 0.0, float(np.arctan2(center[1], center[0]))
@@ -214,13 +217,15 @@ def _reference_halfplane(model, kappa, prof, center, other, r0):
         d = float(np.hypot(*(other - center)))
         axis = float(np.arctan2(other[1] - center[1], other[0] - center[0]))
     t_ref, w_ref = uniform_rule(0.0, 1.0, 16, 8)
-    rho_guard = min(10.0 * (1.0 + np.hypot(*center) + d), prof.rho_hi)
-    cum = 0.0
+    R, tail = _radial_end(prof, kappa, center, other)
+    total = 0.0
     k_lo = int(np.floor(np.log10(prof.rho_lo)))
     k_hi = int(np.ceil(np.log10(prof.rho_hi)))
     for k in range(k_lo, k_hi):
         lo = max(10.0 ** k, prof.rho_lo)
         hi = min(10.0 ** (k + 1), prof.rho_hi)
+        if lo >= R:
+            break
         if hi <= lo:
             continue
         rho, w_rho = log_rule(lo, hi, 4, 8)
@@ -246,11 +251,8 @@ def _reference_halfplane(model, kappa, prof, center, other, r0):
                    / (np.hypot(px, py) + r0)) ** 2
         f_c = prof(rho)[:, None]
         f_o = f_c if other is None else prof(np.hypot(px - other[0], py - other[1]))
-        dec = float(np.sum((w_rho[:, None] * w_ang * rho[:, None]) * ((gap * f_c) * f_o)))
-        cum += dec
-        if hi >= rho_guard and cum != 0.0 and abs(dec) < 1e-6 * abs(cum):
-            return cum
-    raise AssertionError("reference kinetic sum did not converge")
+        total += float(np.sum((w_rho[:, None] * w_ang * rho[:, None]) * ((gap * f_c) * f_o)))
+    return total + tail
 
 
 def _per_point_kinetic(model, thr, basis):
@@ -308,11 +310,50 @@ def test_kinetic_matches_the_16_panel_reference(case, monkeypatch):
     assert np.max(np.abs(t - t_ref)) <= 1e-14 * np.max(np.abs(t_ref))
 
 
+def _tail_at_table_end(prof, other):
+    """The closed-form tail past the table's end, fhat's series summed to 40 powers."""
+    a, R = prof.a, prof.rho_hi
+    coeffs = _series_coefficients(a, 40)
+    s = np.arange(2, 2 * len(coeffs) + 1)
+    share = 1.0 if other is None else 0.5
+    return share * 2.0 * np.pi * float(np.sum(np.convolve(coeffs, coeffs) * R ** (-s * a)
+                                              / (s * a)))
+
+
+@pytest.mark.parametrize("a", DEFAULT_A_SCHEDULE)
+def test_kinetic_tail_matches_the_whole_table(rashba2, thr2, a):
+    # each half-plane stops at its own R (1e6 at a = 0.4, 1e10 from a = 0.05
+    # on) and adds the closed-form tail past it; summing every decade of the
+    # table instead, with the tail past the table's end, moves it by under
+    # 1e-10, always down: past R the gap rho^2, fhat at the centre and the
+    # half-plane's span pi bound the true integrand from above
+    pts = select_points(thr2.minset, 4)
+    prof = fhat_profile(a)
+    whole = _decade_rules(prof, prof.rho_hi)
+    for other in (None, pts[1], pts[2]):
+        end = _radial_end(prof, thr2.kappa, pts[0], other)
+        assert end[0] < prof.rho_hi
+        value = _kinetic_halfplane(rashba2, thr2.kappa, prof, pts[0], other, 1.0,
+                                   _decade_rules(prof, end[0]), end)
+        full = _kinetic_halfplane(rashba2, thr2.kappa, prof, pts[0], other, 1.0, whole,
+                                  (prof.rho_hi, _tail_at_table_end(prof, other)))
+        assert 0.0 <= value - full <= 1e-10 * full
+
+
+def test_kinetic_matrix_down_to_the_profile_floor(rashba2, thr2):
+    # the radial end is fixed before the sum, so nothing can fail to
+    # converge: every a the profile tabulates takes about 10 decades past 1
+    pts = select_points(thr2.minset, 4)
+    for a in np.arange(0.0175, 0.02501, 0.0005):
+        t = kinetic_matrix(rashba2, thr2, trial_basis(rashba2, thr2, pts, a))
+        assert np.all(np.isfinite(t)) and 0.0 < t[0, 0] < 0.5 * np.pi * a
+
+
 def test_kinetic_work_count(rashba2, thr2, monkeypatch):
-    # at a = 0.05 a half-plane visits about 100 decades: about 40 deep ones
-    # at 16 angles per ring, 8 more below the guard radius at 128, and the
-    # rest past it at 16: 205,568 gap nodes for four points, against
-    # 672,256 with 128 angles on every decade below the guard
+    # at a = 0.05 a half-plane visits 56 decades, to R = 1e10: 43 or 44
+    # deep ones at 16 angles per ring, 4 or 5 more below the guard radius at
+    # 128, and 8 past it at 16: 131,840 gap nodes for four points, against
+    # 595,968 with 128 angles on every decade below the guard
     nodes = []
 
     def counted(c, r0, rho, qx, qy):
@@ -327,7 +368,7 @@ def test_kinetic_work_count(rashba2, thr2, monkeypatch):
 
 def test_kinetic_memory_peak(rashba2, thr2):
     # one decade of 32 x 128 nodes, or eight deep or far decades of 32 x
-    # 16, at a time, and the radial nodes of the 156 decades: 0.64 MiB
+    # 16, at a time, and the radial nodes of the 56 decades: 0.56 MiB
     basis = trial_basis(rashba2, thr2, select_points(thr2.minset, 4), 0.05)
     tracemalloc.start()
     try:

@@ -97,6 +97,14 @@ def test_certify_exit_untabulable_exponent(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_certify_exit_ok_near_the_profile_floor(tmp_path):
+    # a = 0.022 is above the profile's floor (0.01704), and the kinetic
+    # sum's radial range is fixed by a, so the step runs and certifies
+    doc = _certify_doc(form="exact")
+    doc["certify"].update(N=4, a_schedule=[0.022])
+    assert main(["certify", "-c", _write(tmp_path, "c.json", doc)]) == 0
+
+
 def test_module_entry_point_exit_code(tmp_path):
     # python -m spinbound.cli runs main() and hands its code to the shell
     src = os.path.dirname(os.path.dirname(spinbound.__file__))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.special import gammaln, hankel1, k0, k0e
 
 from conftest import grad_norm_sq_quadrature, log_rule
+from spinbound.certificate import _series_coefficients
 from spinbound.errors import ConfigError, ResolutionError
 from spinbound import hankel
 from spinbound.hankel import (FhatProfile, _contour_cuts, _contour_values, _k0,
@@ -342,6 +343,14 @@ def test_profile_against_contour_oracle(a):
         assert prof(rho) == pytest.approx(want, rel=1e-8)
 
 
+def _mp_coefficients(mp, a, terms):
+    """c_1 .. c_terms of fhat(rho) = sum_n c_n rho^-(2 + a n), in mpmath."""
+    a = mp.mpf(a)
+    return [(-1) ** (n + 1) * 2 / mp.pi * mp.sinpi(a * n / 2)
+            * mp.gamma(1 + a * n / 2) ** 2 * mp.mpf(2) ** (a * n - n)
+            / mp.factorial(n) for n in range(1, terms + 1)]
+
+
 def _mp_series(mp, a, rhos, terms):
     """The power-law series of fhat at each rho, summed in mpmath, and where it converged.
 
@@ -352,10 +361,7 @@ def _mp_series(mp, a, rhos, terms):
     where it is positive, no term passes 1e40 times it (so 60 digits leave
     20) and none of its last 20 terms passes 1e-20 times it.
     """
-    a = mp.mpf(a)
-    coeffs = [(-1) ** (n + 1) * 2 / mp.pi * mp.sinpi(a * n / 2)
-              * mp.gamma(1 + a * n / 2) ** 2 * mp.mpf(2) ** (a * n - n)
-              / mp.factorial(n) for n in range(1, terms + 1)]
+    coeffs = _mp_coefficients(mp, a, terms)
     out, converged = [], []
     for rho in rhos:
         inv = 1 / mp.mpf(rho)
@@ -398,6 +404,21 @@ def test_series_against_mpmath(a):
     assert converged[np.isin(sample, np.arange(edge, edge + 8))].all()
     assert converged.sum() > 0.85 * sample.size
     assert np.max(np.abs(prof._vals[sample[converged]] / want[converged] - 1.0)) < 1e-13
+
+
+@pytest.mark.parametrize("a", [0.4, 0.1, 0.025])
+def test_kinetic_tail_coefficients_against_mpmath(a):
+    # the kinetic tail past its radial end is a double sum over these
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        want = [float(c) for c in _mp_coefficients(mp, a, 2)]
+    assert np.allclose(_series_coefficients(a, 2), want, rtol=1e-14, atol=0.0)
+
+
+def test_series_coefficients_vanish_where_the_sine_does():
+    # sin(pi a n / 2) = 0 for every n at a = 2 and for even n at a = 1
+    assert np.all(_series_coefficients(2.0, 8) == 0.0)
+    assert np.all(_series_coefficients(1.0, 8)[1::2] == 0.0)
 
 
 @pytest.mark.parametrize("a", [0.4, 0.2, 0.1, 0.05])
