@@ -87,17 +87,14 @@ def _bump_sq(a, r):
 # point selection on the minimum set
 
 
-def _selection_problems(N, strategy):
-    problems = []
-    if not (isinstance(N, (int, np.integer)) and not isinstance(N, bool) and N >= 1):
-        problems.append("N must be an integer >= 1")
-    if strategy not in ("equispaced", "farthest_point"):
-        problems.append("point_strategy must be equispaced|farthest_point")
-    return problems
+def _selection_problems(N):
+    ok = isinstance(N, (int, np.integer)) and not isinstance(N, bool) and N >= 1
+    return [] if ok else ["N must be an integer >= 1"]
 
 
-def select_points(minset, N, strategy="equispaced"):
-    problems = _selection_problems(N, strategy)
+def select_points(minset, N):
+    """N equispaced points of the minimum set."""
+    problems = _selection_problems(N)
     if problems:
         raise ConfigError(problems)
     if isinstance(minset, PointCloud):
@@ -105,24 +102,7 @@ def select_points(minset, N, strategy="equispaced"):
         if N > len(distinct):
             raise CapacityError(
                 "requested %d points but the minimum set has only %d" % (N, len(distinct)))
-        if strategy == "equispaced":
-            return minset.sample(N)
-        return _farthest_point(distinct, N)
-    if strategy == "equispaced":
-        return minset.sample(N)
-    return _farthest_point(minset.sample(512), N)
-
-
-def _farthest_point(candidates, N):
-    cand = np.asarray(candidates, dtype=float)
-    centroid = cand.mean(axis=0)
-    chosen = [int(np.argmax(np.hypot(*(cand - centroid).T)))]
-    dist = np.hypot(*(cand - cand[chosen[0]]).T)
-    while len(chosen) < N:
-        nxt = int(np.argmax(dist))
-        chosen.append(nxt)
-        dist = np.minimum(dist, np.hypot(*(cand - cand[nxt]).T))
-    return cand[chosen]
+    return minset.sample(N)
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +211,12 @@ def kinetic_matrix(model: CouplingSpec, thr: ThresholdData, basis: TrialBasis):
     of a pair coincide.  Without a ring, lambda_- - kappa is taken by
     subtraction, with 16 angular panels on every decade, for every ordered
     pair.  Each half-plane's radial end R and the closed-form tail past it
-    (``_radial_end``) are fixed first; the radial nodes of the decades up to
-    the largest R are then built once and shared by every half-plane.
+    (``_radial_end``) are fixed first; the radial nodes of the decades from
+    the profile's edge rho = 1e-12 up to the largest R are then built once
+    and shared by every half-plane.  A ring diagonal takes what lies below
+    1e-12 from Parseval's |grad f_a|^2 = pi a / 2, so every a takes about
+    20 decades; as a -> 0, T_jj / a -> (pi/2)(1 - 1/e) and
+    T_jk / a -> (pi/2)(1 - 2/e).
     """
     pts = basis.points
     n = len(pts)
@@ -263,9 +247,6 @@ _NEAR_RULE = uniform_rule(0.0, 1.0, 16, 8)
 _FAR_RULE = uniform_rule(0.0, 1.0, 2, 8)
 # deep rings: rho <= _DEEP min(r0, d / 2) (_DEEP r0 on the diagonal)
 _DEEP = 1e-2
-# decades evaluated together on the deep and the far rings: 8 decades x 32
-# rings x 16 angles, no more nodes than one decade of the 16-panel rule
-_CHUNK_DECADES = 8
 # the omitted part of a half-plane's tail is bounded by _TAIL_TOL pi a / 2,
 # where pi a / 2 = |grad f_a|^2 bounds every T_jj; _TAIL_TERMS coefficients
 # of fhat's power series are at hand for the closed form
@@ -384,31 +365,37 @@ def _kinetic_halfplane(model, kappa, prof, center, other, r0, decades, end):
     """Polar integral about `center`, restricted to its bisector half-plane.
 
     rho = |p - center| runs over the ``decades`` of ``_decade_rules`` that
-    start below R, and the closed-form tail past R is added, where
-    ``end`` = (R, tail) comes from ``_radial_end``.  On a ring band (``r0``,
-    see ``kinetic_matrix``) the gap is ``_ring_gap`` about the stored point,
-    which ``trial_basis`` put on the ring |center| = r0, and the rings fall
-    in three angular zones:
+    start below R, from the table's edge 1e-12, and the closed-form tail
+    past R is added, where ``end`` = (R, tail) comes from ``_radial_end``.
+    On a ring band (``r0``, see ``kinetic_matrix``) the gap is ``_ring_gap``
+    about the stored point, which ``trial_basis`` put on the ring
+    |center| = r0, and the rings fall in three angular zones:
 
-    - deep, rho <= 1e-2 min(r0, d / 2) (1e-2 r0 on the diagonal): the
-      bisector cuts no ring, and the integrand is a trigonometric
-      polynomial in the angle whose degree-k terms fall like (rho / r0)^k
-      and (rho / d)^k, which a 16-point periodic trapezoid integrates to
-      rounding (Trefethen and Weideman, SIAM Rev. 56 (2014) 385), eight
-      decades at a time.  2 x 8 Gauss-Legendre panels err by 5e-10 on
-      cos 2 theta there;
+    - deep, rho <= 1e-2 min(r0, d / 2) (1e-2 r0 on the diagonal), about
+      10 decades: the bisector cuts no ring, and the integrand is a
+      trigonometric polynomial in the angle whose degree-k terms fall like
+      (rho / r0)^k and (rho / d)^k, which a 16-point periodic trapezoid
+      integrates to rounding (Trefethen and Weideman, SIAM Rev. 56 (2014)
+      385), all in one block.  2 x 8 Gauss-Legendre panels err by 5e-10
+      on cos 2 theta there;
     - from there to the guard radius 10 (1 + |center| + d): 16 panels of 8
       nodes, one decade at a time;
-    - past the guard the integrand is analytic in the angle, and 2 panels
-      of 8 nodes take each ring, eight decades at a time.
+    - past the guard, at most about 10 decades to R, the integrand is
+      analytic in the angle, and 2 panels of 8 nodes take each ring, all
+      in one block.
 
-    At a = 0.05, N = 4 on Rashba alpha = 2 that is 131,840 integrand
-    nodes; on Rashba alpha = 2 and Dresselhaus alpha = 3, N = 4 and 6, a =
-    0.4 to 0.025, T is within 3.4e-16 relative of 16 panels on every decade
-    to the same R.  Any other band takes lambda_- - kappa by subtraction,
-    with the values below its rounding noise clamped to 0, and 16 panels on
-    every decade.  Rings that the bisector cuts nowhere share one row of
-    angles.
+    Off the diagonal the integrand falls like rho^(2-a) per e-fold below
+    the table.  The ring diagonal's head there is half of Parseval's
+    2 pi int_0^inf rho^3 fhat^2 d rho = pi a / 2 less the same integral over
+    the decades and the tail, since the ring gap's angular mean is rho^2 / 2
+    to order (rho / r0)^2; at a = 0.4 it is the quadrature's 6.8e-10 of
+    T_jj.  N = 4 on Rashba alpha = 2 takes 74,240 to 81,920 integrand nodes
+    at every a; on Rashba alpha = 2 and Dresselhaus alpha = 3, N = 4 and 6,
+    a = 0.4 to 0.025, T is within 3.4e-16 relative of 16 panels on every
+    decade.  Any other band takes lambda_- - kappa by subtraction, with the
+    values below its rounding noise (every ring below rho ~ 1e-7, hence no
+    head) clamped to 0, and 16 panels on every decade.  Rings that the
+    bisector cuts nowhere share one row of angles.
     """
     if other is None:
         # the angular rule starts at arg(center), so it turns with the point
@@ -425,10 +412,11 @@ def _kinetic_halfplane(model, kappa, prof, center, other, r0, decades, end):
     else:
         deep = int(np.searchsorted(hi, _DEEP * (r0 if other is None else min(r0, 0.5 * d)),
                                    side="right"))
-        near = int(np.searchsorted(lo, _guard_radius(center, d)))
-    bounds = (list(range(0, deep, _CHUNK_DECADES)) + list(range(deep, near))
-              + list(range(near, stop, _CHUNK_DECADES)) + [stop])
-    total = 0.0
+        near = max(deep, min(stop, int(np.searchsorted(lo, _guard_radius(center, d)))))
+    # the deep and the far zone are one block each, the decades between
+    # one at a time
+    bounds = sorted({0, deep, near, stop}.union(range(deep, near)))
+    total = parseval = 0.0
     for first, last in zip(bounds, bounds[1:]):
         rho, w_rho = rho_all[start[first]:start[last]], w_all[start[first]:start[last]]
         t_ref, w_ref = (_DEEP_RULE if first < deep else
@@ -459,11 +447,16 @@ def _kinetic_halfplane(model, kappa, prof, center, other, r0, decades, end):
         f_c = prof(rho)[:, None]
         if other is None:
             f_o = f_c
+            parseval += float(np.sum(w_rho * rho * (rho * f_c[:, 0]) ** 2))
         else:
             f_o = prof(np.hypot(px - other[0], py - other[1]))
         # group so extremes cancel before they overflow: gap grows like
         # rho^2 while fhat decays like rho^-(2+a)
         total += float(np.sum((w_rho[:, None] * w_ang * rho[:, None]) * ((gap * f_c) * f_o)))
+    if other is None and r0 is not None:
+        # below the table the ring gap's angular mean is rho^2 / 2, and
+        # 2 pi int_0^inf rho^3 fhat^2 d rho = |grad f_a|^2 = pi a / 2
+        total += 0.5 * (0.5 * np.pi * prof.a - 2.0 * np.pi * parseval - tail)
     return total + tail
 
 
@@ -560,23 +553,24 @@ class _ModeTable:
     c_m is smooth in log rho on either side of the ring rho = |p_j| where
     the band vector direction passes through the origin; the two sides are
     fitted apart and joined at the ring, so the kink is never interpolated
-    across (a point on the ring takes the inner side).  ``lo`` and ``hi``
-    are the table's edges and ``rj`` the kink radius (None when off the
-    table).  The table ends one decade (32 points) past ``reach``, the
-    largest rho read, so the spline's end condition stays clear of it.
+    across (a point on the ring takes the inner side).  The table's nodes
+    are the points 10^(k/32) from ``lo``, the lowest rho read, not the
+    profile's edge, to one decade past ``reach``, the largest rho read, so
+    the spline's end condition stays clear of it; tables with other ends
+    share those nodes.  ``lo`` and ``hi`` are the table's edges and ``rj``
+    the kink radius (None when off the table).
     """
 
-    def __init__(self, model, pj, prof, m_arr, reach):
+    def __init__(self, model, pj, m_arr, lo, reach):
         rj = float(np.hypot(*pj))
-        lo = max(prof.rho_lo, 1e-12 * (1.0 + rj))
-        grid = np.geomspace(lo, prof.rho_hi, int(32 * np.log10(prof.rho_hi / lo)) + 2)
-        grid = grid[:np.searchsorted(grid, reach) + 33]
-        hi = grid[-1]
+        powers = np.arange(np.floor(32.0 * np.log10(lo)), np.ceil(32.0 * np.log10(reach)) + 33)
+        grid = 10.0 ** (powers / 32.0)
+        lo, hi = grid[0], grid[-1]
         self.rj = rj if lo < rj < hi else None
         if self.rj is not None:
             grid = merge_edges(grid, _kink_ring(rj, lo, hi))
         cm = _angular_modes(model, pj, grid, m_arr)
-        self.lo, self.hi = grid[0], grid[-1]
+        self.lo, self.hi = lo, hi
         log_grid = np.log(grid)
         if self.rj is None:
             self._spline = cubic_spline(log_grid, cm)
@@ -593,11 +587,12 @@ class _ModeTable:
 def _radius_modes(model, pj, prof, radii, m_arr):
     """R_m(r) at the sorted distinct radii; the mode table dies on return."""
     pos = radii[radii > 0.0]
-    # every positive radius takes the FFTLog rule, whose samples reach
-    # 1e4 / r past the least one; r = 0 reads c_0 up to the profile's end
+    # every positive radius takes the FFTLog rule, whose samples run from
+    # 1e-6 / r_max to 1e4 / r_min past it; r = 0 reads c_0 from 1e-6, where
+    # c_0 = O(rho^2) leaves O(1e-12) below, up to the profile's end
     rho_hi = max(1.0e5, 1.0e4 / pos[0]) if len(pos) else 0.0
-    modes = _ModeTable(model, pj, prof, m_arr,
-                       prof.rho_hi if radii[0] == 0.0 else rho_hi)
+    modes = _ModeTable(model, pj, m_arr, 1e-6 / max(radii[-1], 1.0),
+                       prof.rho_hi if radii[0] == 0.0 else min(rho_hi, prof.rho_hi))
     R = np.zeros((len(radii), len(m_arr)), dtype=complex)
     if len(pos):
         # the kink of c_m on the ring rho = |p_j| makes R_m(r) turn by about
@@ -761,11 +756,14 @@ def _hankel_fftlog(modes, prof, radii, m_arr, rho_hi, step, out):
 def _origin_mode(modes, prof, m_arr):
     """R_m(0) = delta_m0 int c_0 fhat rho d rho, since J_m(0) = delta_m0.
 
-    Log panels run to the table's end, with edges clustered on the kink
-    ring; past it g = c_0 fhat rho ~ rho^-(1+a) leaves the tail g(P) P / a.
+    Log panels on the quarter decades 10^(k/4) run over the table, with
+    edges clustered on the kink ring, so tables with other ends share
+    them; past its end g = c_0 fhat rho ~ rho^-(1+a) leaves the tail
+    g(P) P / a.
     """
     lo, hi = modes.lo, modes.hi
-    edge_sets = [np.geomspace(lo, hi, 4 * int(np.ceil(np.log10(hi / lo))) + 1)]
+    quarters = np.arange(np.ceil(4.0 * np.log10(lo) - 1e-9), np.floor(4.0 * np.log10(hi)) + 1)
+    edge_sets = [[lo], 10.0 ** (quarters / 4.0), [hi]]
     if modes.rj is not None:
         edge_sets.append(_kink_ring(modes.rj, lo, hi))
     rho, w = panel_rule(merge_edges(*edge_sets), 6)
@@ -802,9 +800,9 @@ class CertificateResult:
     diagnostics: tuple
 
 
-def certify_problems(N, a_schedule, point_strategy, potential_form, points):
+def certify_problems(N, a_schedule, potential_form, points):
     """Every problem with ``certify``'s arguments, as messages; [] when none."""
-    problems = _selection_problems(N, point_strategy)
+    problems = _selection_problems(N)
     schedule = [float(a) for a in a_schedule]
     if not schedule:
         problems.append("a_schedule must not be empty")
@@ -821,24 +819,24 @@ def certify_problems(N, a_schedule, point_strategy, potential_form, points):
 
 
 def certify(model: CouplingSpec, thr: ThresholdData, nu, N,
-            a_schedule=DEFAULT_A_SCHEDULE, point_strategy="equispaced",
-            potential_form="exact", points=None) -> CertificateResult:
+            a_schedule=DEFAULT_A_SCHEDULE, potential_form="exact",
+            points=None) -> CertificateResult:
     """Try each a of the schedule until Q = T + W on N trial points is negative definite.
 
     Each eigenvalue of Q below -TOL_DEF max(1, |Q|_F) certifies one
     eigenvalue of H below kappa; ``certified_count`` is the most at one step
     run.  ``points`` are N trial momenta on the minimum set, [x, y] pairs;
-    without them ``point_strategy`` picks N.  Raises ConfigError listing
+    without them N equispaced points are taken.  Raises ConfigError listing
     every problem of ``certify_problems``.
     """
-    problems = certify_problems(N, a_schedule, point_strategy, potential_form, points)
+    problems = certify_problems(N, a_schedule, potential_form, points)
     if problems:
         raise ConfigError(problems)
     schedule = [float(a) for a in a_schedule]
     if points is not None:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
     else:
-        pts = select_points(thr.minset, N, point_strategy)
+        pts = select_points(thr.minset, N)
     precheck = definiteness(fourier_matrix(nu, pts))
 
     steps = []

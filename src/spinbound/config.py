@@ -196,7 +196,7 @@ _NUMBERS = (_numbers, "a list of finite numbers")
 _RUN_SECTIONS = {
     "certify": (certify, certify_problems, {
         "N": _NUMBER, "a_schedule": _NUMBERS,
-        "point_strategy": None, "potential_form": None,
+        "potential_form": None,
         "points": (lambda v: isinstance(v, list) and all(map(_pair, v)),
                    "a list of finite [x, y] pairs")}),
     "oracle": (convergence_sweep, sweep_problems,

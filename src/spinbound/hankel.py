@@ -3,7 +3,9 @@
 Under the unitary 2D convention the transform of a radial function is the
 order-zero Hankel transform fhat(rho) = int_0^inf r J0(rho r) exp(-r^a/2) dr.
 It is the density of a 2D isotropic a-stable law, and is tabulated once per
-exponent on a log rho grid.  The Gaussian exp(-rho^2/2) at a = 2 is its
+exponent on a log rho grid from 1e-12, the same edge for every a; every a
+in (2e-280, 2] builds, and below that the tail fhat ~ (a / 2) rho^-2
+underflows before rho = 1.  The Gaussian exp(-rho^2/2) at a = 2 is its
 closed form; every other exponent is tabulated by the rotated-contour
 quadrature.  Direct oscillatory quadrature is hopeless because for small
 a the envelope decays over astronomically wide ranges of r, so the
@@ -25,10 +27,12 @@ and 1.9 it is within 1e-13 of a 20-digit mpmath quadrature at
 8 <= rho <= 30.
 
 The table is interpolated log-log by a not-a-knot cubic spline
-(``spline.cubic_spline``).  Below the table the first value is held;
-above it the spline's end slope carries the log-log line on (it
-approximates the power-law tail fhat ~ C * rho^-(2+a), e.g.
--2.3999999999939363 at a = 0.4), and the Gaussian (a = 2) is zero there.
+(``spline.cubic_spline``), off by at most 2.3e-13 (a = 0.025), 1.2e-8
+(0.4), 7.5e-8 (0.9), 3.8e-7 (1.5) and 6.7e-6 (1.9) between the nodes.
+Below the table the first value is held; above it the spline's end slope
+carries the log-log line on (it approximates the power-law tail
+fhat ~ C * rho^-(2+a), e.g. -2.3999999999939363 at a = 0.4), and the
+Gaussian (a = 2) is zero there.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from .spline import cubic_spline
 
 _EXP_CUTOFF = 45.0  # e^-45 ~ 3e-20 of peak
 _TABLE_SIZE = 4096   # log rho nodes per profile
+_RHO_LO = 1e-12      # the table's lower edge, for every exponent
 
 # K0: the power series' reach and term count, and the exponent past which
 # the integral representation's trapezoid rule stops
@@ -100,8 +105,8 @@ def _k0(w):
 def _contour_cuts(a):
     """Per-exponent constants of the rotated-contour rule.
 
-    Returns (theta, c_env, s_env, s_env_cut, s_floor).  The contour turns by
-    theta = min(pi/2, pi/(3a)), and c_env, s_env are cos and sin of
+    Returns (theta, c_env, s_env, ln s_env_cut, ln s_floor).  The contour
+    turns by theta = min(pi/2, pi/(3a)), and c_env, s_env are cos and sin of
     a theta (c_env >= 1/2).  In u = s^a the integrand is about
     u^(2/a - 1) exp(-c_env u / 2), so the envelope cut u_cut solves
     (c_env/2) u - (2/a) ln u = _EXP_CUTOFF by fixed-point iteration (the
@@ -116,9 +121,9 @@ def _contour_cuts(a):
     u_cut = 2.0 * _EXP_CUTOFF / c_env
     for _ in range(40):
         u_cut = (2.0 / c_env) * (_EXP_CUTOFF + (2.0 / a) * np.log(u_cut))
-    u_star = 4.0 / (a * c_env)
-    return (theta, c_env, s_env, u_cut ** (1.0 / a),
-            (u_star * np.exp(-1.0 - 22.5 * a)) ** (1.0 / a))
+    ln_u_star = math.log(4.0 / c_env) - math.log(a)
+    return (theta, c_env, s_env, math.log(u_cut) / a,
+            (ln_u_star - 1.0 - 22.5 * a) / a)
 
 
 def _contour_values(a, rho, step):
@@ -135,29 +140,29 @@ def _contour_values(a, rho, step):
 
     Node i sums over [s_lo, s_up]: s_up is the nearer of the envelope cut
     and the kernel cut _EXP_CUTOFF / (rho sin theta), and
-    s_lo = min(1e-12 s_up, s_floor).  Where the envelope sets s_up the
+    s_lo = min(1e-12 s_up, s_floor), in ln s: for rho >= 1e-12 the kernel
+    cut keeps s below 4.5e13 at any a.  Where the envelope sets s_up the
     window is one range of j for every node; where the kernel does, it is
     one range of k, widened to the lowest s_lo among those nodes.  So each
     group of nodes is one direct correlation of the two tables
     (np.correlate); an FFT's rounding is absolute and would swamp the
-    rho^(-2-a) tail.
+    rho^(-2-a) tail.  Where rho s_env_cut < 1 the sum drops its ln rho
+    term, a zero integral whose rounding ln rho would multiply.
     """
-    theta, c_env, s_env, s_env_cut, s_floor = _contour_cuts(a)
-    s_kernel_cut = _EXP_CUTOFF / (rho * np.sin(theta))
-    s_up = np.minimum(s_env_cut, s_kernel_cut)
-    if not np.all(np.isfinite(s_up)):
-        raise ResolutionError(
-            "exponent a=%g too small for the contour quadrature" % a)
-    s_lo = np.minimum(1e-12 * s_up, s_floor)
-    ln_rho0 = math.log(rho[0])
-    i = np.rint((np.log(rho) - ln_rho0) / step).astype(int)
-    j_lo = np.floor((np.log(s_lo) + ln_rho0) / step).astype(int)
-    j_up = np.floor((np.log(s_up) + ln_rho0) / step).astype(int)
+    theta, c_env, s_env, ln_env_cut, ln_floor = _contour_cuts(a)
+    ln_rho = np.log(rho)
+    ln_kernel_cut = math.log(_EXP_CUTOFF / math.sin(theta)) - ln_rho
+    ln_up = np.minimum(ln_env_cut, ln_kernel_cut)
+    ln_lo = np.minimum(ln_up + math.log(1e-12), ln_floor)
+    ln_rho0 = ln_rho[0]
+    i = np.rint((ln_rho - ln_rho0) / step).astype(int)
+    j_lo = np.floor((ln_lo + ln_rho0) / step).astype(int)
+    j_up = np.floor((ln_up + ln_rho0) / step).astype(int)
 
     # envelope-limited nodes share one window of j, kernel-limited nodes one
     # window of k = i + j; each window is the hull of its nodes' ranges
     groups = []
-    kernel_limited = s_kernel_cut < s_env_cut
+    kernel_limited = ln_kernel_cut < ln_env_cut
     for by_kernel in (False, True):
         nodes = kernel_limited == by_kernel
         if not nodes.any():
@@ -174,8 +179,6 @@ def _contour_values(a, rho, step):
     j_first, j_last = min(g[4][0] for g in groups), max(g[4][1] for g in groups)
     x = np.exp(step * np.arange(k_first, k_last + 1))
     s = np.exp(step * np.arange(j_first, j_last + 1) - ln_rho0)
-    # weight times s first: below a ~ 0.017 this product overflows, which
-    # FhatProfile reports as a ResolutionError
     ws = step * s * s
     sa = s ** a
     # H1_0(z) = -(2i/pi) K0(-i z); at theta = pi/2, Re[e^{2 i theta} ...]
@@ -211,17 +214,16 @@ def _contour_values(a, rho, step):
             # sum_j kernel[i + j] env[j]: the envelope window slides over the kernel
             es = env[j_win[0] - j_first:j_win[1] - j_first + 1]
             sums = np.correlate(ks, np.conj(es), "valid")[ni - ni.min()]
+            # the kernel is -unit ln(rho s) + O(1) there, and fhat has no
+            # ln rho term: unit sum_j env[j] is 0 but for 1e-14 of rounding
+            ln_small = np.where(ln_rho[nodes] < -ln_env_cut, ln_rho[nodes], 0.0)
+            sums += (1.0 if real_k0 else -2j / np.pi) * np.sum(es) * ln_small
         out[nodes] = (2.0 / np.pi) * sums if real_k0 else np.real(np.exp(2j * theta) * sums)
     return out
 
 
 def _table(a):
-    """Log-spaced rho grid and the profile's values on it."""
-    # the transform flattens out below 1/sqrt(<r^2>), which for small a
-    # sits far below 1/<r> (heavy-tailed weight); anchor the grid there
-    r2_scale = math.exp(math.log(2.0) / a
-                        + 0.5 * (math.lgamma(4.0 / a) - math.lgamma(2.0 / a)))
-    ln_lo = math.log(1e-4 / r2_scale)
+    """Log-spaced rho grid on the window [_RHO_LO, rho_hi] and the profile's values on it."""
     # the power-law tail regime starts around rho^(-a) << 1, which for
     # small a is astronomically far out; carry the table far enough that
     # the slowly-converging tail is resolved rather than extrapolated,
@@ -229,7 +231,12 @@ def _table(a):
     rho_hi = min(1e110, (0.5 * a * 1e280) ** (1.0 / (2.0 + a)))
     if a == 2.0:
         rho_hi = 37.0  # Gaussian tail below 1e-300 past here
-    # nodes on the contour rule's own lattice ln rho_lo + i step
+    if rho_hi < 1.0:
+        # below a = 2e-280 the tail fhat ~ (a / 2) rho^-2 is subnormal before rho = 1
+        raise ResolutionError("bump exponent a=%g is too small: its profile's tail "
+                              "underflows before rho = 1" % a)
+    # nodes on the contour rule's own lattice ln _RHO_LO + i step
+    ln_lo = math.log(_RHO_LO)
     step = (math.log(rho_hi) - ln_lo) / (_TABLE_SIZE - 1)
     grid = np.exp(ln_lo + step * np.arange(_TABLE_SIZE))
     if a == 2.0:
@@ -250,14 +257,7 @@ class FhatProfile:
         if not (0.0 < a <= 2.0):
             raise ConfigError("bump exponent a must lie in (0, 2]")
         self.a = float(a)
-        try:
-            # below a ~ 0.017 the scales and the contour rule overflow in
-            # double precision; raised here, so no warning is emitted
-            with np.errstate(over="raise", divide="raise", invalid="raise"):
-                grid, vals = _table(self.a)
-        except ArithmeticError as exc:
-            raise ResolutionError(
-                "bump profile at a=%g cannot be tabulated: %s" % (a, exc)) from exc
+        grid, vals = _table(self.a)
         self.rho_lo, self.rho_hi = float(grid[0]), float(grid[-1])
         self._grid = grid
         self._vals = vals

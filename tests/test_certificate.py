@@ -75,10 +75,8 @@ def test_select_points_examples():
     cloud = PointCloud(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), 1e-8)
     with pytest.raises(CapacityError):
         select_points(cloud, 4)
-    far = select_points(cloud, 2, strategy="farthest_point")
-    assert len(far) == 2
     with pytest.raises(ConfigError):
-        select_points(circle, 2, strategy="mystery")
+        select_points(circle, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +206,8 @@ def _reference_halfplane(model, kappa, prof, center, other, r0):
     The decades run to the radial end R of ``_radial_end``, and its
     closed-form tail past R is added.  With ``r0`` (a ring band) the gap is
     (|p| - r0)^2 in the bump's own coordinates, ((2 c.q + rho^2) /
-    (|c + q| + r0))^2 about c = r0 center / |center|; without it,
+    (|c + q| + r0))^2 about c = r0 center / |center|, and the diagonal
+    adds the head below the table from Parseval; without it,
     lambda_-(p) - kappa with its rounding noise clamped to 0.
     """
     if other is None:
@@ -218,7 +217,7 @@ def _reference_halfplane(model, kappa, prof, center, other, r0):
         axis = float(np.arctan2(other[1] - center[1], other[0] - center[0]))
     t_ref, w_ref = uniform_rule(0.0, 1.0, 16, 8)
     R, tail = _radial_end(prof, kappa, center, other)
-    total = 0.0
+    total = parseval = 0.0
     k_lo = int(np.floor(np.log10(prof.rho_lo)))
     k_hi = int(np.ceil(np.log10(prof.rho_hi)))
     for k in range(k_lo, k_hi):
@@ -252,6 +251,9 @@ def _reference_halfplane(model, kappa, prof, center, other, r0):
         f_c = prof(rho)[:, None]
         f_o = f_c if other is None else prof(np.hypot(px - other[0], py - other[1]))
         total += float(np.sum((w_rho[:, None] * w_ang * rho[:, None]) * ((gap * f_c) * f_o)))
+        parseval += float(np.sum(w_rho * rho * (rho * f_c[:, 0]) ** 2))
+    if other is None and r0 is not None:
+        total += 0.5 * (0.5 * np.pi * prof.a - 2.0 * np.pi * parseval - tail)
     return total + tail
 
 
@@ -340,20 +342,33 @@ def test_kinetic_tail_matches_the_whole_table(rashba2, thr2, a):
         assert 0.0 <= value - full <= 1e-10 * full
 
 
-def test_kinetic_matrix_down_to_the_profile_floor(rashba2, thr2):
-    # the radial end is fixed before the sum, so nothing can fail to
-    # converge: every a the profile tabulates takes about 10 decades past 1
+@pytest.mark.parametrize("a", [0.017, 1e-3, 5.8e-4, 6e-6, 1e-100])
+def test_kinetic_matrix_below_the_old_floor(rashba2, thr2, a):
+    # every exponent tabulates on one window, which used to overflow below
+    # a = 0.01704, and the diagonal takes its head below the window from
+    # Parseval
     pts = select_points(thr2.minset, 4)
-    for a in np.arange(0.0175, 0.02501, 0.0005):
-        t = kinetic_matrix(rashba2, thr2, trial_basis(rashba2, thr2, pts, a))
-        assert np.all(np.isfinite(t)) and 0.0 < t[0, 0] < 0.5 * np.pi * a
+    t = kinetic_matrix(rashba2, thr2, trial_basis(rashba2, thr2, pts, a))
+    assert np.all(np.isfinite(t)) and 0.0 < t[0, 0] < 0.5 * np.pi * a
 
 
-def test_kinetic_work_count(rashba2, thr2, monkeypatch):
-    # at a = 0.05 a half-plane visits 56 decades, to R = 1e10: 43 or 44
-    # deep ones at 16 angles per ring, 4 or 5 more below the guard radius at
-    # 128, and 8 past it at 16: 131,840 gap nodes for four points, against
-    # 595,968 with 128 angles on every decade below the guard
+def test_kinetic_limits_as_a_goes_to_zero(rashba2, thr2):
+    # c_n / a -> (-1)^(n+1) n 2^-n / n! as a -> 0, so the share of
+    # |grad f_a|^2 = pi a / 2 past any fixed rho tends to
+    # int_0^1 t e^-t dt = 1 - 2/e, and the rest sits on rings rho << 1.
+    # There the ring gap has the angular mean rho^2 / 2 and the other
+    # point's fhat is 0: T_jj / a -> (pi/2)(1 - 1/e) and T_jk / a ->
+    # (pi/2)(1 - 2/e).  At a = 6e-6 they are 0.992929 and 0.415065
+    pts = select_points(thr2.minset, 4)
+    a = 6e-6
+    t = kinetic_matrix(rashba2, thr2, trial_basis(rashba2, thr2, pts, a)) / a
+    off = ~np.eye(4, dtype=bool)
+    assert np.max(np.abs(np.diag(t) - 0.5 * np.pi * (1.0 - 1.0 / np.e))) < 2e-5
+    assert np.max(np.abs(t[off] - 0.5 * np.pi * (1.0 - 2.0 / np.e))) < 2e-5
+
+
+def _gap_nodes(model, thr, pts, a, monkeypatch):
+    """The ring-gap integrand nodes of one kinetic matrix."""
     nodes = []
 
     def counted(c, r0, rho, qx, qy):
@@ -361,14 +376,33 @@ def test_kinetic_work_count(rashba2, thr2, monkeypatch):
         return _ring_gap(c, r0, rho, qx, qy)
 
     monkeypatch.setattr(certificate, "_ring_gap", counted)
-    basis = trial_basis(rashba2, thr2, select_points(thr2.minset, 4), 0.05)
-    kinetic_matrix(rashba2, thr2, basis)
-    assert 0 < sum(nodes) <= 210_000
+    kinetic_matrix(model, thr, trial_basis(model, thr, pts, a))
+    return sum(nodes)
+
+
+@pytest.mark.parametrize("a", [0.4, 0.025, 6e-6])
+def test_kinetic_work_is_flat_in_a(rashba2, thr2, monkeypatch, a):
+    # the window's 10 deep decades, the decades to the guard and the far
+    # zone to R: 74,240 gap nodes at a = 0.4, 80,384 at 0.025 and 81,920
+    # at 6e-6 for four points, where a table anchored per exponent took
+    # 214,016 at a = 0.025
+    assert 0 < _gap_nodes(rashba2, thr2, select_points(thr2.minset, 4), a,
+                          monkeypatch) <= 82_000
+
+
+def test_kinetic_work_count(rashba2, thr2, monkeypatch):
+    # at a = 0.05 a half-plane visits 22 decades, from the window's edge
+    # 1e-12 to R = 1e10: 10 deep ones at 16 angles per ring, 4 or 5 more
+    # below the guard radius at 128, and 8 past it at 16: 80,384 gap nodes
+    # for four points, against 595,968 with 128 angles on every decade
+    # below the guard
+    assert 0 < _gap_nodes(rashba2, thr2, select_points(thr2.minset, 4), 0.05,
+                          monkeypatch) <= 210_000
 
 
 def test_kinetic_memory_peak(rashba2, thr2):
-    # one decade of 32 x 128 nodes, or eight deep or far decades of 32 x
-    # 16, at a time, and the radial nodes of the 56 decades: 0.56 MiB
+    # one decade of 32 x 128 nodes, or the 10 deep or 8 far decades of
+    # 32 x 16, at a time, and the radial nodes of the 22 decades
     basis = trial_basis(rashba2, thr2, select_points(thr2.minset, 4), 0.05)
     tracemalloc.start()
     try:
@@ -519,7 +553,7 @@ def _band_modes(model, a, pj=(1.0, 0.0)):
     pj = np.array(pj)
     m_arr = np.arange(-_M_MAX, _M_MAX + 1)
     prof = fhat_profile(a)
-    return pj, m_arr, prof, _ModeTable(model, pj, prof, m_arr, prof.rho_hi)
+    return pj, m_arr, prof, _ModeTable(model, pj, m_arr, prof.rho_lo, prof.rho_hi)
 
 
 def _kink_cluster(rj, depth):
@@ -578,7 +612,7 @@ def test_radial_modes_tail_at_origin(rashba2):
     # while g = c_0 fhat rho ~ rho^-(1+a) keeps a tail g(p) p / a; at
     # a = 0.025 that tail is a sizeable share of R_0(0).  Reference: the
     # integral to P = 1e6 plus the constant c_0 times the mass past P,
-    # which the identity int fhat rho d rho = f_a(0) = 1 gives
+    # sum_n c_n P^(-n a) / (n a) by fhat's power series
     pj, m_arr, prof, _ = _band_modes(rashba2, 0.025)
     got = _node_modes(rashba2, pj, prof, np.array([0.0]), m_arr)[0]
     assert np.all(got[m_arr != 0] == 0.0)
@@ -590,7 +624,9 @@ def test_radial_modes_tail_at_origin(rashba2):
     mass = w * prof(rho) * rho
     c0 = _angular_modes(rashba2, pj, rho, np.array([0]))[:, 0]
     u1 = lower_band_vectors(rashba2, pj[0], pj[1])[0]
-    ref = np.sum(c0 * mass) - u1 * (1.0 - np.sum(mass))
+    n = np.arange(1, 41)
+    past = np.sum(_series_coefficients(prof.a, 40) * big_p ** (-n * prof.a) / (n * prof.a))
+    ref = np.sum(c0 * mass) - u1 * past
     assert abs(got[_M_MAX] - ref) < 1e-5 * abs(ref)
 
 

@@ -88,21 +88,36 @@ def test_timing_key_is_unknown(tmp_path, capsys):
     assert "unknown key 'timing'" in capsys.readouterr().err
 
 
-def test_certify_exit_untabulable_exponent(tmp_path, capsys):
-    # a valid a whose bump profile overflows is a numerical failure (3),
-    # not a completed run that did not certify (1)
+def test_point_strategy_is_an_unknown_key(tmp_path, capsys):
+    # trial points are N equispaced ones, or certify.points, so there is
+    # no strategy to name, and a config that names one is refused
     doc = _certify_doc()
-    doc["certify"]["a_schedule"] = [0.0125]
+    doc["certify"]["point_strategy"] = "equispaced"
+    assert main(["certify", "-c", _write(tmp_path, "c.json", doc)]) == 2
+    assert "unknown key 'point_strategy'" in capsys.readouterr().err
+
+
+def test_certify_exit_untabulable_exponent(tmp_path, capsys):
+    # a valid a whose bump profile cannot be tabulated (below a = 2e-280
+    # its tail underflows before rho = 1) is a numerical failure (3), not
+    # a completed run that did not certify (1)
+    doc = _certify_doc()
+    doc["certify"]["a_schedule"] = [5e-324]
     assert main(["certify", "-c", _write(tmp_path, "c.json", doc)]) == 3
     assert "numerical failure" in capsys.readouterr().err
 
 
-def test_certify_exit_ok_near_the_profile_floor(tmp_path):
-    # a = 0.022 is above the profile's floor (0.01704), and the kinetic
-    # sum's radial range is fixed by a, so the step runs and certifies
+@pytest.mark.parametrize("kind", ["rashba", "dresselhaus"])
+def test_certify_counts_ten_states_at_small_a(tmp_path, kind):
+    # the README circle with 48 points at a = 2e-4: the Kramers pairs up
+    # to j = +-9/2 sink below the margin, the pair j = +-11/2 not yet, so
+    # 10 of the 48 eigenvalues of Q certify and the run exits 1
     doc = _certify_doc(form="exact")
-    doc["certify"].update(N=4, a_schedule=[0.022])
-    assert main(["certify", "-c", _write(tmp_path, "c.json", doc)]) == 0
+    doc["model"] = {"type": kind, "alpha": 2.0}
+    doc["certify"].update(N=48, a_schedule=[2e-4])
+    out = tmp_path / "report.json"
+    assert main(["certify", "-c", _write(tmp_path, "c.json", doc), "-o", str(out)]) == 1
+    assert json.loads(out.read_text())["certificate"]["certified_count"] == 10
 
 
 def test_module_entry_point_exit_code(tmp_path):
@@ -242,12 +257,11 @@ def test_oracle_subcommand_with_eigenvalues(tmp_path):
 
 @pytest.mark.parametrize("section, key, value", [
     ("certify", "a_schedule", [0.3]),
-    ("certify", "point_strategy", "farthest_point"),
+    ("scan", "samples", 48),
     ("certify", "potential_form", "dropped"),
     ("certify", "points", [[0.0, 1.0], [0.0, -1.0]]),
     ("oracle", "edge_tol", 0.5),
     ("scan", "angles", [0.5]),
-    ("scan", "samples", 48),
 ])
 def test_run_keys_reach_the_call(tmp_path, monkeypatch, section, key, value):
     # a run section is the keyword arguments of one library call: an

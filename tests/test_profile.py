@@ -14,6 +14,7 @@ from spinbound import hankel
 from spinbound.hankel import (FhatProfile, _contour_cuts, _contour_values, _k0,
                               fhat_profile)
 from spinbound.quadrature import merge_edges, panel_rule
+from spinbound.spline import cubic_spline
 
 
 def fhat_at_zero(a):
@@ -68,28 +69,36 @@ def _oracle_fhat(a, rho):
         np.sum(np.sign(phase) * np.exp(ln_mag - peak)))
 
 
+def _r2_moment(a, k=1):
+    """<r^2k> = 2^(2k/a) Gamma((2k+2)/a) / Gamma(2/a) of the weight r exp(-r^a/2)."""
+    return math.exp(2 * k / a * math.log(2.0) + math.lgamma((2 * k + 2) / a)
+                    - math.lgamma(2.0 / a))
+
+
 def test_value_at_zero():
-    # the table starts at rho_lo = 1e-4 / sqrt(<r^2>), where
-    # fhat = fhat(0) (1 - rho^2 <r^2> / 4 + O(rho^4)) = fhat(0) (1 - 2.5e-9)
+    # every table starts at rho_lo = 1e-12, where fhat = fhat(0) (1 -
+    # rho^2 <r^2> / 4 + O(rho^4)); <r^2> is 483,840 at a = 0.4, 24 at a = 1
+    # and 2 at a = 2, so fhat(rho_lo) = fhat(0) to 1.2e-19
     assert fhat_at_zero(1.0) == 4.0
     for a in (0.4, 1.0, 2.0):
         prof = fhat_profile(a)
-        want = fhat_at_zero(a) * (1.0 - 2.5e-9)
-        assert prof(prof.rho_lo) == pytest.approx(want, rel=1e-12)
+        assert prof.rho_lo == pytest.approx(1e-12, rel=1e-14)
+        assert prof(prof.rho_lo) == pytest.approx(fhat_at_zero(a), rel=1e-12)
 
 
-@pytest.mark.parametrize("a", [0.4, 0.2, 0.1])
+@pytest.mark.parametrize("a", [0.4, 0.3, 0.2])
 def test_table_head_against_small_rho_series(a):
     # J0(x) = 1 - x^2/4 + x^4/64 - ...: fhat(rho) = fhat(0) (1 - rho^2 <r^2>/4
-    # + rho^4 <r^4>/64 - ...), with <r^2k> = 2^(2k/a) Gamma((2k+2)/a) / Gamma(2/a).
-    # At rho_lo the rho^4 term is 2.5e-17 (a = 0.4) to 6.3e-14 (a = 0.1),
-    # and the omitted rho^6 term is at most 6.8e-16
+    # + rho^4 <r^4>/64 - ...).  At the first node past 1e-4 / sqrt(<r^2>)
+    # (1.5e-7 at a = 0.4, 5.6e-12 at a = 0.2) the rho^2 term is 2.5e-9 to
+    # 2.8e-9, the rho^4 term 3.2e-17 to 3.8e-16, and the omitted rho^6 term
+    # below 1e-21.  Below a = 0.2 that node lies under the window's edge
     prof = fhat_profile(a)
-    moment = [math.exp(2 * k / a * math.log(2.0) + math.lgamma((2 * k + 2) / a)
-                       - math.lgamma(2.0 / a)) for k in (1, 2)]
-    x = prof.rho_lo ** 2
+    moment = [_r2_moment(a, k) for k in (1, 2)]
+    node = int(np.searchsorted(prof._grid, 1e-4 / math.sqrt(moment[0])))
+    x = prof._grid[node] ** 2
     want = fhat_at_zero(a) * (1.0 - x * moment[0] / 4.0 + x * x * moment[1] / 64.0)
-    assert prof._vals[0] == pytest.approx(want, rel=1e-14, abs=0.0)
+    assert prof._vals[node] == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def _step(prof):
@@ -197,8 +206,8 @@ def _scalar_contour(a, rho, nodes_per_panel=10):
 def test_contour_values_match_scalar_rule(a):
     prof = fhat_profile(a)
     rho, step = prof._grid, _step(prof)
-    theta, _, _, s_env_cut, _ = _contour_cuts(a)
-    kernel_limited = 45.0 / (rho * np.sin(theta)) < s_env_cut
+    theta, _, _, ln_env_cut, _ = _contour_cuts(a)
+    kernel_limited = np.log(45.0 / (rho * np.sin(theta))) < ln_env_cut
     # evenly spread nodes, and the two on each side of the switch from
     # envelope-limited (s_up = s_env_cut) to kernel-limited ranges
     sample = np.linspace(0, rho.size - 1, 24).astype(int)
@@ -251,13 +260,14 @@ def test_contour_values_against_mpmath_past_one(a):
         assert prof._vals[node] == pytest.approx(lattice, rel=1e-14)
 
 
-@pytest.mark.parametrize("a,evaluations", [(0.4, 583), (0.2, 617), (0.1, 664),
-                                           (0.05, 722), (1.5, 808)])
+@pytest.mark.parametrize("a,evaluations", [(0.4, 732), (0.2, 638), (0.1, 404),
+                                           (0.05, 404), (1.5, 1083)])
 def test_contour_kernel_evaluations(a, evaluations, monkeypatch):
     # one kernel value per lattice point of rho s per build, for all 4096
     # nodes.  Per-node Gauss-Legendre panels took 157,960 (a = 0.4) to
     # 682,750 (a = 0.05) kernel values for the low-rho nodes alone, and
-    # 3,254,560 for the 4096 nodes at a = 1.5
+    # 3,254,560 for the 4096 nodes at a = 1.5.  From a = 0.1 down the
+    # kernel cut sets every node's range, so the count no longer grows
     count = []
     kernel = hankel._k0
 
@@ -308,7 +318,8 @@ def test_k0_matches_scipy_across_the_range():
 
 @pytest.mark.parametrize("a", [0.025, 0.05, 0.1, 0.2, 0.4, 0.9, 1.5, 1.9])
 def test_grid_anchor_lgamma_matches_scipy(a):
-    # the table's lower end takes ln Gamma(4/a) - ln Gamma(2/a)
+    # the small-rho moments <r^2k> of the head tests take ln Gamma(4/a) -
+    # ln Gamma(2/a), as the table's per-exponent anchor once did
     for x in (2.0 / a, 4.0 / a):
         assert math.lgamma(x) == pytest.approx(float(gammaln(x)), rel=1e-15)
 
@@ -381,22 +392,22 @@ def _mp_series(mp, a, rhos, terms):
     return np.array(out), np.array(converged)
 
 
-# the first table node at which the power-law series summed in double
-# precision passes a rounding and convergence check; the contour rule and
-# that float sum differed most (up to 3.1e-12) there
-_SERIES_GATE_EDGE = {0.025: 1487, 0.05: 860, 0.1: 459, 0.2: 257, 0.4: 172,
-                     0.7: 163, 0.9: 175}
+# the least rho at which the power-law series summed in double precision
+# passed a rounding and convergence check; the contour rule and that float
+# sum differed most (up to 3.1e-12) there.  At a = 0.025 and 0.05 it lies
+# below the table's window
+_SERIES_GATE_EDGE = {0.025: 1.05e-23, 0.05: 1.91e-13, 0.1: 1.35e-7, 0.2: 2.20e-4,
+                     0.4: 1.16e-2, 0.7: 0.122, 0.9: 0.317}
 
 
 @pytest.mark.parametrize("a", sorted(_SERIES_GATE_EDGE))
 def test_series_against_mpmath(a):
     # every 64th node and the eight from the old gate edge up, wherever
-    # the 60-digit series converges: from node 64-416 up (a = 0.1-0.025)
-    # and from 155-171 (a = 0.7, 0.9).  The worst node is 6.2e-14 off
+    # the 60-digit series converges.  The worst node is 6.2e-14 off
     # (a = 0.4, in the far tail), and the gate-edge nodes 2.4e-14
     mp = pytest.importorskip("mpmath")
     prof = fhat_profile(a)
-    edge = _SERIES_GATE_EDGE[a]
+    edge = int(np.searchsorted(prof._grid, _SERIES_GATE_EDGE[a]))
     sample = np.union1d(np.arange(0, prof._grid.size, 64), np.arange(edge, edge + 8))
     with mp.workdps(60):
         # 800 terms: the tail check sees the last 20
@@ -431,13 +442,35 @@ def test_profile_positive_and_decaying(a):
     assert vals[-1] < 1e-10 * vals[0]
 
 
+def _below_window(prof, k):
+    """int_0^rho_lo rho^(2k-1) fhat^k d rho, fhat carried below the table by the contour rule.
+
+    The rule's lattice runs on down to rho_flat = 1e-4 / sqrt(<r^2>), below
+    which fhat = fhat(0) to 2.5e-9; between the nodes fhat is interpolated
+    log-log by a cubic spline, as in the table.  Below a = 0.2 the window's
+    edge 1e-12 lies above rho_flat, and at a = 0.05 a seventh of the mass
+    and a tenth of int fhat^2 rho^3 d rho lie below it.
+    """
+    flat = min(1e-4 / math.sqrt(_r2_moment(prof.a)), prof.rho_lo)
+    head = fhat_at_zero(prof.a) ** k * flat ** (2 * k) / (2 * k)
+    if flat == prof.rho_lo:
+        return head
+    step = _step(prof)
+    rho = prof.rho_lo * np.exp(-step * np.arange(int(math.log(prof.rho_lo / flat) / step) + 2))
+    rho = rho[::-1]
+    spline = cubic_spline(np.log(rho), np.log(_contour_values(prof.a, rho, step)))
+    r, w = log_rule(rho[0], rho[-1], 16, 8)
+    return (fhat_at_zero(prof.a) ** k * rho[0] ** (2 * k) / (2 * k)
+            + float(np.sum(w * r ** (2 * k - 1) * np.exp(k * spline(np.log(r))))))
+
+
 @pytest.mark.parametrize("a,tol", [(2.0, 1e-8), (1.0, 1e-7), (0.4, 1e-6),
                                    (0.1, 1e-6), (0.05, 1e-6)])
 def test_mass_identity(a, tol):
     # int_0^inf fhat(rho) rho drho = f_a(0) = 1
     prof = fhat_profile(a)
     rho, w = log_rule(prof.rho_lo, prof.rho_hi * (1 - 1e-12), 4096, 8)
-    head = 0.5 * fhat_at_zero(a) * prof.rho_lo ** 2
+    head = _below_window(prof, 1)
     if a == 2.0:
         tail = 0.0
     else:
@@ -454,7 +487,7 @@ def test_dirichlet_identity(a, rtol):
     rho, w = log_rule(prof.rho_lo, prof.rho_hi * (1 - 1e-12), 4096, 8)
     # rho^3 alone overflows at the far end of the table; pair each rho^1.5
     # with one factor of fhat before squaring
-    total = float(np.sum(w * (rho ** 1.5 * prof(rho)) ** 2))
+    total = float(np.sum(w * (rho ** 1.5 * prof(rho)) ** 2)) + _below_window(prof, 2)
     assert total == pytest.approx(0.25 * a, rel=rtol)
 
 
@@ -475,12 +508,56 @@ def test_grad_norm_quadrature_property(a):
     assert grad_norm_sq_quadrature(a) == pytest.approx(0.5 * np.pi * a, rel=1e-6)
 
 
-@pytest.mark.parametrize("a", [0.017, 0.0125, 0.005, 0.001])
+@pytest.mark.parametrize("a", [0.017, 0.0125, 0.005, 0.001, 5.8e-4, 6e-6, 1e-100, 2e-280])
+def test_profile_builds_on_the_window(a):
+    # every exponent tabulates from rho = 1e-12, where a table anchored at
+    # 1e-4 / sqrt(<r^2>) overflowed below a = 0.01704.  The table ends
+    # where fhat ~ (a / 2) rho^-(2+a) reaches 1e-280: at 1e110 down to
+    # a = 1e-60 or so, at 7e89 at a = 1e-100 and at rho = 1 at a = 2e-280
+    prof = FhatProfile(a)
+    assert prof.rho_lo == pytest.approx(1e-12, rel=1e-14) and prof.rho_hi >= 1.0
+    assert np.all(prof._vals > 0.0) and np.all(np.isfinite(prof._vals))
+    assert np.all(np.diff(prof._vals) < 0.0)
+
+
+@pytest.mark.parametrize("a", [1.9e-280, 1e-300, 5e-324])
 def test_untabulable_exponent_raises_typed_error(a):
-    # below a ~ 0.017 the build overflows in double precision; the failure
-    # must be a ResolutionError, with no RuntimeWarning (an error here) first
+    # below a = 2e-280 the tail fhat ~ (a / 2) rho^-2 underflows before
+    # rho = 1, and the table has no window left; the failure must be a
+    # ResolutionError, with no RuntimeWarning (an error here) first
     with pytest.raises(ResolutionError):
         FhatProfile(a)
+
+
+# the largest relative error of the spline at the midpoints of the table's
+# lattice, as measured; it grows with a as the window's ln rho step does
+_MIDPOINT_ERROR = {0.025: 2.3e-13, 0.4: 1.2e-8, 0.9: 7.5e-8, 1.5: 3.8e-7, 1.9: 6.7e-6}
+
+
+@pytest.mark.parametrize("a", sorted(_MIDPOINT_ERROR))
+def test_spline_between_the_nodes(a):
+    # the reference is the contour rule itself on the half-step lattice,
+    # whose odd nodes are the midpoints
+    prof = fhat_profile(a)
+    step = _step(prof)
+    half = prof.rho_lo * np.exp(0.5 * step * np.arange(2 * prof._grid.size - 1))
+    want = _contour_values(a, half, 0.5 * step)
+    assert np.max(np.abs(prof(half[1::2]) / want[1::2] - 1.0)) <= _MIDPOINT_ERROR[a]
+
+
+@pytest.mark.parametrize("a", [0.025, 5.8e-4, 6e-6])
+def test_window_against_mpmath_at_small_a(a):
+    # every 64th node of the window, wherever the 60-digit series
+    # converges: from a = 5.8e-4 down, on every one of them
+    mp = pytest.importorskip("mpmath")
+    prof = fhat_profile(a)
+    sample = np.arange(0, prof._grid.size, 64)
+    with mp.workdps(60):
+        want, converged = _mp_series(mp, a, prof._grid[sample], 800)
+    assert converged.sum() > 0.85 * sample.size
+    if a < 1e-3:
+        assert converged.all()
+    assert np.max(np.abs(prof._vals[sample[converged]] / want[converged] - 1.0)) < 1e-13
 
 
 def test_domain_validation():
