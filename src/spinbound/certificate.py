@@ -9,7 +9,6 @@ eigenvalue below the threshold.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -248,33 +247,13 @@ _FAR_RULE = uniform_rule(0.0, 1.0, 2, 8)
 # deep rings: rho <= _DEEP min(r0, d / 2) (_DEEP r0 on the diagonal)
 _DEEP = 1e-2
 # the omitted part of a half-plane's tail is bounded by _TAIL_TOL pi a / 2,
-# where pi a / 2 = |grad f_a|^2 bounds every T_jj; _TAIL_TERMS coefficients
-# of fhat's power series are at hand for the closed form
+# where pi a / 2 = |grad f_a|^2 bounds every T_jj
 _TAIL_TOL = 1e-10
-_TAIL_TERMS = 40
 
 
 def _guard_radius(center, d):
     """10 (1 + |center| + d): past it the far rings' rule and the tail's bound hold."""
     return 10.0 * (1.0 + float(np.hypot(*center)) + d)
-
-
-def _series_coefficients(a, count):
-    """c_1 .. c_count of fhat(rho) = sum_n c_n rho^-(2 + n a).
-
-    c_n = (-1)^(n+1) (2/pi) sin(pi a n / 2) Gamma(1 + a n / 2)^2 2^(a n - n)
-    / n!, the 2D analogue of Bergstrom's series (Ark. Mat. 2 (1952) 375): it
-    converges for every rho > 0 when a < 1 and is asymptotic for
-    1 <= a < 2.  The sine is taken about the nearest
-    integer, so c_n is exactly 0 where a n / 2 is one (every n at a = 2).
-    """
-    n = np.arange(1, count + 1)
-    t = 0.5 * a * n
-    k = np.rint(t)
-    sine = (-1.0) ** k * np.sin(np.pi * (t - k))
-    log_size = np.array([2.0 * math.lgamma(1.0 + x) - math.lgamma(1.0 + m)
-                         for x, m in zip(t, n)]) + (2.0 * t - n) * _LN2
-    return (-1.0) ** (n + 1) * (2.0 / np.pi) * sine * np.exp(log_size)
 
 
 def _radial_end(prof, kappa, center, other):
@@ -296,58 +275,49 @@ def _radial_end(prof, kappa, center, other):
     - d / (2 R) to the half-plane's angular span pi + 2 arcsin(d / (2 rho)).
 
     R is the first decade edge 10^k at or past the guard radius
-    10 (1 + |c| + d) at which their bound is below _TAIL_TOL pi a / 2,
-    capped at the table's end.  On the schedule's exponents and the README
-    circle that is 1e6 (a = 0.4) to 1e10 (a <= 0.05), about ten decades
-    past 1.  At a = 2 every c_n is 0 and R is the guard's decade edge, or
-    the table's end, past which fhat is 0; past the guard fhat^2 is below
-    e^-100.
+    10 (1 + |c| + d) at which their bound is below _TAIL_TOL pi a / 2.  On
+    the schedule's exponents and the README circle that is 1e6 (a = 0.4)
+    to 1e10 (a <= 0.05), about ten decades past 1.  The coefficients are
+    the profile's own (``FhatProfile.coefficients``), which are also fhat
+    past the table.  At a = 2 every c_n is 0 and R is the guard's decade
+    edge; past the guard fhat^2 is below e^-100.
     """
     a = prof.a
     c = float(np.hypot(*center))
     d = 0.0 if other is None else float(np.hypot(*(other - center)))
     share = 1.0 if other is None else 0.5
-    coeffs = _series_coefficients(a, _TAIL_TERMS)
-    powers = np.convolve(coeffs, coeffs)       # sum_{m+n=s} c_m c_n, s = 2, 3, ...
+    powers = np.convolve(prof.coefficients, prof.coefficients)  # sum_{m+n=s} c_m c_n
     s = np.arange(2, len(powers) + 2)
     tol = _TAIL_TOL * 0.5 * np.pi * a
     k = int(np.ceil(np.log10(_guard_radius(center, d))))
     while True:
-        R = min(10.0 ** k, prof.rho_hi)
+        R = 10.0 ** k
         terms = (share * 2.0 * np.pi) * powers * R ** (-s * a) / (s * a)
         partial = np.cumsum(terms)
         # the largest of the powers past each one: a single power may be 0
         rest = np.maximum.accumulate(np.abs(terms[::-1]))[::-1]
         done = rest[1:] <= np.finfo(float).eps * np.abs(partial[:-1])
-        i = int(np.argmax(done)) if done.any() else len(partial) - 1
+        i = int(np.argmax(done))
         rel = (4.0 * c + 5.0 * d) / R + (c * c + abs(kappa)) / (R * R)
-        if (done.any() and rest[i + 1] + rel * abs(partial[i]) <= tol) or R == prof.rho_hi:
+        if done.any() and rest[i + 1] + rel * abs(partial[i]) <= tol:
             return R, float(partial[i])
         k += 1
 
 
 def _decade_rules(prof, reach):
-    """(lo, hi, start, rho, w): the radial rule of each decade of the table up to ``reach``.
+    """(lo, hi, start, rho, w): the radial rule of each decade from 1e-12 up to ``reach``.
 
     Every kinetic half-plane takes these radial nodes: 4 log panels of 8
-    nodes per decade (fewer where the table cuts a decade short).  Decade i
-    spans [lo[i], hi[i]] and holds the nodes start[i]:start[i + 1]; the
-    decades run to the first whose hi is at or past ``reach``, and their
-    panels come from one ``panel_rule`` call.
+    nodes per decade, from rho_lo = 1e-12 to the first decade whose hi is
+    at or past ``reach``; past the table fhat is Bergstrom's series.
+    Decade i spans [lo[i], hi[i]] and holds the nodes start[i]:start[i + 1],
+    and the panels come from one ``panel_rule`` call.
     """
-    k = range(int(np.floor(np.log10(prof.rho_lo))), int(np.ceil(np.log10(prof.rho_hi))))
-    lo = np.maximum([10.0 ** j for j in k], prof.rho_lo)
-    hi = np.minimum([10.0 ** (j + 1) for j in k], prof.rho_hi)
-    keep = (hi > lo) & (lo < reach)
-    lo, hi = lo[keep], hi[keep]
-    panels = np.maximum(1, np.ceil(np.log10(hi / lo) * 4)).astype(int)
-    edges = [None] * len(lo)
-    for m in np.unique(panels):
-        own = np.flatnonzero(panels == m)
-        for i, row in zip(own, np.geomspace(lo[own], hi[own], m + 1, axis=1)):
-            edges[i] = row[:-1]
-    rho, w = panel_rule(np.concatenate(edges + [hi[-1:]]), 8)
-    return lo, hi, np.concatenate([[0], 8 * np.cumsum(panels)]), rho, w
+    k = range(int(np.floor(np.log10(prof.rho_lo))), int(np.ceil(np.log10(reach))))
+    lo, hi = np.array([(10.0 ** j, 10.0 ** (j + 1)) for j in k if 10.0 ** j < reach]).T
+    edges = np.geomspace(lo, hi, 5, axis=1)[:, :-1]
+    rho, w = panel_rule(np.append(edges, hi[-1]), 8)
+    return lo, hi, 32 * np.arange(len(lo) + 1), rho, w
 
 
 def _ring_gap(c, r0, rho, qx, qy):
@@ -388,11 +358,12 @@ def _kinetic_halfplane(model, kappa, prof, center, other, r0, decades, end):
     the table.  The ring diagonal's head there is half of Parseval's
     2 pi int_0^inf rho^3 fhat^2 d rho = pi a / 2 less the same integral over
     the decades and the tail, since the ring gap's angular mean is rho^2 / 2
-    to order (rho / r0)^2; at a = 0.4 it is the quadrature's 6.8e-10 of
-    T_jj.  N = 4 on Rashba alpha = 2 takes 74,240 to 81,920 integrand nodes
-    at every a; on Rashba alpha = 2 and Dresselhaus alpha = 3, N = 4 and 6,
-    a = 0.4 to 0.025, T is within 3.4e-16 relative of 16 panels on every
-    decade.  Any other band takes lambda_- - kappa by subtraction, with the
+    to order (rho / r0)^2.  It integrates a nonnegative function, so it is
+    cut at 0: at a = 0.4 and 0.2, where fhat is flat below the table, the
+    difference is -4.2e-11 and -2.2e-12 of rounding.  N = 4 on Rashba
+    alpha = 2 takes 74,240 to 81,920 integrand nodes at every a; on Rashba
+    alpha = 2 and Dresselhaus alpha = 3, N = 4 and 6, a = 0.4 to 0.025, T
+    is within 3.4e-16 relative of 16 panels on every decade.  Any other band takes lambda_- - kappa by subtraction, with the
     values below its rounding noise (every ring below rho ~ 1e-7, hence no
     head) clamped to 0, and 16 panels on every decade.  Rings that the
     bisector cuts nowhere share one row of angles.
@@ -455,8 +426,9 @@ def _kinetic_halfplane(model, kappa, prof, center, other, r0, decades, end):
         total += float(np.sum((w_rho[:, None] * w_ang * rho[:, None]) * ((gap * f_c) * f_o)))
     if other is None and r0 is not None:
         # below the table the ring gap's angular mean is rho^2 / 2, and
-        # 2 pi int_0^inf rho^3 fhat^2 d rho = |grad f_a|^2 = pi a / 2
-        total += 0.5 * (0.5 * np.pi * prof.a - 2.0 * np.pi * parseval - tail)
+        # 2 pi int_0^inf rho^3 fhat^2 d rho = |grad f_a|^2 = pi a / 2; the
+        # head integrates a nonnegative function, so its rounding is cut at 0
+        total += 0.5 * max(0.0, 0.5 * np.pi * prof.a - 2.0 * np.pi * parseval - tail)
     return total + tail
 
 
@@ -588,8 +560,9 @@ def _radius_modes(model, pj, prof, radii, m_arr):
     """R_m(r) at the sorted distinct radii; the mode table dies on return."""
     pos = radii[radii > 0.0]
     # every positive radius takes the FFTLog rule, whose samples run from
-    # 1e-6 / r_max to 1e4 / r_min past it; r = 0 reads c_0 from 1e-6, where
-    # c_0 = O(rho^2) leaves O(1e-12) below, up to the profile's end
+    # 1e-6 / max(r_max, 1) to 1e4 / r_min past it; r = 0 reads c_0 from
+    # there, where c_0 = O(rho^2) leaves O(1e-12) below, up to the
+    # profile's end
     rho_hi = max(1.0e5, 1.0e4 / pos[0]) if len(pos) else 0.0
     modes = _ModeTable(model, pj, m_arr, 1e-6 / max(radii[-1], 1.0),
                        prof.rho_hi if radii[0] == 0.0 else min(rho_hi, prof.rho_hi))
@@ -698,20 +671,22 @@ def _hankel_fftlog(modes, prof, radii, m_arr, rho_hi, step, out):
     """R_m at the sorted positive radii into out, by one FFTLog transform per order |m|.
 
     g_m = c_m fhat rho is sampled at ln rho spacing at most ``step``, from
-    1e-6 / r_max to rho_hi >= 1e4 / r_min, and transformed by FFTLog
+    1e-6 / max(r_max, 1), where the mode table starts, to
+    rho_hi >= 1e4 / r_min, and transformed by FFTLog
     (Talman 1978; Hamilton 2000): rfft, times the order's coefficient table
     (``_fftlog_coefficients``, stepped from order to order by the Gamma
     recurrence), irfft.  The output grid is k = 1 / rho reversed, at least
     four decades wider than the radii on each side, and holds k R_m(k),
-    with J_-m = (-1)^m J_m.  Below the grid rho r < 1e-6, where c_0 =
-    O(rho^2) and c_m J_m(rho r) = O(rho^2 r) for m != 0; fhat rho d rho has
-    unit mass, so each integral loses O(1e-12) there.  The lowest decade of samples, where rho r < 1e-5, is tapered
-    to zero, so the transform's periodic wrap in ln rho meets no jump.
+    with J_-m = (-1)^m J_m.  Below the grid rho < 1e-6 and rho r < 1e-6,
+    where c_0 = O(rho^2) and c_m J_m(rho r) = O(rho^2 r) for m != 0; fhat
+    rho d rho has unit mass, so each integral loses O(1e-12) there.  The
+    lowest decade of samples is tapered to zero, so the transform's
+    periodic wrap in ln rho meets no jump.
     Six-point Lagrange interpolation in ln k carries R_m from the output
     rows around each radius to it, a block of radii at a time, so only
     those rows are kept.
     """
-    rho_lo = 1.0e-6 / radii[-1]
+    rho_lo = 1.0e-6 / max(radii[-1], 1.0)
     n = _fast_len(int(np.ceil(np.log(rho_hi / rho_lo) / step)) + 1)
     if n > _MAX_SAMPLES:
         raise ResolutionError("band-correction FFTLog grid needs %d samples, above its "
@@ -756,10 +731,10 @@ def _hankel_fftlog(modes, prof, radii, m_arr, rho_hi, step, out):
 def _origin_mode(modes, prof, m_arr):
     """R_m(0) = delta_m0 int c_0 fhat rho d rho, since J_m(0) = delta_m0.
 
-    Log panels on the quarter decades 10^(k/4) run over the table, with
-    edges clustered on the kink ring, so tables with other ends share
-    them; past its end g = c_0 fhat rho ~ rho^-(1+a) leaves the tail
-    g(P) P / a.
+    Log panels on the quarter decades 10^(k/4) run over the mode table,
+    with edges clustered on the kink ring, so tables with other ends share
+    them.  Past its end P, c_0 is held at c_0(P) and fhat is Bergstrom's
+    series, which leaves the tail c_0(P) sum_n c_n P^(-n a) / (n a).
     """
     lo, hi = modes.lo, modes.hi
     quarters = np.arange(np.ceil(4.0 * np.log10(lo) - 1e-9), np.floor(4.0 * np.log10(hi)) + 1)
@@ -769,7 +744,8 @@ def _origin_mode(modes, prof, m_arr):
     rho, w = panel_rule(merge_edges(*edge_sets), 6)
     zero = m_arr == 0
     g = modes(rho)[:, zero][:, 0] * (prof(rho) * rho)
-    tail = modes(hi)[zero][0] * prof(hi) * hi * hi / prof.a
+    n = np.arange(1, len(prof.coefficients) + 1)
+    tail = modes(hi)[zero][0] * np.sum(prof.coefficients * hi ** (-n * prof.a) / (n * prof.a))
     return np.where(zero, np.sum(w * g) + tail, 0.0)
 
 

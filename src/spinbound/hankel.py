@@ -2,12 +2,13 @@
 
 Under the unitary 2D convention the transform of a radial function is the
 order-zero Hankel transform fhat(rho) = int_0^inf r J0(rho r) exp(-r^a/2) dr.
-It is the density of a 2D isotropic a-stable law, and is tabulated once per
-exponent on a log rho grid from 1e-12, the same edge for every a; every a
-in (2e-280, 2] builds, and below that the tail fhat ~ (a / 2) rho^-2
-underflows before rho = 1.  The Gaussian exp(-rho^2/2) at a = 2 is its
-closed form; every other exponent is tabulated by the rotated-contour
-quadrature.  Direct oscillatory quadrature is hopeless because for small
+It is the density of a 2D isotropic a-stable law, and for every a < 2 it
+is tabulated on one window, 1280 nodes on a log grid over
+rho in [1e-12, 1e12], by the rotated-contour quadrature; the Gaussian
+exp(-rho^2/2) at a = 2 is its closed form at every rho.  Every a down to
+7.35e-284 builds; below it the last value, fhat(1e12) = 3.03e-25 a, is not
+a normal float, and the build raises ``ResolutionError``.
+Direct oscillatory quadrature is hopeless because for small
 a the envelope decays over astronomically wide ranges of r, so the
 contour is rotated into the upper half-plane: with
 theta = min(pi/2, pi/(3a)) the Hankel kernel turns into an exponentially
@@ -27,12 +28,13 @@ and 1.9 it is within 1e-13 of a 20-digit mpmath quadrature at
 8 <= rho <= 30.
 
 The table is interpolated log-log by a not-a-knot cubic spline
-(``spline.cubic_spline``), off by at most 2.3e-13 (a = 0.025), 1.2e-8
-(0.4), 7.5e-8 (0.9), 3.8e-7 (1.5) and 6.7e-6 (1.9) between the nodes.
-Below the table the first value is held; above it the spline's end slope
-carries the log-log line on (it approximates the power-law tail
-fhat ~ C * rho^-(2+a), e.g. -2.3999999999939363 at a = 0.4), and the
-Gaussian (a = 2) is zero there.
+(``spline.cubic_spline``) at the ln rho step 0.0432, off by at most
+3.5e-14 (a = 0.025), 1.9e-9 (0.4), 1.9e-8 (0.9), 1.8e-7 (1.5) and 4.8e-6
+(1.9) between the nodes.  Below the table the first value is held.  Past
+it fhat is Bergstrom's series sum_n c_n rho^-(2 + n a) in 40 terms, whose
+coefficients each profile computes once (``FhatProfile.coefficients``);
+the kinetic tail and the band correction at r = 0 integrate the same
+series.  At rho = 1e12 it meets the table to 1.3e-14 (a = 1.9).
 """
 
 from __future__ import annotations
@@ -45,8 +47,11 @@ from .errors import ConfigError, ResolutionError
 from .spline import cubic_spline
 
 _EXP_CUTOFF = 45.0  # e^-45 ~ 3e-20 of peak
-_TABLE_SIZE = 4096   # log rho nodes per profile
-_RHO_LO = 1e-12      # the table's lower edge, for every exponent
+_TABLE_SIZE = 1280   # log rho nodes per profile
+_RHO_LO = 1e-12      # the table's window, the same for every exponent
+_RHO_HI = 1e12
+_SERIES_TERMS = 40   # Bergstrom's coefficients past the window
+_LN2 = math.log(2.0)
 
 # K0: the power series' reach and term count, and the exponent past which
 # the integral representation's trapezoid rule stops
@@ -222,62 +227,78 @@ def _contour_values(a, rho, step):
     return out
 
 
+def _series_coefficients(a, count):
+    """c_1 .. c_count of fhat(rho) = sum_n c_n rho^-(2 + n a).
+
+    c_n = (-1)^(n+1) (2/pi) sin(pi a n / 2) Gamma(1 + a n / 2)^2 2^(a n - n)
+    / n!, the 2D analogue of Bergstrom's series (Ark. Mat. 2 (1952) 375): it
+    converges for every rho > 0 when a < 1 and is asymptotic for
+    1 <= a < 2.  The sine is taken about the nearest
+    integer, so c_n is exactly 0 where a n / 2 is one (every n at a = 2).
+    """
+    n = np.arange(1, count + 1)
+    t = 0.5 * a * n
+    k = np.rint(t)
+    sine = (-1.0) ** k * np.sin(np.pi * (t - k))
+    log_size = np.array([2.0 * math.lgamma(1.0 + x) - math.lgamma(1.0 + m)
+                         for x, m in zip(t, n)]) + (2.0 * t - n) * _LN2
+    return (-1.0) ** (n + 1) * (2.0 / np.pi) * sine * np.exp(log_size)
+
+
 def _table(a):
-    """Log-spaced rho grid on the window [_RHO_LO, rho_hi] and the profile's values on it."""
-    # the power-law tail regime starts around rho^(-a) << 1, which for
-    # small a is astronomically far out; carry the table far enough that
-    # the slowly-converging tail is resolved rather than extrapolated,
-    # but stop before the ~rho^-(2+a) values go subnormal
-    rho_hi = min(1e110, (0.5 * a * 1e280) ** (1.0 / (2.0 + a)))
-    if a == 2.0:
-        rho_hi = 37.0  # Gaussian tail below 1e-300 past here
-    if rho_hi < 1.0:
-        # below a = 2e-280 the tail fhat ~ (a / 2) rho^-2 is subnormal before rho = 1
-        raise ResolutionError("bump exponent a=%g is too small: its profile's tail "
-                              "underflows before rho = 1" % a)
+    """The window's log-spaced rho grid and the profile's values on it, by the contour rule."""
     # nodes on the contour rule's own lattice ln _RHO_LO + i step
     ln_lo = math.log(_RHO_LO)
-    step = (math.log(rho_hi) - ln_lo) / (_TABLE_SIZE - 1)
+    step = (math.log(_RHO_HI) - ln_lo) / (_TABLE_SIZE - 1)
     grid = np.exp(ln_lo + step * np.arange(_TABLE_SIZE))
-    if a == 2.0:
-        vals = np.exp(-0.5 * grid * grid)
-    else:
-        vals = _contour_values(a, grid, step)
-    if np.any(vals <= 0.0) or not np.all(np.isfinite(vals)):
-        bad = int(np.argmin(vals))
-        raise ResolutionError(
-            "Hankel profile lost positivity at rho=%.3e (a=%.3f)" % (grid[bad], a))
+    vals = _contour_values(a, grid, step)
+    # a lost sign, an overflow, or (below the floor) a tail under the
+    # least normal float
+    normal = (vals >= np.finfo(float).tiny) & (vals < np.inf)
+    if not normal.all():
+        bad = int(np.argmin(normal))
+        raise ResolutionError("bump exponent a=%g has no normal profile value at "
+                              "rho=%.3e" % (a, grid[bad]))
     return grid, vals
 
 
 class FhatProfile:
-    """Tabulated radial transform of exp(-|x|^a/2), extrapolated past the table."""
+    """fhat for one exponent: tabulated on the window, Bergstrom's series past it.
+
+    ``coefficients`` holds c_1 .. c_{_SERIES_TERMS} of the series
+    fhat = sum_n c_n rho^-(2 + n a), computed once per build.  At a = 2 the
+    profile is the closed form exp(-rho^2 / 2) at every rho, and
+    ``rho_hi`` = 37, past which it is below 1e-297.
+    """
 
     def __init__(self, a):
         if not (0.0 < a <= 2.0):
             raise ConfigError("bump exponent a must lie in (0, 2]")
         self.a = float(a)
-        grid, vals = _table(self.a)
-        self.rho_lo, self.rho_hi = float(grid[0]), float(grid[-1])
-        self._grid = grid
-        self._vals = vals
-        self._spline = cubic_spline(np.log(grid), np.log(vals))
-        self._end_slope = float(self._spline(np.log(grid[-1]), 1))
+        self.coefficients = _series_coefficients(self.a, _SERIES_TERMS)
+        self.rho_lo, self.rho_hi = _RHO_LO, _RHO_HI
+        if self.a == 2.0:
+            self.rho_hi = 37.0
+            return
+        self._grid, self._vals = _table(self.a)
+        self._spline = cubic_spline(np.log(self._grid), np.log(self._vals))
 
     def __call__(self, rho):
         rho = np.asarray(rho, dtype=float)
-        out = np.empty(rho.shape, dtype=float)
-        lo = rho <= self._grid[0]
-        hi = rho >= self._grid[-1]
-        mid = ~(lo | hi)
-        out[lo] = self._vals[0]
-        if np.any(mid):
-            out[mid] = np.exp(self._spline(np.log(rho[mid])))
-        if np.any(hi):
-            if self.a == 2.0:
-                out[hi] = 0.0
-            else:
-                out[hi] = self._vals[-1] * (rho[hi] / self._grid[-1]) ** self._end_slope
+        if self.a == 2.0:
+            out = np.exp(-0.5 * rho * rho)
+        else:
+            out = np.empty(rho.shape)
+            far = rho >= self._grid[-1]
+            # below the table the first value is held
+            out[~far] = np.exp(self._spline(np.log(np.maximum(rho[~far], self._grid[0]))))
+            if far.any():
+                # past it, Bergstrom's series by Horner's rule in rho^-a
+                x = rho[far] ** -self.a
+                total = np.zeros_like(x)
+                for c in self.coefficients[::-1]:
+                    total = (total + c) * x
+                out[far] = total / (rho[far] * rho[far])
         return out if out.shape else float(out)
 
 

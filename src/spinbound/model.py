@@ -25,39 +25,34 @@ _SQRT2 = np.sqrt(2.0)
 
 @dataclass(frozen=True)
 class CouplingSpec:
-    """The off-diagonal coupling A(p) plus its asymptotic growth witnesses.
+    """The off-diagonal coupling A(p) plus the reach of the band minimum.
 
-    ``a_growth < 1`` and ``r_growth`` assert |A(p)| <= a_growth * p^2 for
-    |p| > r_growth, which keeps the lower band bounded from below.
+    ``r_growth`` asserts that the lower band's minimum lies within
+    2 r_growth of the origin, where the threshold search looks for it.
     """
 
     kind: str  # "rashba" | "dresselhaus" | "custom"
     alpha: float = 0.0
     evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    a_growth: float = 0.5
     r_growth: float = 1.0
 
     @classmethod
     def rashba(cls, alpha):
         """A(p) = alpha * (p_y + i p_x)."""
-        return cls(kind="rashba", alpha=float(alpha),
-                   a_growth=0.5, r_growth=max(1.0, 2.0 * abs(alpha)))
+        return cls(kind="rashba", alpha=float(alpha), r_growth=max(1.0, 2.0 * abs(alpha)))
 
     @classmethod
     def dresselhaus(cls, alpha):
         """A(p) = -alpha * (p_x + i p_y)."""
         return cls(kind="dresselhaus", alpha=float(alpha),
-                   a_growth=0.5, r_growth=max(1.0, 2.0 * abs(alpha)))
+                   r_growth=max(1.0, 2.0 * abs(alpha)))
 
     @classmethod
-    def custom(cls, evaluator, a_growth, r_growth):
+    def custom(cls, evaluator, r_growth):
         """Arbitrary continuous coupling; evaluator maps (px, py) arrays to complex."""
-        if not (0.0 < a_growth < 1.0):
-            raise ConfigError("a_growth must lie in (0, 1)")
         if r_growth <= 0.0:
             raise ConfigError("r_growth must be positive")
-        return cls(kind="custom", evaluator=evaluator,
-                   a_growth=float(a_growth), r_growth=float(r_growth))
+        return cls(kind="custom", evaluator=evaluator, r_growth=float(r_growth))
 
     def coupling(self, px, py):
         """A(p), vectorized over momentum component arrays."""

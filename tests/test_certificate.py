@@ -12,7 +12,7 @@ from spinbound import certificate
 from spinbound.certificate import (_M_MAX, DEFAULT_A_SCHEDULE, TrialBasis, _decade_rules,
                                    _fast_len, _fftlog, _fftlog_coefficients,
                                    _gate_sample, _kinetic_halfplane, _ModeTable, _radial_end,
-                                   _ring_gap, _series_coefficients,
+                                   _ring_gap,
                                    _angular_modes, _im_loggamma, _pair_scale, _radius_modes,
                                    _turns, certify,
                                    definiteness, kinetic_matrix,
@@ -39,14 +39,14 @@ def _node_modes(model, pj, prof, r_nodes, m_arr):
 def zero_coupling_model():
     return CouplingSpec.custom(
         lambda px, py: np.zeros(np.broadcast(px, py).shape, dtype=complex),
-        a_growth=0.5, r_growth=1.0)
+        r_growth=1.0)
 
 
 def constant_coupling_model():
     # |A| constant => u_minus has a constant phase everywhere
     return CouplingSpec.custom(
         lambda px, py: np.full(np.broadcast(px, py).shape, 0.5j, dtype=complex),
-        a_growth=0.5, r_growth=1.0)
+        r_growth=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -200,15 +200,16 @@ def _rotated(pts, turn):
     return pts @ np.array([[c, s], [-s, c]])
 
 
-def _reference_halfplane(model, kappa, prof, center, other, r0):
+def _reference_halfplane(model, kappa, prof, center, other, r0, head=True):
     """The half-plane integral with 16 angular panels of 8 on every decade.
 
     The decades run to the radial end R of ``_radial_end``, and its
     closed-form tail past R is added.  With ``r0`` (a ring band) the gap is
     (|p| - r0)^2 in the bump's own coordinates, ((2 c.q + rho^2) /
     (|c + q| + r0))^2 about c = r0 center / |center|, and the diagonal
-    adds the head below the table from Parseval; without it,
-    lambda_-(p) - kappa with its rounding noise clamped to 0.
+    adds the head below the table from Parseval, cut at 0, unless ``head``
+    is false; without it, lambda_-(p) - kappa with its rounding noise
+    clamped to 0.
     """
     if other is None:
         d, axis = 0.0, float(np.arctan2(center[1], center[0]))
@@ -252,8 +253,8 @@ def _reference_halfplane(model, kappa, prof, center, other, r0):
         f_o = f_c if other is None else prof(np.hypot(px - other[0], py - other[1]))
         total += float(np.sum((w_rho[:, None] * w_ang * rho[:, None]) * ((gap * f_c) * f_o)))
         parseval += float(np.sum(w_rho * rho * (rho * f_c[:, 0]) ** 2))
-    if other is None and r0 is not None:
-        total += 0.5 * (0.5 * np.pi * prof.a - 2.0 * np.pi * parseval - tail)
+    if other is None and r0 is not None and head:
+        total += 0.5 * max(0.0, 0.5 * np.pi * prof.a - 2.0 * np.pi * parseval - tail)
     return total + tail
 
 
@@ -275,7 +276,7 @@ def _per_point_kinetic(model, thr, basis):
 
 
 _CUSTOM = CouplingSpec.custom(lambda px, py: 2.0 * (py + 1j * px) + 0.3,
-                              a_growth=0.5, r_growth=4.0)
+                              r_growth=4.0)
 
 
 @pytest.mark.parametrize("case", [
@@ -315,11 +316,24 @@ def test_kinetic_matches_the_16_panel_reference(case, monkeypatch):
 def _tail_at_table_end(prof, other):
     """The closed-form tail past the table's end, fhat's series summed to 40 powers."""
     a, R = prof.a, prof.rho_hi
-    coeffs = _series_coefficients(a, 40)
+    coeffs = prof.coefficients
     s = np.arange(2, 2 * len(coeffs) + 1)
     share = 1.0 if other is None else 0.5
     return share * 2.0 * np.pi * float(np.sum(np.convolve(coeffs, coeffs) * R ** (-s * a)
                                               / (s * a)))
+
+
+@pytest.mark.parametrize("a", [0.4, 0.2])
+def test_ring_diagonal_head_is_not_negative(rashba2, thr2, a):
+    # the head below 1e-12 integrates a nonnegative function, but as
+    # pi a / 2 less the summed part it came out at -4.2e-11 (a = 0.4) and
+    # -2.2e-12 (a = 0.2), where f is flat below the window; T_jj must not
+    # sit below the decade sum plus the tail
+    basis = trial_basis(rashba2, thr2, select_points(thr2.minset, 4), a)
+    t_jj = kinetic_matrix(rashba2, thr2, basis)[0, 0]
+    summed = _reference_halfplane(rashba2, thr2.kappa, basis.profile, basis.points[0], None,
+                                  1.0, head=False)
+    assert t_jj >= summed * (1.0 - 1e-14)
 
 
 @pytest.mark.parametrize("a", DEFAULT_A_SCHEDULE)
@@ -608,9 +622,10 @@ def test_node_modes_refuse_a_grid_past_the_sample_budget(rashba2):
 
 
 def test_radial_modes_tail_at_origin(rashba2):
-    # at r = 0 only m = 0 survives, and past the table c_0 -> -u_-(p_j)_1
-    # while g = c_0 fhat rho ~ rho^-(1+a) keeps a tail g(p) p / a; at
-    # a = 0.025 that tail is a sizeable share of R_0(0).  Reference: the
+    # at r = 0 only m = 0 survives, and past the mode table c_0 ->
+    # -u_-(p_j)_1 while g = c_0 fhat rho ~ rho^-(1+a) keeps a tail, which
+    # the rule takes from fhat's series; at a = 0.025 that tail is a
+    # sizeable share of R_0(0).  Reference: the
     # integral to P = 1e6 plus the constant c_0 times the mass past P,
     # sum_n c_n P^(-n a) / (n a) by fhat's power series
     pj, m_arr, prof, _ = _band_modes(rashba2, 0.025)
@@ -625,7 +640,7 @@ def test_radial_modes_tail_at_origin(rashba2):
     c0 = _angular_modes(rashba2, pj, rho, np.array([0]))[:, 0]
     u1 = lower_band_vectors(rashba2, pj[0], pj[1])[0]
     n = np.arange(1, 41)
-    past = np.sum(_series_coefficients(prof.a, 40) * big_p ** (-n * prof.a) / (n * prof.a))
+    past = np.sum(prof.coefficients * big_p ** (-n * prof.a) / (n * prof.a))
     ref = np.sum(c0 * mass) - u1 * past
     assert abs(got[_M_MAX] - ref) < 1e-5 * abs(ref)
 
@@ -645,6 +660,20 @@ def test_node_modes_mix_origin_and_positive_radii(rashba2, a):
     assert np.max(np.abs(got[1] - origin)) <= 1e-12 * peak
     for row, want in zip((2, 0, 5), alone):
         assert np.max(np.abs(got[row] - want)) <= 1e-9 * peak
+
+
+@pytest.mark.parametrize("a", [0.4, 0.025])
+def test_small_radii_alone_and_beside_one(rashba2, a):
+    # the FFTLog samples start where the mode table does, 1e-6 / max(r_max, 1):
+    # started at 1e-6 / r_max they dropped int c_0 fhat rho d rho below it
+    # when every radius is below 1, and R_0(1e-4) alone was off from R_0(1e-4)
+    # beside r = 1 by 4.1e-5 (a = 0.4), R_0(1e-6) by 28%
+    pj, m_arr, prof, _ = _band_modes(rashba2, a)
+    peak = np.max(np.abs(_node_modes(rashba2, pj, prof, np.array([0.0]), m_arr)))
+    for r in (0.1, 1e-2, 1e-4, 1e-6):
+        alone = _node_modes(rashba2, pj, prof, np.array([r]), m_arr)[0]
+        beside = _node_modes(rashba2, pj, prof, np.array([r, 1.0]), m_arr)[0]
+        assert np.max(np.abs(alone - beside)) <= 1e-12 * peak, r
 
 
 def test_node_modes_independent_of_the_sample_grid(rashba2):
@@ -921,7 +950,7 @@ def _skewed_ring_model():
     def coupling(px, py):
         theta = np.arctan2(py, px)
         return 2.0 * np.hypot(px, py) * np.exp(1j * (theta + 0.3 * np.sin(theta)))
-    return (CouplingSpec.custom(coupling, a_growth=0.5, r_growth=4.0),
+    return (CouplingSpec.custom(coupling, r_growth=4.0),
             ThresholdData(-1.0, Circle((0.0, 0.0), 1.0)))
 
 

@@ -98,9 +98,9 @@ def test_point_strategy_is_an_unknown_key(tmp_path, capsys):
 
 
 def test_certify_exit_untabulable_exponent(tmp_path, capsys):
-    # a valid a whose bump profile cannot be tabulated (below a = 2e-280
-    # its tail underflows before rho = 1) is a numerical failure (3), not
-    # a completed run that did not certify (1)
+    # a valid a whose bump profile cannot be tabulated (below a = 7.35e-284
+    # its value at rho = 1e12 is not a normal float) is a numerical failure
+    # (3), not a completed run that did not certify (1)
     doc = _certify_doc()
     doc["certify"]["a_schedule"] = [5e-324]
     assert main(["certify", "-c", _write(tmp_path, "c.json", doc)]) == 3

@@ -120,7 +120,7 @@ def test_threshold_dresselhaus_closed_form():
 
 def test_threshold_custom_scalar_coupling():
     model = CouplingSpec.custom(lambda px, py: np.hypot(px, py) + 0.0j,
-                                a_growth=0.5, r_growth=2.0)
+                                r_growth=2.0)
     thr = threshold(model)
     assert thr.kappa == pytest.approx(-0.25, abs=1e-6)
     assert isinstance(thr.minset, PointCloud)
@@ -147,10 +147,8 @@ def test_quadratic_domination_constant():
 
 
 def test_custom_coupling_validation():
-    with pytest.raises(ConfigError, match="a_growth must lie in"):
-        CouplingSpec.custom(lambda px, py: px + 0j, a_growth=1.5, r_growth=1.0)
     with pytest.raises(ConfigError, match="r_growth must be positive"):
-        CouplingSpec.custom(lambda px, py: px + 0j, a_growth=0.5, r_growth=-1.0)
+        CouplingSpec.custom(lambda px, py: px + 0j, r_growth=-1.0)
 
 
 def test_minset_samplers():

@@ -252,7 +252,7 @@ _SPLIT_CASES = {
                          BoxSpec(L=10.0, K=3.0), [147, 146], REAL),
     # a turned gauge, A -> e^(0.4 i) A, fits chi = -e^(-0.8 i), not real
     "turned-gauge-rashba": (CouplingSpec.custom(
-        lambda px, py: np.exp(0.4j) * 2.0 * (py + 1j * px), a_growth=0.5, r_growth=4.0),
+        lambda px, py: np.exp(0.4j) * 2.0 * (py + 1j * px), r_growth=4.0),
         _circle((0.0, 0.0)), BoxSpec(L=8.0, K=4.0), [163, 162], REAL),
     # a centred segment keeps only the half turn, with phi = -1: two
     # sectors of 325, one Kramers pair
@@ -282,10 +282,10 @@ _SPLIT_CASES = {
     # it is imaginary and a diagonal's mirror when it is a real multiple of
     # 1 + i or 1 - i; 0.3 + 0.1 i keeps none
     "non-odd-coupling": (CouplingSpec.custom(lambda px, py: 2.0 * (py + 1j * px) + 0.3,
-                                             a_growth=0.5, r_growth=4.0),
+                                             r_growth=4.0),
                          _circle((0.0, 0.0)), BoxSpec(L=8.0, K=4.0), [650], REAL),
     "no-mirror-coupling": (CouplingSpec.custom(
-        lambda px, py: 2.0 * (py + 1j * px) + 0.3 + 0.1j, a_growth=0.5, r_growth=4.0),
+        lambda px, py: 2.0 * (py + 1j * px) + 0.3 + 0.1j, r_growth=4.0),
         _circle((0.0, 0.0)), BoxSpec(L=8.0, K=4.0), [650], COMPLEX),
     # a vanishing coupling fits phi = 1, whose sectors 0 and 2 are their own
     # time-reversal partners: all four are solved, the origin's two spin

@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 from scipy.special import gammaln, hankel1, k0, k0e
 
 from conftest import grad_norm_sq_quadrature, log_rule
-from spinbound.certificate import _series_coefficients
 from spinbound.errors import ConfigError, ResolutionError
 from spinbound import hankel
 from spinbound.hankel import (FhatProfile, _contour_cuts, _contour_values, _k0,
-                              fhat_profile)
+                              _series_coefficients, fhat_profile)
 from spinbound.quadrature import merge_edges, panel_rule
 from spinbound.spline import cubic_spline
 
@@ -20,11 +19,6 @@ from spinbound.spline import cubic_spline
 def fhat_at_zero(a):
     """fhat(0) = 2^(2/a) Gamma(2/a) / a (Gamma integral after u = r^a/2)."""
     return 2.0 ** (2.0 / a) * math.gamma(2.0 / a) / a
-
-
-def tail_coefficient(prof):
-    """C of the power-law tail fhat ~ C rho^-(2+a), read at the table's end."""
-    return prof._vals[-1] * prof._grid[-1] ** (2.0 + prof.a)
 
 
 def _oracle_fhat(a, rho):
@@ -117,7 +111,7 @@ def test_exponential_closed_form():
     prof = fhat_profile(1.0)
     rho = np.geomspace(1e-3, 1e3, 120)
     want = 0.5 / (0.25 + rho * rho) ** 1.5
-    # table nodes are exact to ~1e-13; 4096-point log-spline interpolation
+    # table nodes are exact to ~1e-13; 1280-point log-spline interpolation
     # between them carries ~1e-7 relative error
     assert np.max(np.abs(prof(rho) / want - 1.0)) < 3e-7
 
@@ -260,14 +254,16 @@ def test_contour_values_against_mpmath_past_one(a):
         assert prof._vals[node] == pytest.approx(lattice, rel=1e-14)
 
 
-@pytest.mark.parametrize("a,evaluations", [(0.4, 732), (0.2, 638), (0.1, 404),
-                                           (0.05, 404), (1.5, 1083)])
+@pytest.mark.parametrize("a,evaluations", [(0.4, 1162), (0.2, 1013), (0.1, 641),
+                                           (0.05, 641), (1.5, 1296)])
 def test_contour_kernel_evaluations(a, evaluations, monkeypatch):
-    # one kernel value per lattice point of rho s per build, for all 4096
+    # one kernel value per lattice point of rho s per build, for all 1280
     # nodes.  Per-node Gauss-Legendre panels took 157,960 (a = 0.4) to
     # 682,750 (a = 0.05) kernel values for the low-rho nodes alone, and
-    # 3,254,560 for the 4096 nodes at a = 1.5.  From a = 0.1 down the
-    # kernel cut sets every node's range, so the count no longer grows
+    # 3,254,560 for 4096 nodes at a = 1.5.  From a = 0.1 down the kernel
+    # cut sets every node's range, so the count no longer grows.  The
+    # 4096-node table on a window to 1e110 took 732 / 638 / 404 / 404 /
+    # 1083: its finer step spanned the same ranges of s in fewer values
     count = []
     kernel = hankel._k0
 
@@ -325,9 +321,9 @@ def test_grid_anchor_lgamma_matches_scipy(a):
 
 
 def test_contour_memory_peak():
-    # the contour rule holds a few lattice tables of under 1,000 points
-    # each and its 4096 node sums: the a = 0.025 build peaks at 0.62 MiB of
-    # arrays (1.09 MiB at a = 1.9, whose kernel is complex), where per-node
+    # the contour rule holds a few lattice tables of about 1,300 points
+    # each and its 1280 node sums: the a = 0.025 build peaks at 0.25 MiB of
+    # arrays (0.89 MiB at a = 1.9, whose kernel is complex), where per-node
     # panels in blocks of 16 nodes peaked near 2 MiB
     tracemalloc.start()
     try:
@@ -402,18 +398,18 @@ _SERIES_GATE_EDGE = {0.025: 1.05e-23, 0.05: 1.91e-13, 0.1: 1.35e-7, 0.2: 2.20e-4
 
 @pytest.mark.parametrize("a", sorted(_SERIES_GATE_EDGE))
 def test_series_against_mpmath(a):
-    # every 64th node and the eight from the old gate edge up, wherever
-    # the 60-digit series converges.  The worst node is 6.2e-14 off
-    # (a = 0.4, in the far tail), and the gate-edge nodes 2.4e-14
+    # every 16th node and the eight from the old gate edge up, wherever
+    # the 60-digit series converges, which it does on every one of them
+    # from that edge to the window's end at 1e12.  The worst node is
+    # 9.4e-15 off (a = 0.9, rho ~ 4e3), and the gate-edge nodes 3.4e-15
     mp = pytest.importorskip("mpmath")
     prof = fhat_profile(a)
     edge = int(np.searchsorted(prof._grid, _SERIES_GATE_EDGE[a]))
-    sample = np.union1d(np.arange(0, prof._grid.size, 64), np.arange(edge, edge + 8))
+    sample = np.union1d(np.arange(0, prof._grid.size, 16), np.arange(edge, edge + 8))
     with mp.workdps(60):
         # 800 terms: the tail check sees the last 20
         want, converged = _mp_series(mp, a, prof._grid[sample], 800)
-    assert converged[np.isin(sample, np.arange(edge, edge + 8))].all()
-    assert converged.sum() > 0.85 * sample.size
+    assert converged[sample >= edge].all()
     assert np.max(np.abs(prof._vals[sample[converged]] / want[converged] - 1.0)) < 1e-13
 
 
@@ -468,13 +464,12 @@ def _below_window(prof, k):
                                    (0.1, 1e-6), (0.05, 1e-6)])
 def test_mass_identity(a, tol):
     # int_0^inf fhat(rho) rho drho = f_a(0) = 1
+    # past the table, Bergstrom's series (0 at a = 2) integrates term by term
     prof = fhat_profile(a)
     rho, w = log_rule(prof.rho_lo, prof.rho_hi * (1 - 1e-12), 4096, 8)
     head = _below_window(prof, 1)
-    if a == 2.0:
-        tail = 0.0
-    else:
-        tail = tail_coefficient(prof) * prof.rho_hi ** (-a) / a
+    n = np.arange(1, prof.coefficients.size + 1)
+    tail = float(np.sum(prof.coefficients * prof.rho_hi ** (-n * a) / (n * a)))
     total = float(np.sum(w * rho * prof(rho))) + head + tail
     assert total == pytest.approx(1.0, abs=tol)
 
@@ -485,9 +480,12 @@ def test_dirichlet_identity(a, rtol):
     # Parseval form of the pi*a/2 Dirichlet integral: int fhat^2 rho^3 drho = a/4
     prof = fhat_profile(a)
     rho, w = log_rule(prof.rho_lo, prof.rho_hi * (1 - 1e-12), 4096, 8)
-    # rho^3 alone overflows at the far end of the table; pair each rho^1.5
-    # with one factor of fhat before squaring
+    # pair each rho^1.5 with one factor of fhat before squaring; past the
+    # table fhat^2 is the square of Bergstrom's series
     total = float(np.sum(w * (rho ** 1.5 * prof(rho)) ** 2)) + _below_window(prof, 2)
+    powers = np.convolve(prof.coefficients, prof.coefficients)
+    s = np.arange(2, powers.size + 2)
+    total += float(np.sum(powers * prof.rho_hi ** (-s * a) / (s * a)))
     assert total == pytest.approx(0.25 * a, rel=rtol)
 
 
@@ -508,30 +506,34 @@ def test_grad_norm_quadrature_property(a):
     assert grad_norm_sq_quadrature(a) == pytest.approx(0.5 * np.pi * a, rel=1e-6)
 
 
-@pytest.mark.parametrize("a", [0.017, 0.0125, 0.005, 0.001, 5.8e-4, 6e-6, 1e-100, 2e-280])
+@pytest.mark.parametrize("a", [0.017, 0.0125, 0.005, 0.001, 5.8e-4, 6e-6, 1e-100, 2e-280,
+                               7.4e-284])
 def test_profile_builds_on_the_window(a):
-    # every exponent tabulates from rho = 1e-12, where a table anchored at
-    # 1e-4 / sqrt(<r^2>) overflowed below a = 0.01704.  The table ends
-    # where fhat ~ (a / 2) rho^-(2+a) reaches 1e-280: at 1e110 down to
-    # a = 1e-60 or so, at 7e89 at a = 1e-100 and at rho = 1 at a = 2e-280
+    # every exponent tabulates on rho in [1e-12, 1e12], where a table
+    # anchored at 1e-4 / sqrt(<r^2>) overflowed below a = 0.01704.  The
+    # last node holds fhat(1e12) = 3.03e-25 a from a = 1e-60 or so down,
+    # a normal float down to a = 7.35e-284
     prof = FhatProfile(a)
-    assert prof.rho_lo == pytest.approx(1e-12, rel=1e-14) and prof.rho_hi >= 1.0
-    assert np.all(prof._vals > 0.0) and np.all(np.isfinite(prof._vals))
+    assert prof.rho_lo == 1e-12 and prof.rho_hi == 1e12
+    assert np.all(prof._vals >= np.finfo(float).tiny) and np.all(np.isfinite(prof._vals))
     assert np.all(np.diff(prof._vals) < 0.0)
 
 
-@pytest.mark.parametrize("a", [1.9e-280, 1e-300, 5e-324])
+@pytest.mark.parametrize("a", [7.3e-284, 1e-300, 5e-324])
 def test_untabulable_exponent_raises_typed_error(a):
-    # below a = 2e-280 the tail fhat ~ (a / 2) rho^-2 underflows before
-    # rho = 1, and the table has no window left; the failure must be a
-    # ResolutionError, with no RuntimeWarning (an error here) first
+    # below a = 7.35e-284 the table's last value fhat(1e12) = 3.03e-25 a
+    # is below the least normal float (at a = 1e-290 it would be 3.0e-315);
+    # the failure must be a ResolutionError, with no RuntimeWarning (an
+    # error here) first
     with pytest.raises(ResolutionError):
         FhatProfile(a)
 
 
 # the largest relative error of the spline at the midpoints of the table's
-# lattice, as measured; it grows with a as the window's ln rho step does
-_MIDPOINT_ERROR = {0.025: 2.3e-13, 0.4: 1.2e-8, 0.9: 7.5e-8, 1.5: 3.8e-7, 1.9: 6.7e-6}
+# lattice, as measured; the ln rho step is 0.0432 at every a.  4096 nodes
+# to an upper edge that fell with a (step 0.0471 at a = 1.9) gave 2.3e-13,
+# 1.2e-8, 7.5e-8, 3.8e-7 and 6.7e-6
+_MIDPOINT_ERROR = {0.025: 3.5e-14, 0.4: 1.9e-9, 0.9: 1.9e-8, 1.5: 1.9e-7, 1.9: 4.9e-6}
 
 
 @pytest.mark.parametrize("a", sorted(_MIDPOINT_ERROR))
@@ -543,6 +545,31 @@ def test_spline_between_the_nodes(a):
     half = prof.rho_lo * np.exp(0.5 * step * np.arange(2 * prof._grid.size - 1))
     want = _contour_values(a, half, 0.5 * step)
     assert np.max(np.abs(prof(half[1::2]) / want[1::2] - 1.0)) <= _MIDPOINT_ERROR[a]
+
+
+@pytest.mark.parametrize("a", [0.025, 0.4, 0.9, 1.5, 1.9])
+def test_series_past_the_window(a):
+    # past rho = 1e12 the profile is Bergstrom's series in its 40
+    # coefficients: it meets the table's last node to 1.3e-14 (a = 1.9) and
+    # the series summed to 60 digits with 60 terms to 1.3e-15
+    mp = pytest.importorskip("mpmath")
+    prof = fhat_profile(a)
+    end = prof._grid[-1]
+    assert end == pytest.approx(1e12, rel=1e-13)
+    assert abs(prof(end) / prof._vals[-1] - 1.0) < 1e-13
+    rho = np.geomspace(end, 1e60, 25)
+    with mp.workdps(60):
+        want, converged = _mp_series(mp, a, rho, 60)
+    assert converged.all()
+    assert np.max(np.abs(prof(rho) / want - 1.0)) < 1e-13
+
+
+def test_gaussian_at_every_rho():
+    # a = 2 is its closed form, with no table under it
+    prof = fhat_profile(2.0)
+    rho = np.array([0.0, 1e-13, 1e-3, 0.5, 1.0, 8.0, 37.0, 40.0, 1e3])
+    assert np.array_equal(prof(rho), np.exp(-0.5 * rho * rho))
+    assert prof(3.0) == math.exp(-4.5)
 
 
 @pytest.mark.parametrize("a", [0.025, 5.8e-4, 6e-6])
