@@ -187,9 +187,10 @@ class Density:
             raise QuadratureFailureError("density is non-finite on its support box")
 
     def _tensor_rule(self, max_abs_p):
-        """Axis nodes xs, ys and weights vw = V * (wx outer wy) on their grid.
+        """Axis rules (xs, wx), (ys, wy) and V on their grid, unweighted.
 
-        Two GL8 panels per oscillation wavelength along each axis.
+        Two GL8 panels per oscillation wavelength along each axis.  The
+        node weights are V * (wx outer wy).
         """
         x0, x1, y0, y1 = self.support_box
         px = 2 * max(8, int(np.ceil(max_abs_p * (x1 - x0) / TWO_PI)))
@@ -199,13 +200,12 @@ class Density:
                                   attempted_nodes=px * py * 64)
         xs, wx = uniform_rule(x0, x1, px, 8)
         ys, wy = uniform_rule(y0, y1, py, 8)
-        vw = np.asarray(self.V(xs[:, None], ys[None, :]), dtype=float) * np.outer(wx, wy)
-        return xs, ys, vw
+        return (xs, wx), (ys, wy), np.asarray(self.V(xs[:, None], ys[None, :]), dtype=float)
 
     def quad_nodes(self, max_abs_p):
-        xs, ys, vw = self._tensor_rule(max_abs_p)
+        (xs, wx), (ys, wy), v = self._tensor_rule(max_abs_p)
         X, Y = np.meshgrid(xs, ys, indexing="ij")
-        return X.ravel(), Y.ravel(), vw.ravel()
+        return X.ravel(), Y.ravel(), (v * np.outer(wx, wy)).ravel()
 
 
 @dataclass
@@ -235,7 +235,8 @@ def fourier_batch(nu: RadonMeasureSpec, points):
         return out
     max_abs_p = float(np.max(np.hypot(points[:, 0], points[:, 1]))) if len(points) else 0.0
     if isinstance(nu, Density):
-        xs, ys, vw = nu._tensor_rule(max_abs_p)
+        (xs, wx), (ys, wy), v = nu._tensor_rule(max_abs_p)
+        vw = v * np.outer(wx, wy)
         ex = np.exp(-1j * np.outer(points[:, 0], xs))   # (n, nx)
         ey = np.exp(-1j * np.outer(points[:, 1], ys))   # (n, ny)
         return np.einsum("nx,xy,ny->n", ex, vw, ey, optimize=True) / TWO_PI
@@ -249,7 +250,9 @@ def fourier_grid(nu: RadonMeasureSpec, px_values, py_values):
 
     Used by the plane-wave oracle, where the momenta of interest form a
     lattice of mode differences and the tensor structure makes the density
-    transform two matrix products instead of a per-point sum.
+    transform two matrix products instead of a per-point sum.  Its first
+    product is real: the rows cos(px x) and sin(px x), weighted by the x
+    rule, times V on the grid, so the grid is never copied to complex.
     """
     px_values = np.asarray(px_values, dtype=float)
     py_values = np.asarray(py_values, dtype=float)
@@ -261,10 +264,15 @@ def fourier_grid(nu: RadonMeasureSpec, px_values, py_values):
     max_abs_p = float(np.hypot(np.max(np.abs(px_values), initial=0.0),
                                np.max(np.abs(py_values), initial=0.0)))
     if isinstance(nu, Density):
-        xs, ys, vw = nu._tensor_rule(max_abs_p)
-        ex = np.exp(-1j * np.outer(px_values, xs))
-        ey = np.exp(-1j * np.outer(py_values, ys))
-        return (ex @ vw @ ey.T) / TWO_PI
+        (xs, wx), (ys, wy), v = nu._tensor_rule(max_abs_p)
+        phase = np.outer(px_values, xs)
+        half = (np.concatenate([np.cos(phase), np.sin(phase)]) * wx) @ v
+        # V's grid is the largest array here; drop it before the complex ones
+        del phase, v
+        # exp(-i px x) = cos(px x) - i sin(px x)
+        n = len(px_values)
+        half = half[:n] - 1j * half[n:]
+        return (half @ (np.exp(-1j * np.outer(py_values, ys)) * wy).T) / TWO_PI
     x, y, w = nu.quad_nodes(max_abs_p)
     ex = np.exp(-1j * np.outer(px_values, x))           # (npx, nt)
     ey = np.exp(-1j * np.outer(py_values, y))           # (npy, nt)

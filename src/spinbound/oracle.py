@@ -10,10 +10,17 @@ certificate.  That solver returns NaN for a matrix with a non-finite entry
 and raises nothing, so the coupling and the potential table are checked
 finite first (NumericalInputError).
 
+A sweep over cutoffs at one L builds one operator, at the largest cutoff:
+one table, one symmetry gate, and each block once.  Every smaller cutoff's
+operator is a compression of it, and its blocks are the leading corners of
+the same blocks once their rows are ordered by |k|; ``spectrum`` is the
+sweep of one cutoff.  A cutoff past the mode cap fails before anything is
+transformed or solved.
+
 The lattice and the cutoff are invariant under the turn R by 2 pi / n for
 n = 4, 2 and 1.  When nuhat is too and A(R k) = phi A(k) for an n-th root
 of unity phi, U = P_R (x) diag(1, phi) commutes with the operator, where
-(P_R psi)(k) = psi(R k).  ``spectrum`` then solves U's n eigenspace blocks
+(P_R psi)(k) = psi(R k).  The sweep then solves U's n eigenspace blocks
 of about 2M/n each, built straight from the table of nuhat at mode
 differences and from the coupling on one representative mode per rotation
 orbit; the 2M x 2M matrix is never formed.  It takes the largest n whose
@@ -21,8 +28,10 @@ gate passes.  The gate averages the table and the coupling over the group,
 which defines an operator H_s that U commutes with exactly, and splits only
 when ||H - H_s||_F, summed from the table's asymmetry weighted by how often
 each mode difference occurs, is at most one rounding unit of ||H||_F: by
-Weyl's inequality no eigenvalue then moves by more than that.  n = 1 is
-the whole operator as one block, which is what ``assemble`` returns.
+Weyl's inequality no eigenvalue then moves by more than that.  The gate
+reads the largest cutoff's H; a smaller cutoff's compression moves by no
+more, so its bound is that same eps ||H||_F.  n = 1 is the whole operator
+as one block, which is what ``assemble`` returns.
 
 Time reversal T = i sigma_y K takes psi(k) to i sigma_y conj psi(-k).  It
 commutes with the operator when table(-q) = conj table(q), as for every
@@ -34,7 +43,7 @@ spectra (a vanishing A fits phi = 1 and is not paired).  For odd p the
 gate then averages over T as well, which makes the averaged table real (it
 is already even under the half turn) and the coupling exactly odd, and
 counts both defects in the same one-rounding-unit budget.  When that
-passes, ``spectrum`` builds and solves one block per pair and counts its
+passes, the sweep builds and solves one block per pair and counts its
 eigenvalues twice; otherwise, and for n = 1, it solves every block.
 
 The mirror m (k_x, k_y) = (k_x, -k_y) keeps the lattice too, and
@@ -108,19 +117,25 @@ class BoxSpec:
         """Lattice momenta (pi/L) * n with |k| <= K, shape (M, 2).
 
         The integer grid is scanned over the symmetric range |n_i| <= n_max,
-        so the returned set is invariant under quarter turns.
+        one past K / step, so the returned set is invariant under quarter
+        turns and is every n that ``inside`` accepts, in ascending key.
         """
         step = np.pi / self.L
-        n_max = int(np.floor(self.K / step))
+        n_max = int(np.floor(self.K / step)) + 1
         axis = np.arange(-n_max, n_max + 1)
         nx, ny = np.meshgrid(axis, axis, indexing="ij")
-        keep = (nx * nx + ny * ny) * step * step <= self.K * self.K * (1 + 1e-12)
+        keep = self.inside(nx * nx + ny * ny)
         n_pairs = np.column_stack([nx[keep], ny[keep]])
         if len(n_pairs) > _MODE_CAP:
             raise CapacityError(
                 "mode lattice has %d points, cap is %d (shrink L or K)"
                 % (len(n_pairs), _MODE_CAP))
         return step * n_pairs, n_pairs
+
+    def inside(self, norm2):
+        """Whether the integer modes n of squared length ``norm2`` have |k| <= K."""
+        step = np.pi / self.L
+        return norm2 * step * step <= self.K * self.K * (1 + 1e-12)
 
     def resolved_edge_tol(self, kappa):
         if self.edge_tol is not None:
@@ -210,6 +225,10 @@ def _operator_data(model: CouplingSpec, nu, box: BoxSpec):
 
 def _symmetry(model: CouplingSpec, n_pairs, a, table, step):
     """(n, p, paired, mirror, table, a): the group the operator keeps.
+
+    A sweep calls it once, on the largest cutoff's operator, whose
+    compressions are every smaller cutoff's: their defects are no larger,
+    so the one budget bounds every cutoff's eigenvalues.
 
     For n = 4 and 2, phi = i^(4p/n) is the n-th root of unity that best
     fits A(R k) = phi A(k), and the table and the coupling are averaged over
@@ -370,16 +389,15 @@ def _sector_potentials(table, r, n, sectors):
 
 
 def _blocks(n_pairs, step, n, p, table, a, sectors, mirror=None):
-    """U's eigenspace blocks of the operator for the listed sectors j, one by one.
+    """(h, norm2): U's eigenspace blocks for the listed sectors j, one by one.
 
     With omega = i^(4j/n), the eigenvalue of U, sector j's basis is
     sum_d omega^d |R^d r, up> and sum_d (omega/phi)^d |R^d r, down>, over
-    d < n and divided by sqrt(n), for the orbit representatives r, spin up
-    first.  Its potential block is ``_sector_potentials``' V_omega.  The
-    origin is its own orbit: its row and column carry 1/sqrt(n), its
-    spin-up state lives in sector 0 and its spin-down state in the sector
-    with omega = phi.  For n = 1 this is the whole operator, in the order
-    of the modes.
+    d < n and divided by sqrt(n), for the orbit representatives r.  Its
+    potential block is ``_sector_potentials``' V_omega.  The origin is its
+    own orbit: its row and column carry 1/sqrt(n), its spin-up state lives
+    in sector 0 and its spin-down state in the sector with omega = phi.  For
+    n = 1 this is the whole operator.
 
     With ``mirror`` = (s, chi) from ``_symmetry``, Theta maps every sector
     onto itself: m R^f = R^-f m turns conj(h) into P h P^H, where P takes
@@ -388,6 +406,13 @@ def _blocks(n_pairs, step, n, p, table, a, sectors, mirror=None):
     is then returned real, in the ``_RealBasis`` of each spin's rows, built
     quadrant by quadrant from the potential blocks and the coupling, so the
     complex block is never formed.  Without it the blocks are complex.
+
+    Every row belongs to one representative r, and ``norm2`` is its integer
+    |r|^2.  The rows are placed in ascending norm2 by one stable
+    permutation, so the rows of a smaller cutoff's block lead: the turns
+    and the mirror keep |r|, an orbit's representative is the same at every
+    cutoff, and the real basis pairs rows of equal |r|.  That cutoff's block
+    is then the leading corner h[:size, :size], up to the order of its rows.
     """
     quarters = 4 // n
     orbit = np.stack([_turn(n_pairs, d * quarters) for d in range(n)])
@@ -407,6 +432,7 @@ def _blocks(n_pairs, step, n, p, table, a, sectors, mirror=None):
         partner = _position(r, image[e, np.arange(m)])
     k = step * r
     p2 = k[:, 0] * k[:, 0] + k[:, 1] * k[:, 1]
+    norm2 = np.sum(r * r, axis=1)
     ar = a[rep]
     for j in sectors:
         down = (j - p) % n
@@ -417,57 +443,54 @@ def _blocks(n_pairs, step, n, p, table, a, sectors, mirror=None):
         mu, md = m - (j != 0), m - (down != 0)
         both = np.arange(min(mu, md))
         if mirror is None:
-            h = np.zeros((mu + md, mu + md), dtype=complex)
-            h[:mu, :mu] = pots[j][:mu, :mu]
-            h[mu:, mu:] = pots[down][:md, :md]
-            h[np.diag_indices(mu + md)] += np.concatenate([p2[:mu], p2[:md]])
-            h[both, mu + both] = ar[both]
-            h[mu + both, both] = np.conj(ar[both])
+            spins = (np.arange(mu), np.arange(md))
+            quads = (pots[j][:mu, :mu], pots[down][:md, :md])
         else:
-            # P keeps the spins apart, so each quadrant has its real form;
-            # P fixes |k|, so the kinetic diagonal stays diagonal
+            # P keeps the spins apart, so each quadrant has its real form
             up = _real_basis(partner[:mu], _QUARTER[j * e[:mu] * quarters % 4])
             dn = _real_basis(partner[:md], np.conj(mirror[1])
                              * _QUARTER[down * e[:md] * quarters % 4])
+            spins = (np.concatenate([up.first, up.first[:up.lower]]),
+                     np.concatenate([dn.first, dn.first[:dn.lower]]))
+            quads = (_real_form(pots[j], up, up), _real_form(pots[down], dn, dn))
+        del pots
+        rows = np.concatenate(spins)
+        order = np.argsort(norm2[rows], kind="stable")
+        at = np.empty_like(order)
+        at[order] = np.arange(len(order))
+        at_up, at_dn = at[:len(spins[0])], at[len(spins[0]):]
+        h = np.zeros((len(rows),) * 2, dtype=quads[0].dtype)
+        h[np.ix_(at_up, at_up)] = quads[0]
+        h[np.ix_(at_dn, at_dn)] = quads[1]
+        del quads
+        if mirror is None:
+            h[at_up[both], at_dn[both]] = ar[both]
+            h[at_dn[both], at_up[both]] = np.conj(ar[both])
+        else:
             coupling = np.zeros((mu, md), dtype=complex)
             coupling[both, both] = ar[both]
             cross = _real_form(coupling, up, dn)
-            h = np.block([[_real_form(pots[j], up, up), cross],
-                          [cross.T, _real_form(pots[down], dn, dn)]])
-            h[np.diag_indices(len(h))] += p2[np.concatenate(
-                [up.first, up.first[:up.lower], dn.first, dn.first[:dn.lower]])]
-        del pots
-        yield h
+            h[np.ix_(at_up, at_dn)] = cross
+            h[np.ix_(at_dn, at_up)] = cross.T
+        # P fixes |k|, so the kinetic diagonal stays diagonal
+        h[np.diag_indices(len(h))] += p2[rows[order]]
+        yield h, norm2[rows[order]]
         # drop this block before the next is built
         del h
-
-
-def _sector_blocks(model: CouplingSpec, nu, box: BoxSpec):
-    """(copies, blocks): the sector blocks to solve, built one at a time as
-    they are read, each solved spectrum standing for ``copies`` sectors.
-
-    Time reversal carries sector j onto sector (p - j) mod n, whose block
-    has the same spectrum; when the gate pairs them, only the lower sector
-    of each pair is built.
-    """
-    n_pairs, a, table = _operator_data(model, nu, box)
-    step = np.pi / box.L
-    n, p, paired, mirror, table, a = _symmetry(model, n_pairs, a, table, step)
-    sectors = [j for j in range(n) if not paired or j < (p - j) % n]
-    return 1 + paired, _blocks(n_pairs, step, n, p, table, a, sectors, mirror)
 
 
 def assemble(model: CouplingSpec, nu: RadonMeasureSpec | None, box: BoxSpec):
     """Truncated operator as a dense Hermitian 2M x 2M array.
 
-    Rows 0..M-1 are the modes k_j with spin up, rows M..2M-1 the same modes
-    with spin down, in the order of ``box.modes()``.  The diagonal of each
-    spin block is the kinetic term |k_j|^2, the spin blocks are coupled by
-    A(k_j), and the potential couples equal spins with the constant
+    Its rows are the states (k_j, spin) for the modes k_j of
+    ``box.modes()``, ordered by |k_j|; at equal |k_j| the spin-up states
+    come first, each spin in the order of the modes.  The diagonal is the
+    kinetic term |k_j|^2, the coupling A(k_j) joins the two spin states of
+    one mode, and the potential couples equal spins with the constant
     (2*pi/(4 L^2)) * nuhat(k_j - k_l).
     """
     n_pairs, a, table = _operator_data(model, nu, box)
-    return next(_blocks(n_pairs, np.pi / box.L, 1, 0, table, a, [0]))
+    return next(_blocks(n_pairs, np.pi / box.L, 1, 0, table, a, [0]))[0]
 
 
 def _greedy_pairs(eigs):
@@ -518,7 +541,24 @@ def eigen_count_below(model: CouplingSpec, thr: ThresholdData, matrix,
 
 
 def spectrum(model: CouplingSpec, thr: ThresholdData, nu, box: BoxSpec):
-    """The operator's spectrum and count, solved sector by sector.
+    """The operator's spectrum and count: the sweep of the one cutoff box.K."""
+    return convergence_sweep(model, thr, nu, box.L, [box.K], box.edge_tol).results[0]
+
+
+def convergence_sweep(model: CouplingSpec, thr: ThresholdData, nu,
+                      L, cutoffs, edge_tol=None) -> SweepResult:
+    """Counts across increasing cutoffs; stable means the top two agree.
+
+    ``edge_tol`` is passed to every cutoff's BoxSpec (None: its default).
+
+    The operator is built once, at the largest cutoff: one table of nuhat,
+    one symmetry gate, and each solved sector's block built once.  At one
+    L every smaller cutoff's operator is a compression of it, and its
+    block is the leading corner of the same sector's block, which is
+    solved in place of a block of its own.  The gate thus reads the
+    largest cutoff's operator H: each cutoff's compression moves by no
+    more than H does, so by Weyl's inequality no eigenvalue at any cutoff
+    moves by more than eps ||H||_F.
 
     Time reversal T maps each sector onto a sector of its own Kramers
     partners.  When the gate pairs the sectors, each block solved stands
@@ -527,21 +567,6 @@ def spectrum(model: CouplingSpec, thr: ThresholdData, nu, box: BoxSpec):
     sector is solved and the halves come from different blocks.  When the
     gate keeps Theta, every block is a real symmetric matrix with the
     sector's spectrum; otherwise it is the complex Hermitian block.
-    """
-    copies, blocks = _sector_blocks(model, nu, box)
-    # each block is solved before the next is built
-    eigs = []
-    for block in blocks:
-        eigs.append(np.repeat(_eigvalsh(block), copies))
-        del block
-    return _counted(np.sort(np.concatenate(eigs)), thr, box)
-
-
-def convergence_sweep(model: CouplingSpec, thr: ThresholdData, nu,
-                      L, cutoffs, edge_tol=None) -> SweepResult:
-    """Counts across increasing cutoffs; stable means the top two agree.
-
-    ``edge_tol`` is passed to every cutoff's BoxSpec (None: its default).
 
     Only a stable sweep should be treated as ground truth for the
     certificate cross-check -- an unstable count is a discretization
@@ -552,8 +577,23 @@ def convergence_sweep(model: CouplingSpec, thr: ThresholdData, nu,
     problems = sweep_problems(L, cutoffs, edge_tol)
     if problems:
         raise ConfigError(problems)
-    results = [spectrum(model, thr, nu, BoxSpec(L=L, K=c, edge_tol=edge_tol))
-               for c in cutoffs]
+    boxes = [BoxSpec(L=L, K=c, edge_tol=edge_tol) for c in cutoffs]
+    n_pairs, a, table = _operator_data(model, nu, boxes[-1])
+    step = np.pi / L
+    n, p, paired, mirror, table, a = _symmetry(model, n_pairs, a, table, step)
+    # time reversal carries sector j onto sector (p - j) mod n, whose block
+    # has the same spectrum; when the gate pairs them, only the lower
+    # sector of each pair is built
+    sectors = [j for j in range(n) if not paired or j < (p - j) % n]
+    eigs = [[] for _ in boxes]
+    # each block is solved at every cutoff before the next is built
+    for h, norm2 in _blocks(n_pairs, step, n, p, table, a, sectors, mirror):
+        for out, box in zip(eigs, boxes):
+            size = int(np.count_nonzero(box.inside(norm2)))
+            out.append(np.repeat(_eigvalsh(h[:size, :size]), 1 + paired))
+        del h
+    results = [_counted(np.sort(np.concatenate(e)), thr, box)
+               for e, box in zip(eigs, boxes)]
     counts = [r.count_below for r in results]
     diffs = [b - a for a, b in zip(counts, counts[1:])]
     stable = len(counts) >= 2 and counts[-1] == counts[-2]

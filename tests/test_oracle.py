@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import scipy.linalg
 
 from spinbound import oracle
 from spinbound.cli import main
+from spinbound.config import build_measure
 from spinbound.errors import CapacityError, ConfigError, NumericalInputError, SupportError
 from spinbound.measure import ClosedFormCircle, CurveDelta, Density, Segment, Sum
 from spinbound.model import CouplingSpec, threshold
@@ -323,6 +325,126 @@ def test_parity_split_matches_full_eigensolve(case, monkeypatch):
         assert all(gap == 0.0 for _, _, gap in res.pairing)
 
 
+# no n^2 lies in ((3.0 L / pi)^2, (3.05 L / pi)^2] at L = 8 (58.4, 60.3] or
+# at L = 10 (91.2, 94.3], so those two cutoffs share a mode set
+_SWEEP_CUTOFFS = [3.0, 3.05, 4.0]
+
+
+@pytest.mark.parametrize("case", sorted(_SPLIT_CASES))
+def test_sweep_matches_each_cutoff(case, monkeypatch):
+    # the sweep builds the blocks at the largest cutoff and solves each
+    # smaller cutoff as their leading corner: each cutoff must still be
+    # that cutoff's own operator, block for block
+    model, nu, box, _, _ = _SPLIT_CASES[case]
+    thr = threshold(model)
+    boxes = [BoxSpec(L=box.L, K=c) for c in _SWEEP_CUTOFFS]
+    assert np.array_equal(boxes[0].modes()[1], boxes[1].modes()[1])
+    solved = _solve_sizes(monkeypatch)
+    lone = []
+    for b in boxes:
+        spectrum(model, thr, nu, b)
+        lone.append(solved[:])
+        solved.clear()
+    sweep = convergence_sweep(model, thr, nu, box.L, _SWEEP_CUTOFFS)
+    # each block is solved at every cutoff before the next is built
+    assert solved == [s for block in zip(*lone) for s in block]
+    assert np.array_equal(sweep.results[0].eigenvalues, sweep.results[1].eigenvalues)
+    for b, res in zip(boxes, sweep.results):
+        ref = scipy.linalg.eigvalsh(assemble(model, nu, b))
+        assert res.mode_count == len(ref) // 2 == len(b.modes()[1])
+        assert np.max(np.abs(res.eigenvalues - ref)) < 1e-10
+        edge = b.resolved_edge_tol(thr.kappa)
+        below = ref < thr.kappa - edge
+        assert res.count_below == int(np.sum(below))
+        assert res.marginal_count == int(np.sum((ref >= thr.kappa - edge)
+                                                & (ref < thr.kappa + edge)))
+        assert ([(i, j) for i, j, _ in res.pairing]
+                == [(i, j) for i, j, _ in oracle._greedy_pairs(ref[below])])
+
+
+def _calls(monkeypatch, name):
+    """Count the calls of oracle.<name>."""
+    calls = []
+    original = getattr(oracle, name)
+
+    def counted(*args):
+        calls.append(name)
+        return original(*args)
+    monkeypatch.setattr(oracle, name, counted)
+    return calls
+
+
+def test_sweep_builds_one_operator(rashba2, thr2, circle_measure, monkeypatch):
+    # one table and one gate per sweep, and spectrum is its one-cutoff case
+    grids = _calls(monkeypatch, "fourier_grid")
+    gates = _calls(monkeypatch, "_symmetry")
+    convergence_sweep(rashba2, thr2, circle_measure, 8.0, [2.0, 3.0, 4.0])
+    assert (len(grids), len(gates)) == (1, 1)
+    sweeps = _calls(monkeypatch, "convergence_sweep")
+    spectrum(rashba2, thr2, circle_measure, BoxSpec(L=8.0, K=4.0))
+    assert (len(grids), len(gates), len(sweeps)) == (2, 2, 1)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sweep_memory_at_close_cutoffs(monkeypatch):
+    # the one complex block of 650 rows (6.8 MB) dominates: a lone spectrum
+    # holds it and less than half as much besides, and a sweep that held it
+    # and a copy of a corner at once would peak near twice that (the
+    # eigensolver's own copy is not traced)
+    model, nu, _, _, _ = _SPLIT_CASES["off-centre-circle"]
+    thr = threshold(model)
+    assert len(BoxSpec(L=8.0, K=3.9).modes()[1]) < len(BoxSpec(L=8.0, K=4.0).modes()[1])
+    solved = _solve_sizes(monkeypatch)
+    lone = _traced_peak(lambda: spectrum(model, thr, nu, BoxSpec(L=8.0, K=4.0)))
+    sweep = _traced_peak(lambda: convergence_sweep(model, thr, nu, 8.0, [3.9, 4.0]))
+    assert solved[0] == (650, COMPLEX)
+    assert lone < 1.5 * 650 * 650 * 16
+    assert sweep <= 1.1 * lone
+
+
+def test_fourier_grid_density_memory():
+    # the weak-well density on the K = 6 difference axis of L = 10 takes
+    # 688 x 688 nodes; the transform must never hold a complex copy of them
+    nu = build_measure({"type": "density", "box": [-8.0, 8.0, -8.0, 8.0],
+                        "density": {"type": "gaussian-well", "depth": 0.05, "width": 1.0}})
+    axis = (np.pi / 10.0) * np.arange(-38, 39)
+    (xs, _), (ys, _), _ = nu._tensor_rule(np.hypot(axis[-1], axis[-1]))
+    assert (len(axis), len(xs), len(ys)) == (77, 688, 688)
+    peak = _traced_peak(lambda: oracle.fourier_grid(nu, axis, axis))
+    assert peak < 688 * 688 * 16
+
+
+def test_sweep_fails_fast_at_the_mode_cap(rashba2, thr2, circle_measure, monkeypatch):
+    # L = 20: K = 5 has 3181 modes, K = 6 has 4581, past the cap; the top
+    # cutoff is built first, so nothing is transformed or solved
+    grids = _calls(monkeypatch, "fourier_grid")
+    solved = _solve_sizes(monkeypatch)
+    with pytest.raises(CapacityError):
+        convergence_sweep(rashba2, thr2, circle_measure, 20.0, [5.0, 6.0])
+    assert grids == [] and solved == []
+
+
+def test_mode_cap_exits_3(tmp_path, monkeypatch, capsys):
+    grids = _calls(monkeypatch, "fourier_grid")
+    doc = {"model": {"type": "rashba", "alpha": 2.0},
+           "measure": {"type": "curve", "weight": -1.0,
+                       "curve": {"type": "circle", "center": [0.0, 0.0], "radius": 1.0}},
+           "oracle": {"L": 20.0, "cutoffs": [5.0, 6.0]}}
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["oracle", "-c", str(cfg), "-o", str(tmp_path / "r.json")]) == 3
+    assert "cap is 4000" in capsys.readouterr().err
+    assert grids == []
+
+
 @pytest.mark.parametrize("case", _PAIRED)
 def test_kramers_partners_across_sectors(case):
     # time reversal turns sector omega into sector phi / omega, another
@@ -337,7 +459,7 @@ def test_kramers_partners_across_sectors(case):
     # the pairing rests on a real table (and an odd coupling)
     assert paired and np.isrealobj(table)
     blocks = oracle._blocks(n_pairs, step, n, p, table, a, range(n), mirror)
-    eigs = [scipy.linalg.eigvalsh(b) for b in blocks]
+    eigs = [scipy.linalg.eigvalsh(h) for h, _ in blocks]
     assert sum(int(np.sum(e < kappa)) for e in eigs) >= 2
     for j in range(n):
         partner = (p - j) % n
