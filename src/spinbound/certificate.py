@@ -16,7 +16,7 @@ import numpy as np
 from .errors import (CapacityError, ConfigError, NumericalInputError,
                      ResolutionError)
 from .hankel import FhatProfile, fhat_profile
-from .measure import fourier_matrix
+from .measure import fourier_matrix, pair_distances, plane_wave_gram
 from .model import (Circle, CouplingSpec, PointCloud, ThresholdData,
                     lower_band, lower_band_vectors)
 from .quadrature import merge_edges, panel_rule, uniform_rule
@@ -47,7 +47,7 @@ def trial_basis(model: CouplingSpec, thr: ThresholdData, points, a) -> TrialBasi
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 1:
         raise ConfigError("trial points must form an (N, 2) array, N >= 1")
-    close = np.argwhere(np.triu(_distances(pts) <= MIN_POINT_SEP, 1))
+    close = np.argwhere(np.triu(pair_distances(pts) <= MIN_POINT_SEP, 1))
     if len(close):
         raise ConfigError("trial points %d and %d closer than %g"
                           % (*close[0], MIN_POINT_SEP))
@@ -65,21 +65,6 @@ def trial_basis(model: CouplingSpec, thr: ThresholdData, points, a) -> TrialBasi
         ring = _ring_gate(model, thr.kappa, float(ms.radius), pts,
                           _gate_sample(pts[0], prof))
     return TrialBasis(points=pts, a=float(a), profile=prof, ring=ring)
-
-
-def _distances(pts):
-    """|p_j - p_k| for every pair of rows of the (N, 2) array pts."""
-    diff = pts[:, None, :] - pts[None, :, :]
-    return np.hypot(diff[..., 0], diff[..., 1])
-
-
-# ---------------------------------------------------------------------------
-# closed forms
-
-
-def _bump_sq(a, r):
-    """|f_a(x)|^2 = exp(-r^a) at radius r."""
-    return np.exp(-np.asarray(r, dtype=float) ** a)
 
 
 # ---------------------------------------------------------------------------
@@ -437,17 +422,17 @@ def _kinetic_halfplane(model, kappa, prof, center, other, r0, decades, end):
 
 
 def _pair_scale(pts):
-    return float(np.max(_distances(pts)))
+    return float(np.max(pair_distances(pts)))
 
 
 def potential_matrix_dropped(nu, basis: TrialBasis):
-    """W_jk with the band phase dropped: int e^{-i<p_j-p_k,x>} |f_a|^2 nu(dx)."""
-    pts = basis.points
-    x, y, w = nu.quad_nodes(_pair_scale(pts) + 1.0)
-    density = w * _bump_sq(basis.a, np.hypot(x, y))
-    phases = np.exp(-1j * (pts[:, 0][:, None] * x[None, :]
-                           + pts[:, 1][:, None] * y[None, :]))
-    return (phases * density) @ phases.conj().T
+    """W_jk with the band phase dropped: int e^{-i<p_j-p_k,x>} |f_a(x)|^2 nu(dx).
+
+    |f_a(x)|^2 = e^{-|x|^a}, so W is the plane-wave Gram on nu's nodes
+    with those weights.
+    """
+    x, y, w = nu.quad_nodes(_pair_scale(basis.points) + 1.0)
+    return plane_wave_gram(basis.points, x, y, w * np.exp(-np.hypot(x, y) ** basis.a))
 
 
 def potential_matrix_exact(model: CouplingSpec, nu, basis: TrialBasis):
@@ -459,12 +444,16 @@ def potential_matrix_exact(model: CouplingSpec, nu, basis: TrialBasis):
     (``basis.ring``) its radial modes R_m are computed once, at p_0, and
     turned to every point: Delta_j(r, theta) = chi_j sum_m i^m e^{im(theta
     - phi_j)} R_m(r), with phi_j and chi_j of ``_turns``.  Without one,
-    every point takes its own R_m, with phi_j = 0 and chi_j = 1.
+    every point takes its own R_m, with phi_j = 0 and chi_j = 1.  A node
+    radius in (0, _R_FLOOR), where R_m is unresolved, raises ResolutionError.
     """
     pts = basis.points
     max_p = _pair_scale(pts) + float(np.max(np.hypot(pts[:, 0], pts[:, 1]))) + 4.0
     x, y, w = nu.quad_nodes(max_p)
     r = np.hypot(x, y)
+    if np.any((r > 0.0) & (r < _R_FLOOR)):
+        raise ResolutionError("band correction unresolved at node radius %.3g, below %g"
+                              % (np.min(r[r > 0.0]), _R_FLOOR))
     theta = np.arctan2(y, x)
     f = np.exp(-0.5 * r ** basis.a)
     n = len(pts)
@@ -505,6 +494,10 @@ _LN_STEP = 1.0 / 200.0    # ln rho spacing of the FFTLog samples, at most
 _TURN_STEP = 1.0 / 16.0   # radians R_m may turn per step in ln r
 _MAX_SAMPLES = 2 ** 19    # FFTLog samples per expansion center
 _NODE_BLOCK = 2048        # nodes or radii per block of R_m rows
+# the least positive node radius: FFTLog's r R_m(r) errs by about 1e-11, so
+# against direct J_0 quadrature R_0 is within 1.3e-7 at r >= 1e-4, off by
+# 5e-6 at 1e-5 and by 4 (a = 0.4) at 1e-10
+_R_FLOOR = 1e-4
 # Stirling's series coefficients B_2j / (2j (2j - 1)), j = 1..8, and the
 # shift that puts its argument past |z| = 10
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360,

@@ -4,6 +4,12 @@ Convention (fixed package-wide): nuhat(p) = (1/2pi) * integral of
 exp(-i<p,x>) nu(dx), so that the total mass equals 2*pi*nuhat(0).
 Oscillatory integrals use composite Gauss-Legendre with the panel count
 scaled to the number of phase oscillations across the support.
+
+nu meets the plane waves in two places.  Each measure type has one rule,
+``plane_waves``, with 2 pi nuhat(px_i, py_j) = sum_t rows[i, t] cols[j, t],
+which ``fourier_grid`` and ``fourier_batch`` sum over ``parts`` (nested Sums
+flattened); and ``plane_wave_gram`` on the nodes gives nuhat(p_j - p_k)
+(``fourier_matrix``) and, with other weights, the dropped potential W.
 """
 
 from __future__ import annotations
@@ -13,8 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (ConfigError, NumericalInputError, QuadratureFailureError,
-                     ResolutionError)
+from .errors import ConfigError, QuadratureFailureError, ResolutionError
 from .quadrature import uniform_rule
 from .spline import cubic_spline
 
@@ -159,6 +164,11 @@ class CurveDelta:
         dx, dy = self.curve.derivative(t)
         return x, y, w * np.hypot(dx, dy) * self._h(x, y)
 
+    def plane_waves(self, px, py, max_abs_p):
+        """(rows, cols): e^{-i px x} w and e^{-i py y} on the nodes."""
+        x, y, w = self.quad_nodes(max_abs_p)
+        return np.exp(-1j * np.outer(px, x)) * w, np.exp(-1j * np.outer(py, y))
+
 
 def box_problems(box):
     """Every problem with a support box (xmin, xmax, ymin, ymax); [] when none."""
@@ -207,6 +217,20 @@ class Density:
         X, Y = np.meshgrid(xs, ys, indexing="ij")
         return X.ravel(), Y.ravel(), (v * np.outer(wx, wy)).ravel()
 
+    def plane_waves(self, px, py, max_abs_p):
+        """(rows, cols): (e^{-i px x} wx) V and e^{-i py y} wy on the axis rules.
+
+        The rows are the real product (cos, sin)(px x) wx times V, so V's
+        grid, the largest array here, is dropped before any complex one.
+        """
+        (xs, wx), (ys, wy), v = self._tensor_rule(max_abs_p)
+        phase = np.outer(px, xs)
+        half = (np.concatenate([np.cos(phase), np.sin(phase)]) * wx) @ v
+        del phase, v
+        # exp(-i px x) = cos(px x) - i sin(px x)
+        n = len(px)
+        return half[:n] - 1j * half[n:], np.exp(-1j * np.outer(py, ys)) * wy
+
 
 @dataclass
 class Sum:
@@ -214,11 +238,18 @@ class Sum:
 
     def quad_nodes(self, max_abs_p):
         """The parts' (x, y, weights) nodes, concatenated."""
-        parts = [p.quad_nodes(max_abs_p) for p in self.parts]
-        return tuple(np.concatenate(axis) for axis in zip(*parts))
+        nodes = [p.quad_nodes(max_abs_p) for p in parts(self)]
+        return tuple(np.concatenate(axis) for axis in zip(*nodes))
 
 
 RadonMeasureSpec = CurveDelta | Density | Sum
+
+
+def parts(nu: RadonMeasureSpec):
+    """The curve and density parts of nu, in order, with nested Sums flattened."""
+    if isinstance(nu, Sum):
+        return [leaf for part in nu.parts for leaf in parts(part)]
+    return [nu]
 
 
 # ---------------------------------------------------------------------------
@@ -226,71 +257,51 @@ RadonMeasureSpec = CurveDelta | Density | Sum
 
 
 def fourier_batch(nu: RadonMeasureSpec, points):
-    """nuhat at an (n, 2) array of momenta, sharing one node set per measure."""
+    """nuhat at an (n, 2) array of momenta, sharing one node set per part."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    if isinstance(nu, Sum):
-        out = np.zeros(len(points), dtype=complex)
-        for part in nu.parts:
-            out += fourier_batch(part, points)
-        return out
     max_abs_p = float(np.max(np.hypot(points[:, 0], points[:, 1]))) if len(points) else 0.0
-    if isinstance(nu, Density):
-        (xs, wx), (ys, wy), v = nu._tensor_rule(max_abs_p)
-        vw = v * np.outer(wx, wy)
-        ex = np.exp(-1j * np.outer(points[:, 0], xs))   # (n, nx)
-        ey = np.exp(-1j * np.outer(points[:, 1], ys))   # (n, ny)
-        return np.einsum("nx,xy,ny->n", ex, vw, ey, optimize=True) / TWO_PI
-    x, y, w = nu.quad_nodes(max_abs_p)
-    phase = np.exp(-1j * (points[:, 0:1] * x[None, :] + points[:, 1:2] * y[None, :]))
-    return (phase @ w) / TWO_PI
+    out = 0.0
+    for part in parts(nu):
+        rows, cols = part.plane_waves(points[:, 0], points[:, 1], max_abs_p)
+        out = out + np.sum(rows * cols, axis=1)
+    return out / TWO_PI
 
 
 def fourier_grid(nu: RadonMeasureSpec, px_values, py_values):
     """nuhat on the tensor grid px x py, returned shape (len(px), len(py)).
 
     Used by the plane-wave oracle, where the momenta of interest form a
-    lattice of mode differences and the tensor structure makes the density
-    transform two matrix products instead of a per-point sum.  Its first
-    product is real: the rows cos(px x) and sin(px x), weighted by the x
-    rule, times V on the grid, so the grid is never copied to complex.
+    lattice of mode differences: each part's transform is the one product
+    of its ``plane_waves`` factors, rows @ cols^T.
     """
     px_values = np.asarray(px_values, dtype=float)
     py_values = np.asarray(py_values, dtype=float)
-    if isinstance(nu, Sum):
-        out = np.zeros((len(px_values), len(py_values)), dtype=complex)
-        for part in nu.parts:
-            out += fourier_grid(part, px_values, py_values)
-        return out
     max_abs_p = float(np.hypot(np.max(np.abs(px_values), initial=0.0),
                                np.max(np.abs(py_values), initial=0.0)))
-    if isinstance(nu, Density):
-        (xs, wx), (ys, wy), v = nu._tensor_rule(max_abs_p)
-        phase = np.outer(px_values, xs)
-        half = (np.concatenate([np.cos(phase), np.sin(phase)]) * wx) @ v
-        # V's grid is the largest array here; drop it before the complex ones
-        del phase, v
-        # exp(-i px x) = cos(px x) - i sin(px x)
-        n = len(px_values)
-        half = half[:n] - 1j * half[n:]
-        return (half @ (np.exp(-1j * np.outer(py_values, ys)) * wy).T) / TWO_PI
-    x, y, w = nu.quad_nodes(max_abs_p)
-    ex = np.exp(-1j * np.outer(px_values, x))           # (npx, nt)
-    ey = np.exp(-1j * np.outer(py_values, y))           # (npy, nt)
-    return np.einsum("it,jt,t->ij", ex, ey, w, optimize=True) / TWO_PI
+    out = 0.0
+    for part in parts(nu):
+        rows, cols = part.plane_waves(px_values, py_values, max_abs_p)
+        out = out + rows @ cols.T
+    return out / TWO_PI
+
+
+def pair_distances(pts):
+    """|p_j - p_k| for every pair of rows of the (N, 2) array pts."""
+    diff = pts[:, None, :] - pts[None, :, :]
+    return np.hypot(diff[..., 0], diff[..., 1])
+
+
+def plane_wave_gram(points, x, y, w):
+    """E diag(w) E^H with E_jt = e^{-i<p_j, x_t>}: Hermitian to rounding for real w."""
+    e = np.exp(-1j * (np.outer(points[:, 0], x) + np.outer(points[:, 1], y)))
+    return (e * w) @ e.conj().T
 
 
 def fourier_matrix(nu: RadonMeasureSpec, points):
-    """Hermitian matrix nuhat(p_j - p_k) over pairwise distinct points."""
-    pts = np.asarray(points, dtype=float)
-    n = len(pts)
-    diffs = pts[:, None, :] - pts[None, :, :]
-    vals = fourier_batch(nu, diffs.reshape(-1, 2)).reshape(n, n)
-    asym = np.max(np.abs(vals - vals.conj().T))
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    if asym > 1e-10 * scale:
-        raise NumericalInputError(
-            "fourier matrix asymmetry %.3e exceeds tolerance (complex measure?)" % asym)
-    return 0.5 * (vals + vals.conj().T)
+    """The matrix nuhat(p_j - p_k), the plane-wave Gram on nu's nodes over 2 pi."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    x, y, w = nu.quad_nodes(float(np.max(pair_distances(pts))))
+    return plane_wave_gram(pts, x, y, w) / TWO_PI
 
 
 # ---------------------------------------------------------------------------

@@ -143,32 +143,14 @@ _MINSET_POINTS = 512
 _MINSET_TOL_REL = 1e-8
 
 
-def _radial_newton(f, r0, r_lo, r_hi, steps):
-    """Newton refinement of a 1D stationary point with finite differences."""
-    r = r0
-    for _ in range(steps):
-        h = 1e-6 * max(abs(r), 1e-3)
-        f0, fp, fm = f(r), f(r + h), f(r - h)
-        g = (fp - fm) / (2.0 * h)
-        hss = (fp - 2.0 * f0 + fm) / (h * h)
-        if hss <= 0.0 or not np.isfinite(hss):
-            break
-        step = g / hss
-        r_new = min(max(r - step, r_lo), r_hi)
-        if abs(r_new - r) < 1e-15 * max(1.0, abs(r)):
-            r = r_new
-            break
-        r = r_new
-    return r
-
-
 def threshold(model: CouplingSpec) -> ThresholdData:
     """kappa = inf lambda_minus and a descriptor of its minimum set.
 
     Built-in couplings use the closed forms kappa = -alpha^2/4 with the circle
-    2|p| = |alpha|.  Custom couplings are minimized on a polar grid with a
-    radial Newton refinement per angle; the minimum set is reported as a
-    point cloud.
+    2|p| = |alpha|.  Custom couplings are minimized on a polar grid, then
+    refined by finite-difference Newton steps along each ray, all rays at
+    once, a ray leaving the steps when its curvature is not positive or its
+    step stalls; the minimum set is reported as a point cloud.
     """
     if model.kind in ("rashba", "dresselhaus"):
         alpha = abs(model.alpha)
@@ -178,29 +160,42 @@ def threshold(model: CouplingSpec) -> ThresholdData:
     r_max = _RADIAL_FACTOR * model.r_growth
     angles = np.linspace(0.0, 2.0 * np.pi, _MINSET_POINTS, endpoint=False)
     radii = np.linspace(r_max / _N_RADIAL, r_max, _N_RADIAL)
+    c, s = np.cos(angles), np.sin(angles)
+    grid = lower_band(model, np.outer(c, radii), np.outer(s, radii))
+    j = np.argmin(grid, axis=1)
+    # candidate minima at the origin are allowed; at the outer rim they
+    # indicate the search disk failed to bracket the infimum
+    rim = np.flatnonzero(j == len(radii) - 1)
+    if len(rim):
+        raise SearchDomainError(
+            "lower band still decreasing at the search radius %.3g "
+            "(angle %.4f); enlarge r_growth" % (r_max, angles[rim[0]]))
+    grid_v = grid[np.arange(len(angles)), j]
 
-    best_r = np.empty_like(angles)
-    best_v = np.empty_like(angles)
-    for i, th in enumerate(angles):
-        c, s = np.cos(th), np.sin(th)
-        prof = lower_band(model, radii * c, radii * s)
-        j = int(np.argmin(prof))
-        # candidate minima at the origin are allowed; at the outer rim they
-        # indicate the search disk failed to bracket the infimum
-        if j == len(radii) - 1:
-            raise SearchDomainError(
-                "lower band still decreasing at the search radius %.3g "
-                "(angle %.4f); enlarge r_growth" % (r_max, th))
-        f = lambda r: float(lower_band(model, r * c, r * s))
-        r_star = _radial_newton(f, radii[j], 0.0, r_max, _NEWTON_STEPS)
-        v_star = f(r_star)
-        if v_star > prof[j]:
-            r_star, v_star = radii[j], float(prof[j])
-        best_r[i], best_v[i] = r_star, v_star
+    def band(r, rays):
+        return lower_band(model, r * c[rays], r * s[rays])
+
+    best_r = radii[j]
+    live = np.arange(len(angles))
+    for _ in range(_NEWTON_STEPS):
+        r = best_r[live]
+        h = 1e-6 * np.maximum(np.abs(r), 1e-3)
+        f0, fp, fm = band(r, live), band(r + h, live), band(r - h, live)
+        g = (fp - fm) / (2.0 * h)
+        hss = (fp - 2.0 * f0 + fm) / (h * h)
+        ok = (hss > 0.0) & np.isfinite(hss)
+        live, r = live[ok], r[ok]
+        r_new = np.clip(r - g[ok] / hss[ok], 0.0, r_max)
+        best_r[live] = r_new
+        live = live[np.abs(r_new - r) >= 1e-15 * np.maximum(1.0, np.abs(r))]
+        if not len(live):
+            break
+    best_v = band(best_r, slice(None))
+    worse = best_v > grid_v
+    best_r[worse], best_v[worse] = radii[j[worse]], grid_v[worse]
 
     kappa = float(np.min(best_v))
     tol = _MINSET_TOL_REL * max(1.0, abs(kappa))
     keep = best_v <= kappa + tol
-    pts = np.column_stack([best_r[keep] * np.cos(angles[keep]),
-                           best_r[keep] * np.sin(angles[keep])])
+    pts = np.column_stack([best_r[keep] * c[keep], best_r[keep] * s[keep]])
     return ThresholdData(kappa=kappa, minset=PointCloud(points=pts, tolerance=tol))

@@ -70,7 +70,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapacityError, ConfigError, NumericalInputError, SupportError
-from .measure import Density, RadonMeasureSpec, Sum, fourier_grid
+from .measure import Density, RadonMeasureSpec, fourier_grid, parts
 from .model import CouplingSpec, ThresholdData
 
 _MODE_CAP = 4000
@@ -165,20 +165,17 @@ class SweepResult:
 
 
 def _check_support(nu: RadonMeasureSpec, L):
-    if isinstance(nu, Sum):
-        for part in nu.parts:
-            _check_support(part, L)
-        return
-    if isinstance(nu, Density):
-        x0, x1, y0, y1 = nu.support_box
-        reach = max(abs(x0), abs(x1), abs(y0), abs(y1))
-    else:
-        x, y = nu.curve.point(np.linspace(0.0, 1.0, 4096))
-        reach = max(np.max(np.abs(x)), np.max(np.abs(y)))
-    if reach >= L:
-        raise SupportError(
-            "measure support reaches |coordinate| = %.6g, box requires < L = %.6g"
-            % (reach, L))
+    for part in parts(nu):
+        if isinstance(part, Density):
+            x0, x1, y0, y1 = part.support_box
+            reach = max(abs(x0), abs(x1), abs(y0), abs(y1))
+        else:
+            x, y = part.curve.point(np.linspace(0.0, 1.0, 4096))
+            reach = max(np.max(np.abs(x)), np.max(np.abs(y)))
+        if reach >= L:
+            raise SupportError(
+                "measure support reaches |coordinate| = %.6g, box requires < L = %.6g"
+                % (reach, L))
 
 
 def _turn(n_pairs, quarters):

@@ -5,11 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.fft import fht, next_fast_len
-from scipy.special import jv, loggamma
+from scipy.special import j0, jv, loggamma
 
 from conftest import log_rule
 from spinbound import certificate
-from spinbound.certificate import (_M_MAX, DEFAULT_A_SCHEDULE, TrialBasis, _decade_rules,
+from spinbound.certificate import (_M_MAX, _R_FLOOR, DEFAULT_A_SCHEDULE, TrialBasis, _decade_rules,
                                    _fast_len, _fftlog, _fftlog_coefficients,
                                    _gate_sample, _kinetic_halfplane, _ModeTable, _radial_end,
                                    _ring_gap,
@@ -676,6 +676,60 @@ def test_small_radii_alone_and_beside_one(rashba2, a):
         assert np.max(np.abs(alone - beside)) <= 1e-12 * peak, r
 
 
+def _direct_origin_mode(modes, prof, r):
+    """R_0(r) by direct J_0 quadrature of the mode table's c_0.
+
+    Log panels from 1e-6 to 1 / r, clustered on the kink ring rho = 1,
+    then panels of width <= pi / (2 r) to 1e5 / r.
+    """
+    zero = np.array([_M_MAX])   # the column of m = 0
+    head = np.geomspace(1e-6, 1.0 / r, int(np.ceil(16 * np.log10(1e6 / r))) + 1)
+    ring = _kink_cluster(1.0, 10)
+    rho, w = panel_rule(merge_edges(head, ring[ring < 1.0 / r]), 8)
+    total = np.sum(w * modes(rho, zero)[:, 0] * prof(rho) * rho * j0(rho * r))
+    n = int(np.ceil((1e5 - 1.0) / (0.5 * np.pi)))
+    rho, w = panel_rule(np.linspace(1.0, 1e5, n + 1) / r, 8)
+    return total + np.sum(w * modes(rho, zero)[:, 0] * prof(rho) * rho * j0(rho * r))
+
+
+class _FixedNodes:
+    """A measure stand-in whose quadrature is the given nodes, weight -1 each."""
+
+    def __init__(self, x, y):
+        self.nodes = (np.asarray(x, float), np.asarray(y, float), -np.ones(len(x)))
+
+    def quad_nodes(self, max_abs_p):
+        return self.nodes
+
+
+@pytest.mark.parametrize("a", [0.4, 0.025])
+def test_small_radii_below_the_floor_are_refused(rashba2, thr2, a):
+    # FFTLog returns r R_m(r) with an absolute error near 1e-11, so R_m(r)
+    # drifts like 1 / r: against direct J_0 quadrature R_0 is within 1e-6
+    # from the floor 1e-4 up, and off by far more below it (at a = 0.4,
+    # R_0(1e-10) = -0.808i where R_0(0) = 0.264i).  potential_matrix_exact
+    # refuses every node radius in (0, floor), including those that the
+    # radius rounding would send to the origin's rule
+    pj, m_arr, prof, modes = _band_modes(rashba2, a)
+    worst_below = 0.0
+    for r in np.geomspace(1e-10, 1e-4, 7):
+        got = _node_modes(rashba2, pj, prof, np.array([r]), m_arr)[0, _M_MAX]
+        ref = _direct_origin_mode(modes, prof, r)
+        err = abs(got - ref) / abs(ref)
+        if r >= _R_FLOOR:
+            assert err <= 1e-6, r
+        else:
+            worst_below = max(worst_below, err)
+    assert worst_below > 1e-4
+    basis = trial_basis(rashba2, thr2, select_points(thr2.minset, 2), a)
+    for r in (1e-13, 1e-8, 0.5 * _R_FLOOR):
+        with pytest.raises(ResolutionError, match="below"):
+            potential_matrix_exact(rashba2, _FixedNodes([r, 1.0], [0.0, 0.0]), basis)
+    w = potential_matrix_exact(rashba2, _FixedNodes([0.0, _R_FLOOR, 1.0], [0.0, 0.0, 0.0]),
+                               basis)
+    assert np.all(np.isfinite(w))
+
+
 def test_node_modes_independent_of_the_sample_grid(rashba2):
     # the least and the largest radius set the FFTLog grid's ends, so
     # adding 1e-6 and 300 moves every sample; at a = 0.025 g_{+-1} ~
@@ -1045,6 +1099,19 @@ def test_certify_config_errors(rashba2, thr2, circle_measure):
     with pytest.raises(ConfigError, match="N = 2 points, got 4"):
         certify(rashba2, thr2, circle_measure, 2, [0.4],
                 points=[[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+
+
+def test_certify_refuses_a_complex_weight_at_the_precheck(rashba2, thr2, monkeypatch):
+    # the precheck's Gram has the complex mass on its diagonal, which the
+    # Hermitian check of ``definiteness`` refuses before any step is built
+    def no_step(*args, **kwargs):
+        raise AssertionError("a schedule step ran")
+
+    monkeypatch.setattr(certificate, "trial_basis", no_step)
+    nu = CurveDelta(ClosedFormCircle((0.0, 0.0), 1.0),
+                    weight=lambda x, y: np.full(np.shape(x), -1.0 + 0.5j))
+    with pytest.raises(NumericalInputError, match="not Hermitian"):
+        certify(rashba2, thr2, nu, 4, [0.4])
 
 
 def test_certify_zero_measure(rashba2, thr2):

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import j0
 
 from conftest import bessel_j0_series
 from spinbound.config import build_measure
 from spinbound.errors import ConfigError, ResolutionError
 from spinbound.measure import (ClosedFormCircle, CurveDelta, Density,
                                SampledCurve, Segment, Sum, decay_scan,
-                               fourier_batch, fourier_grid, fourier_matrix)
+                               fourier_batch, fourier_grid, fourier_matrix, parts)
 
 momenta = st.tuples(st.floats(-10, 10), st.floats(-10, 10))
 
@@ -107,6 +108,27 @@ def test_fourier_grid_matches_batch(circle_measure, gaussian_well):
         assert np.max(np.abs(grid - batch)) < 1e-10
 
 
+def test_nested_sum_is_flattened_once(circle_measure, gaussian_well):
+    # a circle and a segment inside an inner Sum, plus the Gaussian well:
+    # both transforms sum the three parts' plane-wave rules, and the nodes
+    # are the three parts' nodes in order
+    segment = unit_segment()
+    nu = Sum([Sum([circle_measure, segment]), gaussian_well])
+    assert parts(nu) == [circle_measure, segment, gaussian_well]
+    px = np.linspace(-2.0, 2.0, 5)
+    py = np.linspace(-1.0, 3.0, 4)
+    gx, gy = np.meshgrid(px, py, indexing="ij")
+    want = (-j0(np.hypot(gx, gy))
+            - np.exp(-0.5j * gx) * np.sinc(gx / (2.0 * np.pi)) / (2.0 * np.pi)
+            - 2.0 * np.exp(-0.5 * (gx * gx + gy * gy)))
+    batch = fourier_batch(nu, np.column_stack([gx.ravel(), gy.ravel()])).reshape(5, 4)
+    assert np.max(np.abs(fourier_grid(nu, px, py) - want)) < 1e-12
+    assert np.max(np.abs(batch - want)) < 1e-12
+    own = [part.quad_nodes(3.0) for part in (circle_measure, segment, gaussian_well)]
+    for axis, pieces in zip(nu.quad_nodes(3.0), zip(*own)):
+        assert np.array_equal(axis, np.concatenate(pieces))
+
+
 def test_resolution_cap(circle_measure):
     with pytest.raises(ResolutionError):
         fourier_batch(circle_measure, [(1e6, 0.0)])
@@ -164,6 +186,16 @@ def test_fourier_matrix_gaussian_example():
     eig = np.linalg.eigvalsh(m)
     assert eig[-1] == pytest.approx(-1.0 + np.exp(-2.0), abs=1e-10)
     assert eig[-1] < 0
+
+
+def test_fourier_matrix_is_the_circle_gram(circle_measure):
+    # nuhat(p_j - p_k) = -J0(|p_j - p_k|) on the unit circle, as a Gram of
+    # plane waves on the nodes: Hermitian to rounding with no symmetrisation
+    pts = np.random.default_rng(3).uniform(-3.0, 3.0, size=(6, 2))
+    m = fourier_matrix(circle_measure, pts)
+    want = -j0(np.hypot(*(pts[:, None, :] - pts[None, :, :]).transpose(2, 0, 1)))
+    assert np.max(np.abs(m - want)) < 1e-13
+    assert np.max(np.abs(m - m.conj().T)) <= 1e-15 * np.max(np.abs(m))
 
 
 def test_fourier_matrix_single_negative_mass(circle_measure):
