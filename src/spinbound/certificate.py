@@ -13,10 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import measure
 from .errors import (CapacityError, ConfigError, NumericalInputError,
                      ResolutionError)
 from .hankel import FhatProfile, fhat_profile
-from .measure import fourier_matrix, pair_distances, plane_wave_gram
+from .measure import fourier_matrix, pair_distances
 from .model import (Circle, CouplingSpec, PointCloud, ThresholdData,
                     lower_band, lower_band_vectors)
 from .quadrature import merge_edges, panel_rule, uniform_rule
@@ -428,11 +429,13 @@ def _pair_scale(pts):
 def potential_matrix_dropped(nu, basis: TrialBasis):
     """W_jk with the band phase dropped: int e^{-i<p_j-p_k,x>} |f_a(x)|^2 nu(dx).
 
-    |f_a(x)|^2 = e^{-|x|^a}, so W is the plane-wave Gram on nu's nodes
-    with those weights.
+    |f_a(x)|^2 = e^{-|x|^a}, so W is 2 pi times the ``fourier_matrix`` of
+    the measure e^{-|x|^a} nu.
     """
-    x, y, w = nu.quad_nodes(_pair_scale(basis.points) + 1.0)
-    return plane_wave_gram(basis.points, x, y, w * np.exp(-np.hypot(x, y) ** basis.a))
+    weighted = measure.scaled(nu, lambda x, y: np.exp(-np.hypot(x, y) ** basis.a))
+    # measure's own name: this module's ``fourier_matrix`` is the precheck,
+    # which bench/child.py times as a layer of its own
+    return measure.TWO_PI * measure.fourier_matrix(weighted, basis.points)
 
 
 def potential_matrix_exact(model: CouplingSpec, nu, basis: TrialBasis):
@@ -445,15 +448,16 @@ def potential_matrix_exact(model: CouplingSpec, nu, basis: TrialBasis):
     turned to every point: Delta_j(r, theta) = chi_j sum_m i^m e^{im(theta
     - phi_j)} R_m(r), with phi_j and chi_j of ``_turns``.  Without one,
     every point takes its own R_m, with phi_j = 0 and chi_j = 1.  A node
-    radius in (0, _R_FLOOR), where R_m is unresolved, raises ResolutionError.
+    radius below _R_FLOOR, 0 included, where R_m is unresolved, raises
+    ResolutionError.
     """
     pts = basis.points
     max_p = _pair_scale(pts) + float(np.max(np.hypot(pts[:, 0], pts[:, 1]))) + 4.0
     x, y, w = nu.quad_nodes(max_p)
     r = np.hypot(x, y)
-    if np.any((r > 0.0) & (r < _R_FLOOR)):
+    if np.any(r < _R_FLOOR):
         raise ResolutionError("band correction unresolved at node radius %.3g, below %g"
-                              % (np.min(r[r > 0.0]), _R_FLOOR))
+                              % (np.min(r), _R_FLOOR))
     theta = np.arctan2(y, x)
     f = np.exp(-0.5 * r ** basis.a)
     n = len(pts)
@@ -522,8 +526,7 @@ class _ModeTable:
     are the points 10^(k/32) from ``lo``, the lowest rho read, not the
     profile's edge, to one decade past ``reach``, the largest rho read, so
     the spline's end condition stays clear of it; tables with other ends
-    share those nodes.  ``lo`` and ``hi`` are the table's edges and ``rj``
-    the kink radius (None when off the table).
+    share those nodes.  ``lo`` and ``hi`` are the table's edges.
     """
 
     def __init__(self, model, pj, m_arr, lo, reach):
@@ -531,13 +534,13 @@ class _ModeTable:
         powers = np.arange(np.floor(32.0 * np.log10(lo)), np.ceil(32.0 * np.log10(reach)) + 33)
         grid = 10.0 ** (powers / 32.0)
         lo, hi = grid[0], grid[-1]
-        self.rj = rj if lo < rj < hi else None
-        if self.rj is not None:
+        kinked = lo < rj < hi
+        if kinked:
             grid = merge_edges(grid, _kink_ring(rj, lo, hi))
         cm = _angular_modes(model, pj, grid, m_arr)
         self.lo, self.hi = lo, hi
         log_grid = np.log(grid)
-        if self.rj is None:
+        if not kinked:
             self._spline = cubic_spline(log_grid, cm)
         else:
             k = int(np.searchsorted(grid, rj))
@@ -550,23 +553,19 @@ class _ModeTable:
 
 
 def _radius_modes(model, pj, prof, radii, m_arr):
-    """R_m(r) at the sorted distinct radii; the mode table dies on return."""
-    pos = radii[radii > 0.0]
-    # every positive radius takes the FFTLog rule, whose samples run from
-    # 1e-6 / max(r_max, 1) to 1e4 / r_min past it; r = 0 reads c_0 from
-    # there, where c_0 = O(rho^2) leaves O(1e-12) below, up to the
-    # profile's end
-    rho_hi = max(1.0e5, 1.0e4 / pos[0]) if len(pos) else 0.0
-    modes = _ModeTable(model, pj, m_arr, 1e-6 / max(radii[-1], 1.0),
-                       prof.rho_hi if radii[0] == 0.0 else min(rho_hi, prof.rho_hi))
+    """R_m(r) at the sorted distinct positive radii; the mode table dies on return.
+
+    One FFTLog rule serves every radius: its samples run from
+    1e-6 / max(r_max, 1) to 1e4 / r_min past it.  ``potential_matrix_exact``
+    passes no radius below _R_FLOOR, where that rule is unresolved.
+    """
+    rho_hi = max(1.0e5, 1.0e4 / radii[0])
+    modes = _ModeTable(model, pj, m_arr, 1e-6 / max(radii[-1], 1.0), min(rho_hi, prof.rho_hi))
+    # the kink of c_m on the ring rho = |p_j| makes R_m(r) turn by about
+    # r |p_j| radians per unit of ln r, so the ln step shrinks with it
+    step = min(_LN_STEP, _TURN_STEP / (radii[-1] * max(float(np.hypot(*pj)), 1.0)))
     R = np.zeros((len(radii), len(m_arr)), dtype=complex)
-    if len(pos):
-        # the kink of c_m on the ring rho = |p_j| makes R_m(r) turn by about
-        # r |p_j| radians per unit of ln r, so the ln step shrinks with it
-        step = min(_LN_STEP, _TURN_STEP / (pos[-1] * max(float(np.hypot(*pj)), 1.0)))
-        _hankel_fftlog(modes, prof, pos, m_arr, rho_hi, step, R[len(radii) - len(pos):])
-    if radii[0] == 0.0:
-        R[0] = _origin_mode(modes, prof, m_arr)
+    _hankel_fftlog(modes, prof, radii, m_arr, rho_hi, step, R)
     return R
 
 
@@ -719,27 +718,6 @@ def _hankel_fftlog(modes, prof, radii, m_arr, rho_hi, step, out):
         for s in range(6):
             lagrange = np.prod([(u[block] - q) / (s - q) for q in range(6) if q != s], axis=0)
             out[block] += lagrange[:, None] * R[:, near[block, s]].T
-
-
-def _origin_mode(modes, prof, m_arr):
-    """R_m(0) = delta_m0 int c_0 fhat rho d rho, since J_m(0) = delta_m0.
-
-    Log panels on the quarter decades 10^(k/4) run over the mode table,
-    with edges clustered on the kink ring, so tables with other ends share
-    them.  Past its end P, c_0 is held at c_0(P) and fhat is Bergstrom's
-    series, which leaves the tail c_0(P) sum_n c_n P^(-n a) / (n a).
-    """
-    lo, hi = modes.lo, modes.hi
-    quarters = np.arange(np.ceil(4.0 * np.log10(lo) - 1e-9), np.floor(4.0 * np.log10(hi)) + 1)
-    edge_sets = [[lo], 10.0 ** (quarters / 4.0), [hi]]
-    if modes.rj is not None:
-        edge_sets.append(_kink_ring(modes.rj, lo, hi))
-    rho, w = panel_rule(merge_edges(*edge_sets), 6)
-    zero = m_arr == 0
-    g = modes(rho)[:, zero][:, 0] * (prof(rho) * rho)
-    n = np.arange(1, len(prof.coefficients) + 1)
-    tail = modes(hi)[zero][0] * np.sum(prof.coefficients * hi ** (-n * prof.a) / (n * prof.a))
-    return np.where(zero, np.sum(w * g) + tail, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,8 @@ The table is interpolated log-log by a not-a-knot cubic spline
 (1.9) between the nodes.  Below the table the first value is held.  Past
 it fhat is Bergstrom's series sum_n c_n rho^-(2 + n a) in 40 terms, whose
 coefficients each profile computes once (``FhatProfile.coefficients``);
-the kinetic tail and the band correction at r = 0 integrate the same
-series.  At rho = 1e12 it meets the table to 1.3e-14 (a = 1.9).
+the kinetic tail integrates the same series.  At rho = 1e12 it meets the
+table to 1.3e-14 (a = 1.9).
 """
 
 from __future__ import annotations

@@ -5,11 +5,12 @@ exp(-i<p,x>) nu(dx), so that the total mass equals 2*pi*nuhat(0).
 Oscillatory integrals use composite Gauss-Legendre with the panel count
 scaled to the number of phase oscillations across the support.
 
-nu meets the plane waves in two places.  Each measure type has one rule,
+nu meets the plane waves through one rule per measure type,
 ``plane_waves``, with 2 pi nuhat(px_i, py_j) = sum_t rows[i, t] cols[j, t],
 which ``fourier_grid`` and ``fourier_batch`` sum over ``parts`` (nested Sums
-flattened); and ``plane_wave_gram`` on the nodes gives nuhat(p_j - p_k)
-(``fourier_matrix``) and, with other weights, the dropped potential W.
+flattened).  ``fourier_matrix`` is ``fourier_batch`` at the differences
+p_j - p_k; on the measure ``scaled`` by e^{-|x|^a} it gives the dropped
+potential W.
 """
 
 from __future__ import annotations
@@ -252,6 +253,14 @@ def parts(nu: RadonMeasureSpec):
     return [nu]
 
 
+def scaled(nu: RadonMeasureSpec, g):
+    """The measure g nu, each part rebuilt by its own type with its weight times g(x, y)."""
+    def times_g(weight):
+        return lambda x, y: weight(x, y) * g(x, y)
+    return Sum([CurveDelta(p.curve, times_g(p._h)) if isinstance(p, CurveDelta)
+                else Density(times_g(p.V), p.support_box) for p in parts(nu)])
+
+
 # ---------------------------------------------------------------------------
 # transforms
 
@@ -291,17 +300,11 @@ def pair_distances(pts):
     return np.hypot(diff[..., 0], diff[..., 1])
 
 
-def plane_wave_gram(points, x, y, w):
-    """E diag(w) E^H with E_jt = e^{-i<p_j, x_t>}: Hermitian to rounding for real w."""
-    e = np.exp(-1j * (np.outer(points[:, 0], x) + np.outer(points[:, 1], y)))
-    return (e * w) @ e.conj().T
-
-
 def fourier_matrix(nu: RadonMeasureSpec, points):
-    """The matrix nuhat(p_j - p_k), the plane-wave Gram on nu's nodes over 2 pi."""
+    """The matrix nuhat(p_j - p_k): ``fourier_batch`` at every difference."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    x, y, w = nu.quad_nodes(float(np.max(pair_distances(pts))))
-    return plane_wave_gram(pts, x, y, w) / TWO_PI
+    n = len(pts)
+    return fourier_batch(nu, (pts[:, None, :] - pts[None, :, :]).reshape(-1, 2)).reshape(n, n)
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,11 @@ from spinbound.certificate import (_M_MAX, _R_FLOOR, DEFAULT_A_SCHEDULE, TrialBa
                                    potential_matrix_dropped,
                                    potential_matrix_exact, select_points,
                                    trial_basis)
+from spinbound.config import build_measure
 from spinbound.errors import (CapacityError, ConfigError, NumericalInputError,
                               ResolutionError)
 from spinbound.hankel import fhat_profile
-from spinbound.measure import ClosedFormCircle, CurveDelta, fourier_matrix
+from spinbound.measure import ClosedFormCircle, CurveDelta, Sum, fourier_matrix
 from spinbound.model import (Circle, CouplingSpec, PointCloud, ThresholdData,
                              lower_band, lower_band_vectors, threshold)
 from spinbound.quadrature import merge_edges, panel_rule, uniform_rule
@@ -505,6 +506,56 @@ def test_exact_equals_dropped_for_constant_phase_density(gaussian_well):
     assert np.max(np.abs(we - wd)) < 3e-5
 
 
+def _weak_well():
+    """The Gaussian density of the benchmark's weak-well run."""
+    return build_measure({"type": "density", "box": [-8.0, 8.0, -8.0, 8.0],
+                          "density": {"type": "gaussian-well", "depth": 0.05,
+                                      "width": 1.0}})
+
+
+def _plane_wave_gram(pts, x, y, w):
+    """E diag(w) E^H with E_jt = e^{-i<p_j, x_t>}, on the given nodes."""
+    e = np.exp(-1j * (np.outer(pts[:, 0], x) + np.outer(pts[:, 1], y)))
+    return (e * w) @ e.conj().T
+
+
+@pytest.mark.parametrize("a", [0.4, 0.025])
+@pytest.mark.parametrize("kind", ["circle", "weak-well", "sum"])
+def test_fourier_matrix_and_dropped_are_the_plane_wave_gram(rashba2, thr2, circle_measure,
+                                                            kind, a):
+    # both reach nu through fourier_batch at the differences p_j - p_k; the
+    # reference is the Gram of the plane waves on nu's own nodes at the
+    # batch's node scale max |p_j - p_k|, with weights w and w e^{-|x|^a}
+    nu = {"circle": circle_measure, "weak-well": _weak_well(),
+          "sum": Sum([circle_measure, _weak_well()])}[kind]
+    pts = select_points(thr2.minset, 4)
+    x, y, w = nu.quad_nodes(_pair_scale(pts))
+    gram = _plane_wave_gram(pts, x, y, w)
+    got = 2.0 * np.pi * fourier_matrix(nu, pts)
+    assert np.max(np.abs(got - gram)) <= 1e-13 * np.max(np.abs(gram))
+    gram = _plane_wave_gram(pts, x, y, w * np.exp(-np.hypot(x, y) ** a))
+    got = potential_matrix_dropped(nu, trial_basis(rashba2, thr2, pts, a))
+    assert np.max(np.abs(got - gram)) <= 1e-13 * np.max(np.abs(gram))
+
+
+def test_density_plane_waves_memory_peak(rashba2, thr2):
+    # a density meets the plane waves on its axis rules, N^2 (nx + ny)
+    # exponentials, never on its nx ny tensor nodes (16,384 here, which
+    # took 3.4 MiB for the precheck's Gram at N = 4)
+    nu = _weak_well()
+    pts = select_points(thr2.minset, 4)
+    basis = trial_basis(rashba2, thr2, pts, 0.025)
+    for call in (lambda: fourier_matrix(nu, pts),
+                 lambda: potential_matrix_dropped(nu, basis)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+
 @pytest.mark.slow
 def test_exact_matrix_brute_force(rashba2, thr2, circle_measure):
     # independent evaluation of Psi_j on the measure nodes by direct polar
@@ -577,7 +628,7 @@ def _kink_cluster(rj, depth):
 
 def _gaussian_modes(modes, m_arr, rr, rj=1.0):
     """R_m(rr) at a = 2 by panels of width <= min(pi/(4 r), 0.25) to rho = 40."""
-    width = min(0.25 * np.pi / rr, 0.25) if rr > 0.0 else 0.25
+    width = min(0.25 * np.pi / rr, 0.25)
     edges = merge_edges(np.linspace(0.0, 40.0, int(np.ceil(40.0 / width)) + 1),
                         _kink_cluster(rj, 10))
     rho, w = panel_rule(edges, 8)
@@ -621,44 +672,37 @@ def test_node_modes_refuse_a_grid_past_the_sample_budget(rashba2):
     assert err.value.attempted_nodes > 2 ** 19
 
 
-def test_radial_modes_tail_at_origin(rashba2):
-    # at r = 0 only m = 0 survives, and past the mode table c_0 ->
-    # -u_-(p_j)_1 while g = c_0 fhat rho ~ rho^-(1+a) keeps a tail, which
-    # the rule takes from fhat's series; at a = 0.025 that tail is a
-    # sizeable share of R_0(0).  Reference: the
-    # integral to P = 1e6 plus the constant c_0 times the mass past P,
-    # sum_n c_n P^(-n a) / (n a) by fhat's power series
-    pj, m_arr, prof, _ = _band_modes(rashba2, 0.025)
-    got = _node_modes(rashba2, pj, prof, np.array([0.0]), m_arr)[0]
-    assert np.all(got[m_arr != 0] == 0.0)
+def _origin_peak(model, pj, prof):
+    """|R_0(0)|, the largest |R_m(r)|, by direct quadrature of c_0 fhat rho.
+
+    At r = 0 only m = 0 survives (J_m(0) = delta_m0).  Past P = 1e6, c_0 is
+    the constant -u_-(p_j)_1 and fhat rho ~ rho^-(1+a) keeps a tail, which
+    is sum_n c_n P^(-n a) / (n a) by fhat's power series; at a = 0.025 it
+    is a sizeable share of R_0(0).
+    """
     big_p = 1e6
     decades = int(np.ceil(np.log10(big_p / prof.rho_lo)))
     edges = merge_edges([0.0], np.geomspace(prof.rho_lo, big_p, 16 * decades + 1),
-                        _kink_cluster(1.0, 10))
+                        _kink_cluster(float(np.hypot(*pj)), 10))
     rho, w = panel_rule(edges, 8)
-    mass = w * prof(rho) * rho
-    c0 = _angular_modes(rashba2, pj, rho, np.array([0]))[:, 0]
-    u1 = lower_band_vectors(rashba2, pj[0], pj[1])[0]
-    n = np.arange(1, 41)
+    c0 = _angular_modes(model, pj, rho, np.array([0]))[:, 0]
+    u1 = lower_band_vectors(model, pj[0], pj[1])[0]
+    n = np.arange(1, len(prof.coefficients) + 1)
     past = np.sum(prof.coefficients * big_p ** (-n * prof.a) / (n * prof.a))
-    ref = np.sum(c0 * mass) - u1 * past
-    assert abs(got[_M_MAX] - ref) < 1e-5 * abs(ref)
+    return abs(np.sum(c0 * w * prof(rho) * rho) - u1 * past)
 
 
 @pytest.mark.parametrize("a", [0.025, 0.4, 2.0])
 def test_node_modes_mix_origin_and_positive_radii(rashba2, a):
-    # a node at the origin takes the r = 0 rule and the others the FFTLog
-    # rule, each row as when its radius comes alone (the origin widens the
-    # mode table to the profile's end, which moves c_m only by rounding)
+    # repeated radii, in any order, share one row, and each row is as when
+    # the distinct radii come alone; the scale is the peak |R_0(0)|
     pj, m_arr, prof, _ = _band_modes(rashba2, a)
-    r = np.array([1.5, 0.0, 0.02, 1.5, 0.0, 9.0])
+    r = np.array([1.5, 0.02, 1.5, 9.0])
     got = _node_modes(rashba2, pj, prof, r, m_arr)
-    origin = _node_modes(rashba2, pj, prof, np.array([0.0]), m_arr)[0]
     alone = _node_modes(rashba2, pj, prof, np.array([0.02, 1.5, 9.0]), m_arr)
-    peak = np.max(np.abs(origin))
-    assert np.array_equal(got[1], got[4])
-    assert np.max(np.abs(got[1] - origin)) <= 1e-12 * peak
-    for row, want in zip((2, 0, 5), alone):
+    peak = _origin_peak(rashba2, pj, prof)
+    assert np.array_equal(got[0], got[2])
+    for row, want in zip((1, 0, 3), alone):
         assert np.max(np.abs(got[row] - want)) <= 1e-9 * peak
 
 
@@ -669,7 +713,7 @@ def test_small_radii_alone_and_beside_one(rashba2, a):
     # when every radius is below 1, and R_0(1e-4) alone was off from R_0(1e-4)
     # beside r = 1 by 4.1e-5 (a = 0.4), R_0(1e-6) by 28%
     pj, m_arr, prof, _ = _band_modes(rashba2, a)
-    peak = np.max(np.abs(_node_modes(rashba2, pj, prof, np.array([0.0]), m_arr)))
+    peak = _origin_peak(rashba2, pj, prof)
     for r in (0.1, 1e-2, 1e-4, 1e-6):
         alone = _node_modes(rashba2, pj, prof, np.array([r]), m_arr)[0]
         beside = _node_modes(rashba2, pj, prof, np.array([r, 1.0]), m_arr)[0]
@@ -708,8 +752,7 @@ def test_small_radii_below_the_floor_are_refused(rashba2, thr2, a):
     # drifts like 1 / r: against direct J_0 quadrature R_0 is within 1e-6
     # from the floor 1e-4 up, and off by far more below it (at a = 0.4,
     # R_0(1e-10) = -0.808i where R_0(0) = 0.264i).  potential_matrix_exact
-    # refuses every node radius in (0, floor), including those that the
-    # radius rounding would send to the origin's rule
+    # refuses every node radius below the floor, the origin included
     pj, m_arr, prof, modes = _band_modes(rashba2, a)
     worst_below = 0.0
     for r in np.geomspace(1e-10, 1e-4, 7):
@@ -722,11 +765,10 @@ def test_small_radii_below_the_floor_are_refused(rashba2, thr2, a):
             worst_below = max(worst_below, err)
     assert worst_below > 1e-4
     basis = trial_basis(rashba2, thr2, select_points(thr2.minset, 2), a)
-    for r in (1e-13, 1e-8, 0.5 * _R_FLOOR):
+    for r in (0.0, 1e-13, 1e-8, 0.5 * _R_FLOOR):
         with pytest.raises(ResolutionError, match="below"):
             potential_matrix_exact(rashba2, _FixedNodes([r, 1.0], [0.0, 0.0]), basis)
-    w = potential_matrix_exact(rashba2, _FixedNodes([0.0, _R_FLOOR, 1.0], [0.0, 0.0, 0.0]),
-                               basis)
+    w = potential_matrix_exact(rashba2, _FixedNodes([_R_FLOOR, 1.0], [0.0, 0.0]), basis)
     assert np.all(np.isfinite(w))
 
 
@@ -739,7 +781,7 @@ def test_node_modes_independent_of_the_sample_grid(rashba2):
     r = np.array([0.003, 1.0])
     got = _node_modes(rashba2, pj, prof, r, m_arr)
     wide = _node_modes(rashba2, pj, prof, np.array([1e-6, 0.003, 1.0, 300.0]), m_arr)
-    peak = np.max(np.abs(_node_modes(rashba2, pj, prof, np.array([0.0]), m_arr)))
+    peak = _origin_peak(rashba2, pj, prof)
     assert np.max(np.abs(wide[1:3] - got)) < 1e-6 * peak
 
 
