@@ -197,15 +197,16 @@ class Density:
         if not np.all(np.isfinite(vals)):
             raise QuadratureFailureError("density is non-finite on its support box")
 
-    def _tensor_rule(self, max_abs_p):
+    def _tensor_rule(self, max_px, max_py):
         """Axis rules (xs, wx), (ys, wy) and V on their grid, unweighted.
 
-        Two GL8 panels per oscillation wavelength along each axis.  The
-        node weights are V * (wx outer wy).
+        Two GL8 panels per oscillation wavelength along each axis, at that
+        axis's largest frequency (max_px along x, max_py along y), and at
+        least 16 panels.  The node weights are V * (wx outer wy).
         """
         x0, x1, y0, y1 = self.support_box
-        px = 2 * max(8, int(np.ceil(max_abs_p * (x1 - x0) / TWO_PI)))
-        py = 2 * max(8, int(np.ceil(max_abs_p * (y1 - y0) / TWO_PI)))
+        px = 2 * max(8, int(np.ceil(max_px * (x1 - x0) / TWO_PI)))
+        py = 2 * max(8, int(np.ceil(max_py * (y1 - y0) / TWO_PI)))
         if (px * 8) * (py * 8) > NODE_CAP:
             raise ResolutionError("density quadrature exceeds node cap",
                                   attempted_nodes=px * py * 64)
@@ -214,17 +215,22 @@ class Density:
         return (xs, wx), (ys, wy), np.asarray(self.V(xs[:, None], ys[None, :]), dtype=float)
 
     def quad_nodes(self, max_abs_p):
-        (xs, wx), (ys, wy), v = self._tensor_rule(max_abs_p)
+        """(x, y, weights) on the tensor grid; p may point anywhere, so |p| on both axes."""
+        (xs, wx), (ys, wy), v = self._tensor_rule(max_abs_p, max_abs_p)
         X, Y = np.meshgrid(xs, ys, indexing="ij")
         return X.ravel(), Y.ravel(), (v * np.outer(wx, wy)).ravel()
 
     def plane_waves(self, px, py, max_abs_p):
         """(rows, cols): (e^{-i px x} wx) V and e^{-i py y} wy on the axis rules.
 
-        The rows are the real product (cos, sin)(px x) wx times V, so V's
-        grid, the largest array here, is dropped before any complex one.
+        The phase px x + py y splits by axis, so the x rule resolves
+        max|px| and the y rule max|py|; ``max_abs_p``, which a curve's rule
+        needs, is not read.  The rows are the real product
+        (cos, sin)(px x) wx times V, so V's grid, the largest array here,
+        is dropped before any complex one.
         """
-        (xs, wx), (ys, wy), v = self._tensor_rule(max_abs_p)
+        (xs, wx), (ys, wy), v = self._tensor_rule(np.max(np.abs(px), initial=0.0),
+                                                  np.max(np.abs(py), initial=0.0))
         phase = np.outer(px, xs)
         half = (np.concatenate([np.cos(phase), np.sin(phase)]) * wx) @ v
         del phase, v

@@ -60,6 +60,15 @@ times faster than a complex Hermitian one.  The gate averages over Theta
 as well, for the first mirror R^s m, s < 4/n, that fits the same budget;
 when one does, every block is solved real, whatever n, and otherwise
 complex.
+
+A sweep gathers the table once, at r - R^f s for the representatives r, s
+and each turn f, in the table's dtype, which is real whenever the gate
+pairs the sectors.  A sector's potential sum_f omega^f G_f then takes adds
+and subtracts only, as each omega^f is 1, i, -1 or -i.  With Theta the
+gather's rows and columns are ordered so that each spin's real form reads
+slices of those sums, in real arithmetic but for the few fixed points, and
+the coupling's real form is its O(M) nonzeros.  Each block is gathered
+from these parts straight into ascending |k|, a slab of rows at a time.
 """
 
 from __future__ import annotations
@@ -76,6 +85,9 @@ from .model import CouplingSpec, ThresholdData
 _MODE_CAP = 4000
 _PAIR_REL_GAP = 1e-6
 _QUARTER = np.array([1.0, 1.0j, -1.0, -1.0j])    # i^q, exactly
+# rows of a block gathered at once: a slab of the largest blocks (M = 4000
+# modes, n = 1, complex) takes 8 MB
+_SLAB_ROWS = 128
 
 
 def sweep_problems(L, cutoffs, edge_tol):
@@ -339,50 +351,146 @@ def _real_basis(partner, phase):
                       np.concatenate([np.conj(phase[lower]), root]))
 
 
-def _real_form(h, rows: _RealBasis, cols: _RealBasis):
-    """h in the real bases ``rows`` and ``cols``, a real matrix.
+def _sector_potentials(g, j, n):
+    """(re, im) with V_omega = re + i im = sum_f omega^f G_f, omega = i^(4j/n).
 
-    Needs conj(h) = P_rows h P_cols^H.  With G and G' the rephased
-    h[rows.first, cols.first] and h[rows.first, cols.partner], that gives
-    the u rows against the u columns as Re(G + G'), w against u as
-    Im(G + G'), u against w as Im(G' - G) and w against w as Re(G - G'),
-    with 1/sqrt(2) on every fixed point's row and column.
+    ``g`` holds the G_f, gathered once per sweep.  Each omega^f is 1, i, -1
+    or -i, so re and im are signed sums of the G_f, taken in f order and in
+    g's dtype; im is None when no omega^f is imaginary, and for n = 1 re is
+    G_0 itself.
     """
-    g = h[np.ix_(rows.first, cols.first)] * np.outer(np.conj(rows.phase), cols.phase)
-    g_partner = (h[np.ix_(rows.first, cols.partner)]
-                 * np.outer(np.conj(rows.phase), cols.partner_phase))
-    m_r, m_c, k_r, k_c = len(rows.first), len(cols.first), rows.lower, cols.lower
-    out = np.empty((m_r + k_r, m_c + k_c))
-    out[:m_r, :m_c] = g.real + g_partner.real
-    out[m_r:, :m_c] = g.imag[:k_r] + g_partner.imag[:k_r]
-    out[:m_r, m_c:] = g_partner.imag[:, :k_c] - g.imag[:, :k_c]
-    out[m_r:, m_c:] = g.real[:k_r, :k_c] - g_partner.real[:k_r, :k_c]
-    out[k_r:m_r] *= np.sqrt(0.5)
-    out[:, k_c:m_c] *= np.sqrt(0.5)
-    return out
-
-
-def _sector_potentials(table, r, n, sectors):
-    """V_omega = sum_f omega^f G_f over the representatives r, per listed sector.
-
-    G_f[r, s] = table(r - R^f s) is gathered by flat index into the table,
-    whose axes run over -2 n_max..2 n_max, and the sectors' sums are one
-    product with the rows of the matrix of omega^f that the sectors pick;
-    the origin's row and column carry 1/sqrt(n).  Returns {sector: V}.
-    """
-    quarters, m = 4 // n, len(r)
-    off, side = (len(table) - 1) // 2, len(table)
-    # the flat index of r - s is that of r less that of s, plus the origin's
-    start = (r[:, 0] * side + r[:, 1] + off * (side + 1))[:, None]
-    g = np.empty((n, m, m), dtype=table.dtype)
+    sums = [None, None]
     for f in range(n):
-        s = _turn(r, f * quarters)
-        np.take(table, start - (s[:, 0] * side + s[:, 1]), out=g[f])
-    omega = _QUARTER[np.outer(sectors, np.arange(n)) * quarters % 4]
-    pots = (omega @ g.reshape(n, -1)).reshape(len(sectors), m, m)
-    pots[:, -1, :] /= np.sqrt(n)
-    pots[:, :, -1] /= np.sqrt(n)
-    return dict(zip(sectors, pots))
+        q = j * (4 // n) * f % 4        # omega^f = i^q
+        total, negative = sums[q % 2], q >= 2
+        if total is None:
+            sums[q % 2] = -g[f] if negative else g[f]
+        elif total.base is g:
+            sums[q % 2] = total - g[f] if negative else total + g[f]
+        else:
+            (np.subtract if negative else np.add)(total, g[f], out=total)
+    return sums[0], sums[1]
+
+
+def _real_parts(re, im):
+    """V = re + i im as real arrays (vr, vi); vi is None when V is real."""
+    if not np.iscomplexobj(re):
+        return re, im
+    v = re if im is None else re + 1j * im
+    return v.real, v.imag
+
+
+def _complex(re, im):
+    """V = re + i im as one complex array, re itself when that is V."""
+    if im is None:
+        return re if np.iscomplexobj(re) else re.astype(complex)
+    return re + 1j * im
+
+
+def _real_form(vr, vi, basis: _RealBasis, out):
+    """Write V = vr + i vi in the real basis ``basis`` of its rows and columns into out.
+
+    V's rows are ``basis.first``, the pairs' lower indices and then the
+    fixed points, and its columns the lower indices, their partners and the
+    fixed points; vi is None when V is real.  Needs conj(V) = P V P^H.
+    With g and g' the rephased V[first, first] and V[first, partner], the
+    u rows against the u columns are Re(g + g'), w against u Im(g + g'),
+    u against w Im(g' - g) and w against w Re(g - g'), with 1/sqrt(2) on
+    every fixed point's row and column.  Between lower indices g is V and
+    g' is V times the partners' phases conj(c), a power of i for the
+    built-in couplings, so those four quadrants are taken in real
+    arithmetic; the fixed points' few rows and columns, whose phases are
+    complex square roots, are taken complex.
+    """
+    k, mf = basis.lower, len(basis.first)
+    gamma = basis.partner_phase[:k]
+    re_lower, re_partner = vr[:k, :k], vr[:k, k:2 * k]
+    re_g = re_partner * gamma.real            # Re and Im of V[lower, partner] gamma
+    im_g = re_partner * gamma.imag
+    if vi is not None:
+        im_lower, im_partner = vi[:k, :k], vi[:k, k:2 * k]
+        re_g -= im_partner * gamma.imag
+        im_g += im_partner * gamma.real
+    np.add(re_lower, re_g, out=out[:k, :k])
+    np.subtract(re_lower, re_g, out=out[mf:, mf:])
+    if vi is None:
+        out[mf:, :k] = im_g
+        out[:k, mf:] = im_g
+    else:
+        np.add(im_lower, im_g, out=out[mf:, :k])
+        np.subtract(im_g, im_lower, out=out[:k, mf:])
+    # the fixed points' rows against the lower columns, and every row
+    # against the fixed columns, on which g' = g
+    rows = vr[k:mf, :2 * k] if vi is None else vr[k:mf, :2 * k] + 1j * vi[k:mf, :2 * k]
+    conj_root = np.conj(basis.phase[k:])
+    g, g_partner = rows[:, :k] * conj_root[:, None], rows[:, k:] * np.outer(conj_root, gamma)
+    out[k:mf, :k] = g.real + g_partner.real
+    out[k:mf, mf:] = g_partner.imag - g.imag
+    cols = vr[:, 2 * k:] if vi is None else vr[:, 2 * k:] + 1j * vi[:, 2 * k:]
+    g = cols * np.outer(np.conj(basis.phase), basis.phase[k:])
+    out[:mf, k:mf] = g.real + g.real
+    out[mf:, k:mf] = g.imag[:k] + g.imag[:k]
+    out[k:mf] *= np.sqrt(0.5)
+    out[:, k:mf] *= np.sqrt(0.5)
+
+
+def _coupling(ar, up: _RealBasis, dn: _RealBasis):
+    """(rows, cols, values): A's nonzeros from up's rows to dn's columns, in their real bases.
+
+    A joins the two spin states of one representative, and P maps each
+    representative's pair of states onto its partner's, so only the rows of
+    one representative meet.  A pair's lower index has Re A between the u
+    rows and between the w rows, and Im A and -Im A between w and u and
+    between u and w; a fixed point has Re(A conj(d_up) d_dn) between its u
+    rows, times 1/sqrt(2) for its row and for its column.
+    """
+    k, both = up.lower, min(len(up.first), len(dn.first))
+    lower, fixed = np.arange(k), np.arange(k, both)
+    a = ar[up.first[:k]]
+    f = ar[up.first[k:both]] * (np.conj(up.phase[k:both]) * dn.phase[k:both])
+    w_up, w_dn = len(up.first) + lower, len(dn.first) + lower
+    # a fixed point's g' = g, and 1/sqrt(2) for its row, then its column,
+    # as ``_real_form`` takes them
+    return (np.concatenate([lower, w_up, lower, w_up, fixed]),
+            np.concatenate([lower, lower, w_dn, w_dn, fixed]),
+            np.concatenate([a.real, a.imag, -a.imag, a.real,
+                            (f.real + f.real) * np.sqrt(0.5) * np.sqrt(0.5)]))
+
+
+def _layout(source, spins, coupling, norm2, p2):
+    """(h, norm2): the block from its spins' parts, its rows in ascending norm2.
+
+    ``spins`` lists the representatives of each spin's rows, and source[s]
+    is spin s's part, the potential (or its real form) on those rows, or
+    source[0] serves both spins.  One stable permutation puts the rows in
+    ascending norm2, and the block is gathered straight into that order,
+    a slab of rows at a time: each slab's rows are taken from the source,
+    then their columns, and the entries between opposite spins are
+    zeroed.  ``coupling`` (rows of spin up, columns of spin down, values)
+    then joins the spins, and the kinetic term goes on the diagonal.
+    """
+    rows = np.concatenate(spins)
+    order = np.argsort(norm2[rows], kind="stable")
+    up = len(spins[0])
+    spin = order >= up
+    index = order - up * spin
+    flat = source.reshape(len(source) * source.shape[1], source.shape[2])
+    source_row = (spin if len(source) > 1 else 0) * source.shape[1] + index
+    h = np.empty((len(order),) * 2, dtype=source.dtype)
+    for start in range(0, len(h), _SLAB_ROWS):
+        slab = slice(start, start + _SLAB_ROWS)
+        # the indices are in range; a mode other than "raise" writes out unbuffered
+        np.take(flat[source_row[slab]], index, axis=1, out=h[slab], mode="clip")
+        # +0.0, which a product with the mask would leave as -0.0 where the
+        # taken entry is negative: the eigensolver's reflectors read its sign
+        np.putmask(h[slab], spin[slab, None] != spin, 0.0)
+    at = np.empty_like(order)
+    at[order] = np.arange(len(order))
+    row, col, values = coupling
+    h[at[row], at[up + col]] = values
+    h[at[up + col], at[row]] = np.conj(values)
+    h[np.diag_indices(len(h))] += p2[rows[order]]
+    return h, norm2[rows[order]]
 
 
 def _blocks(n_pairs, step, n, p, table, a, sectors, mirror=None):
@@ -391,25 +499,32 @@ def _blocks(n_pairs, step, n, p, table, a, sectors, mirror=None):
     With omega = i^(4j/n), the eigenvalue of U, sector j's basis is
     sum_d omega^d |R^d r, up> and sum_d (omega/phi)^d |R^d r, down>, over
     d < n and divided by sqrt(n), for the orbit representatives r.  Its
-    potential block is ``_sector_potentials``' V_omega.  The origin is its
-    own orbit: its row and column carry 1/sqrt(n), its spin-up state lives
-    in sector 0 and its spin-down state in the sector with omega = phi.  For
-    n = 1 this is the whole operator.
+    potential block is V_omega[r, s] = sum_f omega^f G_f[r, s] with
+    G_f[r, s] = table(r - R^f s), which is gathered once per sweep, in the
+    table's dtype, and each V_omega is formed from it by
+    ``_sector_potentials``.  The origin is its own orbit: its row and
+    column carry 1/sqrt(n), its spin-up state lives in sector 0 and its
+    spin-down state in the sector with omega = phi.  For n = 1 this is the
+    whole operator.
 
     With ``mirror`` = (s, chi) from ``_symmetry``, Theta maps every sector
     onto itself: m R^f = R^-f m turns conj(h) into P h P^H, where P takes
     r to the representative r' of m r = R^e r', with phase omega^e on
     spin-up rows and conj(chi) (omega/phi)^e on spin-down rows.  Each block
-    is then returned real, in the ``_RealBasis`` of each spin's rows, built
-    quadrant by quadrant from the potential blocks and the coupling, so the
+    is then real, in the ``_RealBasis`` of each spin's rows: G is gathered
+    on the rows of the pairs' lower indices and the fixed points and on
+    the columns of those indices and their partners, so that each spin's
+    ``_real_form`` reads slices of V_omega, taken in real arithmetic, and
+    the coupling's real form is its O(M) nonzeros (``_coupling``).  The
     complex block is never formed.  Without it the blocks are complex.
 
     Every row belongs to one representative r, and ``norm2`` is its integer
-    |r|^2.  The rows are placed in ascending norm2 by one stable
+    |r|^2.  ``_layout`` gathers the rows into ascending norm2 by one stable
     permutation, so the rows of a smaller cutoff's block lead: the turns
     and the mirror keep |r|, an orbit's representative is the same at every
     cutoff, and the real basis pairs rows of equal |r|.  That cutoff's block
     is then the leading corner h[:size, :size], up to the order of its rows.
+    While a block is solved, only G and that block are held.
     """
     quarters = 4 // n
     orbit = np.stack([_turn(n_pairs, d * quarters) for d in range(n)])
@@ -421,59 +536,63 @@ def _blocks(n_pairs, step, n, p, table, a, sectors, mirror=None):
     # a sector without one of its spin states keeps the leading rows
     r = n_pairs[rep]
     m = len(r)
+    index = np.arange(m)
+    rows = cols = index
     if mirror is not None:
         # the representative of m r is the turn R^-e (m r) of least key;
         # m fixes the origin, so the leading rows map among themselves
         image = np.stack([_turn(_mirror(r, mirror[0]), -d * quarters) for d in range(n)])
         e = np.argmin(image[..., 0] * width + image[..., 1], axis=0)
-        partner = _position(r, image[e, np.arange(m)])
+        partner = _position(r, image[e, index])
+        lower, fixed = index[partner > index], index[partner == index]
+        rows = np.concatenate([lower, fixed])
+        cols = np.concatenate([lower, partner[lower], fixed])
+    # G_f by flat index into the table, whose axes run over -2 n_max..2 n_max:
+    # the flat index of r - s is that of r less that of s, plus the origin's
+    off, side = (len(table) - 1) // 2, len(table)
+    start = (r[rows, 0] * side + r[rows, 1] + off * (side + 1))[:, None]
+    g = np.empty((n, len(rows), len(cols)), dtype=table.dtype)
+    for f in range(n):
+        s = _turn(r[cols], f * quarters)
+        np.take(table, start - (s[:, 0] * side + s[:, 1]), out=g[f])
+    # the origin is last on both axes (for n = 1 the division is by one)
+    g[:, -1, :] /= np.sqrt(n)
+    g[:, :, -1] /= np.sqrt(n)
     k = step * r
     p2 = k[:, 0] * k[:, 0] + k[:, 1] * k[:, 1]
     norm2 = np.sum(r * r, axis=1)
     ar = a[rep]
-    for j in sectors:
+
+    def parts(j):
+        """(source, spins, coupling) of sector j's block, for ``_layout``."""
         down = (j - p) % n
-        # sector j's block reads the potentials of j and of its spin-down
-        # sector only; they are dropped before the block is yielded, so
-        # that the eigensolver's copy of it is the only other large array
-        pots = _sector_potentials(table, r, n, sorted({j, down}))
-        mu, md = m - (j != 0), m - (down != 0)
-        both = np.arange(min(mu, md))
+        sizes = (m - (j != 0), m - (down != 0))
+        # the block reads the potentials of j and of its spin-down sector only
+        pots = {s: _sector_potentials(g, s, n) for s in (j, down)}
         if mirror is None:
-            spins = (np.arange(mu), np.arange(md))
-            quads = (pots[j][:mu, :mu], pots[down][:md, :md])
-        else:
-            # P keeps the spins apart, so each quadrant has its real form
-            up = _real_basis(partner[:mu], _QUARTER[j * e[:mu] * quarters % 4])
-            dn = _real_basis(partner[:md], np.conj(mirror[1])
-                             * _QUARTER[down * e[:md] * quarters % 4])
-            spins = (np.concatenate([up.first, up.first[:up.lower]]),
-                     np.concatenate([dn.first, dn.first[:dn.lower]]))
-            quads = (_real_form(pots[j], up, up), _real_form(pots[down], dn, dn))
-        del pots
-        rows = np.concatenate(spins)
-        order = np.argsort(norm2[rows], kind="stable")
-        at = np.empty_like(order)
-        at[order] = np.arange(len(order))
-        at_up, at_dn = at[:len(spins[0])], at[len(spins[0]):]
-        h = np.zeros((len(rows),) * 2, dtype=quads[0].dtype)
-        h[np.ix_(at_up, at_up)] = quads[0]
-        h[np.ix_(at_dn, at_dn)] = quads[1]
-        del quads
-        if mirror is None:
-            h[at_up[both], at_dn[both]] = ar[both]
-            h[at_dn[both], at_up[both]] = np.conj(ar[both])
-        else:
-            coupling = np.zeros((mu, md), dtype=complex)
-            coupling[both, both] = ar[both]
-            cross = _real_form(coupling, up, dn)
-            h[np.ix_(at_up, at_dn)] = cross
-            h[np.ix_(at_dn, at_up)] = cross.T
-        # P fixes |k|, so the kinetic diagonal stays diagonal
-        h[np.diag_indices(len(h))] += p2[rows[order]]
-        yield h, norm2[rows[order]]
-        # drop this block before the next is built
-        del h
+            source = (_complex(*pots[j])[None] if down == j
+                      else np.stack([_complex(*pots[j]), _complex(*pots[down])]))
+            both = index[:min(sizes)]
+            return source, [index[:size] for size in sizes], (both, both, ar[both])
+        # P keeps the spins apart, so each spin's part has its real form;
+        # a spin one row short leaves zeros that only opposite-spin
+        # entries, which _layout zeroes, read
+        bases = [_real_basis(partner[:sizes[0]], _QUARTER[j * e[:sizes[0]] * quarters % 4]),
+                 _real_basis(partner[:sizes[1]], np.conj(mirror[1])
+                             * _QUARTER[down * e[:sizes[1]] * quarters % 4])]
+        source = np.zeros((2,) + (max(sizes),) * 2)
+        for part, sector, basis, size in zip(source, (j, down), bases, sizes):
+            vr, vi = _real_parts(*pots[sector])
+            mf = len(basis.first)
+            _real_form(vr[:mf, :size], None if vi is None else vi[:mf, :size],
+                       basis, part[:size, :size])
+        return (source, [np.concatenate([b.first, b.first[:b.lower]]) for b in bases],
+                _coupling(ar, *bases))
+
+    for j in sectors:
+        # the parts are dropped before the block is yielded, so that the
+        # eigensolver's copy of it is the only other large array
+        yield _layout(*parts(j), norm2, p2)
 
 
 def assemble(model: CouplingSpec, nu: RadonMeasureSpec | None, box: BoxSpec):

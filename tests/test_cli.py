@@ -226,6 +226,24 @@ def test_scan_decay_csv(tmp_path):
     assert b"\r" not in out.read_bytes()
 
 
+def test_scan_decay_density_reach(tmp_path, capsys):
+    # the weak-well density's axis rules each resolve their own frequency,
+    # so three rays reach r_max = 40 under the node cap (the ray at 120
+    # degrees takes 102 x 178 panels); at r_max = 60 that ray needs
+    # 154 x 266 panels, past the cap
+    doc = {"measure": {"type": "density", "box": [-8.0, 8.0, -8.0, 8.0],
+                       "density": {"type": "gaussian-well", "depth": 0.05, "width": 1.0}},
+           "scan": {"r_max": 40.0, "angles": 3, "samples": 48}}
+    out = tmp_path / "scan.csv"
+    assert main(["scan-decay", "-c", _write(tmp_path, "c.json", doc), "-o", str(out)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 3 * 48
+    assert {row.split(",")[4] for row in rows} == {"decaying"}
+    doc["scan"]["r_max"] = 60.0
+    assert main(["scan-decay", "-c", _write(tmp_path, "c.json", doc), "-o", str(out)]) == 3
+    assert "density quadrature exceeds node cap" in capsys.readouterr().err
+
+
 def _oracle_doc():
     return {"model": {"type": "rashba", "alpha": 2.0},
             "measure": _certify_doc()["measure"],

@@ -108,6 +108,24 @@ def test_fourier_grid_matches_batch(circle_measure, gaussian_well):
         assert np.max(np.abs(grid - batch)) < 1e-10
 
 
+def test_density_axis_rules_resolve_their_own_frequency():
+    # the phase px x + py y splits by axis, so each axis rule resolves its
+    # own largest frequency: on |px| <= 30, |py| <= 1 the x rule takes 154
+    # panels and the y rule the 16-panel floor, against 154 each at |p|
+    axes = []
+
+    def well(x, y):
+        axes.append((np.size(x), np.size(y)))
+        return -0.05 * np.exp(-0.5 * (x * x + y * y))
+    nu = Density(well, (-8.0, 8.0, -8.0, 8.0))
+    px, py = np.linspace(-30.0, 30.0, 121), np.linspace(-1.0, 1.0, 9)
+    axes.clear()
+    got = fourier_grid(nu, px, py)
+    gx, gy = np.meshgrid(px, py, indexing="ij")
+    assert np.max(np.abs(got - -0.05 * np.exp(-0.5 * (gx * gx + gy * gy)))) <= 1e-13
+    assert axes == [(154 * 8, 16 * 8)]
+
+
 def test_nested_sum_is_flattened_once(circle_measure, gaussian_well):
     # a circle and a segment inside an inner Sum, plus the Gaussian well:
     # both transforms sum the three parts' plane-wave rules, and the nodes

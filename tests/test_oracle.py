@@ -325,6 +325,117 @@ def test_parity_split_matches_full_eigensolve(case, monkeypatch):
         assert all(gap == 0.0 for _, _, gap in res.pairing)
 
 
+def _reference_real_form(h, rows, cols):
+    """h in the real bases ``rows`` and ``cols``, from the dense complex h."""
+    g = h[np.ix_(rows.first, cols.first)] * np.outer(np.conj(rows.phase), cols.phase)
+    g_partner = (h[np.ix_(rows.first, cols.partner)]
+                 * np.outer(np.conj(rows.phase), cols.partner_phase))
+    m_r, m_c, k_r, k_c = len(rows.first), len(cols.first), rows.lower, cols.lower
+    out = np.empty((m_r + k_r, m_c + k_c))
+    out[:m_r, :m_c] = g.real + g_partner.real
+    out[m_r:, :m_c] = g.imag[:k_r] + g_partner.imag[:k_r]
+    out[:m_r, m_c:] = g_partner.imag[:, :k_c] - g.imag[:, :k_c]
+    out[m_r:, m_c:] = g.real[:k_r, :k_c] - g_partner.real[:k_r, :k_c]
+    out[k_r:m_r] *= np.sqrt(0.5)
+    out[:, k_c:m_c] *= np.sqrt(0.5)
+    return out
+
+
+def _reference_blocks(n_pairs, step, n, p, table, a, sectors, mirror):
+    """The sector blocks assembled the direct way: each sector's complex
+    potential from its own gather and one complex product, the coupling as
+    a dense complex matrix, both put through the real form, and every part
+    scattered into a zeroed block in ascending norm2."""
+    quarters = 4 // n
+    orbit = np.stack([oracle._turn(n_pairs, d * quarters) for d in range(n)])
+    width = 2 * int(np.max(np.abs(n_pairs))) + 1
+    keys = orbit[..., 0] * width + orbit[..., 1]
+    rep = keys[0] == np.min(keys, axis=0)
+    r = n_pairs[rep]
+    m = len(r)
+    if mirror is not None:
+        image = np.stack([oracle._turn(oracle._mirror(r, mirror[0]), -d * quarters)
+                          for d in range(n)])
+        e = np.argmin(image[..., 0] * width + image[..., 1], axis=0)
+        partner = oracle._position(r, image[e, np.arange(m)])
+    p2 = step * step * np.sum(r * r, axis=1)
+    norm2 = np.sum(r * r, axis=1)
+    ar = a[rep]
+    off, side = (len(table) - 1) // 2, len(table)
+    start = (r[:, 0] * side + r[:, 1] + off * (side + 1))[:, None]
+    for j in sectors:
+        down = (j - p) % n
+        pots = {}
+        for s in (j, down):
+            g = np.stack([np.take(table, start - (t[:, 0] * side + t[:, 1]))
+                          for t in (oracle._turn(r, f * quarters) for f in range(n))])
+            omega = oracle._QUARTER[s * np.arange(n) * quarters % 4]
+            pots[s] = np.tensordot(omega, g, axes=1)
+            pots[s][-1, :] /= np.sqrt(n)
+            pots[s][:, -1] /= np.sqrt(n)
+        mu, md = m - (j != 0), m - (down != 0)
+        both = np.arange(min(mu, md))
+        if mirror is None:
+            spins = (np.arange(mu), np.arange(md))
+            quads = (pots[j][:mu, :mu], pots[down][:md, :md])
+        else:
+            up = oracle._real_basis(partner[:mu], oracle._QUARTER[j * e[:mu] * quarters % 4])
+            dn = oracle._real_basis(partner[:md], np.conj(mirror[1])
+                                    * oracle._QUARTER[down * e[:md] * quarters % 4])
+            spins = (np.concatenate([up.first, up.first[:up.lower]]),
+                     np.concatenate([dn.first, dn.first[:dn.lower]]))
+            quads = (_reference_real_form(pots[j], up, up),
+                     _reference_real_form(pots[down], dn, dn))
+        rows = np.concatenate(spins)
+        order = np.argsort(norm2[rows], kind="stable")
+        at = np.empty_like(order)
+        at[order] = np.arange(len(order))
+        at_up, at_dn = at[:len(spins[0])], at[len(spins[0]):]
+        h = np.zeros((len(rows),) * 2, dtype=quads[0].dtype)
+        h[np.ix_(at_up, at_up)] = quads[0]
+        h[np.ix_(at_dn, at_dn)] = quads[1]
+        if mirror is None:
+            h[at_up[both], at_dn[both]] = ar[both]
+            h[at_dn[both], at_up[both]] = np.conj(ar[both])
+        else:
+            coupling = np.zeros((mu, md), dtype=complex)
+            coupling[both, both] = ar[both]
+            cross = _reference_real_form(coupling, up, dn)
+            h[np.ix_(at_up, at_dn)] = cross
+            h[np.ix_(at_dn, at_up)] = cross.T
+        h[np.diag_indices(len(h))] += p2[rows[order]]
+        yield h, norm2[rows[order]]
+
+
+@pytest.mark.parametrize("case", sorted(_SPLIT_CASES))
+def test_blocks_match_the_direct_assembly(case):
+    # every sector's block, in every gate outcome (four, two and one
+    # sectors; paired or not; real or complex; a vanishing coupling)
+    model, nu, box, _, _ = _SPLIT_CASES[case]
+    n_pairs, a, table = oracle._operator_data(model, nu, box)
+    step = np.pi / box.L
+    n, p, paired, mirror, table, a = oracle._symmetry(model, n_pairs, a, table, step)
+    got = list(oracle._blocks(n_pairs, step, n, p, table, a, range(n), mirror))
+    want = list(_reference_blocks(n_pairs, step, n, p, table, a, range(n), mirror))
+    assert len(got) == len(want) == n
+    for (h, norm2), (ref, ref_norm2) in zip(got, want):
+        assert h.dtype == ref.dtype and h.shape == ref.shape
+        assert np.array_equal(norm2, ref_norm2)
+        assert np.max(np.abs(h - ref)) <= 1e-15 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("case", sorted(_SPLIT_CASES))
+def test_few_mode_lattices(case):
+    # K = 0.2 keeps the origin alone, and 0.5 one or two orbits of four
+    # besides (L = 8, 10): some sectors then have one spin state or none
+    model, nu, box, _, _ = _SPLIT_CASES[case]
+    thr = threshold(model)
+    for cutoff in (0.2, 0.5):
+        b = BoxSpec(L=box.L, K=cutoff)
+        ref = scipy.linalg.eigvalsh(assemble(model, nu, b))
+        assert np.max(np.abs(spectrum(model, thr, nu, b).eigenvalues - ref)) < 1e-10
+
+
 # no n^2 lies in ((3.0 L / pi)^2, (3.05 L / pi)^2] at L = 8 (58.4, 60.3] or
 # at L = 10 (91.2, 94.3], so those two cutoffs share a mode set
 _SWEEP_CUTOFFS = [3.0, 3.05, 4.0]
@@ -410,16 +521,31 @@ def test_sweep_memory_at_close_cutoffs(monkeypatch):
     assert sweep <= 1.1 * lone
 
 
+def test_sweep_memory_weak_well():
+    # the weak-well operator at L = 10: two real blocks of 569 and 568 rows
+    # (2.5 MiB each) from one gather of the table (1.4 MiB).  Building each
+    # sector's complex potentials from a gather of its own, and their real
+    # forms from complex gathers, peaked at 12.1 MiB; the sweep peaks at
+    # 5.7 MiB
+    model = CouplingSpec.rashba(2.0)
+    nu = build_measure({"type": "density", "box": [-8.0, 8.0, -8.0, 8.0],
+                        "density": {"type": "gaussian-well", "depth": 0.05, "width": 1.0}})
+    thr = threshold(model)
+    peak = _traced_peak(lambda: convergence_sweep(model, thr, nu, 10.0, [5.0, 6.0]))
+    assert peak < 6.2 * 2 ** 20
+
+
 def test_fourier_grid_density_memory():
     # the weak-well density on the K = 6 difference axis of L = 10 takes
-    # 688 x 688 nodes; the transform must never hold a complex copy of them
+    # 496 x 496 nodes, each axis's rule at its own largest frequency; the
+    # transform must never hold a complex copy of them
     nu = build_measure({"type": "density", "box": [-8.0, 8.0, -8.0, 8.0],
                         "density": {"type": "gaussian-well", "depth": 0.05, "width": 1.0}})
     axis = (np.pi / 10.0) * np.arange(-38, 39)
-    (xs, _), (ys, _), _ = nu._tensor_rule(np.hypot(axis[-1], axis[-1]))
-    assert (len(axis), len(xs), len(ys)) == (77, 688, 688)
+    (xs, _), (ys, _), _ = nu._tensor_rule(axis[-1], axis[-1])
+    assert (len(axis), len(xs), len(ys)) == (77, 496, 496)
     peak = _traced_peak(lambda: oracle.fourier_grid(nu, axis, axis))
-    assert peak < 688 * 688 * 16
+    assert peak < 496 * 496 * 16
 
 
 def test_sweep_fails_fast_at_the_mode_cap(rashba2, thr2, circle_measure, monkeypatch):
