@@ -83,10 +83,10 @@ def select_points(minset, N):
     if problems:
         raise ConfigError(problems)
     if isinstance(minset, PointCloud):
-        distinct = np.unique(np.round(np.asarray(minset.points, float), 9), axis=0)
-        if N > len(distinct):
+        distinct = len({tuple(p) for p in np.round(np.asarray(minset.points, float), 9)})
+        if N > distinct:
             raise CapacityError(
-                "requested %d points but the minimum set has only %d" % (N, len(distinct)))
+                "requested %d points but the minimum set has only %d" % (N, distinct))
     return minset.sample(N)
 
 
@@ -461,26 +461,29 @@ def potential_matrix_exact(model: CouplingSpec, nu, basis: TrialBasis):
     theta = np.arctan2(y, x)
     f = np.exp(-0.5 * r ** basis.a)
     n = len(pts)
+    # each row of orbits: the points that share the band correction of its
+    # first, the expansion centre
     if basis.ring is None:
-        rep, phi, chi = np.arange(n), np.zeros(n), np.ones(n, dtype=complex)
+        orbits, phi, chi = np.arange(n)[:, None], np.zeros(n), np.ones(n, dtype=complex)
     else:
-        rep = np.zeros(n, dtype=int)
+        orbits = np.arange(n)[None, :]
         phi, chi = _turns(model, pts)
     m_arr = np.arange(-_M_MAX, _M_MAX + 1)
     radii, where = np.unique(np.round(r, 12), return_inverse=True)
     delta = np.empty((n, len(x)), dtype=complex)
-    for i in np.unique(rep):
-        # R_m e^{im theta} of p_i, turned to each point that shares it by the factor chi_j i^m e^{-im phi_j}; R_m is gathered
-        # from its per-radius rows a block of nodes at a time, so no
-        # nodes x modes table is formed
-        modes = _radius_modes(model, pts[i], basis.profile, radii, m_arr)
-        own = np.flatnonzero(rep == i)
+    rows = _WORK_BUDGET // len(m_arr)
+    for own in orbits:
+        # R_m e^{im theta} of the centre, turned to each point of its orbit
+        # by the factor chi_j i^m e^{-im phi_j}; R_m is gathered from its
+        # per-radius rows a block of nodes at a time, so no nodes x modes
+        # table is formed
+        modes = _radius_modes(model, pts[own[0]], basis.profile, radii, m_arr)
         turn = chi[own] * (1j) ** m_arr[:, None] * np.exp(-1j * np.outer(m_arr, phi[own]))
-        for start in range(0, len(r), _NODE_BLOCK):
-            block = slice(start, start + _NODE_BLOCK)
+        for start in range(0, len(r), rows):
+            block = slice(start, start + rows)
             harmonics = modes[where[block]] * np.exp(1j * np.outer(theta[block], m_arr))
             delta[own, block] = (harmonics @ turn).T
-        del modes   # before the next point's modes are built
+        del modes   # before the next centre's modes are built
     v = lower_band_vectors(model, pts[:, 0], pts[:, 1])[:, 0]
     phase = np.exp(1j * (pts[:, :1] * x + pts[:, 1:] * y))
     psi1 = phase * (v[:, None] * f + delta)
@@ -497,7 +500,10 @@ _M_MAX = 40
 _LN_STEP = 1.0 / 200.0    # ln rho spacing of the FFTLog samples, at most
 _TURN_STEP = 1.0 / 16.0   # radians R_m may turn per step in ln r
 _MAX_SAMPLES = 2 ** 19    # FFTLog samples per expansion center
-_NODE_BLOCK = 2048        # nodes or radii per block of R_m rows
+# complex values per block of the band correction's large temporaries: the
+# angular FFT's rows, R_m's rows at nodes or radii, and an order group's
+# FFTLog samples per sign of m (at least one order)
+_WORK_BUDGET = 2 ** 15
 # the least positive node radius: FFTLog's r R_m(r) errs by about 1e-11, so
 # against direct J_0 quadrature R_0 is within 1.3e-7 at r >= 1e-4, off by
 # 5e-6 at 1e-5 and by 4 (a = 0.4) at 1e-10
@@ -574,13 +580,14 @@ def _angular_modes(model, pj, rho, m_arr):
     phi = (np.arange(_N_ANGLES) + 0.5) * (2.0 * np.pi / _N_ANGLES)
     v0 = complex(lower_band_vectors(model, pj[0], pj[1])[0])
     sel = np.empty((len(rho), len(m_arr)), dtype=complex)
-    for start in range(0, len(rho), 2048):
-        chunk = rho[start:start + 2048]
+    rows = _WORK_BUDGET // _N_ANGLES
+    for start in range(0, len(rho), rows):
+        chunk = rho[start:start + rows]
         qx = pj[0] + chunk[:, None] * np.cos(phi)[None, :]
         qy = pj[1] + chunk[:, None] * np.sin(phi)[None, :]
         u = lower_band_vectors(model, qx, qy)[..., 0] - v0
         coeff = np.fft.fft(u, axis=1) / _N_ANGLES
-        sel[start:start + 2048] = coeff[:, m_arr % _N_ANGLES]
+        sel[start:start + rows] = coeff[:, m_arr % _N_ANGLES]
     # quadrature phase offset of the half-shifted angle grid
     return sel * np.exp(-1j * m_arr[None, :] * (np.pi / _N_ANGLES))
 
@@ -694,14 +701,15 @@ def _hankel_fftlog(modes, prof, radii, m_arr, rho_hi, step, out):
     rows, where = np.unique(base[:, None] + np.arange(6), return_inverse=True)
     k = 1.0 / rho[::-1][rows]
     orders = np.abs(m_arr)
-    unique = np.unique(orders)
+    unique, rank = np.unique(orders, return_inverse=True)
     coefficients = _fftlog_coefficients(n, dln, unique)
     R = np.empty((len(m_arr), len(rows)), dtype=complex)
-    # the +-m columns of as many orders as keep the sample table within
-    # 2 _MAX_SAMPLES values; the README case takes them all at once
-    per = max(1, _MAX_SAMPLES // n)
-    for group in np.split(unique, np.arange(per, len(unique), per)):
-        cols = np.flatnonzero(np.isin(orders, group))
+    # the +-m columns of _WORK_BUDGET // n orders at a time, at least one:
+    # 6 orders of the README case's 5,120 samples
+    per = max(1, _WORK_BUDGET // n)
+    for first in range(0, len(unique), per):
+        group = unique[first:first + per]
+        cols = np.flatnonzero((rank >= first) & (rank < first + per))
         g = modes(rho, cols)
         g *= weight[:, None]
         for order in group:
@@ -713,8 +721,9 @@ def _hankel_fftlog(modes, prof, radii, m_arr, rho_hi, step, out):
             R[own] = sign[:, None] * (kr[:, :len(own)] + 1j * kr[:, len(own):]).T
     u = at - base
     near = where.reshape(-1, 6)
-    for start in range(0, len(radii), _NODE_BLOCK):
-        block = slice(start, start + _NODE_BLOCK)
+    size = _WORK_BUDGET // len(m_arr)
+    for start in range(0, len(radii), size):
+        block = slice(start, start + size)
         for s in range(6):
             lagrange = np.prod([(u[block] - q) / (s - q) for q in range(6) if q != s], axis=0)
             out[block] += lagrange[:, None] * R[:, near[block, s]].T

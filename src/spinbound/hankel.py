@@ -288,10 +288,11 @@ class FhatProfile:
         if self.a == 2.0:
             out = np.exp(-0.5 * rho * rho)
         else:
-            out = np.empty(rho.shape)
+            # below the table the first value is held; past it the
+            # spline's end value is overwritten
+            out = self._spline(np.log(np.clip(rho, self._grid[0], self._grid[-1])))
+            np.exp(out, out=out)
             far = rho >= self._grid[-1]
-            # below the table the first value is held
-            out[~far] = np.exp(self._spline(np.log(np.maximum(rho[~far], self._grid[0]))))
             if far.any():
                 # past it, Bergstrom's series by Horner's rule in rho^-a
                 x = rho[far] ** -self.a

@@ -119,8 +119,9 @@ class PointCloud:
         pts = np.asarray(self.points, dtype=float)
         if n >= len(pts):
             return pts.copy()
+        # n < len(pts), so the steps exceed 1 and the rounded indices are distinct
         idx = np.linspace(0, len(pts) - 1, n).round().astype(int)
-        return pts[np.unique(idx)]
+        return pts[idx]
 
 
 @dataclass(frozen=True)

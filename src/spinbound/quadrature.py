@@ -36,7 +36,7 @@ def uniform_rule(a, b, n_panels, nodes_per_panel=8):
 
 def merge_edges(*edge_sets):
     """Sorted union of several edge arrays, duplicates (1e-14 relative) removed."""
-    e = np.unique(np.concatenate([np.asarray(s, dtype=float) for s in edge_sets]))
+    e = np.sort(np.concatenate([np.asarray(s, dtype=float) for s in edge_sets]))
     if len(e) < 2:
         return e
     keep = np.concatenate([[True], np.diff(e) > 1e-14 * np.maximum(np.abs(e[1:]), 1e-300)])

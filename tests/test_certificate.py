@@ -785,10 +785,88 @@ def test_node_modes_independent_of_the_sample_grid(rashba2):
     assert np.max(np.abs(wide[1:3] - got)) < 1e-6 * peak
 
 
+# one-block copies of the band correction's walks: the angular FFT over
+# every row at once, and FFTLog with every radius in one block and ``per``
+# orders in one group (all 41 in the README case; one at a time for the
+# far radii, whose 204,000-row table of all 81 columns would take 265 MB)
+
+
+def _one_block_angular_modes(model, pj, rho, m_arr):
+    n_angles = certificate._N_ANGLES
+    phi = (np.arange(n_angles) + 0.5) * (2.0 * np.pi / n_angles)
+    v0 = complex(lower_band_vectors(model, pj[0], pj[1])[0])
+    qx = pj[0] + rho[:, None] * np.cos(phi)[None, :]
+    qy = pj[1] + rho[:, None] * np.sin(phi)[None, :]
+    u = lower_band_vectors(model, qx, qy)[..., 0] - v0
+    sel = (np.fft.fft(u, axis=1) / n_angles)[:, m_arr % n_angles]
+    return sel * np.exp(-1j * m_arr[None, :] * (np.pi / n_angles))
+
+
+def _one_block_radius_modes(model, pj, prof, radii, m_arr, per, monkeypatch):
+    rho_hi = max(1.0e5, 1.0e4 / radii[0])
+    rho_lo = 1.0e-6 / max(radii[-1], 1.0)
+    with monkeypatch.context() as patch:
+        patch.setattr(certificate, "_angular_modes", _one_block_angular_modes)
+        modes = _ModeTable(model, pj, m_arr, rho_lo, min(rho_hi, prof.rho_hi))
+    step = min(certificate._LN_STEP,
+               certificate._TURN_STEP / (radii[-1] * max(float(np.hypot(*pj)), 1.0)))
+    n = _fast_len(int(np.ceil(np.log(rho_hi / rho_lo) / step)) + 1)
+    rho = np.geomspace(rho_lo, rho_hi, n)
+    t = np.minimum(np.log(rho / rho_lo) / np.log(10.0), 1.0)
+    weight = (t - np.sin(2.0 * np.pi * t) / (2.0 * np.pi)) * prof(rho) * rho
+    dln = np.log(rho_hi / rho_lo) / (n - 1)
+    at = (np.log(radii) + np.log(rho_hi)) / dln
+    base = np.floor(at).astype(int) - 2
+    rows, where = np.unique(base[:, None] + np.arange(6), return_inverse=True)
+    k = 1.0 / rho[::-1][rows]
+    orders = np.abs(m_arr)
+    unique = np.unique(orders)
+    coefficients = _fftlog_coefficients(n, dln, unique)
+    R = np.empty((len(m_arr), len(rows)), dtype=complex)
+    for group in np.split(unique, np.arange(per, len(unique), per)):
+        cols = np.flatnonzero(np.isin(orders, group))
+        g = modes(rho, cols) * weight[:, None]
+        for order in group:
+            pick = orders[cols] == order
+            own = cols[pick]
+            kr = _fftlog(np.hstack([g[:, pick].real, g[:, pick].imag]),
+                         next(coefficients))[rows] / k[:, None]
+            sign = (-1.0) ** np.minimum(m_arr[own], 0)
+            R[own] = sign[:, None] * (kr[:, :len(own)] + 1j * kr[:, len(own):]).T
+    u = at - base
+    out = np.zeros((len(radii), len(m_arr)), dtype=complex)
+    for s, near in enumerate(where.reshape(-1, 6).T):
+        lagrange = np.prod([(u - q) / (s - q) for q in range(6) if q != s], axis=0)
+        out += lagrange[:, None] * R[:, near].T
+    return out
+
+
+@pytest.mark.parametrize("radii, per", [([1.0], _M_MAX + 1),
+                                        ([1e-6, 0.003, 1.0, 300.0], 1)])
+def test_band_correction_blocks_match_one_block(rashba2, monkeypatch, radii, per):
+    # the README circle's one node radius, and the far radii whose FFTLog
+    # grid takes 204,000 samples: the blocked walks of _angular_modes and
+    # _radius_modes give every value bit for bit, on the mode table's rho
+    # range (32 rows a decade and the kink ring, far more than one block)
+    radii = np.array(radii)
+    pj, m_arr, prof = np.array([1.0, 0.0]), np.arange(-_M_MAX, _M_MAX + 1), fhat_profile(0.4)
+    rho_lo, rho_hi = 1e-6 / max(radii[-1], 1.0), 10.0 * max(1.0e5, 1.0e4 / radii[0])
+    decades = np.log10(rho_hi / rho_lo)
+    rho = merge_edges(np.geomspace(rho_lo, rho_hi, int(32 * decades) + 1),
+                      _kink_cluster(1.0, 10))
+    assert len(rho) > 2 * certificate._WORK_BUDGET // certificate._N_ANGLES
+    assert np.array_equal(_angular_modes(rashba2, pj, rho, m_arr),
+                          _one_block_angular_modes(rashba2, pj, rho, m_arr))
+    assert np.array_equal(_radius_modes(rashba2, pj, prof, radii, m_arr),
+                          _one_block_radius_modes(rashba2, pj, prof, radii, m_arr, per,
+                                                  monkeypatch))
+
+
 def test_exact_potential_memory_peak(rashba2, thr2, circle_measure):
-    # one FFTLog sample table of c_m fhat rho (about 5,100 x 81) and an
-    # angular FFT that walks its rows in blocks keep the README case near
-    # 12 MiB of arrays
+    # every large temporary of the band correction holds at most
+    # _WORK_BUDGET complex values (twice that for an order group's FFTLog
+    # sample table), so the README case peaks near 5.5 MiB of arrays,
+    # mostly one block of the angular FFT's band vectors
     basis = trial_basis(rashba2, thr2, select_points(thr2.minset, 4), 0.4)
     tracemalloc.start()
     try:
@@ -796,16 +874,16 @@ def test_exact_potential_memory_peak(rashba2, thr2, circle_measure):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2 ** 20
+    assert peak < 6 * 2 ** 20
 
 
 def test_exact_potential_memory_peak_on_a_density(rashba2, thr2, gaussian_well):
     # R_m is gathered from its per-radius rows (10,449 radii x 81) and
     # multiplied by e^{im theta} and the orbit's turn a block of nodes at a
     # time, straight into Delta, so no nodes x 81 table (103 MiB on this
-    # density's 82,944 nodes) is formed.  The per-radius rows, the FFTLog
-    # sample table and its spline evaluation set the peak: 0.37 of such a
-    # table here and 0.38 at N = 4, against 1.19 with the table
+    # density's 82,944 nodes) is formed.  The per-radius rows, here and
+    # inside the FFTLog step, set the peak: 0.27 of such a table here and
+    # 0.34 at N = 4, against 1.19 with the table
     basis = trial_basis(rashba2, thr2, select_points(thr2.minset, 2), 1.0)
     pts = basis.points
     max_p = _pair_scale(pts) + float(np.max(np.hypot(pts[:, 0], pts[:, 1]))) + 4.0
@@ -816,7 +894,7 @@ def test_exact_potential_memory_peak_on_a_density(rashba2, thr2, gaussian_well):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 0.4 * table
+    assert peak < 0.3 * table
 
 
 # FFTLog: one coefficient table per parity of the order, stepped by the Gamma

@@ -153,6 +153,31 @@ def test_certify_and_oracle_run_without_scipy(tmp_path):
     assert proc.stdout.strip() == "[0, 0] []"
 
 
+def test_certify_leaves_numpy_ma_unimported(tmp_path):
+    # np.unique without index, inverse or counts asks np.ma.is_masked, and
+    # numpy imports numpy.ma on that first use: 12-15 ms of a fresh CLI
+    # certify.  The README config and the weak-well density, each certified
+    # in a process that has imported numpy alone
+    readme = _certify_doc(form="exact")
+    readme["certify"].update(N=4, a_schedule=[0.4, 0.2, 0.1])
+    weak = {"model": {"type": "rashba", "alpha": 2.0},
+            "measure": {"type": "density", "box": [-8.0, 8.0, -8.0, 8.0],
+                        "density": {"type": "gaussian-well", "depth": 0.05, "width": 1.0}},
+            "certify": {"N": 4, "a_schedule": [0.4, 0.2, 0.1, 0.05, 0.025],
+                        "potential_form": "dropped"}}
+    cfgs = [_write(tmp_path, "readme.json", readme), _write(tmp_path, "weak.json", weak)]
+    code = ("import sys, numpy; before = 'numpy.ma' in sys.modules; "
+            "from spinbound.cli import main; "
+            "codes = [main(['certify', '-c', c, '-o', c + '.out']) for c in sys.argv[1:]]; "
+            "print(before, codes, 'numpy.ma' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(spinbound.__file__))
+    proc = subprocess.run([sys.executable, "-c", code, *cfgs],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False [0, 0] False"
+
+
 def test_pyproject_keeps_scipy_to_the_test_extra():
     tomllib = pytest.importorskip("tomllib")
     path = Path(__file__).resolve().parent.parent / "pyproject.toml"
