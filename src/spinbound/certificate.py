@@ -105,14 +105,27 @@ def definiteness(matrix) -> DefinitenessReport:
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NumericalInputError("definiteness expects a square matrix")
-    # both bounds scale with the matrix, so a heavy measure is not refused
+    if not np.all(np.isfinite(m)):
+        raise NumericalInputError("matrix has a non-finite entry")
+    # both bounds scale with the matrix, so a heavy measure is not refused.
+    # They are compared in units of 2^e >= max |m_jk|, e >= 0, in which no
+    # square of the norm overflows; the scaling is exact, so the comparisons
+    # are the plain ones wherever those do not overflow
+    unit = 2.0 ** -max(0, int(np.frexp(np.max(np.abs(m), initial=0.0))[1]))
     asym = float(np.max(np.abs(m - m.conj().T), initial=0.0))
-    if asym > TOL_DEF * max(1.0, float(np.linalg.norm(m))):
+    if asym * unit > TOL_DEF * max(unit, float(np.linalg.norm(m * unit))):
         raise NumericalInputError(
             "matrix is not Hermitian (max asymmetry %.3e)" % asym)
-    h = 0.5 * (m + m.conj().T)
-    lam = np.linalg.eigvalsh(h)
-    count = int(np.count_nonzero(lam < -TOL_DEF * max(1.0, float(np.linalg.norm(h)))))
+    # halved before the sum, which is then exact and cannot overflow
+    h = 0.5 * m + 0.5 * m.conj().T
+    try:
+        lam = np.linalg.eigvalsh(h)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalInputError("dense eigensolver failed: %s" % exc) from exc
+    if not np.all(np.isfinite(lam)):
+        raise NumericalInputError("an eigenvalue overflows")
+    count = int(np.count_nonzero(
+        lam * unit < -TOL_DEF * max(unit, float(np.linalg.norm(h * unit)))))
     return DefinitenessReport(lambda_max=float(lam[-1]) if len(lam) else 0.0,
                               negative_count=count, negative_definite=0 < count == len(m))
 
@@ -195,12 +208,11 @@ def kinetic_matrix(model: CouplingSpec, thr: ThresholdData, basis: TrialBasis):
     and one integral is computed per rounded pair distance: the two halves
     of a pair coincide.  Without a ring, lambda_- - kappa is taken by
     subtraction, with 16 angular panels on every decade, for every ordered
-    pair.  Each half-plane's radial end R and the closed-form tail past it
-    (``_radial_end``) are fixed first; the radial nodes of the decades from
-    the profile's edge rho = 1e-12 up to the largest R are then built once
-    and shared by every half-plane.  A ring diagonal takes what lies below
-    1e-12 from Parseval's |grad f_a|^2 = pi a / 2, so every a takes about
-    20 decades; as a -> 0, T_jj / a -> (pi/2)(1 - 1/e) and
+    pair.  Every half-plane sums the same radial nodes, the decades of the
+    profile's window (``_decade_rules``: 24 of them, 1e-12 to 1e12), built
+    once, and adds the one closed-form tail past its end (``_tail``).  A
+    ring diagonal takes what lies below 1e-12 from Parseval's
+    |grad f_a|^2 = pi a / 2; as a -> 0, T_jj / a -> (pi/2)(1 - 1/e) and
     T_jk / a -> (pi/2)(1 - 2/e).
     """
     pts = basis.points
@@ -213,12 +225,12 @@ def kinetic_matrix(model: CouplingSpec, thr: ThresholdData, basis: TrialBasis):
     else:
         key = np.arange(n * n)
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    facing = [None if diagonal[s] else other[s] for s in first]
-    ends = [_radial_end(basis.profile, thr.kappa, centre[s], o) for s, o in zip(first, facing)]
-    decades = _decade_rules(basis.profile, max(end[0] for end in ends))
-    half = np.array([_kinetic_halfplane(model, thr.kappa, basis.profile, centre[s], o,
-                                        basis.ring, decades, end)
-                     for s, o, end in zip(first, facing, ends)])
+    decades = _decade_rules(basis.profile)
+    tail = _tail(basis.profile, decades[1][-1])
+    half = np.array([_kinetic_halfplane(model, thr.kappa, basis.profile, centre[s],
+                                        None if diagonal[s] else other[s], basis.ring,
+                                        decades, tail)
+                     for s in first])
     H = half[inverse.ravel()].reshape(n, n)
     T = H + H.T
     np.fill_diagonal(T, np.diag(H))
@@ -228,82 +240,50 @@ def kinetic_matrix(model: CouplingSpec, thr: ThresholdData, basis: TrialBasis):
 # angular rules on [0, 1): the deep rings' 16-point periodic trapezoid, then
 # 16 panels of 8 Gauss nodes up to the guard and 2 panels of 8 past it
 _DEEP_RULE = (np.arange(16) / 16.0, np.full(16, 1.0 / 16.0))
-_NEAR_RULE = uniform_rule(0.0, 1.0, 16, 8)
-_FAR_RULE = uniform_rule(0.0, 1.0, 2, 8)
+_NEAR_RULE = uniform_rule(0.0, 1.0, 16)
+_FAR_RULE = uniform_rule(0.0, 1.0, 2)
 # deep rings: rho <= _DEEP min(r0, d / 2) (_DEEP r0 on the diagonal)
 _DEEP = 1e-2
-# the omitted part of a half-plane's tail is bounded by _TAIL_TOL pi a / 2,
-# where pi a / 2 = |grad f_a|^2 bounds every T_jj
-_TAIL_TOL = 1e-10
 
 
 def _guard_radius(center, d):
-    """10 (1 + |center| + d): past it the far rings' rule and the tail's bound hold."""
+    """10 (1 + |center| + d): past it the far rings' rule holds."""
     return 10.0 * (1.0 + float(np.hypot(*center)) + d)
 
 
-def _radial_end(prof, kappa, center, other):
-    """(R, tail): where the half-plane about ``center`` stops summing decades, and the rest.
-
-    With the gap rho^2, fhat = sum_n c_n rho^-(2 + n a) at both points and
-    the full ring, the integral past R is the closed form
-    2 pi sum_{m,n} c_m c_n R^-((m+n) a) / ((m+n) a), summed by powers s = m + n
-    until every later one is below the rounding of the sum; an off-diagonal
-    half-plane takes half of it.  The omitted terms are the next power and
-    the corrections of relative size, for rho >= R,
-
-    - (4 |c| + (|c|^2 + |kappa|) / R) / R to the gap: on a ring band
-      (|p| - r0)^2 lies in [(rho - 2 r0)^2, rho^2], and any other band has
-      0 <= lambda_- - kappa <= |p|^2 + |kappa|, so there the closed form
-      bounds the tail from above;
-    - 4 d / R to fhat at the other point, since rho <= |p - o| <= rho + d on
-      the half-plane and fhat falls like rho^-(2 + a);
-    - d / (2 R) to the half-plane's angular span pi + 2 arcsin(d / (2 rho)).
-
-    R is the first decade edge 10^k at or past the guard radius
-    10 (1 + |c| + d) at which their bound is below _TAIL_TOL pi a / 2.  On
-    the schedule's exponents and the README circle that is 1e6 (a = 0.4)
-    to 1e10 (a <= 0.05), about ten decades past 1.  The coefficients are
-    the profile's own (``FhatProfile.coefficients``), which are also fhat
-    past the table.  At a = 2 every c_n is 0 and R is the guard's decade
-    edge; past the guard fhat^2 is below e^-100.
-    """
-    a = prof.a
-    c = float(np.hypot(*center))
-    d = 0.0 if other is None else float(np.hypot(*(other - center)))
-    share = 1.0 if other is None else 0.5
-    powers = np.convolve(prof.coefficients, prof.coefficients)  # sum_{m+n=s} c_m c_n
-    s = np.arange(2, len(powers) + 2)
-    tol = _TAIL_TOL * 0.5 * np.pi * a
-    k = int(np.ceil(np.log10(_guard_radius(center, d))))
-    while True:
-        R = 10.0 ** k
-        terms = (share * 2.0 * np.pi) * powers * R ** (-s * a) / (s * a)
-        partial = np.cumsum(terms)
-        # the largest of the powers past each one: a single power may be 0
-        rest = np.maximum.accumulate(np.abs(terms[::-1]))[::-1]
-        done = rest[1:] <= np.finfo(float).eps * np.abs(partial[:-1])
-        i = int(np.argmax(done))
-        rel = (4.0 * c + 5.0 * d) / R + (c * c + abs(kappa)) / (R * R)
-        if done.any() and rest[i + 1] + rel * abs(partial[i]) <= tol:
-            return R, float(partial[i])
-        k += 1
-
-
-def _decade_rules(prof, reach):
-    """(lo, hi, start, rho, w): the radial rule of each decade from 1e-12 up to ``reach``.
+def _decade_rules(prof):
+    """(lo, hi, start, rho, w): the radial rule of each decade of the profile's window.
 
     Every kinetic half-plane takes these radial nodes: 4 log panels of 8
-    nodes per decade, from rho_lo = 1e-12 to the first decade whose hi is
-    at or past ``reach``; past the table fhat is Bergstrom's series.
-    Decade i spans [lo[i], hi[i]] and holds the nodes start[i]:start[i + 1],
-    and the panels come from one ``panel_rule`` call.
+    nodes per decade, from rho_lo = 1e-12 to the decade edge at or past
+    rho_hi (1e12; 100 at a = 2).  Decade i spans [lo[i], hi[i]] and holds
+    the nodes start[i]:start[i + 1], and the panels come from one
+    ``panel_rule`` call.
     """
-    k = range(int(np.floor(np.log10(prof.rho_lo))), int(np.ceil(np.log10(reach))))
-    lo, hi = np.array([(10.0 ** j, 10.0 ** (j + 1)) for j in k if 10.0 ** j < reach]).T
+    k = range(int(np.floor(np.log10(prof.rho_lo))), int(np.ceil(np.log10(prof.rho_hi))))
+    lo, hi = np.array([(10.0 ** j, 10.0 ** (j + 1)) for j in k]).T
     edges = np.geomspace(lo, hi, 5, axis=1)[:, :-1]
-    rho, w = panel_rule(np.append(edges, hi[-1]), 8)
+    rho, w = panel_rule(np.append(edges, hi[-1]))
     return lo, hi, 32 * np.arange(len(lo) + 1), rho, w
+
+
+def _tail(prof, R):
+    """2 pi int_R^inf rho^3 fhat^2 d rho = 2 pi sum_{m,n} c_m c_n R^-((m+n) a) / ((m+n) a).
+
+    The kinetic tail of a diagonal half-plane past R, at or past the end of
+    the profile's window, where fhat is Bergstrom's series
+    sum_n c_n rho^-(2 + n a) (``FhatProfile.coefficients``); an
+    off-diagonal half-plane takes half of it.  Past R the gap is rho^2, and
+    fhat at the other point is fhat at the centre, to relative
+    O((|center| + d) / R): on Rashba alpha = 2 to 2000 (N = 4, a = 0.4 to
+    6e-6), four more decades of nodes and the tail at 1e16 move T by at
+    most 9.8e-12 pi a / 2, which grows like alpha.  At a = 2 every c_n is
+    0.
+    """
+    a = prof.a
+    powers = np.convolve(prof.coefficients, prof.coefficients)  # sum_{m+n=s} c_m c_n
+    s = np.arange(2, len(powers) + 2)
+    return 2.0 * np.pi * float(np.sum(powers * R ** (-s * a) / (s * a)))
 
 
 def _ring_gap(c, r0, rho, qx, qy):
@@ -317,12 +297,12 @@ def _ring_gap(c, r0, rho, qx, qy):
             / (np.hypot(c[0] + qx, c[1] + qy) + r0)) ** 2
 
 
-def _kinetic_halfplane(model, kappa, prof, center, other, r0, decades, end):
+def _kinetic_halfplane(model, kappa, prof, center, other, r0, decades, tail):
     """Polar integral about `center`, restricted to its bisector half-plane.
 
-    rho = |p - center| runs over the ``decades`` of ``_decade_rules`` that
-    start below R, from the table's edge 1e-12, and the closed-form tail
-    past R is added, where ``end`` = (R, tail) comes from ``_radial_end``.
+    rho = |p - center| runs over every decade of ``_decade_rules``, from
+    the window's edge 1e-12 to its end R, and the closed-form ``tail`` past
+    R (``_tail``) is added, in full on the diagonal and half of it off it.
     On a ring band (``r0``, see ``kinetic_matrix``) the gap is ``_ring_gap``
     about the stored point, which ``trial_basis`` put on the ring
     |center| = r0, and the rings fall in three angular zones:
@@ -336,9 +316,8 @@ def _kinetic_halfplane(model, kappa, prof, center, other, r0, decades, end):
       on cos 2 theta there;
     - from there to the guard radius 10 (1 + |center| + d): 16 panels of 8
       nodes, one decade at a time;
-    - past the guard, at most about 10 decades to R, the integrand is
-      analytic in the angle, and 2 panels of 8 nodes take each ring, all
-      in one block.
+    - past the guard, about 10 decades to R, the integrand is analytic in
+      the angle, and 2 panels of 8 nodes take each ring, all in one block.
 
     Off the diagonal the integrand falls like rho^(2-a) per e-fold below
     the table.  The ring diagonal's head there is half of Parseval's
@@ -347,7 +326,7 @@ def _kinetic_halfplane(model, kappa, prof, center, other, r0, decades, end):
     to order (rho / r0)^2.  It integrates a nonnegative function, so it is
     cut at 0: at a = 0.4 and 0.2, where fhat is flat below the table, the
     difference is -4.2e-11 and -2.2e-12 of rounding.  N = 4 on Rashba
-    alpha = 2 takes 74,240 to 81,920 integrand nodes at every a; on Rashba
+    alpha = 2 takes 83,456 integrand nodes at every a; on Rashba
     alpha = 2 and Dresselhaus alpha = 3, N = 4 and 6, a = 0.4 to 0.025, T
     is within 3.4e-16 relative of 16 panels on every decade.  Any other band takes lambda_- - kappa by subtraction, with the
     values below its rounding noise (every ring below rho ~ 1e-7, hence no
@@ -361,8 +340,9 @@ def _kinetic_halfplane(model, kappa, prof, center, other, r0, decades, end):
         d = float(np.hypot(*(other - center)))
         axis = float(np.arctan2(other[1] - center[1], other[0] - center[0]))
     lo, hi, start, rho_all, w_all = decades
-    R, tail = end
-    stop = int(np.searchsorted(lo, R))
+    stop = len(lo)
+    if other is not None:
+        tail = 0.5 * tail
     if r0 is None:
         deep = 0
         near = stop
@@ -689,7 +669,7 @@ def _hankel_fftlog(modes, prof, radii, m_arr, rho_hi, step, out):
     n = _fast_len(int(np.ceil(np.log(rho_hi / rho_lo) / step)) + 1)
     if n > _MAX_SAMPLES:
         raise ResolutionError("band-correction FFTLog grid needs %d samples, above its "
-                              "budget of %d" % (n, _MAX_SAMPLES), attempted_nodes=n)
+                              "budget of %d" % (n, _MAX_SAMPLES))
     rho = np.geomspace(rho_lo, rho_hi, n)
     t = np.minimum(np.log(rho / rho_lo) / np.log(10.0), 1.0)
     weight = (t - np.sin(2.0 * np.pi * t) / (2.0 * np.pi)) * prof(rho) * rho

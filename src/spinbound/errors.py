@@ -29,10 +29,6 @@ class SearchDomainError(SpinboundError):
 class ResolutionError(SpinboundError):
     """A quadrature would exceed its node budget, or a table overflows."""
 
-    def __init__(self, message, attempted_nodes=None):
-        super().__init__(message)
-        self.attempted_nodes = attempted_nodes
-
 
 class CapacityError(SpinboundError):
     """A request exceeds a hard size cap (point count, mode count)."""

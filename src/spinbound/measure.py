@@ -42,7 +42,7 @@ class Curve:
         raise NotImplementedError
 
     def length(self):
-        t, w = uniform_rule(0.0, 1.0, 64, 8)
+        t, w = uniform_rule(0.0, 1.0, 64)
         dx, dy = self.derivative(t)
         return float(np.sum(w * np.hypot(dx, dy)))
 
@@ -158,9 +158,8 @@ class CurveDelta:
         """(x, y, weights) with weights carrying h and the arclength element."""
         panels = 4 * max(1, int(np.ceil(max_abs_p * self.curve.length() / TWO_PI)))
         if panels * 8 > NODE_CAP:
-            raise ResolutionError("curve quadrature exceeds node cap",
-                                  attempted_nodes=panels * 8)
-        t, w = uniform_rule(0.0, 1.0, panels, 8)
+            raise ResolutionError("curve quadrature exceeds node cap")
+        t, w = uniform_rule(0.0, 1.0, panels)
         x, y = self.curve.point(t)
         dx, dy = self.curve.derivative(t)
         return x, y, w * np.hypot(dx, dy) * self._h(x, y)
@@ -208,10 +207,9 @@ class Density:
         px = 2 * max(8, int(np.ceil(max_px * (x1 - x0) / TWO_PI)))
         py = 2 * max(8, int(np.ceil(max_py * (y1 - y0) / TWO_PI)))
         if (px * 8) * (py * 8) > NODE_CAP:
-            raise ResolutionError("density quadrature exceeds node cap",
-                                  attempted_nodes=px * py * 64)
-        xs, wx = uniform_rule(x0, x1, px, 8)
-        ys, wy = uniform_rule(y0, y1, py, 8)
+            raise ResolutionError("density quadrature exceeds node cap")
+        xs, wx = uniform_rule(x0, x1, px)
+        ys, wy = uniform_rule(y0, y1, py)
         return (xs, wx), (ys, wy), np.asarray(self.V(xs[:, None], ys[None, :]), dtype=float)
 
     def quad_nodes(self, max_abs_p):

@@ -269,14 +269,19 @@ def _symmetry(model: CouplingSpec, n_pairs, a, table, step):
     pairs = np.rint(np.fft.irfft2(freq * freq, s=table.shape))
     p2 = step * step * np.sum(n_pairs * n_pairs, axis=1)
     t0 = table[2 * n_max, 2 * n_max]
+    # every norm is taken over a power of two 2^e at or above the largest
+    # entry, so that no square overflows for a heavy measure; the scaling
+    # is exact, so every comparison is the unscaled one where that holds
+    peak = max(np.max(np.abs(table)), np.max(np.abs(p2 + t0)), np.max(np.abs(a)))
+    unit = 2.0 ** -max(0, int(np.frexp(peak)[1]))
     # ||H||_F^2: two spin copies of P + V (its diagonal is p^2 + t(0)), plus A
-    norm2 = 2.0 * (np.sum(pairs * np.abs(table) ** 2) - len(a) * abs(t0) ** 2
-                   + np.sum(np.abs(p2 + t0) ** 2) + np.sum(np.abs(a) ** 2))
+    norm2 = 2.0 * (np.sum(pairs * np.abs(unit * table) ** 2) - len(a) * abs(unit * t0) ** 2
+                   + np.sum(np.abs(unit * (p2 + t0)) ** 2) + np.sum(np.abs(unit * a) ** 2))
     budget2 = np.finfo(float).eps ** 2 * norm2
 
     def defect2(table, a, table_s, a_s):
-        return 2.0 * (np.sum(pairs * np.abs(table - table_s) ** 2)
-                      + np.sum(np.abs(a - a_s) ** 2))
+        return 2.0 * (np.sum(pairs * np.abs(unit * (table - table_s)) ** 2)
+                      + np.sum(np.abs(unit * (a - a_s)) ** 2))
 
     # the averages over Z_n, T and Theta commute, and each is an orthogonal
     # projection in the Frobenius inner product, so their defects add in

@@ -2,23 +2,17 @@
 
 import numpy as np
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+# the one rule every panel takes: 8 Gauss-Legendre nodes and weights on [-1, 1]
+_GL8 = np.polynomial.legendre.leggauss(8)
 
 
-def gl_nodes(n):
-    """Gauss-Legendre nodes and weights on [-1, 1], cached."""
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
+def panel_rule(edges):
+    """Nodes/weights of composite 8-point Gauss-Legendre over consecutive intervals.
 
-
-def panel_rule(edges, nodes_per_panel=8):
-    """Nodes/weights of composite Gauss-Legendre over consecutive intervals.
-
-    ``edges`` is an increasing 1D array; each [edges[i], edges[i+1]] gets an
-    ``nodes_per_panel``-point rule.
+    ``edges`` is an increasing 1D array; each [edges[i], edges[i+1]] gets
+    the 8-point rule.
     """
-    x, w = gl_nodes(nodes_per_panel)
+    x, w = _GL8
     e = np.asarray(edges, dtype=float)
     lo, hi = e[:-1], e[1:]
     half = 0.5 * (hi - lo)
@@ -28,10 +22,9 @@ def panel_rule(edges, nodes_per_panel=8):
     return pts, wts
 
 
-def uniform_rule(a, b, n_panels, nodes_per_panel=8):
+def uniform_rule(a, b, n_panels):
     """Composite rule on [a, b] with equal-width panels."""
-    edges = np.linspace(a, b, n_panels + 1)
-    return panel_rule(edges, nodes_per_panel)
+    return panel_rule(np.linspace(a, b, n_panels + 1))
 
 
 def merge_edges(*edge_sets):

@@ -1,5 +1,6 @@
 import ast
 import pathlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,8 +12,8 @@ from conftest import log_rule
 from spinbound import certificate
 from spinbound.certificate import (_M_MAX, _R_FLOOR, DEFAULT_A_SCHEDULE, TrialBasis, _decade_rules,
                                    _fast_len, _fftlog, _fftlog_coefficients,
-                                   _gate_sample, _kinetic_halfplane, _ModeTable, _radial_end,
-                                   _ring_gap,
+                                   _gate_sample, _kinetic_halfplane, _ModeTable, _ring_gap,
+                                   _tail,
                                    _angular_modes, _im_loggamma, _pair_scale, _radius_modes,
                                    _turns, certify,
                                    definiteness, kinetic_matrix,
@@ -116,6 +117,39 @@ def test_definiteness_asymmetry_bound_scales_with_the_matrix():
     assert definiteness(np.array([[-1e9, 3e-8], [0.0, -1e9]])).negative_count == 2
 
 
+def test_definiteness_norms_do_not_overflow():
+    # ||h||_F^2 overflows past ~1e154, which made the margin -inf and the
+    # count 0; in units of a power of two at or above the largest entry the
+    # margin of diag(-1e160, -1e145) is -1e-8 1e160, which -1e145 does not
+    # pass
+    assert definiteness(np.diag([-1e160, -2e160])).negative_definite
+    assert definiteness(np.diag([-1e160, -1e145])).negative_count == 1
+    with pytest.raises(NumericalInputError, match="not Hermitian"):
+        definiteness(np.array([[-1e160, 1e153], [0.0, -1e160]]))
+
+
+def test_definiteness_refuses_what_it_cannot_solve(monkeypatch):
+    for bad in (np.array([[np.nan]]), np.array([[-np.inf, 0.0], [0.0, -1.0]]),
+                np.array([[-1.7e308, 1e308], [1e308, -1.7e308]])):   # lambda = -2.7e308
+        with pytest.raises(NumericalInputError):
+            definiteness(bad)
+
+    def fails(h):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setattr(np.linalg, "eigvalsh", fails)
+    with pytest.raises(NumericalInputError, match="did not converge"):
+        definiteness(-np.eye(2))
+
+
+def test_certify_a_circle_past_the_square_root_of_the_largest_float(rashba2, thr2):
+    # at weight -1e160 ||Q||_F^2 is past the largest float; the margin is
+    # taken in scale, and the four states certify as at weight -1
+    heavy = CurveDelta(ClosedFormCircle((0.0, 0.0), 1.0), weight=-1e160)
+    res = certify(rashba2, thr2, heavy, 4, [0.4])
+    assert res.certified and res.certified_count == 4
+    assert res.lambda_max_Q == pytest.approx(-8.0159074970087e159, rel=1e-10)
+
+
 def test_certify_a_heavy_circle(rashba2, thr2):
     # at weight -1e8 the exact-form Q is asymmetric by 1.7e-8 in rounding
     heavy = CurveDelta(ClosedFormCircle((0.0, 0.0), 1.0), weight=-1e8)
@@ -164,11 +198,11 @@ def test_kinetic_diagonal_turns_with_the_point(rashba2, thr2):
     centres = np.column_stack([np.cos(ang), np.sin(ang)])
     for a in (0.4, 0.1, 0.05, 0.025):
         prof = fhat_profile(a)
-        ends = [_radial_end(prof, thr2.kappa, c, None) for c in centres]
-        decades = _decade_rules(prof, max(R for R, _ in ends))
+        decades = _decade_rules(prof)
+        tail = _tail(prof, decades[1][-1])
         diag = np.array([_kinetic_halfplane(rashba2, thr2.kappa, prof, c, None,
-                                            thr2.minset.radius, decades, end)
-                         for c, end in zip(centres, ends)])
+                                            thr2.minset.radius, decades, tail)
+                         for c in centres])
         assert np.ptp(diag) <= 1e-13 * np.max(np.abs(diag)), a
 
 
@@ -204,8 +238,9 @@ def _rotated(pts, turn):
 def _reference_halfplane(model, kappa, prof, center, other, r0, head=True):
     """The half-plane integral with 16 angular panels of 8 on every decade.
 
-    The decades run to the radial end R of ``_radial_end``, and its
-    closed-form tail past R is added.  With ``r0`` (a ring band) the gap is
+    The decades run over the profile's window, to the decade edge R at or
+    past its end, and the closed-form tail past R (``_tail``, halved off the
+    diagonal) is added.  With ``r0`` (a ring band) the gap is
     (|p| - r0)^2 in the bump's own coordinates, ((2 c.q + rho^2) /
     (|c + q| + r0))^2 about c = r0 center / |center|, and the diagonal
     adds the head below the table from Parseval, cut at 0, unless ``head``
@@ -217,19 +252,13 @@ def _reference_halfplane(model, kappa, prof, center, other, r0, head=True):
     else:
         d = float(np.hypot(*(other - center)))
         axis = float(np.arctan2(other[1] - center[1], other[0] - center[0]))
-    t_ref, w_ref = uniform_rule(0.0, 1.0, 16, 8)
-    R, tail = _radial_end(prof, kappa, center, other)
-    total = parseval = 0.0
+    t_ref, w_ref = uniform_rule(0.0, 1.0, 16)
     k_lo = int(np.floor(np.log10(prof.rho_lo)))
     k_hi = int(np.ceil(np.log10(prof.rho_hi)))
+    tail = (1.0 if other is None else 0.5) * _tail(prof, 10.0 ** k_hi)
+    total = parseval = 0.0
     for k in range(k_lo, k_hi):
-        lo = max(10.0 ** k, prof.rho_lo)
-        hi = min(10.0 ** (k + 1), prof.rho_hi)
-        if lo >= R:
-            break
-        if hi <= lo:
-            continue
-        rho, w_rho = log_rule(lo, hi, 4, 8)
+        rho, w_rho = log_rule(max(10.0 ** k, prof.rho_lo), 10.0 ** (k + 1), 4, 8)
         if other is None:
             beta = np.zeros_like(rho)
         else:
@@ -314,16 +343,6 @@ def test_kinetic_matches_the_16_panel_reference(case, monkeypatch):
     assert np.max(np.abs(t - t_ref)) <= 1e-14 * np.max(np.abs(t_ref))
 
 
-def _tail_at_table_end(prof, other):
-    """The closed-form tail past the table's end, fhat's series summed to 40 powers."""
-    a, R = prof.a, prof.rho_hi
-    coeffs = prof.coefficients
-    s = np.arange(2, 2 * len(coeffs) + 1)
-    share = 1.0 if other is None else 0.5
-    return share * 2.0 * np.pi * float(np.sum(np.convolve(coeffs, coeffs) * R ** (-s * a)
-                                              / (s * a)))
-
-
 @pytest.mark.parametrize("a", [0.4, 0.2])
 def test_ring_diagonal_head_is_not_negative(rashba2, thr2, a):
     # the head below 1e-12 integrates a nonnegative function, but as
@@ -337,24 +356,46 @@ def test_ring_diagonal_head_is_not_negative(rashba2, thr2, a):
     assert t_jj >= summed * (1.0 - 1e-14)
 
 
-@pytest.mark.parametrize("a", DEFAULT_A_SCHEDULE)
-def test_kinetic_tail_matches_the_whole_table(rashba2, thr2, a):
-    # each half-plane stops at its own R (1e6 at a = 0.4, 1e10 from a = 0.05
-    # on) and adds the closed-form tail past it; summing every decade of the
-    # table instead, with the tail past the table's end, moves it by under
-    # 1e-10, always down: past R the gap rho^2, fhat at the centre and the
-    # half-plane's span pi bound the true integrand from above
-    pts = select_points(thr2.minset, 4)
+@pytest.mark.parametrize("a", [0.4, 0.1])
+def test_tail_matches_the_series_integrated_past_the_window(a):
+    # 2 pi int_R^inf rho^3 fhat^2 d rho on a log rho rule, rho^4 fhat^2 per
+    # unit of ln rho taken as (rho^2 fhat)^2 so that nothing underflows,
+    # out to where the rest, which falls like rho^-2a, is below 1e-16 of it
     prof = fhat_profile(a)
-    whole = _decade_rules(prof, prof.rho_hi)
-    for other in (None, pts[1], pts[2]):
-        end = _radial_end(prof, thr2.kappa, pts[0], other)
-        assert end[0] < prof.rho_hi
-        value = _kinetic_halfplane(rashba2, thr2.kappa, prof, pts[0], other, 1.0,
-                                   _decade_rules(prof, end[0]), end)
-        full = _kinetic_halfplane(rashba2, thr2.kappa, prof, pts[0], other, 1.0, whole,
-                                  (prof.rho_hi, _tail_at_table_end(prof, other)))
-        assert 0.0 <= value - full <= 1e-10 * full
+    R = prof.rho_hi
+    u, w = log_rule(R, R * 10.0 ** (8.0 / a), 8, 8)
+    reference = 2.0 * np.pi * float(np.sum(w * u ** -1.0 * (u * u * prof(u)) ** 2))
+    assert _tail(prof, R) == pytest.approx(reference, rel=1e-12)
+
+
+def _decades_to(prof, top):
+    """``_decade_rules`` extended by full decades of the same panels up to ``top``."""
+    lo, hi = np.array([(10.0 ** j, 10.0 ** (j + 1))
+                       for j in range(round(np.log10(prof.rho_lo)), round(np.log10(top)))]).T
+    rho, w = panel_rule(np.append(np.geomspace(lo, hi, 5, axis=1)[:, :-1], hi[-1]))
+    return lo, hi, 32 * np.arange(len(lo) + 1), rho, w
+
+
+@pytest.mark.parametrize("a", DEFAULT_A_SCHEDULE + (1e-3,))
+def test_kinetic_tail_matches_the_whole_table(a, monkeypatch):
+    # every half-plane sums the window's decades to 1e12 and adds the
+    # closed-form tail there, in which the gap is rho^2 and fhat at the
+    # other point is fhat at the centre; four more decades of the same
+    # rule, with the tail at 1e16, move T by under 1e-10 pi a / 2, which
+    # bounds every T_jj (at most 9.8e-12 pi a / 2, at alpha = 2000 and
+    # a = 0.025).  The ring's radius alpha / 2 and the pair distances grow
+    # with alpha, and so do those omitted corrections
+    for alpha in (2.0, 200.0, 2000.0):
+        model = CouplingSpec.rashba(alpha)
+        thr = threshold(model)
+        basis = trial_basis(model, thr, select_points(thr.minset, 4), a)
+        assert np.array_equal(_decade_rules(basis.profile)[3],
+                              _decades_to(basis.profile, basis.profile.rho_hi)[3])
+        t = kinetic_matrix(model, thr, basis)
+        with monkeypatch.context() as patch:
+            patch.setattr(certificate, "_decade_rules", lambda prof: _decades_to(prof, 1e16))
+            t_far = kinetic_matrix(model, thr, basis)
+        assert np.max(np.abs(t - t_far)) <= 1e-10 * 0.5 * np.pi * a, alpha
 
 
 @pytest.mark.parametrize("a", [0.017, 1e-3, 5.8e-4, 6e-6, 1e-100])
@@ -397,27 +438,27 @@ def _gap_nodes(model, thr, pts, a, monkeypatch):
 
 @pytest.mark.parametrize("a", [0.4, 0.025, 6e-6])
 def test_kinetic_work_is_flat_in_a(rashba2, thr2, monkeypatch, a):
-    # the window's 10 deep decades, the decades to the guard and the far
-    # zone to R: 74,240 gap nodes at a = 0.4, 80,384 at 0.025 and 81,920
-    # at 6e-6 for four points, where a table anchored per exponent took
+    # every half-plane takes the window's 24 decades, whatever a is: the 10
+    # deep ones, the decades to the guard and the far zone to 1e12, 83,456
+    # gap nodes for four points, where a table anchored per exponent took
     # 214,016 at a = 0.025
-    assert 0 < _gap_nodes(rashba2, thr2, select_points(thr2.minset, 4), a,
-                          monkeypatch) <= 82_000
+    assert _gap_nodes(rashba2, thr2, select_points(thr2.minset, 4), a,
+                      monkeypatch) == 83_456
 
 
 def test_kinetic_work_count(rashba2, thr2, monkeypatch):
-    # at a = 0.05 a half-plane visits 22 decades, from the window's edge
-    # 1e-12 to R = 1e10: 10 deep ones at 16 angles per ring, 4 or 5 more
-    # below the guard radius at 128, and 8 past it at 16: 80,384 gap nodes
-    # for four points, against 595,968 with 128 angles on every decade
-    # below the guard
+    # at a = 0.05 a half-plane visits 24 decades, from the window's edge
+    # 1e-12 to its end 1e12: 10 deep ones at 16 angles per ring, 4 or 5
+    # more below the guard radius at 128, and 10 past it at 16: 83,456 gap
+    # nodes for four points, against 595,968 with 128 angles on every
+    # decade below the guard
     assert 0 < _gap_nodes(rashba2, thr2, select_points(thr2.minset, 4), 0.05,
                           monkeypatch) <= 210_000
 
 
 def test_kinetic_memory_peak(rashba2, thr2):
-    # one decade of 32 x 128 nodes, or the 10 deep or 8 far decades of
-    # 32 x 16, at a time, and the radial nodes of the 22 decades
+    # one decade of 32 x 128 nodes, or the 10 deep or 10 far decades of
+    # 32 x 16, at a time, and the radial nodes of the window's 24 decades
     basis = trial_basis(rashba2, thr2, select_points(thr2.minset, 4), 0.05)
     tracemalloc.start()
     try:
@@ -567,7 +608,7 @@ def test_exact_matrix_brute_force(rashba2, thr2, circle_measure):
     x, y, wgt = circle_measure.quad_nodes(2.0)
     prof = basis.profile
     r_nodes, r_w = log_rule(1e-6, 400.0, 160, 8)
-    ang, aw = uniform_rule(0.0, 2.0 * np.pi, 128, 8)
+    ang, aw = uniform_rule(0.0, 2.0 * np.pi, 128)
     # p = p_j + (dx, dy) with the same offsets for both points, so
     # e^{i<p,x>} = e^{i<p_j,x>} e^{i(dx x + dy y)} and each phase block of
     # the offsets serves both
@@ -631,7 +672,7 @@ def _gaussian_modes(modes, m_arr, rr, rj=1.0):
     width = min(0.25 * np.pi / rr, 0.25)
     edges = merge_edges(np.linspace(0.0, 40.0, int(np.ceil(40.0 / width)) + 1),
                         _kink_cluster(rj, 10))
-    rho, w = panel_rule(edges, 8)
+    rho, w = panel_rule(edges)
     return ((w * rho * np.exp(-0.5 * rho * rho))[:, None] * modes(rho)
             * jv(m_arr[None, :], rho[:, None] * rr)).sum(axis=0)
 
@@ -669,7 +710,7 @@ def test_node_modes_refuse_a_grid_past_the_sample_budget(rashba2):
     pj, m_arr, prof, _ = _band_modes(rashba2, 0.4)
     with pytest.raises(ResolutionError) as err:
         _node_modes(rashba2, pj, prof, np.array([1.0, 1.0e4]), m_arr)
-    assert err.value.attempted_nodes > 2 ** 19
+    assert int(re.search(r"needs (\d+) samples", str(err.value)).group(1)) > 2 ** 19
 
 
 def _origin_peak(model, pj, prof):
@@ -684,7 +725,7 @@ def _origin_peak(model, pj, prof):
     decades = int(np.ceil(np.log10(big_p / prof.rho_lo)))
     edges = merge_edges([0.0], np.geomspace(prof.rho_lo, big_p, 16 * decades + 1),
                         _kink_cluster(float(np.hypot(*pj)), 10))
-    rho, w = panel_rule(edges, 8)
+    rho, w = panel_rule(edges)
     c0 = _angular_modes(model, pj, rho, np.array([0]))[:, 0]
     u1 = lower_band_vectors(model, pj[0], pj[1])[0]
     n = np.arange(1, len(prof.coefficients) + 1)
@@ -729,10 +770,10 @@ def _direct_origin_mode(modes, prof, r):
     zero = np.array([_M_MAX])   # the column of m = 0
     head = np.geomspace(1e-6, 1.0 / r, int(np.ceil(16 * np.log10(1e6 / r))) + 1)
     ring = _kink_cluster(1.0, 10)
-    rho, w = panel_rule(merge_edges(head, ring[ring < 1.0 / r]), 8)
+    rho, w = panel_rule(merge_edges(head, ring[ring < 1.0 / r]))
     total = np.sum(w * modes(rho, zero)[:, 0] * prof(rho) * rho * j0(rho * r))
     n = int(np.ceil((1e5 - 1.0) / (0.5 * np.pi)))
-    rho, w = panel_rule(np.linspace(1.0, 1e5, n + 1) / r, 8)
+    rho, w = panel_rule(np.linspace(1.0, 1e5, n + 1) / r)
     return total + np.sum(w * modes(rho, zero)[:, 0] * prof(rho) * rho * j0(rho * r))
 
 

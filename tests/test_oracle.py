@@ -632,6 +632,24 @@ def test_time_reversal_gate_at_one_rounding_unit(imag, sizes, monkeypatch):
     assert np.max(np.abs(res.eigenvalues - ref)) < 1e-10
 
 
+def test_symmetry_gate_of_a_heavy_table_reads_it_in_scale():
+    # the gate's squared norms are taken in units of a power of two at or
+    # above the largest entry, so at weight -1e160, whose table's squares
+    # overflow, it decides as at -1e6, where nothing does: there the table
+    # outweighs the kinetic part and the coupling, and its rounding breaks
+    # the quarter turn by 1.40 units of eps ||H||_F, the half turn by 1.13
+    # and every mirror by more than one, so n = 1 without the pairing or a
+    # mirror, where weight -1 takes n = 4, the pairing and a mirror
+    model = CouplingSpec.rashba(2.0)
+    box = BoxSpec(L=12.0, K=6.0)
+    gates = []
+    for weight in (-1.0, -1e6, -1e160):
+        n_pairs, a, table = oracle._operator_data(model, _circle((0.0, 0.0), weight=weight), box)
+        n, p, paired, mirror, _, _ = oracle._symmetry(model, n_pairs, a, table, np.pi / box.L)
+        gates.append((n, p, paired, mirror is None))
+    assert gates == [(4, 3, True, False), (1, 0, False, True), (1, 0, False, True)]
+
+
 def _chiral(px, py):
     """sin(4 theta) of the momentum grid px x py: C4-even, odd under every mirror."""
     x, y = np.asarray(px)[:, None], np.asarray(py)[None, :]

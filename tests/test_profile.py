@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln, hankel1, k0, k0e
 
-from conftest import grad_norm_sq_quadrature, log_rule
+from conftest import gauss_panels, grad_norm_sq_quadrature, log_rule
 from spinbound.errors import ConfigError, ResolutionError
 from spinbound import hankel
 from spinbound.hankel import (FhatProfile, _contour_cuts, _contour_values, _k0,
                               _series_coefficients, fhat_profile)
-from spinbound.quadrature import merge_edges, panel_rule
+from spinbound.quadrature import merge_edges
 from spinbound.spline import cubic_spline
 
 
@@ -149,7 +149,7 @@ def _scalar_contour(a, rho, nodes_per_panel=10):
 
     The reference for the lattice rule ``_contour_values``: the same cuts
     and integrands on panels built with np.geomspace, ``merge_edges`` and
-    ``panel_rule`` for the single node rho.  Each panel is split at the
+    ``gauss_panels`` for the single node rho.  Each panel is split at the
     kernel's and the envelope's oscillations.
     """
     theta = min(0.5 * np.pi, np.pi / (3.0 * a))
@@ -179,7 +179,7 @@ def _scalar_contour(a, rho, nodes_per_panel=10):
     edges = edges[(edges >= s_lo) & (edges <= s_up)]
     edges = merge_edges(edges, [s_lo, s_up])
 
-    s, w = panel_rule(edges, nodes_per_panel)
+    s, w = gauss_panels(edges, nodes_per_panel)
     env = np.exp(-0.5 * (s ** a) * (c_env + 1j * s_env))
     if theta >= 0.5 * np.pi - 1e-12:
         kernel = k0(np.minimum(rho * s, 700.0))
@@ -415,7 +415,7 @@ def test_series_against_mpmath(a):
 
 @pytest.mark.parametrize("a", [0.4, 0.1, 0.025])
 def test_kinetic_tail_coefficients_against_mpmath(a):
-    # the kinetic tail past its radial end is a double sum over these
+    # the kinetic tail past the window is a double sum over these
     mp = pytest.importorskip("mpmath")
     with mp.workdps(30):
         want = [float(c) for c in _mp_coefficients(mp, a, 2)]
